@@ -103,8 +103,26 @@ def round_half_up(x):
     raise TypeError(f"round_half_up: unsupported type {type(x).__name__}")
 
 
-def as_exact_ratio(num, den):
-    """num/den as a Fraction when both are exact, else a float."""
-    if isinstance(num, float) or isinstance(den, float):
-        return num / den
-    return Fraction(num, 1) / den
+def round_div(num: int, den: int) -> int:
+    """``[num / den]`` for integers with ``den > 0``, in integer arithmetic.
+
+    ``floor(num / den + 1/2) == floor((2 num + den) / (2 den))``, so this is
+    ``round_half_up`` of the exact ratio without building a rational.
+    """
+    return (2 * num + den) // (2 * den)
+
+
+def common_denominator(values) -> tuple[tuple[int, ...], int] | None:
+    """Exact scalars as integers over one positive denominator.
+
+    Returns ``(nums, den)`` with ``values[i] == nums[i] / den`` for ints and
+    rationals (anything with ``numerator``/``denominator``), or None when any
+    value is a float: scaling a float would change its arithmetic.
+    """
+    if all(type(v) is int for v in values):
+        return tuple(values), 1
+    if any(isinstance(v, float) for v in values):
+        return None
+    ratios = [(int(v.numerator), int(v.denominator)) for v in values]
+    den = math.lcm(*(d for _, d in ratios))
+    return tuple(n * (den // d) for n, d in ratios), den

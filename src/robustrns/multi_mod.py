@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .modmath import as_exact_ratio, mod_inverse, round_half_up
+from .modmath import common_denominator, mod_inverse, round_div, round_half_up
 from .two_mod import (
     RemainderObservation,
     TwoModSystem,
@@ -52,6 +53,54 @@ class ModuliGroup:
         return cls(ms, g, cof, g * math.prod(cof))
 
 
+# Per-system CRT data depends only on the cofactors; a bounded cache keeps a
+# long-lived process from growing without limit over many systems.
+_STEP_CACHE = 256
+
+
+@lru_cache(maxsize=_STEP_CACHE)
+def _group_steps(cofactors: tuple[int, ...]) -> tuple[tuple[int, int, int, int] | None, ...]:
+    """Garner steps for the congruences ``h1 * g_1 = xi_k (mod g_k)``, k >= 2.
+
+    Each step is ``(g_k, inv_g1, inv_q, q)``: ``q`` is the product of the
+    earlier cofactors, ``inv_g1``/``inv_q`` are the inverses of ``g_1``/``q``
+    modulo ``g_k``, and ``h1`` grows by ``q * ((xi_k * inv_g1 - h1) * inv_q
+    mod g_k)``.  A cofactor of 1 imposes nothing and has step None.
+    """
+    g1 = cofactors[0]
+    steps = []
+    q = 1
+    for gk in cofactors[1:]:
+        if gk == 1:
+            steps.append(None)
+            continue
+        steps.append((gk, mod_inverse(g1, gk), mod_inverse(q, gk), q))
+        q *= gk
+    return tuple(steps)
+
+
+def _xis(remainders, m, scaled) -> list[int]:
+    """Rounded scaled differences ``xi_k = [(r_k - r_1) / m]``."""
+    if scaled is None:
+        return [round_half_up((r - remainders[0]) / m) for r in remainders[1:]]
+    nums, den = scaled
+    return [round_div(a - nums[0], m * den) for a in nums[1:]]
+
+
+def _average(groups, scaled):
+    """``(estimate, mean)`` of the reconstructions ``n_k * m_k + r_k`` over every
+    ``(folds, moduli, remainders)`` group; ``scaled`` is the common-denominator
+    form of all the remainders, None for float arithmetic."""
+    count = sum(len(rs) for _, _, rs in groups)
+    if scaled is None:
+        mean = sum(sum(n * mk + r for n, mk, r in zip(*group)) for group in groups) / count
+        return round_half_up(mean), mean
+    nums, den = scaled
+    total = sum(n * mk for folds, moduli, _ in groups for n, mk in zip(folds, moduli)) * den
+    total += sum(nums)
+    return round_div(total, count * den), Fraction(total, count * den)
+
+
 def single_stage_robust_crt(group: ModuliGroup, remainders) -> tuple[tuple[int, ...], int, Fraction | float]:
     """Recover within-group fold integers and the rounded group estimate.
 
@@ -62,26 +111,20 @@ def single_stage_robust_crt(group: ModuliGroup, remainders) -> tuple[tuple[int, 
     rs = tuple(remainders)
     if len(rs) != len(group.moduli):
         raise ValueError("single_stage_robust_crt: remainder/modulus count mismatch")
-    g1 = group.cofactors[0]
-    m = group.gcd
+    scaled = common_denominator(rs)
     # xi_k estimates (r_k - r_1) / m = h_1 * g_1 - h_k * g_k, exactly under the
     # window condition; h_1 then follows from the coprime congruences.
-    xis = [round_half_up(as_exact_ratio(rs[k] - rs[0], m)) for k in range(1, len(rs))]
-    h1, q = 0, 1
-    for xi, gk in zip(xis, group.cofactors[1:]):
-        if gk == 1:
-            continue
-        a = xi * mod_inverse(g1, gk) % gk
-        t = (a - h1) * mod_inverse(q, gk) % gk
-        h1 += q * t
-        q *= gk
-    folds = [h1]
-    for xi, gk in zip(xis, group.cofactors[1:]):
-        num = h1 * g1 - xi
-        folds.append(num // gk)  # exact: h1 * g1 == xi (mod g_k) by construction
-    total = sum(h * mod_ + r for h, mod_, r in zip(folds, group.moduli, rs))
-    mean = as_exact_ratio(total, len(rs))
-    return tuple(folds), round_half_up(mean), mean
+    xis = _xis(rs, group.gcd, scaled)
+    h1 = 0
+    for xi, step in zip(xis, _group_steps(group.cofactors)):
+        if step is not None:
+            gk, inv_g1, inv_q, q = step
+            h1 += q * ((xi * inv_g1 - h1) * inv_q % gk)
+    g1 = group.cofactors[0]
+    # exact divisions: h1 * g1 == xi (mod g_k) by construction
+    folds = (h1, *((h1 * g1 - xi) // gk for xi, gk in zip(xis, group.cofactors[1:])))
+    estimate, mean = _average([(folds, group.moduli, rs)], scaled)
+    return folds, estimate, mean
 
 
 @dataclass(frozen=True)
@@ -92,6 +135,34 @@ class GeneralCrtSolution:
     estimate: int
     mean: Fraction | float
     consistent: bool
+
+
+@lru_cache(maxsize=_STEP_CACHE)
+def _general_steps(gammas: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Per-congruence data of ``n_1 * g_1 = xi_k (mod g_k)``, solved one by one.
+
+    Each step is ``(g, qk, inv1, gq, step, inv_q, q)``: ``g = gcd(g_1, g_k)``
+    must divide ``xi_k``, leaving ``n_1 = a (mod qk)`` with ``qk = g_k / g`` and
+    ``a = (xi_k / g) * inv1``; ``q`` is the modulus ``n_1`` is known to before
+    the step, ``gq = gcd(q, qk)`` must divide ``a - n_1``, and ``n_1`` then
+    grows by ``q * t`` with ``t = ((a - n_1) / gq) * inv_q mod step``.
+    """
+    g1 = gammas[0]
+    steps = []
+    q = 1
+    for gk in gammas[1:]:
+        g = math.gcd(g1, gk)
+        qk = gk // g
+        if qk == 1:
+            steps.append((g, 1, 0, 1, 1, 0, q))
+            continue
+        gq = math.gcd(q, qk)
+        step = qk // gq
+        inv1 = mod_inverse((g1 // g) % qk, qk)
+        inv_q = mod_inverse((q // gq) % step, step) if step > 1 else 0
+        steps.append((g, qk, inv1, gq, step, inv_q, q))
+        q *= step
+    return tuple(steps)
 
 
 def general_robust_crt(moduli, remainders) -> GeneralCrtSolution:
@@ -109,36 +180,28 @@ def general_robust_crt(moduli, remainders) -> GeneralCrtSolution:
         raise ValueError("general_robust_crt: need matching moduli/remainders, at least two")
     m = math.gcd(*ms)
     gammas = tuple(mi // m for mi in ms)
-    g1 = gammas[0]
-    xis = [round_half_up(as_exact_ratio(rs[k] - rs[0], m)) for k in range(1, len(rs))]
-    n1, q = 0, 1
+    scaled = common_denominator(rs)
+    xis = _xis(rs, m, scaled)
+    n1 = 0
     consistent = True
-    for xi, gk in zip(xis, gammas[1:]):
-        g = math.gcd(g1, gk)
-        if xi % g != 0:
+    for xi, (g, qk, inv1, gq, step, inv_q, q) in zip(xis, _general_steps(gammas)):
+        if xi % g:
             consistent = False
             break
-        qk = gk // g
         if qk > 1:
-            a = (xi // g) * mod_inverse((g1 // g) % qk, qk) % qk
-            gq = math.gcd(q, qk)
-            if (a - n1) % gq != 0:
+            diff = (xi // g) * inv1 % qk - n1
+            if diff % gq:
                 consistent = False
                 break
-            step = qk // gq
             if step > 1:
-                t = ((a - n1) // gq) * mod_inverse((q // gq) % step, step) % step
-                n1 += q * t
-            q *= step
+                n1 += q * ((diff // gq) * inv_q % step)
     if consistent:
-        folds = [n1]
-        for xi, gk in zip(xis, gammas[1:]):
-            folds.append((n1 * g1 - xi) // gk)
+        g1 = gammas[0]
+        folds = (n1, *((n1 * g1 - xi) // gk for xi, gk in zip(xis, gammas[1:])))
     else:
-        folds = [0] * len(ms)
-    total = sum(n * mod_ + r for n, mod_, r in zip(folds, ms, rs))
-    mean = as_exact_ratio(total, len(rs))
-    return GeneralCrtSolution(tuple(folds), round_half_up(mean), mean, consistent)
+        folds = (0,) * len(ms)
+    estimate, mean = _average([(folds, ms, rs)], scaled)
+    return GeneralCrtSolution(folds, estimate, mean, consistent)
 
 
 @dataclass(frozen=True)
@@ -209,12 +272,11 @@ def cascade_reconstruct(spec: CascadeSpec, remainders1, remainders2) -> CascadeS
         l1, l2 = cross_sol.n2, cross_sol.n1
     foldings1 = tuple(l1 * (spec.group1.eta // mk) + hk for mk, hk in zip(spec.group1.moduli, h1))
     foldings2 = tuple(l2 * (spec.group2.eta // mk) + hk for mk, hk in zip(spec.group2.moduli, h2))
-    total = sum(n * mk + r for n, mk, r in zip(foldings1, spec.group1.moduli, rs1))
-    total += sum(n * mk + r for n, mk, r in zip(foldings2, spec.group2.moduli, rs2))
-    mean = as_exact_ratio(total, len(rs1) + len(rs2))
-    return CascadeSolution(
-        h1, h2, l1, l2, (est1, est2), foldings1, foldings2, round_half_up(mean), mean
+    estimate, mean = _average(
+        [(foldings1, spec.group1.moduli, rs1), (foldings2, spec.group2.moduli, rs2)],
+        common_denominator(rs1 + rs2),
     )
+    return CascadeSolution(h1, h2, l1, l2, (est1, est2), foldings1, foldings2, estimate, mean)
 
 
 def cascade_bounds(spec: CascadeSpec) -> tuple[int, Fraction]:

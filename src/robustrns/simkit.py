@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modmath import mod_inverse
-from .multi_mod import CascadeSpec
+from .multi_mod import CascadeSpec, _general_steps, _group_steps
 from .two_mod import TwoModSystem, level_context, sigma_chain
 
 CHUNK = 1 << 16
@@ -198,30 +197,20 @@ class GroupKernel:
         self.group = group
         self.m = float(group.gcd)
         self.moduli = [float(mk) for mk in group.moduli]
-        g1 = group.cofactors[0]
-        self.g1 = g1
-        self.steps = []
-        q = 1
-        for gk in group.cofactors[1:]:
-            if gk == 1:
-                self.steps.append(None)
-                continue
-            self.steps.append((gk, mod_inverse(g1, gk), mod_inverse(q, gk)))
-            q *= gk
+        self.g1 = group.cofactors[0]
+        self.steps = _group_steps(group.cofactors)
 
     def solve(self, rts: list[np.ndarray]):
         xis = [np.floor((rts[k] - rts[0]) / self.m + 0.5).astype(np.int64)
                for k in range(1, len(rts))]
         h1 = np.zeros(rts[0].shape, dtype=np.int64)
-        q = 1
         for xi, step in zip(xis, self.steps):
             if step is None:
                 continue
-            gk, inv_g1, inv_q = step
+            gk, inv_g1, inv_q, q = step
             a = (xi * inv_g1) % gk
             t = ((a - h1) * inv_q) % gk
             h1 = h1 + q * t
-            q *= gk
         folds = [h1]
         for xi, gk in zip(xis, self.group.cofactors[1:]):
             folds.append((h1 * self.g1 - xi) // gk)
@@ -241,20 +230,7 @@ class GeneralKernel:
         gammas = tuple(mk // m for mk in ms)
         self.gammas = gammas
         self.g1 = gammas[0]
-        self.steps = []
-        q = 1
-        for gk in gammas[1:]:
-            g = math.gcd(self.g1, gk)
-            qk = gk // g
-            if qk == 1:
-                self.steps.append((g, 1, 0, 1, 1, 0))
-                continue
-            inv1 = mod_inverse((self.g1 // g) % qk, qk)
-            gq = math.gcd(q, qk)
-            step = qk // gq
-            inv_q = mod_inverse((q // gq) % step, step) if step > 1 else 0
-            self.steps.append((g, qk, inv1, gq, step, inv_q))
-            q *= step
+        self.steps = _general_steps(gammas)
 
     def solve(self, rts: list[np.ndarray]):
         xis = [np.floor((rts[k] - rts[0]) / self.m + 0.5).astype(np.int64)
@@ -262,8 +238,7 @@ class GeneralKernel:
         shape = rts[0].shape
         n1 = np.zeros(shape, dtype=np.int64)
         consistent = np.ones(shape, dtype=bool)
-        q_running = 1
-        for xi, (g, qk, inv1, gq, step, inv_q) in zip(xis, self.steps):
+        for xi, (g, qk, inv1, gq, step, inv_q, q) in zip(xis, self.steps):
             consistent &= (xi % g) == 0
             if qk == 1:
                 continue
@@ -272,8 +247,7 @@ class GeneralKernel:
             consistent &= (diff % gq) == 0
             if step > 1:
                 t = ((diff // gq) * inv_q) % step
-                n1 = n1 + q_running * t
-                q_running *= step
+                n1 = n1 + q * t
         folds = [np.where(consistent, n1, 0)]
         for xi, gk in zip(xis, self.gammas[1:]):
             fk = np.where(consistent, (n1 * self.g1 - xi) // gk, 0)
@@ -360,12 +334,28 @@ def _apply_range_mode(rt: np.ndarray, modulus: float, range_mode: str):
     return rt, out
 
 
+def _int64_range(high) -> int:
+    """``high`` as the exclusive upper end of int64 draws from ``[0, high)``.
+
+    Integer values are sampled and stored as numpy int64, so a range past
+    2^63 is refused here with its own message instead of numpy's."""
+    high = int(high)
+    if high > 2**63:
+        raise ValueError(
+            f"integer values in [0, {high}) need more than 64 bits; "
+            "integer sampling covers ranges up to 2^63"
+        )
+    return high
+
+
 def _two_mod_point(system, level, tau, trials, seed, point_index, *,
                    fixed_value=None, value_mode="integer", error_mode="real",
                    range_mode="allow", kernel=None) -> SweepRow:
     kernel = kernel or LevelKernel(system, level)
     acc = _Accumulator()
     rng_range = kernel.dynamic_range
+    if fixed_value is None and value_mode == "integer":
+        rng_range = _int64_range(rng_range)
     m1, m2 = kernel.m1, kernel.m2
     for chunk_index, size in _chunks(trials):
         rng = _rng(seed, point_index, chunk_index)
@@ -376,7 +366,7 @@ def _two_mod_point(system, level, tau, trials, seed, point_index, *,
             true1 = np.full(size, int(fixed_value // system.m1), dtype=np.int64)
             true2 = np.full(size, int(fixed_value // system.m2), dtype=np.int64)
         elif value_mode == "integer":
-            ints = rng.integers(0, int(rng_range), size=size)
+            ints = rng.integers(0, rng_range, size=size)
             values = ints.astype(np.float64)
             true1 = ints // int(system.m1)
             true2 = ints // int(system.m2)
@@ -443,10 +433,11 @@ def _cascade_point(kernel: CascadeKernel, tau, trials, seed, point_index,
     spec = kernel.spec
     moduli1, moduli2 = spec.group1.moduli, spec.group2.moduli
     acc = _Accumulator()
+    rng_range = _int64_range(kernel.dynamic_range)
     for chunk_index, size in _chunks(trials):
         rng = _rng(seed, point_index, chunk_index)
         if fixed_value is None:
-            ints = rng.integers(0, int(kernel.dynamic_range), size=size)
+            ints = rng.integers(0, rng_range, size=size)
         else:
             ints = np.full(size, int(fixed_value), dtype=np.int64)
         values = ints.astype(np.float64)
@@ -485,7 +476,7 @@ def run_comparison(spec: CascadeSpec, tau_values, trials: int, seed: int,
         (f"cascade_level{spec.level}", cascade_cfg),
     ]
     accs = {name: [_Accumulator() for _ in tau_values] for name, _ in series}
-    rng_range = int(cascade_cfg.dynamic_range)
+    rng_range = _int64_range(cascade_cfg.dynamic_range)
     for p, tau in enumerate(tau_values):
         for chunk_index, size in _chunks(trials):
             rng = _rng(seed, p, chunk_index)

@@ -5,8 +5,10 @@ can be recovered from erroneous remainders as long as the fold integers ``n_i``
 are identified exactly.  The chain of Euclidean remainders of the cofactor pair
 parameterizes a ladder of trade-off levels: lower levels tolerate larger
 remainder errors over a smaller usable range, higher levels reach the full lcm
-with the smallest error budget.  Everything here is exact: integer observations
-go through ``fractions.Fraction``, real-scalar observations through floats.
+with the smallest error budget.  Everything here is exact: integer and rational
+observations go through integer arithmetic (every test is scaled by the
+observation's denominator and cross-multiplied, and only the reported mean is
+built as a ``Fraction``), real-scalar observations through floats.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .modmath import as_exact_ratio, mod_inverse, round_half_up
+from .modmath import common_denominator, mod_inverse, round_div, round_half_up
 
 
 @dataclass(frozen=True)
@@ -302,20 +304,34 @@ def level_context(system: TwoModSystem, j: int) -> LevelContext:
     )
 
 
-def _q21(system: TwoModSystem, obs: RemainderObservation):
-    return as_exact_ratio(obs.r1 - obs.r2, system.m)
+def _exact_parts(system: TwoModSystem, obs: RemainderObservation):
+    """``(a1, a2, den)`` with ``r_i = a_i / den`` and ``den > 0`` when the system
+    and both remainders are exact (ints or rationals); None when anything is a
+    float, which keeps float arithmetic."""
+    r1, r2 = obs.r1, obs.r2
+    if type(r1) is int and type(r2) is int and type(system.m) is int:
+        return r1, r2, 1
+    scaled = None if system.is_real else common_denominator((r1, r2))
+    if scaled is None:
+        return None
+    (a1, a2), den = scaled
+    return a1, a2, den
+
+
+def _solution(system: TwoModSystem, n1: int, n2: int, obs: RemainderObservation, exact) -> FoldingSolution:
+    """Folds plus the averaged reconstruction ``(n1 m1 + r1 + n2 m2 + r2) / 2``;
+    ``exact`` is ``_exact_parts(system, obs)``."""
+    if exact is None:
+        mean = ((n1 * system.m1 + obs.r1) + (n2 * system.m2 + obs.r2)) / 2
+        return FoldingSolution(n1, n2, mean if system.is_real else round_half_up(mean), mean)
+    a1, a2, den = exact
+    total = (n1 * system.gamma1 + n2 * system.gamma2) * system.m * den + a1 + a2
+    return FoldingSolution(n1, n2, round_div(total, 2 * den), Fraction(total, 2 * den))
 
 
 def estimate_value(n1: int, n2: int, obs: RemainderObservation, system: TwoModSystem):
     """Averaged reconstruction from fold integers, rounded in integer mode."""
-    mean = as_exact_ratio((n1 * system.m1 + obs.r1) + (n2 * system.m2 + obs.r2), 2)
-    return mean if system.is_real else round_half_up(mean)
-
-
-def _solution(system, obs, n1, n2) -> FoldingSolution:
-    mean = as_exact_ratio((n1 * system.m1 + obs.r1) + (n2 * system.m2 + obs.r2), 2)
-    estimate = mean if system.is_real else round_half_up(mean)
-    return FoldingSolution(n1, n2, estimate, mean)
+    return _solution(system, n1, n2, obs, _exact_parts(system, obs)).estimate
 
 
 def solve_basic(system: TwoModSystem, obs: RemainderObservation) -> FoldingSolution:
@@ -327,23 +343,34 @@ def solve_basic(system: TwoModSystem, obs: RemainderObservation) -> FoldingSolut
     """
     g1 = system.gamma1
     beta = system.gamma2 % g1
-    half = Fraction(beta, 2)
-    q = _q21(system, obs)
-    if q >= half:
-        n2 = round_half_up(q / beta)
-    elif q < -half:
-        wrap = q - math.floor(q / g1) * g1
-        if half <= wrap < (g1 // beta) * beta - half:
-            n2 = round_half_up(wrap / beta)
-        else:
-            n2 = 0
-    else:
+    top = (g1 // beta) * beta  # the wrapped quotient must lie in [beta/2, top - beta/2)
+    exact = _exact_parts(system, obs)
+    if exact is None:
+        half = beta / 2
+        q = (obs.r1 - obs.r2) / system.m
         n2 = 0
-    n1 = round_half_up(as_exact_ratio(n2 * system.m2 + obs.r2 - obs.r1, system.m1))
-    return _solution(system, obs, n1, n2)
+        if q >= half:
+            n2 = round_half_up(q / beta)
+        elif q < -half:
+            wrap = q - math.floor(q / g1) * g1
+            if half <= wrap < top - half:
+                n2 = round_half_up(wrap / beta)
+        n1 = round_half_up((n2 * system.m2 + obs.r2 - obs.r1) / system.m1)
+        return _solution(system, n1, n2, obs, None)
+    a1, a2, den = exact
+    num, scale = a1 - a2, den * system.m  # q = (r1 - r2) / m = num / scale
+    n2 = 0
+    if 2 * num >= beta * scale:
+        n2 = round_div(num, beta * scale)
+    elif 2 * num < -beta * scale:
+        wrap = num % (g1 * scale)  # (q mod g1) * scale
+        if beta * scale <= 2 * wrap < (2 * top - beta) * scale:
+            n2 = round_div(wrap, beta * scale)
+    n1 = round_div(n2 * system.gamma2 * scale - num, g1 * scale)
+    return _solution(system, n1, n2, obs, exact)
 
 
-def _window_pick(elements: tuple[int, ...], target, half: Fraction, left_open: bool) -> int:
+def _window_pick(elements: tuple[int, ...], target: float, half: float, left_open: bool) -> int:
     """Unique ladder element in the half-open window around ``target``.
 
     Falls back to the nearest element (ties to the smaller one) when the
@@ -364,6 +391,26 @@ def _window_pick(elements: tuple[int, ...], target, half: Fraction, left_open: b
     return lo if target - lo <= hi - target else hi
 
 
+def _window_pick_exact(elements: tuple[int, ...], num: int, scale: int, sigma: int, left_open: bool) -> int:
+    """``_window_pick`` at ``target = num / scale`` and ``half = sigma / 2``
+    (``scale > 0``) in integer arithmetic: the ladder holds integers, so each
+    rational window edge is replaced by its floor (for ``x > y`` and ``x <= y``)
+    or its ceiling (for ``x >= y`` and ``x < y``)."""
+    lo2, hi2, den2 = 2 * num - sigma * scale, 2 * num + sigma * scale, 2 * scale
+    if left_open:
+        i = bisect.bisect_right(elements, lo2 // den2)
+        if i < len(elements) and elements[i] <= hi2 // den2:
+            return elements[i]
+    else:
+        i = bisect.bisect_left(elements, -(-lo2 // den2))
+        if i < len(elements) and elements[i] < -(-hi2 // den2):
+            return elements[i]
+    i = bisect.bisect_left(elements, -(-num // scale))
+    lo = elements[max(i - 1, 0)]
+    hi = elements[min(i, len(elements) - 1)]
+    return lo if 2 * num <= (lo + hi) * scale else hi
+
+
 def solve_level(system: TwoModSystem, obs: RemainderObservation, j: int) -> FoldingSolution:
     """Ladder-window fold recovery at trade-off level ``j``.
 
@@ -377,18 +424,35 @@ def solve_level(system: TwoModSystem, obs: RemainderObservation, j: int) -> Fold
 
 def solve_with_context(ctx: LevelContext, obs: RemainderObservation) -> FoldingSolution:
     system = ctx.system
-    q = _q21(system, obs)
-    if q >= ctx.half:
-        s2 = _window_pick(ctx.s2, q, ctx.half, left_open=True)
+    exact = _exact_parts(system, obs)
+    if exact is None:
+        half = ctx.sigma / 2
+        q = (obs.r1 - obs.r2) / system.m
+        if q >= half:
+            s2 = _window_pick(ctx.s2, q, half, left_open=True)
+            n2 = s2 * ctx.inv21 % system.gamma1
+            n1 = round_half_up((n2 * system.m2 + obs.r2 - obs.r1) / system.m1)
+        elif q < -half:
+            s1 = _window_pick(ctx.s1, -q, half, left_open=False)
+            n1 = s1 * ctx.inv12 % system.gamma2
+            n2 = round_half_up((n1 * system.m1 + obs.r1 - obs.r2) / system.m2)
+        else:
+            n1 = n2 = 0
+        return _solution(system, n1, n2, obs, None)
+    a1, a2, den = exact
+    num, scale = a1 - a2, den * system.m  # q = (r1 - r2) / m = num / scale
+    sigma = ctx.sigma
+    if 2 * num >= sigma * scale:
+        s2 = _window_pick_exact(ctx.s2, num, scale, sigma, left_open=True)
         n2 = s2 * ctx.inv21 % system.gamma1
-        n1 = round_half_up(as_exact_ratio(n2 * system.m2 + obs.r2 - obs.r1, system.m1))
-    elif q < -ctx.half:
-        s1 = _window_pick(ctx.s1, -q, ctx.half, left_open=False)
+        n1 = round_div(n2 * system.gamma2 * scale - num, system.gamma1 * scale)
+    elif 2 * num < -sigma * scale:
+        s1 = _window_pick_exact(ctx.s1, -num, scale, sigma, left_open=False)
         n1 = s1 * ctx.inv12 % system.gamma2
-        n2 = round_half_up(as_exact_ratio(n1 * system.m1 + obs.r1 - obs.r2, system.m2))
+        n2 = round_div(n1 * system.gamma1 * scale + num, system.gamma2 * scale)
     else:
         n1 = n2 = 0
-    return _solution(system, obs, n1, n2)
+    return _solution(system, n1, n2, obs, exact)
 
 
 def solve_level_real(system: TwoModSystem, obs: RemainderObservation, j: int) -> FoldingSolution:

@@ -200,6 +200,14 @@ class TestSimulate:
         assert code == EXIT_OK
         assert len(out.strip().splitlines()) == 3
 
+    def test_range_past_int64_is_a_usage_error(self, capsys):
+        m = 2**50
+        code, out, err = run_cli(capsys, "simulate", "--m1", str(m * 1000), "--m2", str(m * 1001),
+                                 "--tau", "0", "--trials", "1000", "--seed", "0")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "more than 64 bits" in err and "out of bounds" not in err
+
     def test_config_rejects_unknown_fields(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"m1": 234, "m2": 377, "tau": [1.0], "bogus": 1}))

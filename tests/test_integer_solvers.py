@@ -1,0 +1,263 @@
+"""The integer-arithmetic solvers against the ``Fraction`` reference copies.
+
+Every scalar solver must return results equal to ``fraction_reference`` field
+by field (folds, estimate, mean, and the mean's type) on random coprime
+systems, for int, ``Fraction`` and float observations, inside the guarantee
+and in the fallback region, in range and out of range, and at edge sizes:
+cofactors near 2^61 on their depth-1 level, and m = 2^40 + 7 over
+(1000, 1001).
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+import fraction_reference as ref
+from robustrns.multi_mod import (
+    ModuliGroup,
+    cascade_reconstruct,
+    cascade_spec,
+    general_robust_crt,
+    single_stage_robust_crt,
+)
+from robustrns.two_mod import (
+    RemainderObservation,
+    TwoModSystem,
+    estimate_value,
+    level_context,
+    sigma_chain,
+    solve_basic,
+    solve_with_context,
+)
+
+SETTINGS = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def same(new, old):
+    """Equal fields, and means of one type (``Fraction`` stays ``Fraction``)."""
+    assert new == old
+    mean = (lambda sol: sol[-1]) if isinstance(new, tuple) else (lambda sol: sol.mean)
+    assert type(mean(new)) is type(mean(old))
+
+
+@st.composite
+def coprime_systems(draw, gamma_max=400, m_max=60):
+    g1 = draw(st.integers(2, gamma_max - 1))
+    g2 = draw(st.integers(g1 + 1, gamma_max))
+    assume(math.gcd(g1, g2) == 1)
+    return TwoModSystem(draw(st.integers(1, m_max)), g1, g2)
+
+
+KINDS = st.sampled_from([int, Fraction, float])
+
+
+@st.composite
+def errors(draw, bound, kind):
+    """An error of the given kind: int, Fraction (denominators up to 12) or float."""
+    if kind is int:
+        return draw(st.integers(-bound, bound))
+    if kind is Fraction:
+        den = draw(st.integers(1, 12))
+        return Fraction(draw(st.integers(-bound * den, bound * den)), den)
+    return draw(st.floats(-float(bound), float(bound)))
+
+
+@st.composite
+def observations(draw, system, value_bound, err_bound):
+    """Noisy remainders of a value below ``value_bound`` (both errors of one
+    kind, so int and Fraction draws stay exact); small errors land inside the
+    guarantee, large ones in the fallback region and outside ``[0, m_i)``."""
+    value = draw(st.integers(0, value_bound - 1))
+    kind = draw(KINDS)
+    d1, d2 = draw(errors(err_bound, kind)), draw(errors(err_bound, kind))
+    return RemainderObservation(value % system.m1 + d1, value % system.m2 + d2)
+
+
+@st.composite
+def level_cases(draw):
+    system = draw(coprime_systems())
+    j = draw(st.integers(1, sigma_chain(system).levels))
+    ctx = level_context(system, j)
+    inside = draw(st.booleans())
+    err = max(1, system.m * ctx.sigma // 4) if inside else system.m2
+    bound = ctx.dynamic_range if inside else system.lcm
+    return ctx, draw(observations(system, bound, err))
+
+
+@SETTINGS
+@given(level_cases())
+def test_solve_with_context_matches_reference(case):
+    ctx, obs = case
+    same(solve_with_context(ctx, obs), ref.solve_with_context(ctx, obs))
+
+
+@SETTINGS
+@given(st.data())
+def test_solve_basic_and_estimate_match_reference(data):
+    system = data.draw(coprime_systems())
+    assume(system.gamma2 % system.gamma1 > 0)
+    obs = data.draw(observations(system, system.lcm, system.m2))
+    sol = solve_basic(system, obs)
+    same(sol, ref.solve_basic(system, obs))
+    assert estimate_value(sol.n1, sol.n2, obs, system) == sol.estimate
+
+
+@SETTINGS
+@given(st.data())
+def test_real_mode_matches_reference_bit_for_bit(data):
+    g = data.draw(coprime_systems())
+    system = TwoModSystem.real(data.draw(st.floats(0.1, 50.0)), g.gamma1, g.gamma2)
+    j = data.draw(st.integers(1, sigma_chain(system).levels))
+    ctx = level_context(system, j)
+    value = data.draw(st.floats(0.0, system.lcm, exclude_max=True))
+    d1, d2 = (data.draw(st.floats(-system.m2, system.m2)) for _ in range(2))
+    obs = RemainderObservation(value % system.m1 + d1, value % system.m2 + d2)
+    for new, old in ((solve_with_context(ctx, obs), ref.solve_with_context(ctx, obs)),
+                     (solve_basic(system, obs), ref.solve_basic(system, obs))):
+        assert (new.n1, new.n2) == (old.n1, old.n2)
+        assert repr(new.estimate) == repr(old.estimate) and repr(new.mean) == repr(old.mean)
+
+
+def _edges(system, ctx):
+    """Scaled differences q on every comparison edge of both solvers: the
+    branch thresholds, the window edges around each ladder element, the
+    midpoints between neighbours (the fallback's ties), and the coarse
+    solver's wrap limits and rounding ties."""
+    half = Fraction(ctx.sigma, 2)
+    qs = {half, -half}
+    for elems, sign in ((ctx.s2, 1), (ctx.s1, -1)):
+        for lo, hi in zip(elems, elems[1:]):
+            qs.update(sign * x for x in (lo - half, lo + half, Fraction(lo + hi, 2)))
+    g1, beta = system.gamma1, system.gamma2 % system.gamma1
+    if beta:
+        bhalf, top = Fraction(beta, 2), (g1 // beta) * beta
+        qs.update((bhalf, -bhalf, -g1 + bhalf, -g1 + top - bhalf, Fraction(3 * beta, 2)))
+    return sorted(qs)
+
+
+@st.composite
+def edge_observations(draw):
+    """Observations whose ``(r1 - r2) / m`` sits on, or one remainder step (or
+    half a step) beside, a comparison edge: equality tests must match exactly,
+    in integer and in float arithmetic."""
+    system = draw(coprime_systems(gamma_max=120, m_max=12))
+    ctx = level_context(system, draw(st.integers(1, sigma_chain(system).levels)))
+    q = draw(st.sampled_from(_edges(system, ctx)))
+    diff = q * system.m + draw(st.sampled_from([0, 0, 0, 1, -1, Fraction(1, 2), Fraction(-1, 2)]))
+    r2 = draw(st.integers(-system.m2, 2 * system.m2))
+    kind = draw(KINDS if diff.denominator == 1 else st.sampled_from([Fraction, float]))
+    return ctx, RemainderObservation(kind(r2 + diff), kind(r2))  # exact: small dyadic values
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_observations())
+def test_comparison_edges_match_reference(case):
+    ctx, obs = case
+    same(solve_with_context(ctx, obs), ref.solve_with_context(ctx, obs))
+    if ctx.system.gamma2 % ctx.system.gamma1:
+        same(solve_basic(ctx.system, obs), ref.solve_basic(ctx.system, obs))
+
+
+@st.composite
+def groups(draw, max_size=4):
+    """Pairwise-coprime cofactors (the first may be 1) times a common gcd."""
+    cofactors = []
+    for _ in range(draw(st.integers(1, max_size))):
+        c = draw(st.integers(1 if not cofactors else 2, 40))
+        assume(all(math.gcd(c, other) == 1 for other in cofactors))
+        cofactors.append(c)
+    assume(len(set(cofactors)) == len(cofactors))
+    m = draw(st.integers(1, 40))
+    return ModuliGroup.from_moduli([m * c for c in cofactors])
+
+
+@st.composite
+def group_remainders(draw, moduli, value_bound, err_bound):
+    value = draw(st.integers(0, value_bound - 1))
+    kind = draw(KINDS)
+    return [value % mk + draw(errors(err_bound, kind)) for mk in moduli]
+
+
+@SETTINGS
+@given(st.data())
+def test_single_stage_matches_reference(data):
+    group = data.draw(groups())
+    inside = data.draw(st.booleans())
+    err = max(1, group.gcd // 4) if inside else max(group.moduli)
+    rs = data.draw(group_remainders(group.moduli, group.eta, err))
+    same(single_stage_robust_crt(group, rs), ref.single_stage_robust_crt(group, rs))
+
+
+@SETTINGS
+@given(st.data())
+def test_general_matches_reference(data):
+    moduli = data.draw(st.lists(st.integers(1, 300), min_size=2, max_size=5))
+    m = math.gcd(*moduli)
+    inside = data.draw(st.booleans())
+    err = max(1, m // 4) if inside else max(moduli)
+    rs = data.draw(group_remainders(moduli, math.lcm(*moduli), err))
+    same(general_robust_crt(moduli, rs), ref.general_robust_crt(moduli, rs))
+
+
+@SETTINGS
+@given(st.data())
+def test_cascade_matches_reference(data):
+    g1, g2 = data.draw(groups(max_size=3)), data.draw(groups(max_size=3))
+    lo, hi = sorted((g1.eta, g2.eta))
+    assume(lo < hi and hi % lo)  # the cross system needs cofactors 1 < gamma1 < gamma2
+    spec = cascade_spec(g1.moduli, g2.moduli, 1)
+    level = data.draw(st.integers(1, sigma_chain(spec.cross).levels))
+    spec = cascade_spec(g1.moduli, g2.moduli, level)
+    inside = data.draw(st.booleans())
+    bound = level_context(spec.cross, level).dynamic_range if inside else spec.cross.lcm
+    err = max(1, min(g1.gcd, g2.gcd) // 4) if inside else max(g1.moduli + g2.moduli)
+    rs = data.draw(group_remainders(g1.moduli + g2.moduli, bound, err))
+    split = len(g1.moduli)
+    same(cascade_reconstruct(spec, rs[:split], rs[split:]),
+         ref.cascade_reconstruct(spec, rs[:split], rs[split:]))
+
+
+@st.composite
+def huge_depth_one_cases(draw):
+    """Cofactors in [2^60, 2^62) with g1 < g2 < 2 g1 and g2 mod g1 > g1 / 2:
+    level 1 then has ladder depths (1, 1), so its ladders hold two elements."""
+    g1 = draw(st.integers(2**60, 2**61))
+    b = draw(st.integers(g1 // 2 + 1, g1 - 1))
+    assume(math.gcd(g1, b) == 1)
+    system = TwoModSystem(draw(st.integers(1, 2**20)), g1, g1 + b)
+    ctx = level_context(system, 1)
+    assert (ctx.depth1, ctx.depth2) == (1, 1)
+    inside = draw(st.booleans())
+    err = system.m * ctx.sigma // 4 if inside else system.m2
+    bound = ctx.dynamic_range if inside else system.lcm
+    return ctx, draw(observations(system, bound, err))
+
+
+@SETTINGS
+@given(huge_depth_one_cases())
+def test_cofactors_near_2_61_match_reference(case):
+    ctx, obs = case
+    same(solve_with_context(ctx, obs), ref.solve_with_context(ctx, obs))
+    same(solve_basic(ctx.system, obs), ref.solve_basic(ctx.system, obs))
+
+
+@pytest.fixture(scope="module")
+def wide_context():
+    return level_context(TwoModSystem(2**40 + 7, 1000, 1001), 1)
+
+
+@SETTINGS
+@given(st.data())
+def test_60_bit_lcm_is_exact(wide_context, data):
+    ctx = wide_context
+    system = ctx.system
+    value = data.draw(st.integers(0, ctx.dynamic_range - 1))
+    err = system.m * ctx.sigma // 4 - 1
+    d1, d2 = data.draw(st.integers(-err, err)), data.draw(st.integers(-err, err))
+    obs = RemainderObservation(value % system.m1 + d1, value % system.m2 + d2)
+    sol = solve_with_context(ctx, obs)
+    same(sol, ref.solve_with_context(ctx, obs))
+    assert (sol.n1, sol.n2) == (value // system.m1, value // system.m2)
+    assert abs(sol.estimate - value) <= max(abs(d1), abs(d2))

@@ -219,3 +219,15 @@ class TestConfigValidation:
             TrialConfig(tau_values=(1.0,))
         with pytest.raises(ValueError):
             TrialConfig(system=system, cascade=cascade_spec([120, 300], [210, 490], 2))
+
+    def test_integer_ranges_past_int64_are_refused(self):
+        wide = TwoModSystem(2**50, 1000, 1001)
+        LevelKernel(TwoModSystem(2**40 + 7, 1000, 1001), 1)  # a 60-bit lcm still builds
+        with pytest.raises(ValueError, match="more than 64 bits"):
+            run_tau_sweep(TrialConfig(system=wide, level=1, tau_values=(0.0,), trials_per_point=10))
+        m = 2**58
+        spec = cascade_spec([2 * m, 5 * m], [3 * m, 7 * m], 1)
+        with pytest.raises(ValueError, match="more than 64 bits"):
+            run_tau_sweep(TrialConfig(cascade=spec, level=1, tau_values=(0.0,), trials_per_point=10))
+        with pytest.raises(ValueError, match="more than 64 bits"):
+            run_comparison(spec, [0.0], 10, seed=0)
