@@ -12,7 +12,7 @@ import argparse
 import io
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from decimal import Context, Decimal, ROUND_HALF_UP
 from fractions import Fraction
 from pathlib import Path
@@ -32,6 +32,7 @@ from .two_mod import (
     TwoModSystem,
     delta_chain,
     ladder_depths,
+    level_context,
     level_table,
     sigma_chain,
     solve_level,
@@ -222,8 +223,7 @@ def cmd_reconstruct(args) -> int:
             raise UsageError("reconstruct: --oracle needs an integer system")
         bound = args.oracle_bound
         if bound is None:
-            depth1, depth2 = ladder_depths(system, level)
-            bound = min(system.m2 * (1 + depth2), system.m1 * (1 + depth1))
+            bound = level_context(system, level).dynamic_range
         found = exhaustive_fold_search(system, obs, bound)
         agrees = (found.n1, found.n2) == (sol.n1, sol.n2)
         payload["oracle"] = {
@@ -315,8 +315,8 @@ def _load_config(args) -> dict:
         if unknown:
             raise UsageError(f"unknown config fields: {sorted(unknown)}")
         cfg.update(raw)
-    for key in ("m1", "m2", "level", "trials", "seed"):
-        val = getattr(args, key, None)
+    for key in ("m1", "m2", "level", "trials", "seed", "value_mode", "error_mode", "range_mode"):
+        val = getattr(args, key)
         if val is not None:
             cfg[key] = val
     if args.tau is not None:
@@ -327,15 +327,10 @@ def _load_config(args) -> dict:
         cfg["neighbors"] = args.probe_boundary
     if args.compare:
         cfg["compare"] = True
-    for key in ("value_mode", "error_mode", "range_mode"):
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            cfg[key] = val
-    cfg.setdefault("trials", 100_000)
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("value_mode", "integer")
-    cfg.setdefault("error_mode", "real")
-    cfg.setdefault("range_mode", "allow")
+    defaults = {f.name: f.default for f in fields(TrialConfig)}
+    cfg.setdefault("trials", defaults["trials_per_point"])
+    for key in ("seed", "value_mode", "error_mode", "range_mode"):
+        cfg.setdefault(key, defaults[key])
     return cfg
 
 
@@ -402,12 +397,15 @@ def cmd_simulate(args) -> int:
             error_mode=cfg["error_mode"], range_mode=cfg["range_mode"])
         _emit_sweep([run_tau_sweep(config)], args, cfg, seed)
         return EXIT_OK
-    if "m1" not in cfg or "m2" not in cfg:
-        raise UsageError("simulate: need --m1/--m2, groups, or a config file")
-    if cfg.get("value_mode") == "real":
+    if cfg["value_mode"] == "real":
         if "m" not in cfg or "gammas" not in cfg:
             raise UsageError("simulate: real mode needs m and gammas in the config")
         system = TwoModSystem.real(float(cfg["m"]), int(cfg["gammas"][0]), int(cfg["gammas"][1]))
+        for key, gamma in (("m1", system.gamma1), ("m2", system.gamma2)):
+            if key in cfg and Decimal(str(cfg[key])) != Decimal(str(cfg["m"])) * gamma:
+                raise UsageError(f"simulate: {key}={cfg[key]} is not m*gamma = {cfg['m']}*{gamma}")
+    elif "m1" not in cfg or "m2" not in cfg:
+        raise UsageError("simulate: need --m1/--m2, groups, or a config file")
     else:
         system = TwoModSystem.from_moduli(int(cfg["m1"]), int(cfg["m2"]))
     level = int(cfg.get("level", sigma_chain(system).levels))

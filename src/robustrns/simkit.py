@@ -1,10 +1,14 @@
 """Deterministic Monte Carlo harness: error sweeps, boundary probes, comparisons.
 
-Trials are vectorized with numpy in fixed-size chunks; the generator for chunk
-``c`` of point ``p`` is seeded from ``SeedSequence(seed, spawn_key=(p, c))``, so
-results are bit-identical for a given configuration no matter how the chunks
-are scheduled.  Observed remainders are left out of range by default (the
-fraction is reported); ``range_mode="clamp"`` pins them into ``[0, m_i)``.
+Every sweep runs through one trial loop, vectorized with numpy in fixed-size
+chunks.  The generator for chunk ``c`` of point ``p`` is seeded from
+``SeedSequence(seed, spawn_key=(p, c))`` and draws, in this order, the values
+(none for a probe's fixed value), then one error array per modulus in modulus
+order; so results are bit-identical for a given configuration no matter how
+the chunks are scheduled.  Every estimator of a sweep (the three series of a
+comparison) sees the same noisy remainders.  Observed remainders are left out
+of range by default (the fraction is reported); ``range_mode="clamp"`` pins
+them into ``[0, m_i)``.
 """
 
 from __future__ import annotations
@@ -327,89 +331,107 @@ def _sample_errors(rng, tau: float, size: int, error_mode: str) -> np.ndarray:
     return rng.uniform(-tau, tau, size=size)
 
 
-def _apply_range_mode(rt: np.ndarray, modulus: float, range_mode: str):
-    out = (rt < 0.0) | (rt >= modulus)
-    if range_mode == "clamp":
-        rt = np.clip(rt, 0.0, np.nextafter(modulus, 0.0))
-    return rt, out
+def _misfolds(folds, true_folds) -> np.ndarray:
+    fail = np.zeros(true_folds[0].shape, dtype=bool)
+    for f, t in zip(folds, true_folds):
+        fail |= f != t
+    return fail
 
 
-def _int64_range(high) -> int:
-    """``high`` as the exclusive upper end of int64 draws from ``[0, high)``.
-
-    Integer values are sampled and stored as numpy int64, so a range past
-    2^63 is refused here with its own message instead of numpy's."""
-    high = int(high)
-    if high > 2**63:
-        raise ValueError(
-            f"integer values in [0, {high}) need more than 64 bits; "
-            "integer sampling covers ranges up to 2^63"
-        )
-    return high
+def _level_estimator(kernel: LevelKernel):
+    def estimate(rts, true_folds):
+        n1, n2 = kernel.solve(*rts)
+        return kernel.estimate(n1, n2, *rts), _misfolds((n1, n2), true_folds)
+    return estimate
 
 
-def _two_mod_point(system, level, tau, trials, seed, point_index, *,
-                   fixed_value=None, value_mode="integer", error_mode="real",
-                   range_mode="allow", kernel=None) -> SweepRow:
-    kernel = kernel or LevelKernel(system, level)
-    acc = _Accumulator()
-    rng_range = kernel.dynamic_range
-    if fixed_value is None and value_mode == "integer":
-        rng_range = _int64_range(rng_range)
-    m1, m2 = kernel.m1, kernel.m2
-    for chunk_index, size in _chunks(trials):
-        rng = _rng(seed, point_index, chunk_index)
-        if fixed_value is not None:
-            values = np.full(size, float(fixed_value))
-            r1 = values % m1
-            r2 = values % m2
-            true1 = np.full(size, int(fixed_value // system.m1), dtype=np.int64)
-            true2 = np.full(size, int(fixed_value // system.m2), dtype=np.int64)
-        elif value_mode == "integer":
-            ints = rng.integers(0, rng_range, size=size)
-            values = ints.astype(np.float64)
-            true1 = ints // int(system.m1)
-            true2 = ints // int(system.m2)
-            r1 = (ints % int(system.m1)).astype(np.float64)
-            r2 = (ints % int(system.m2)).astype(np.float64)
-        else:
-            values = rng.uniform(0.0, float(rng_range), size=size)
-            true1 = np.floor(values / m1)
-            true2 = np.floor(values / m2)
-            r1 = values - true1 * m1
-            r2 = values - true2 * m2
-            true1 = true1.astype(np.int64)
-            true2 = true2.astype(np.int64)
-        d1 = _sample_errors(rng, tau, size, error_mode)
-        d2 = _sample_errors(rng, tau, size, error_mode)
-        r1t, oor1 = _apply_range_mode(r1 + d1, m1, range_mode)
-        r2t, oor2 = _apply_range_mode(r2 + d2, m2, range_mode)
-        n1, n2 = kernel.solve(r1t, r2t)
-        est = kernel.estimate(n1, n2, r1t, r2t)
-        fail = (n1 != true1) | (n2 != true2)
-        acc.add(values, est, fail, oor1 | oor2)
-    return acc.row(tau if fixed_value is None else fixed_value)
+def _cascade_estimator(kernel: CascadeKernel):
+    split = len(kernel.spec.group1.moduli)
+
+    def estimate(rts, true_folds):
+        folds1, folds2, est = kernel.solve(rts[:split], rts[split:])
+        return est, _misfolds(folds1 + folds2, true_folds)
+    return estimate
+
+
+def _general_estimator(kernel: GeneralKernel):
+    def estimate(rts, true_folds):
+        folds, est, consistent = kernel.solve(rts)
+        return est, ~consistent | _misfolds(folds, true_folds)
+    return estimate
+
+
+def _trial_rows(moduli, estimators, points, trials: int, seed: int, *, value_range=None,
+                value_mode: str = "integer", error_mode: str = "real",
+                range_mode: str = "allow") -> list[list[SweepRow]]:
+    """The trial loop behind every sweep: one list of rows per estimator.
+
+    ``points`` holds ``(tau, fixed)`` pairs: errors are drawn on ``[-tau, tau]``
+    and values are ``fixed`` or, when it is None, uniform on
+    ``[0, value_range)``.  Every estimator maps the same noisy remainders and
+    the true folds to ``(estimates, failures)``.  Integer values are held as
+    int64, so values past 2^63 are refused here with a message of their own
+    instead of numpy's."""
+    integer = value_mode == "integer"
+    fmoduli = [float(mk) for mk in moduli]
+    imoduli = [int(mk) for mk in moduli]
+    rows = [[] for _ in estimators]
+    for p, (tau, fixed) in enumerate(points):
+        lo, hi = (0, int(value_range)) if fixed is None else (fixed, fixed + 1)
+        if integer and (lo < -2**63 or hi > 2**63):
+            raise ValueError(f"integer values in [{lo}, {hi}) need more than 64 bits; "
+                             "int64 holds values in [-2^63, 2^63)")
+        accs = [_Accumulator() for _ in estimators]
+        for chunk_index, size in _chunks(trials):
+            rng = _rng(seed, p, chunk_index)
+            if integer:
+                ints = (rng.integers(0, hi, size=size) if fixed is None
+                        else np.full(size, fixed, dtype=np.int64))
+                values = ints.astype(np.float64)
+                true_folds = [ints // mk for mk in imoduli]
+                exact = [(ints % mk).astype(np.float64) for mk in imoduli]
+            elif fixed is None:
+                values = rng.uniform(0.0, float(value_range), size=size)
+                floors = [np.floor(values / mk) for mk in fmoduli]
+                exact = [values - f * mk for f, mk in zip(floors, fmoduli)]
+                true_folds = [f.astype(np.int64) for f in floors]
+            else:
+                values = np.full(size, float(fixed))
+                true_folds = [(values // mk).astype(np.int64) for mk in fmoduli]
+                exact = [values % mk for mk in fmoduli]
+            rts = []
+            out_of_range = np.zeros(size, dtype=bool)
+            for r, mk in zip(exact, fmoduli):
+                rt = r + _sample_errors(rng, tau, size, error_mode)
+                out_of_range |= (rt < 0.0) | (rt >= mk)
+                if range_mode == "clamp":
+                    rt = np.clip(rt, 0.0, np.nextafter(mk, 0.0))
+                rts.append(rt)
+            for acc, estimate in zip(accs, estimators):
+                est, fail = estimate(rts, true_folds)
+                acc.add(values, est, fail, out_of_range)
+        for out, acc in zip(rows, accs):
+            out.append(acc.row(tau if fixed is None else fixed))
+    return rows
 
 
 def run_tau_sweep(config: TrialConfig) -> SweepResult:
     """Error-bound sweep: values uniform below the level's range, errors
     uniform on [-tau, tau] per point, fold failures and error moments tracked."""
-    rows = []
     if config.cascade is not None:
         kernel = CascadeKernel(config.cascade, config.level)
-        for p, tau in enumerate(config.tau_values):
-            rows.append(_cascade_point(kernel, tau, config.trials_per_point,
-                                       config.seed, p, config.error_mode,
-                                       config.range_mode))
-        return SweepResult(tuple(rows), series=f"cascade_level{config.level}")
-    kernel = LevelKernel(config.system, config.level)
-    for p, tau in enumerate(config.tau_values):
-        rows.append(_two_mod_point(
-            config.system, config.level, tau, config.trials_per_point,
-            config.seed, p, value_mode=config.value_mode,
-            error_mode=config.error_mode, range_mode=config.range_mode,
-            kernel=kernel))
-    return SweepResult(tuple(rows), series=f"level{config.level}")
+        moduli = config.cascade.group1.moduli + config.cascade.group2.moduli
+        estimator, series = _cascade_estimator(kernel), f"cascade_level{config.level}"
+    else:
+        kernel = LevelKernel(config.system, config.level)
+        moduli = (config.system.m1, config.system.m2)
+        estimator, series = _level_estimator(kernel), f"level{config.level}"
+    (rows,) = _trial_rows(
+        moduli, [estimator], [(tau, None) for tau in config.tau_values],
+        config.trials_per_point, config.seed, value_range=kernel.dynamic_range,
+        value_mode=config.value_mode, error_mode=config.error_mode,
+        range_mode=config.range_mode)
+    return SweepResult(tuple(rows), series=series)
 
 
 def run_boundary_probe(system: TwoModSystem, level: int, neighbors, trials: int,
@@ -420,43 +442,11 @@ def run_boundary_probe(system: TwoModSystem, level: int, neighbors, trials: int,
     kernel = LevelKernel(system, level)
     if tau is None:
         tau = kernel.robustness_bound
-    rows = []
-    for p, value in enumerate(neighbors):
-        rows.append(_two_mod_point(
-            system, level, tau, trials, seed, p, fixed_value=int(value),
-            range_mode=range_mode, kernel=kernel))
+    (rows,) = _trial_rows(
+        (system.m1, system.m2), [_level_estimator(kernel)],
+        [(tau, int(value)) for value in neighbors], trials, seed,
+        value_mode="real" if system.is_real else "integer", range_mode=range_mode)
     return SweepResult(tuple(rows), series=f"probe_level{level}")
-
-
-def _cascade_point(kernel: CascadeKernel, tau, trials, seed, point_index,
-                   error_mode="real", range_mode="allow", fixed_value=None) -> SweepRow:
-    spec = kernel.spec
-    moduli1, moduli2 = spec.group1.moduli, spec.group2.moduli
-    acc = _Accumulator()
-    rng_range = _int64_range(kernel.dynamic_range)
-    for chunk_index, size in _chunks(trials):
-        rng = _rng(seed, point_index, chunk_index)
-        if fixed_value is None:
-            ints = rng.integers(0, rng_range, size=size)
-        else:
-            ints = np.full(size, int(fixed_value), dtype=np.int64)
-        values = ints.astype(np.float64)
-        rts1, rts2 = [], []
-        oor = np.zeros(size, dtype=bool)
-        fail = np.zeros(size, dtype=bool)
-        for mk in moduli1 + moduli2:
-            r = (ints % mk).astype(np.float64)
-            rt = r + _sample_errors(rng, tau, size, error_mode)
-            rt, bad = _apply_range_mode(rt, float(mk), range_mode)
-            oor |= bad
-            (rts1 if len(rts1) < len(moduli1) else rts2).append(rt)
-        folds1, folds2, est = kernel.solve(rts1, rts2)
-        for f, mk in zip(folds1, moduli1):
-            fail |= f != ints // mk
-        for f, mk in zip(folds2, moduli2):
-            fail |= f != ints // mk
-        acc.add(values, est, fail, oor)
-    return acc.row(tau if fixed_value is None else fixed_value)
 
 
 def run_comparison(spec: CascadeSpec, tau_values, trials: int, seed: int,
@@ -464,46 +454,16 @@ def run_comparison(spec: CascadeSpec, tau_values, trials: int, seed: int,
     """Three estimators on identical noisy remainders, values below the
     configured cascade's range: lcm-wide single stage over all moduli, the
     two-stage cascade (coarsest cross level), and the cascade at its level."""
-    moduli1, moduli2 = spec.group1.moduli, spec.group2.moduli
-    all_moduli = moduli1 + moduli2
-    general = GeneralKernel(all_moduli)
-    top = sigma_chain(spec.cross).levels
-    cascade_top = CascadeKernel(spec, level=top)
+    moduli = spec.group1.moduli + spec.group2.moduli
+    general = GeneralKernel(moduli)
+    cascade_top = CascadeKernel(spec, level=sigma_chain(spec.cross).levels)
     cascade_cfg = CascadeKernel(spec)
-    series = [
-        ("single_stage", None),
-        ("two_stage", cascade_top),
-        (f"cascade_level{spec.level}", cascade_cfg),
-    ]
-    accs = {name: [_Accumulator() for _ in tau_values] for name, _ in series}
-    rng_range = _int64_range(cascade_cfg.dynamic_range)
-    for p, tau in enumerate(tau_values):
-        for chunk_index, size in _chunks(trials):
-            rng = _rng(seed, p, chunk_index)
-            ints = rng.integers(0, rng_range, size=size)
-            values = ints.astype(np.float64)
-            rts = []
-            oor = np.zeros(size, dtype=bool)
-            for mk in all_moduli:
-                r = (ints % mk).astype(np.float64)
-                rt = r + _sample_errors(rng, tau, size, error_mode)
-                rt, bad = _apply_range_mode(rt, float(mk), range_mode)
-                oor |= bad
-                rts.append(rt)
-            true_folds = [ints // mk for mk in all_moduli]
-            folds, est, consistent = general.solve(rts)
-            fail = ~consistent
-            for f, t in zip(folds, true_folds):
-                fail |= f != t
-            accs["single_stage"][p].add(values, est, fail, oor)
-            rts1, rts2 = rts[: len(moduli1)], rts[len(moduli1):]
-            for name, kernel in series[1:]:
-                f1, f2, est_c = kernel.solve(rts1, rts2)
-                fail = np.zeros(size, dtype=bool)
-                for f, t in zip(f1 + f2, true_folds):
-                    fail |= f != t
-                accs[name][p].add(values, est_c, fail, oor)
-    return tuple(
-        SweepResult(tuple(acc.row(tau) for acc, tau in zip(accs[name], tau_values)), series=name)
-        for name, _ in series
-    )
+    series = {
+        "single_stage": _general_estimator(general),
+        "two_stage": _cascade_estimator(cascade_top),
+        f"cascade_level{spec.level}": _cascade_estimator(cascade_cfg),
+    }
+    rows = _trial_rows(
+        moduli, list(series.values()), [(tau, None) for tau in tau_values], trials, seed,
+        value_range=cascade_cfg.dynamic_range, error_mode=error_mode, range_mode=range_mode)
+    return tuple(SweepResult(tuple(r), series=name) for name, r in zip(series, rows))

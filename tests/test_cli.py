@@ -1,5 +1,8 @@
+import hashlib
 import json
 from fractions import Fraction
+
+import pytest
 
 from robustrns.cli import EXIT_OK, EXIT_ORACLE, EXIT_USAGE, fmt, main
 
@@ -208,12 +211,89 @@ class TestSimulate:
         assert out == ""
         assert "more than 64 bits" in err and "out of bounds" not in err
 
+    def test_probe_past_int64_is_a_usage_error(self, capsys):
+        big = 20_000_000_000_000_000_000
+        code, out, err = run_cli(capsys, "simulate", "--m1", "234", "--m2", "377", "--level", "1",
+                                 "--probe-boundary", f"{big}:{big + 1}", "--trials", "10")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "more than 64 bits" in err and "Traceback" not in err
+
+    def test_real_config_needs_only_m_and_gammas(self, capsys, tmp_path):
+        real = {"value_mode": "real", "m": 2.5, "gammas": [18, 29], "level": 3,
+                "tau": [0.5, 2.0], "trials": 500, "seed": 3}
+        outs = []
+        for extra in ({}, {"m1": 45, "m2": 72.5}):
+            cfg = tmp_path / "real.json"
+            cfg.write_text(json.dumps({**real, **extra}))
+            code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+            assert code == EXIT_OK, err
+            outs.append(out)
+        assert len(outs[0].strip().splitlines()) == 3
+        assert outs[0] == outs[1]
+
+    def test_real_config_rejects_inconsistent_moduli(self, capsys, tmp_path):
+        cfg = tmp_path / "real.json"
+        cfg.write_text(json.dumps({"value_mode": "real", "m": 2.5, "gammas": [18, 29],
+                                   "m1": 45, "m2": 72, "tau": [1.0], "trials": 10}))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "m2=72" in err and "m1" not in err
+
     def test_config_rejects_unknown_fields(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"m1": 234, "m2": 377, "tau": [1.0], "bogus": 1}))
         code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
         assert code == EXIT_USAGE
         assert "bogus" in err
+
+
+_GROUPS = "120,300|210,490"
+# sha256 of the CSV printed by one seeded run per simulate mode.  They pin the
+# draw order (values, then one error array per modulus in modulus order, per
+# (point, chunk) generator) and the shared remainders of --compare; the
+# multi-chunk case has more trials than one chunk (65536).
+GOLDEN_SIMULATE = {
+    "tau_sweep": (
+        ["--m1", "234", "--m2", "377", "--level", "3", "--tau", "0:13:0.5", "--trials", "400"],
+        "e5d02ac241591b1c954c653a016d9d19f171fcbefea0096f639da6c74e3b799a"),
+    "real_sweep": (
+        ["--config", "{real_config}", "--trials", "400"],
+        "cf294ed4e09c5d132691b9b5ced29ee00eb699872c5432b9f800facea72d8568"),
+    "boundary_probe": (
+        ["--m1", "234", "--m2", "377", "--level", "1", "--probe-boundary", "465:470",
+         "--trials", "400"],
+        "1ebb9bc9b7aa42cf91a26ae339e8b8f2ec9e7b6abe87df9832033d089555a3e2"),
+    "cascade_sweep": (
+        ["--groups", _GROUPS, "--level", "2", "--trials", "400"],
+        "0b28c843b1c442633c54fa8551c60e326d09a5bb4c3cdd3c6be0dfff730f6ee3"),
+    "compare": (
+        ["--groups", _GROUPS, "--level", "2", "--tau", "0:25:5", "--trials", "400", "--compare"],
+        "2c01f9282c2f0c6cd334e38bf4d614f64f6b96ce8c2b09ef1343dd6cd86c995c"),
+    "integer_clamp_multi_chunk": (
+        ["--m1", "234", "--m2", "377", "--level", "1", "--tau", "0,12,40",
+         "--error-mode", "integer", "--range-mode", "clamp", "--trials", "70000"],
+        "0dd8dc0e3223577528a37612ed0dfdd07cc3d791285c8660e493abc6f73ca8b5"),
+    "integer_clamp_compare": (
+        ["--groups", _GROUPS, "--level", "2", "--tau", "0:30:10", "--error-mode", "integer",
+         "--range-mode", "clamp", "--trials", "400", "--compare"],
+        "5058c0bca4600490492a7cfc882adbc3dfc9f99b7b1f6b46a6741dde8efcc9b6"),
+}
+
+
+class TestSimulateGolden:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_SIMULATE))
+    def test_csv_sha256(self, capsys, tmp_path, case):
+        real_config = tmp_path / "real.json"
+        real_config.write_text(json.dumps({
+            "m": 2.5, "gammas": [18, 29], "m1": 45, "m2": 72.5, "value_mode": "real",
+            "level": 3, "tau": "0:3:0.5"}))
+        argv, digest = GOLDEN_SIMULATE[case]
+        argv = [a.replace("{real_config}", str(real_config)) for a in argv]
+        code, out, err = run_cli(capsys, "simulate", *argv, "--seed", "42")
+        assert code == EXIT_OK, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestVerify:

@@ -231,3 +231,9 @@ class TestConfigValidation:
             run_tau_sweep(TrialConfig(cascade=spec, level=1, tau_values=(0.0,), trials_per_point=10))
         with pytest.raises(ValueError, match="more than 64 bits"):
             run_comparison(spec, [0.0], 10, seed=0)
+
+    def test_probe_values_past_int64_are_refused(self, system):
+        assert run_boundary_probe(system, 1, [2**63 - 1], 10, seed=0).rows[0].trials == 10
+        for value in (2**63, 20_000_000_000_000_000_000, -2**63 - 1):
+            with pytest.raises(ValueError, match="more than 64 bits"):
+                run_boundary_probe(system, 1, [0, value], 10, seed=0)
