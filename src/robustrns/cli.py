@@ -287,24 +287,25 @@ _CONFIG_KEYS = {
 
 
 def _parse_span(text: str, what: str, integer: bool = False) -> list:
-    """Either a comma list or an inclusive start:stop:step span."""
+    """Either a comma list or an inclusive start:stop[:step] span; integer
+    lists and spans are parsed with ``int``, so they stay exact past 2^53."""
     if isinstance(text, (list, tuple)):
         return [int(v) if integer else float(v) for v in text]
-    if ":" in text:
-        parts = text.split(":")
-        if integer and len(parts) == 2:
-            lo, hi = int(parts[0]), int(parts[1])
-            return list(range(lo, hi + 1))
-        if len(parts) != 3:
-            raise UsageError(f"could not parse {what} span {text!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0:
-            raise UsageError(f"{what}: step must be positive")
-        count = int((stop - start) / step + 1e-9) + 1
-        vals = [start + i * step for i in range(count)]
-        return [int(v) for v in vals] if integer else vals
-    vals = [float(p) for p in text.split(",")]
-    return [int(v) for v in vals] if integer else vals
+    parse = int if integer else float
+    if ":" not in text:
+        return [parse(p) for p in text.split(",")]
+    parts = text.split(":")
+    if integer and len(parts) == 2:
+        parts.append("1")
+    if len(parts) != 3:
+        raise UsageError(f"could not parse {what} span {text!r}")
+    start, stop, step = (parse(p) for p in parts)
+    if step <= 0:
+        raise UsageError(f"{what}: step must be positive")
+    if integer:
+        return list(range(start, stop + 1, step))
+    count = int((stop - start) / step + 1e-9) + 1
+    return [start + i * step for i in range(count)]
 
 
 def _load_config(args) -> dict:

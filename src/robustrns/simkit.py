@@ -6,9 +6,15 @@ chunks.  The generator for chunk ``c`` of point ``p`` is seeded from
 (none for a probe's fixed value), then one error array per modulus in modulus
 order; so results are bit-identical for a given configuration no matter how
 the chunks are scheduled.  Every estimator of a sweep (the three series of a
-comparison) sees the same noisy remainders.  Observed remainders are left out
-of range by default (the fraction is reported); ``range_mode="clamp"`` pins
-them into ``[0, m_i)``.
+comparison) sees the same noisy remainders, and the two cascade series of a
+comparison share one run of the group stages per chunk.  Observed remainders
+are left out of range by default (the fraction is reported);
+``range_mode="clamp"`` pins them into ``[0, m_i)``.
+
+The ladder-window kernel reads ranks from per-ladder tables instead of
+binary-searching (``_RankTable``): buckets no wider than the ladder's smallest
+gap hold at most one rung each, so the first rung above a target is a floor
+and two gathers, and each rung's fold is gathered from a table too.
 """
 
 from __future__ import annotations
@@ -57,6 +63,8 @@ class TrialConfig:
             raise ValueError(f"TrialConfig: unknown range_mode {self.range_mode!r}")
         if self.cascade is not None and self.value_mode == "real":
             raise ValueError("TrialConfig: cascade sweeps are integer-valued")
+        if self.system is not None and self.system.is_real and self.value_mode == "integer":
+            raise ValueError("TrialConfig: a real-valued system needs value_mode='real'")
 
 
 @dataclass(frozen=True)
@@ -92,22 +100,55 @@ def _chunks(total: int):
         start += size
 
 
-def _pick_window(elems: np.ndarray, target: np.ndarray, half: float, left_open: bool) -> np.ndarray:
-    """Vector twin of the scalar ladder-window search (fallback: nearest, ties low)."""
-    n = len(elems)
-    if left_open:
-        i = np.searchsorted(elems, target - half, side="right")
-        cand = elems[np.minimum(i, n - 1)]
-        ok = (i < n) & (cand <= target + half)
-    else:
-        i = np.searchsorted(elems, target - half, side="left")
-        cand = elems[np.minimum(i, n - 1)]
-        ok = (i < n) & (cand < target + half)
-    k = np.searchsorted(elems, target)
-    lo = elems[np.maximum(k - 1, 0)]
-    hi = elems[np.minimum(k, n - 1)]
-    near = np.where(target - lo <= hi - target, lo, hi)
-    return np.where(ok, cand, near)
+class _RankTable:
+    """Window search over one sorted ladder of integer rungs, without binary search.
+
+    The rungs are split into buckets of width ``2**shift``, no wider than the
+    ladder's smallest gap, so a bucket holds at most one rung.  Per bucket the
+    table keeps the padded index of the first rung at or after the bucket's
+    start (``after``) and the bucket's rung, or ``inf`` when it has none.  The
+    first rung above ``y`` is then ``after[b] + (rung[b] <= y)`` with
+    ``b = floor(y / 2**shift)``: a scale, a floor and two gathers.  A ``y``
+    outside the ladder's span is clipped into the first or the last bucket,
+    which hold the rungs 0 (every ladder starts at ``t = 0``) and the top
+    rung.  The padded ladder has ``-inf`` and ``inf`` at its ends, so a window
+    past either end compares false and needs no bounds test.  The table grows
+    with the ladder, not with gamma: on random systems a ladder's gaps stayed
+    below twice its smallest, which keeps it under 4 buckets per rung.
+    """
+
+    def __init__(self, rungs: tuple[int, ...], inverse: int, modulus: int):
+        shift = min(b - a for a, b in zip(rungs, rungs[1:])).bit_length() - 1
+        buckets = np.array([r >> shift for r in rungs], dtype=np.intp)
+        held = np.zeros(buckets[-1] + 1, dtype=np.intp)
+        held[buckets] = 1
+        self.after = np.cumsum(held) - held + 1
+        self.rung = np.full(held.size, np.inf)
+        self.rung[buckets] = rungs
+        self.scale = 2.0 ** -shift
+        self.top = float(buckets[-1])
+        self.padded = np.array((-np.inf, *rungs, np.inf), dtype=np.float64)
+        # the fold each rung stands for: rung * inverse mod modulus, exact
+        self.folds = np.array((0, *(r * inverse % modulus for r in rungs), 0), dtype=np.int64)
+
+    def first_above(self, y: np.ndarray, strict: bool) -> np.ndarray:
+        """Padded index of the first rung ``> y`` (``strict``) or ``>= y``."""
+        b = np.floor(y * self.scale)
+        np.clip(b, 0.0, self.top, out=b)
+        b = b.astype(np.intp)
+        rung = self.rung[b]
+        return self.after[b] + (rung <= y if strict else rung < y)
+
+    def fold(self, target: np.ndarray, half: float, left_open: bool) -> np.ndarray:
+        """Fold of the rung in the window around ``target``; when the window
+        (``(t - h, t + h]`` if ``left_open`` else ``[t - h, t + h)``) is empty,
+        of the rung nearest ``target``, ties to the lower one."""
+        i = self.first_above(target - half, strict=left_open)
+        cand = self.padded[i]
+        ok = cand <= target + half if left_open else cand < target + half
+        k = self.first_above(target, strict=False)
+        k -= target - self.padded[k - 1] <= self.padded[k] - target
+        return self.folds[np.where(ok, i, k)]
 
 
 class LevelKernel:
@@ -120,13 +161,9 @@ class LevelKernel:
         self.m = float(system.m)
         self.m1 = float(system.m1)
         self.m2 = float(system.m2)
-        self.g1 = system.gamma1
-        self.g2 = system.gamma2
         self.half = ctx.sigma / 2.0
-        self.s1 = np.asarray(ctx.s1, dtype=np.float64)
-        self.s2 = np.asarray(ctx.s2, dtype=np.float64)
-        self.inv12 = ctx.inv12
-        self.inv21 = ctx.inv21
+        self.ladder1 = _RankTable(ctx.s1, ctx.inv12, system.gamma2)
+        self.ladder2 = _RankTable(ctx.s2, ctx.inv21, system.gamma1)
         self.dynamic_range = ctx.dynamic_range
         self.robustness_bound = float(ctx.robustness_bound)
 
@@ -134,19 +171,16 @@ class LevelKernel:
         q = (r1t - r2t) / self.m
         n1 = np.zeros(q.shape, dtype=np.int64)
         n2 = np.zeros(q.shape, dtype=np.int64)
-        hi = q >= self.half
-        if hi.any():
-            qh = q[hi]
-            s2 = _pick_window(self.s2, qh, self.half, left_open=True)
-            nn2 = (s2.astype(np.int64) * self.inv21) % self.g1
+        # index arrays: gathering by index is several times cheaper than by mask
+        hi = np.flatnonzero(q >= self.half)
+        if hi.size:
+            nn2 = self.ladder2.fold(q[hi], self.half, left_open=True)
             nn1 = np.floor((nn2 * self.m2 + r2t[hi] - r1t[hi]) / self.m1 + 0.5)
             n2[hi] = nn2
             n1[hi] = nn1.astype(np.int64)
-        lo = q < -self.half
-        if lo.any():
-            ql = -q[lo]
-            s1 = _pick_window(self.s1, ql, self.half, left_open=False)
-            nn1 = (s1.astype(np.int64) * self.inv12) % self.g2
+        lo = np.flatnonzero(q < -self.half)
+        if lo.size:
+            nn1 = self.ladder1.fold(-q[lo], self.half, left_open=False)
             nn2 = np.floor((nn1 * self.m1 + r1t[lo] - r2t[lo]) / self.m2 + 0.5)
             n1[lo] = nn1
             n2[lo] = nn2.astype(np.int64)
@@ -273,8 +307,12 @@ class CascadeKernel:
         self.dynamic_range = self.cross.dynamic_range
 
     def solve(self, rts1: list[np.ndarray], rts2: list[np.ndarray]):
-        f1, est1 = self.k1.solve(rts1)
-        f2, est2 = self.k2.solve(rts2)
+        return self._cross_stage(self.k1.solve(rts1), self.k2.solve(rts2), rts1, rts2)
+
+    def _cross_stage(self, stage1, stage2, rts1, rts2):
+        """The cross stage and the assembly, given both group stages'
+        ``(folds, estimate)``; cascades of one spec can share those."""
+        (f1, est1), (f2, est2) = stage1, stage2
         if self.spec.low_is_group1:
             l_lo, l_hi = self.cross.solve(est1, est2)
             l1, l2 = l_lo, l_hi
@@ -338,50 +376,59 @@ def _misfolds(folds, true_folds) -> np.ndarray:
     return fail
 
 
-def _level_estimator(kernel: LevelKernel):
+def _level_series(kernel: LevelKernel):
     def estimate(rts, true_folds):
         n1, n2 = kernel.solve(*rts)
-        return kernel.estimate(n1, n2, *rts), _misfolds((n1, n2), true_folds)
+        yield kernel.estimate(n1, n2, *rts), _misfolds((n1, n2), true_folds)
     return estimate
 
 
-def _cascade_estimator(kernel: CascadeKernel):
-    split = len(kernel.spec.group1.moduli)
+def _cascade_series(*kernels: CascadeKernel):
+    """Cascades of one spec (at different cross levels) run the group stages
+    once per chunk and share them."""
+    k1, k2 = kernels[0].k1, kernels[0].k2
+    split = len(kernels[0].spec.group1.moduli)
 
     def estimate(rts, true_folds):
-        folds1, folds2, est = kernel.solve(rts[:split], rts[split:])
-        return est, _misfolds(folds1 + folds2, true_folds)
+        rts1, rts2 = rts[:split], rts[split:]
+        stage1, stage2 = k1.solve(rts1), k2.solve(rts2)
+        for kernel in kernels:
+            folds1, folds2, est = kernel._cross_stage(stage1, stage2, rts1, rts2)
+            fail = _misfolds(folds1 + folds2, true_folds)
+            del folds1, folds2  # free them before the next series runs
+            yield est, fail
     return estimate
 
 
-def _general_estimator(kernel: GeneralKernel):
+def _general_series(kernel: GeneralKernel):
     def estimate(rts, true_folds):
         folds, est, consistent = kernel.solve(rts)
-        return est, ~consistent | _misfolds(folds, true_folds)
+        yield est, ~consistent | _misfolds(folds, true_folds)
     return estimate
 
 
-def _trial_rows(moduli, estimators, points, trials: int, seed: int, *, value_range=None,
-                value_mode: str = "integer", error_mode: str = "real",
+def _trial_rows(moduli, estimators, series: int, points, trials: int, seed: int, *,
+                value_range=None, value_mode: str = "integer", error_mode: str = "real",
                 range_mode: str = "allow") -> list[list[SweepRow]]:
-    """The trial loop behind every sweep: one list of rows per estimator.
+    """The trial loop behind every sweep: one list of rows per series.
 
     ``points`` holds ``(tau, fixed)`` pairs: errors are drawn on ``[-tau, tau]``
     and values are ``fixed`` or, when it is None, uniform on
     ``[0, value_range)``.  Every estimator maps the same noisy remainders and
-    the true folds to ``(estimates, failures)``.  Integer values are held as
-    int64, so values past 2^63 are refused here with a message of their own
-    instead of numpy's."""
+    the true folds to ``(estimates, failures)`` of one or more series, which
+    are accumulated as they are yielded, ``series`` in all.  Integer values
+    are held as int64, so values past 2^63 are refused here with a message of
+    their own instead of numpy's."""
     integer = value_mode == "integer"
     fmoduli = [float(mk) for mk in moduli]
     imoduli = [int(mk) for mk in moduli]
-    rows = [[] for _ in estimators]
+    rows = [[] for _ in range(series)]
     for p, (tau, fixed) in enumerate(points):
         lo, hi = (0, int(value_range)) if fixed is None else (fixed, fixed + 1)
         if integer and (lo < -2**63 or hi > 2**63):
             raise ValueError(f"integer values in [{lo}, {hi}) need more than 64 bits; "
                              "int64 holds values in [-2^63, 2^63)")
-        accs = [_Accumulator() for _ in estimators]
+        accs = [_Accumulator() for _ in range(series)]
         for chunk_index, size in _chunks(trials):
             rng = _rng(seed, p, chunk_index)
             if integer:
@@ -407,8 +454,8 @@ def _trial_rows(moduli, estimators, points, trials: int, seed: int, *, value_ran
                 if range_mode == "clamp":
                     rt = np.clip(rt, 0.0, np.nextafter(mk, 0.0))
                 rts.append(rt)
-            for acc, estimate in zip(accs, estimators):
-                est, fail = estimate(rts, true_folds)
+            outputs = (out for estimate in estimators for out in estimate(rts, true_folds))
+            for acc, (est, fail) in zip(accs, outputs, strict=True):
                 acc.add(values, est, fail, out_of_range)
         for out, acc in zip(rows, accs):
             out.append(acc.row(tau if fixed is None else fixed))
@@ -421,13 +468,13 @@ def run_tau_sweep(config: TrialConfig) -> SweepResult:
     if config.cascade is not None:
         kernel = CascadeKernel(config.cascade, config.level)
         moduli = config.cascade.group1.moduli + config.cascade.group2.moduli
-        estimator, series = _cascade_estimator(kernel), f"cascade_level{config.level}"
+        estimator, series = _cascade_series(kernel), f"cascade_level{config.level}"
     else:
         kernel = LevelKernel(config.system, config.level)
         moduli = (config.system.m1, config.system.m2)
-        estimator, series = _level_estimator(kernel), f"level{config.level}"
+        estimator, series = _level_series(kernel), f"level{config.level}"
     (rows,) = _trial_rows(
-        moduli, [estimator], [(tau, None) for tau in config.tau_values],
+        moduli, [estimator], 1, [(tau, None) for tau in config.tau_values],
         config.trials_per_point, config.seed, value_range=kernel.dynamic_range,
         value_mode=config.value_mode, error_mode=config.error_mode,
         range_mode=config.range_mode)
@@ -443,7 +490,7 @@ def run_boundary_probe(system: TwoModSystem, level: int, neighbors, trials: int,
     if tau is None:
         tau = kernel.robustness_bound
     (rows,) = _trial_rows(
-        (system.m1, system.m2), [_level_estimator(kernel)],
+        (system.m1, system.m2), [_level_series(kernel)], 1,
         [(tau, int(value)) for value in neighbors], trials, seed,
         value_mode="real" if system.is_real else "integer", range_mode=range_mode)
     return SweepResult(tuple(rows), series=f"probe_level{level}")
@@ -453,17 +500,15 @@ def run_comparison(spec: CascadeSpec, tau_values, trials: int, seed: int,
                    error_mode: str = "real", range_mode: str = "allow") -> tuple[SweepResult, ...]:
     """Three estimators on identical noisy remainders, values below the
     configured cascade's range: lcm-wide single stage over all moduli, the
-    two-stage cascade (coarsest cross level), and the cascade at its level."""
+    two-stage cascade (coarsest cross level), and the cascade at its level.
+    Both cascades share one run of the group stages per chunk."""
     moduli = spec.group1.moduli + spec.group2.moduli
-    general = GeneralKernel(moduli)
     cascade_top = CascadeKernel(spec, level=sigma_chain(spec.cross).levels)
     cascade_cfg = CascadeKernel(spec)
-    series = {
-        "single_stage": _general_estimator(general),
-        "two_stage": _cascade_estimator(cascade_top),
-        f"cascade_level{spec.level}": _cascade_estimator(cascade_cfg),
-    }
+    series = ("single_stage", "two_stage", f"cascade_level{spec.level}")
+    estimators = [_general_series(GeneralKernel(moduli)),
+                  _cascade_series(cascade_top, cascade_cfg)]
     rows = _trial_rows(
-        moduli, list(series.values()), [(tau, None) for tau in tau_values], trials, seed,
+        moduli, estimators, len(series), [(tau, None) for tau in tau_values], trials, seed,
         value_range=cascade_cfg.dynamic_range, error_mode=error_mode, range_mode=range_mode)
     return tuple(SweepResult(tuple(r), series=name) for name, r in zip(series, rows))

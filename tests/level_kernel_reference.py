@@ -1,0 +1,58 @@
+"""Reference copy of the vector ladder-window solver with binary search.
+
+This is ``simkit.LevelKernel.solve`` as it stood before the rank tables
+replaced ``np.searchsorted``: every window and nearest-rung search is a
+binary search over the sorted float ladder, and the fold is computed per
+observation.  ``test_level_kernel_ranks.py`` requires the package's kernel
+to return identical fold arrays.  Ladders, inverses and levels come from the
+package's ``level_context``, whose data the rewrite did not touch.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from robustrns.two_mod import level_context
+
+
+def _pick_window(elems: np.ndarray, target: np.ndarray, half: float, left_open: bool) -> np.ndarray:
+    n = len(elems)
+    if left_open:
+        i = np.searchsorted(elems, target - half, side="right")
+        cand = elems[np.minimum(i, n - 1)]
+        ok = (i < n) & (cand <= target + half)
+    else:
+        i = np.searchsorted(elems, target - half, side="left")
+        cand = elems[np.minimum(i, n - 1)]
+        ok = (i < n) & (cand < target + half)
+    k = np.searchsorted(elems, target)
+    lo = elems[np.maximum(k - 1, 0)]
+    hi = elems[np.minimum(k, n - 1)]
+    near = np.where(target - lo <= hi - target, lo, hi)
+    return np.where(ok, cand, near)
+
+
+def level_solve(system, level: int, r1t: np.ndarray, r2t: np.ndarray):
+    ctx = level_context(system, level)
+    m, m1, m2 = float(system.m), float(system.m1), float(system.m2)
+    half = ctx.sigma / 2.0
+    s1 = np.asarray(ctx.s1, dtype=np.float64)
+    s2 = np.asarray(ctx.s2, dtype=np.float64)
+    q = (r1t - r2t) / m
+    n1 = np.zeros(q.shape, dtype=np.int64)
+    n2 = np.zeros(q.shape, dtype=np.int64)
+    hi = q >= half
+    if hi.any():
+        s = _pick_window(s2, q[hi], half, left_open=True)
+        nn2 = (s.astype(np.int64) * ctx.inv21) % system.gamma1
+        nn1 = np.floor((nn2 * m2 + r2t[hi] - r1t[hi]) / m1 + 0.5)
+        n2[hi] = nn2
+        n1[hi] = nn1.astype(np.int64)
+    lo = q < -half
+    if lo.any():
+        s = _pick_window(s1, -q[lo], half, left_open=False)
+        nn1 = (s.astype(np.int64) * ctx.inv12) % system.gamma2
+        nn2 = np.floor((nn1 * m1 + r1t[lo] - r2t[lo]) / m2 + 0.5)
+        n1[lo] = nn1
+        n2[lo] = nn2.astype(np.int64)
+    return n1, n2

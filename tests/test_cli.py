@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from robustrns.cli import EXIT_OK, EXIT_ORACLE, EXIT_USAGE, fmt, main
+from robustrns.cli import EXIT_OK, EXIT_ORACLE, EXIT_USAGE, _parse_span, fmt, main
 
 
 def run_cli(capsys, *argv):
@@ -33,6 +33,28 @@ class TestFmt:
         assert fmt(1037.84) == "1037.84"
         assert fmt(1234567.0) == "1234570"
         assert fmt(0.00213490123) == "0.0021349"
+
+
+class TestParseSpan:
+    def test_integer_lists_and_spans_are_exact_past_2_53(self):
+        big = 2**53 + 1
+        assert _parse_span(str(big), "n", integer=True) == [big]
+        assert _parse_span(f"{big},{big + 2}", "n", integer=True) == [big, big + 2]
+        assert _parse_span(f"{big}:{big + 2}", "n", integer=True) == [big, big + 1, big + 2]
+        assert _parse_span(f"{big}:{big + 6}:3", "n", integer=True) == [big, big + 3, big + 6]
+
+    def test_canonical_probe_and_tau_spans(self):
+        assert _parse_span("465:470", "neighbors", integer=True) == list(range(465, 471))
+        assert _parse_span("0:1:0.25", "tau") == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert _parse_span("0.5,2", "tau") == [0.5, 2.0]
+        assert _parse_span("0:13:0.5", "tau") == [0.5 * i for i in range(27)]
+
+    def test_non_integer_neighbors_are_a_usage_error(self, capsys):
+        for text in ("465.5", "465:470:0.5"):
+            code, out, err = run_cli(capsys, "simulate", "--m1", "234", "--m2", "377",
+                                     "--level", "1", "--probe-boundary", text, "--trials", "10")
+            assert code == EXIT_USAGE and out == "", text
+            assert "Traceback" not in err
 
 
 class TestLevels:

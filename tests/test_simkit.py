@@ -220,6 +220,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TrialConfig(system=system, cascade=cascade_spec([120, 300], [210, 490], 2))
 
+    def test_real_system_needs_real_values(self):
+        real = TwoModSystem.real(2.5, 18, 29)
+        with pytest.raises(ValueError, match="value_mode='real'"):
+            TrialConfig(system=real, level=3, tau_values=(0.0,))
+        cfg = TrialConfig(system=real, level=3, tau_values=(0.0,), trials_per_point=5000,
+                          value_mode="real")
+        assert run_tau_sweep(cfg).rows[0].mean_abs_error < 1e-9
+
     def test_integer_ranges_past_int64_are_refused(self):
         wide = TwoModSystem(2**50, 1000, 1001)
         LevelKernel(TwoModSystem(2**40 + 7, 1000, 1001), 1)  # a 60-bit lcm still builds
