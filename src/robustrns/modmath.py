@@ -7,6 +7,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
+# Per-system caches (ladder contexts, chains, CRT steps) are bounded so a
+# long-lived process does not grow without limit over many systems.
+_CACHE_SIZE = 256
+
 
 def gcd_lcm(values) -> tuple[int, int]:
     """Return ``(gcd, lcm)`` of a non-empty list of positive integers."""

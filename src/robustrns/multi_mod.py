@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .modmath import common_denominator, mod_inverse, round_div, round_half_up
+from .modmath import _CACHE_SIZE, common_denominator, mod_inverse, round_div, round_half_up
 from .two_mod import (
     RemainderObservation,
     TwoModSystem,
@@ -53,12 +53,7 @@ class ModuliGroup:
         return cls(ms, g, cof, g * math.prod(cof))
 
 
-# Per-system CRT data depends only on the cofactors; a bounded cache keeps a
-# long-lived process from growing without limit over many systems.
-_STEP_CACHE = 256
-
-
-@lru_cache(maxsize=_STEP_CACHE)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _group_steps(cofactors: tuple[int, ...]) -> tuple[tuple[int, int, int, int] | None, ...]:
     """Garner steps for the congruences ``h1 * g_1 = xi_k (mod g_k)``, k >= 2.
 
@@ -87,10 +82,11 @@ def _xis(remainders, m, scaled) -> list[int]:
     return [round_div(a - nums[0], m * den) for a in nums[1:]]
 
 
-def _average(groups, scaled):
+def _average(groups, scaled, with_mean: bool = True):
     """``(estimate, mean)`` of the reconstructions ``n_k * m_k + r_k`` over every
     ``(folds, moduli, remainders)`` group; ``scaled`` is the common-denominator
-    form of all the remainders, None for float arithmetic."""
+    form of all the remainders, None for float arithmetic.  Without
+    ``with_mean`` an exact mean is not built and None stands in for it."""
     count = sum(len(rs) for _, _, rs in groups)
     if scaled is None:
         mean = sum(sum(n * mk + r for n, mk, r in zip(*group)) for group in groups) / count
@@ -98,7 +94,7 @@ def _average(groups, scaled):
     nums, den = scaled
     total = sum(n * mk for folds, moduli, _ in groups for n, mk in zip(folds, moduli)) * den
     total += sum(nums)
-    return round_div(total, count * den), Fraction(total, count * den)
+    return round_div(total, count * den), Fraction(total, count * den) if with_mean else None
 
 
 def single_stage_robust_crt(group: ModuliGroup, remainders) -> tuple[tuple[int, ...], int, Fraction | float]:
@@ -108,7 +104,12 @@ def single_stage_robust_crt(group: ModuliGroup, remainders) -> tuple[tuple[int, 
     scaled error difference ``(dr_k - dr_1) / gcd`` lies in ``[-1/2, 1/2)``;
     error bound below ``gcd / 4`` is sufficient.
     """
-    rs = tuple(remainders)
+    return _group_stage(group, tuple(remainders))
+
+
+def _group_stage(group: ModuliGroup, rs: tuple, with_mean: bool = True):
+    """``single_stage_robust_crt``; a caller that discards the mean passes
+    ``with_mean=False`` and gets None (or the free float mean) in its place."""
     if len(rs) != len(group.moduli):
         raise ValueError("single_stage_robust_crt: remainder/modulus count mismatch")
     scaled = common_denominator(rs)
@@ -123,7 +124,7 @@ def single_stage_robust_crt(group: ModuliGroup, remainders) -> tuple[tuple[int, 
     g1 = group.cofactors[0]
     # exact divisions: h1 * g1 == xi (mod g_k) by construction
     folds = (h1, *((h1 * g1 - xi) // gk for xi, gk in zip(xis, group.cofactors[1:])))
-    estimate, mean = _average([(folds, group.moduli, rs)], scaled)
+    estimate, mean = _average([(folds, group.moduli, rs)], scaled, with_mean)
     return folds, estimate, mean
 
 
@@ -137,7 +138,7 @@ class GeneralCrtSolution:
     consistent: bool
 
 
-@lru_cache(maxsize=_STEP_CACHE)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _general_steps(gammas: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Per-congruence data of ``n_1 * g_1 = xi_k (mod g_k)``, solved one by one.
 
@@ -259,8 +260,8 @@ def cascade_reconstruct(spec: CascadeSpec, remainders1, remainders2) -> CascadeS
     """Run both group stages, then the cross stage, and assemble total folds."""
     rs1 = tuple(remainders1)
     rs2 = tuple(remainders2)
-    h1, est1, _ = single_stage_robust_crt(spec.group1, rs1)
-    h2, est2, _ = single_stage_robust_crt(spec.group2, rs2)
+    h1, est1, _ = _group_stage(spec.group1, rs1, with_mean=False)
+    h2, est2, _ = _group_stage(spec.group2, rs2, with_mean=False)
     if spec.low_is_group1:
         obs = RemainderObservation(est1, est2)
     else:

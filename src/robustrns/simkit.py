@@ -269,6 +269,8 @@ class GeneralKernel:
         self.gammas = gammas
         self.g1 = gammas[0]
         self.steps = _general_steps(gammas)
+        # a divisibility test by g = 1 (or gq = 1) always passes: skip it
+        self.can_fail = any(g > 1 or gq > 1 for g, _, _, gq, *_ in self.steps)
 
     def solve(self, rts: list[np.ndarray]):
         xis = [np.floor((rts[k] - rts[0]) / self.m + 0.5).astype(np.int64)
@@ -277,19 +279,20 @@ class GeneralKernel:
         n1 = np.zeros(shape, dtype=np.int64)
         consistent = np.ones(shape, dtype=bool)
         for xi, (g, qk, inv1, gq, step, inv_q, q) in zip(xis, self.steps):
-            consistent &= (xi % g) == 0
+            if g > 1:
+                consistent &= (xi % g) == 0
+                xi = xi // g
             if qk == 1:
                 continue
-            a = ((xi // g) * inv1) % qk
-            diff = a - n1
-            consistent &= (diff % gq) == 0
+            diff = (xi * inv1) % qk - n1
+            if gq > 1:
+                consistent &= (diff % gq) == 0
+                diff = diff // gq
             if step > 1:
-                t = ((diff // gq) * inv_q) % step
-                n1 = n1 + q * t
-        folds = [np.where(consistent, n1, 0)]
-        for xi, gk in zip(xis, self.gammas[1:]):
-            fk = np.where(consistent, (n1 * self.g1 - xi) // gk, 0)
-            folds.append(fk)
+                n1 = n1 + q * ((diff * inv_q) % step)
+        folds = [n1, *((n1 * self.g1 - xi) // gk for xi, gk in zip(xis, self.gammas[1:]))]
+        if self.can_fail:
+            folds = [np.where(consistent, f, 0) for f in folds]
         total = sum(f * mk + rt for f, mk, rt in zip(folds, self.moduli, rts))
         estimate = np.floor(total / len(rts) + 0.5)
         return folds, estimate, consistent

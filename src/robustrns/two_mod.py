@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .modmath import common_denominator, mod_inverse, round_div, round_half_up
+from .modmath import _CACHE_SIZE, common_denominator, mod_inverse, round_div, round_half_up
 
 
 @dataclass(frozen=True)
@@ -28,6 +29,9 @@ class TwoModSystem:
 
     ``m`` is an int in integer mode and a float in real-scalar mode; the
     cofactors are integers either way and must satisfy ``1 < gamma1 < gamma2``.
+    The hash is computed once, since every cached lookup keyed on the system
+    hashes it; it is not a field, so ``repr``, ``==``, ``asdict`` and the
+    pickled state are those of the three fields.
     """
 
     m: int | float
@@ -49,6 +53,18 @@ class TwoModSystem:
             isinstance(self.m, float) and math.isfinite(self.m) and self.m > 0
         ):
             raise ValueError(f"TwoModSystem: invalid common factor m={self.m!r}")
+        object.__setattr__(self, "_hash", hash((self.m, self.gamma1, self.gamma2)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __getstate__(self):
+        return {"m": self.m, "gamma1": self.gamma1, "gamma2": self.gamma2}
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+        self.__post_init__()
 
     @classmethod
     def from_moduli(cls, m1: int, m2: int) -> "TwoModSystem":
@@ -172,7 +188,7 @@ class RobustnessLevel:
     robustness_bound: Fraction | float
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _sigma_values(gamma1: int, gamma2: int) -> tuple[tuple[int, ...], int]:
     values = [gamma2, gamma1]
     while values[-1] != 1:
@@ -209,7 +225,7 @@ def residue_ladder(system: TwoModSystem, side: int, depth: int) -> ResidueLadder
     return ResidueLadder(side, depth, elements, min_gap)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _depth_tables(gamma1: int, gamma2: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Ladder depths for j = 1..k+1, by the closed-form recurrences."""
     values, k = _sigma_values(gamma1, gamma2)
@@ -268,15 +284,21 @@ def level_table(system: TwoModSystem) -> tuple[RobustnessLevel, ...]:
 
 @dataclass(frozen=True)
 class LevelContext:
-    """Cached per-(system, level) data so hot loops avoid rebuilding ladders."""
+    """Cached per-(system, level) data so hot loops avoid rebuilding ladders.
+
+    ``s1``/``s2`` are the sorted ladders.  At the full-lcm level ``k + 1`` a
+    ladder's depth is ``gamma - 1``, so it holds every residue and is
+    ``range(gamma)``, built in O(1); every other level holds a sorted tuple.
+    Consumers only index, slice, bisect and take ``len``.
+    """
 
     system: TwoModSystem
     j: int
     sigma: int
     depth1: int
     depth2: int
-    s1: tuple[int, ...]  # sorted ladder |t*gamma1|_gamma2, t = 0..depth1
-    s2: tuple[int, ...]  # sorted ladder |t*gamma2|_gamma1, t = 0..depth2
+    s1: Sequence[int]  # sorted ladder |t*gamma1|_gamma2, t = 0..depth1
+    s2: Sequence[int]  # sorted ladder |t*gamma2|_gamma1, t = 0..depth2
     inv12: int  # inverse of gamma1 modulo gamma2
     inv21: int  # inverse of gamma2 modulo gamma1
     dynamic_range: int | float
@@ -284,14 +306,22 @@ class LevelContext:
     half: Fraction  # sigma / 2, exact
 
 
-@lru_cache(maxsize=None)
+def _sorted_ladder(base: int, mod: int, depth: int) -> Sequence[int]:
+    """Sorted ``|t * base|_mod`` for ``t = 0..depth``; at depth ``mod - 1`` the
+    multiples of a unit run over every residue, so the ladder is ``range(mod)``."""
+    if depth == mod - 1:
+        return range(mod)
+    return tuple(sorted(t * base % mod for t in range(depth + 1)))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def level_context(system: TwoModSystem, j: int) -> LevelContext:
     depth1, depth2 = ladder_depths(system, j)
     chain = sigma_chain(system)
     s = chain.sigma(j)
     g1, g2 = system.gamma1, system.gamma2
-    s1 = tuple(sorted(t * g1 % g2 for t in range(depth1 + 1)))
-    s2 = tuple(sorted(t * g2 % g1 for t in range(depth2 + 1)))
+    s1 = _sorted_ladder(g1, g2, depth1)
+    s2 = _sorted_ladder(g2, g1, depth2)
     rng = min(system.m2 * (1 + depth2), system.m1 * (1 + depth1))
     if system.is_real:
         bound = system.m * s / 4.0
@@ -370,7 +400,7 @@ def solve_basic(system: TwoModSystem, obs: RemainderObservation) -> FoldingSolut
     return _solution(system, n1, n2, obs, exact)
 
 
-def _window_pick(elements: tuple[int, ...], target: float, half: float, left_open: bool) -> int:
+def _window_pick(elements: Sequence[int], target: float, half: float, left_open: bool) -> int:
     """Unique ladder element in the half-open window around ``target``.
 
     Falls back to the nearest element (ties to the smaller one) when the
@@ -391,7 +421,7 @@ def _window_pick(elements: tuple[int, ...], target: float, half: float, left_ope
     return lo if target - lo <= hi - target else hi
 
 
-def _window_pick_exact(elements: tuple[int, ...], num: int, scale: int, sigma: int, left_open: bool) -> int:
+def _window_pick_exact(elements: Sequence[int], num: int, scale: int, sigma: int, left_open: bool) -> int:
     """``_window_pick`` at ``target = num / scale`` and ``half = sigma / 2``
     (``scale > 0``) in integer arithmetic: the ladder holds integers, so each
     rational window edge is replaced by its floor (for ``x > y`` and ``x <= y``)

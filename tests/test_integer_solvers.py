@@ -161,16 +161,36 @@ def test_comparison_edges_match_reference(case):
 
 
 @st.composite
-def groups(draw, max_size=4):
-    """Pairwise-coprime cofactors (the first may be 1) times a common gcd."""
+def coprime_cofactors(draw, max_size):
+    """Pairwise-coprime cofactors up to 40 (the first may be 1), each drawn
+    from the values coprime to the earlier ones, so nothing is filtered."""
     cofactors = []
     for _ in range(draw(st.integers(1, max_size))):
-        c = draw(st.integers(1 if not cofactors else 2, 40))
-        assume(all(math.gcd(c, other) == 1 for other in cofactors))
-        cofactors.append(c)
-    assume(len(set(cofactors)) == len(cofactors))
+        lo = 1 if not cofactors else 2
+        cofactors.append(draw(st.sampled_from(
+            [c for c in range(lo, 41) if all(math.gcd(c, other) == 1 for other in cofactors)])))
+    return cofactors
+
+
+@st.composite
+def groups(draw, max_size=4):
+    """Pairwise-coprime cofactors times a common gcd."""
+    cofactors = draw(coprime_cofactors(max_size))
     m = draw(st.integers(1, 40))
     return ModuliGroup.from_moduli([m * c for c in cofactors])
+
+
+@st.composite
+def cross_groups(draw):
+    """Two groups whose lcms form a valid cross system: neither lcm divides
+    the other, so the cross cofactors satisfy 1 < gamma1 < gamma2.  The gcds
+    are drawn from the pairs that achieve this, so nothing is filtered."""
+    c1, c2 = draw(coprime_cofactors(3)), draw(coprime_cofactors(3))
+    p1, p2 = math.prod(c1), math.prod(c2)
+    a, b = draw(st.sampled_from([(a, b) for a in range(1, 41) for b in range(1, 41)
+                                 if (a * p1) % (b * p2) and (b * p2) % (a * p1)]))
+    return (ModuliGroup.from_moduli([a * c for c in c1]),
+            ModuliGroup.from_moduli([b * c for c in c2]))
 
 
 @st.composite
@@ -204,9 +224,7 @@ def test_general_matches_reference(data):
 @SETTINGS
 @given(st.data())
 def test_cascade_matches_reference(data):
-    g1, g2 = data.draw(groups(max_size=3)), data.draw(groups(max_size=3))
-    lo, hi = sorted((g1.eta, g2.eta))
-    assume(lo < hi and hi % lo)  # the cross system needs cofactors 1 < gamma1 < gamma2
+    g1, g2 = data.draw(cross_groups())
     spec = cascade_spec(g1.moduli, g2.moduli, 1)
     level = data.draw(st.integers(1, sigma_chain(spec.cross).levels))
     spec = cascade_spec(g1.moduli, g2.moduli, level)

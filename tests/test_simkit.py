@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from robustrns.multi_mod import cascade_reconstruct, cascade_spec, general_robust_crt
@@ -62,17 +64,23 @@ class TestKernelsMatchScalar:
             assert sol.estimate == est[i]
 
     def test_general_kernel(self, rng):
-        moduli = (120, 300, 210, 490)
-        kernel = GeneralKernel(moduli)
-        size = 1500
-        values = rng.integers(0, 29400, size=size)
-        rts = [values % m + rng.uniform(-30, 30, size=size) for m in moduli]
-        folds, est, consistent = kernel.solve(rts)
-        for i in range(0, size, 13):
-            sol = general_robust_crt(moduli, [float(rt[i]) for rt in rts])
-            assert sol.consistent == consistent[i]
-            assert sol.folds == tuple(int(f[i]) for f in folds)
-            assert sol.estimate == est[i]
+        # the canonical moduli, then coprime cofactors (no test can fail) and
+        # shared factors at tau = gcd / 2, where some draws leave the guarantee
+        cases = [((120, 300, 210, 490), 30.0)] + [
+            (ms, math.gcd(*ms) / 2)
+            for ms in ((6, 10, 14), (30, 42, 70), (12, 18), (9, 15, 25, 49), (8, 20, 50, 125),
+                       (6, 8, 20))]
+        for moduli, tau in cases:
+            kernel = GeneralKernel(moduli)
+            size = 1500
+            values = rng.integers(0, math.lcm(*moduli), size=size)
+            rts = [values % m + rng.uniform(-tau, tau, size=size) for m in moduli]
+            folds, est, consistent = kernel.solve(rts)
+            for i in range(0, size, 13):
+                sol = general_robust_crt(moduli, [float(rt[i]) for rt in rts])
+                assert sol.consistent == consistent[i]
+                assert sol.folds == tuple(int(f[i]) for f in folds)
+                assert sol.estimate == est[i]
 
     def test_group_kernel(self, rng):
         from robustrns.multi_mod import ModuliGroup, single_stage_robust_crt
