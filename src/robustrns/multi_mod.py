@@ -54,24 +54,50 @@ class ModuliGroup:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _group_steps(cofactors: tuple[int, ...]) -> tuple[tuple[int, int, int, int] | None, ...]:
-    """Garner steps for the congruences ``h1 * g_1 = xi_k (mod g_k)``, k >= 2.
+def _general_steps(gammas: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Per-congruence data of ``n_1 * g_1 = xi_k (mod g_k)``, solved one by one.
 
-    Each step is ``(g_k, inv_g1, inv_q, q)``: ``q`` is the product of the
-    earlier cofactors, ``inv_g1``/``inv_q`` are the inverses of ``g_1``/``q``
-    modulo ``g_k``, and ``h1`` grows by ``q * ((xi_k * inv_g1 - h1) * inv_q
-    mod g_k)``.  A cofactor of 1 imposes nothing and has step None.
+    Each step is ``(g, qk, inv1, gq, step, inv_q, q)``: ``g = gcd(g_1, g_k)``
+    must divide ``xi_k``, leaving ``n_1 = a (mod qk)`` with ``qk = g_k / g`` and
+    ``a = (xi_k / g) * inv1``; ``q`` is the modulus ``n_1`` is known to before
+    the step, ``gq = gcd(q, qk)`` must divide ``a - n_1``, and ``n_1`` then
+    grows by ``q * t`` with ``t = ((a - n_1) / gq) * inv_q mod step``.
     """
-    g1 = cofactors[0]
+    g1 = gammas[0]
     steps = []
     q = 1
-    for gk in cofactors[1:]:
-        if gk == 1:
-            steps.append(None)
+    for gk in gammas[1:]:
+        g = math.gcd(g1, gk)
+        qk = gk // g
+        if qk == 1:
+            steps.append((g, 1, 0, 1, 1, 0, q))
             continue
-        steps.append((gk, mod_inverse(g1, gk), mod_inverse(q, gk), q))
-        q *= gk
+        gq = math.gcd(q, qk)
+        step = qk // gq
+        inv1 = mod_inverse((g1 // g) % qk, qk)
+        inv_q = mod_inverse((q // gq) % step, step) if step > 1 else 0
+        steps.append((g, qk, inv1, gq, step, inv_q, q))
+        q *= step
     return tuple(steps)
+
+
+def _garner_folds(xis, gammas) -> tuple[int, ...] | None:
+    """Folds solving ``n_1 * g_1 = xi_k (mod g_k)`` and ``n_1 * g_1 - n_k * g_k
+    = xi_k``, step by step through ``_general_steps(gammas)``; None when a
+    divisibility test fails, which cannot happen on pairwise-coprime cofactors."""
+    n1 = 0
+    for xi, (g, qk, inv1, gq, step, inv_q, q) in zip(xis, _general_steps(gammas)):
+        if xi % g:
+            return None
+        if qk > 1:
+            diff = (xi // g) * inv1 % qk - n1
+            if diff % gq:
+                return None
+            if step > 1:
+                n1 += q * ((diff // gq) * inv_q % step)
+    g1 = gammas[0]
+    # exact divisions: n1 * g1 == xi (mod g_k) by construction
+    return (n1, *((n1 * g1 - xi) // gk for xi, gk in zip(xis, gammas[1:])))
 
 
 def _xis(remainders, m, scaled) -> list[int]:
@@ -115,15 +141,7 @@ def _group_stage(group: ModuliGroup, rs: tuple, with_mean: bool = True):
     scaled = common_denominator(rs)
     # xi_k estimates (r_k - r_1) / m = h_1 * g_1 - h_k * g_k, exactly under the
     # window condition; h_1 then follows from the coprime congruences.
-    xis = _xis(rs, group.gcd, scaled)
-    h1 = 0
-    for xi, step in zip(xis, _group_steps(group.cofactors)):
-        if step is not None:
-            gk, inv_g1, inv_q, q = step
-            h1 += q * ((xi * inv_g1 - h1) * inv_q % gk)
-    g1 = group.cofactors[0]
-    # exact divisions: h1 * g1 == xi (mod g_k) by construction
-    folds = (h1, *((h1 * g1 - xi) // gk for xi, gk in zip(xis, group.cofactors[1:])))
+    folds = _garner_folds(_xis(rs, group.gcd, scaled), group.cofactors)
     estimate, mean = _average([(folds, group.moduli, rs)], scaled, with_mean)
     return folds, estimate, mean
 
@@ -136,34 +154,6 @@ class GeneralCrtSolution:
     estimate: int
     mean: Fraction | float
     consistent: bool
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _general_steps(gammas: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Per-congruence data of ``n_1 * g_1 = xi_k (mod g_k)``, solved one by one.
-
-    Each step is ``(g, qk, inv1, gq, step, inv_q, q)``: ``g = gcd(g_1, g_k)``
-    must divide ``xi_k``, leaving ``n_1 = a (mod qk)`` with ``qk = g_k / g`` and
-    ``a = (xi_k / g) * inv1``; ``q`` is the modulus ``n_1`` is known to before
-    the step, ``gq = gcd(q, qk)`` must divide ``a - n_1``, and ``n_1`` then
-    grows by ``q * t`` with ``t = ((a - n_1) / gq) * inv_q mod step``.
-    """
-    g1 = gammas[0]
-    steps = []
-    q = 1
-    for gk in gammas[1:]:
-        g = math.gcd(g1, gk)
-        qk = gk // g
-        if qk == 1:
-            steps.append((g, 1, 0, 1, 1, 0, q))
-            continue
-        gq = math.gcd(q, qk)
-        step = qk // gq
-        inv1 = mod_inverse((g1 // g) % qk, qk)
-        inv_q = mod_inverse((q // gq) % step, step) if step > 1 else 0
-        steps.append((g, qk, inv1, gq, step, inv_q, q))
-        q *= step
-    return tuple(steps)
 
 
 def general_robust_crt(moduli, remainders) -> GeneralCrtSolution:
@@ -182,24 +172,9 @@ def general_robust_crt(moduli, remainders) -> GeneralCrtSolution:
     m = math.gcd(*ms)
     gammas = tuple(mi // m for mi in ms)
     scaled = common_denominator(rs)
-    xis = _xis(rs, m, scaled)
-    n1 = 0
-    consistent = True
-    for xi, (g, qk, inv1, gq, step, inv_q, q) in zip(xis, _general_steps(gammas)):
-        if xi % g:
-            consistent = False
-            break
-        if qk > 1:
-            diff = (xi // g) * inv1 % qk - n1
-            if diff % gq:
-                consistent = False
-                break
-            if step > 1:
-                n1 += q * ((diff // gq) * inv_q % step)
-    if consistent:
-        g1 = gammas[0]
-        folds = (n1, *((n1 * g1 - xi) // gk for xi, gk in zip(xis, gammas[1:])))
-    else:
+    folds = _garner_folds(_xis(rs, m, scaled), gammas)
+    consistent = folds is not None
+    if not consistent:
         folds = (0,) * len(ms)
     estimate, mean = _average([(folds, ms, rs)], scaled)
     return GeneralCrtSolution(folds, estimate, mean, consistent)

@@ -155,7 +155,11 @@ def range_falsifier_basic(system: TwoModSystem) -> AdversarialInstance:
     return AdversarialInstance(n_value, dr1, Fraction(0))
 
 
-def _nearest(sorted_elems: tuple[int, ...], target) -> int:
+def _nearest(sorted_elems, target) -> int:
+    """Element nearest ``target``, ties to the smaller one; in a full ladder
+    ``range(gamma)``, whose ``len`` overflows past 2^63, ``target`` rounded."""
+    if isinstance(sorted_elems, range):
+        return min(max(math.ceil(target - Fraction(1, 2)), 0), sorted_elems[-1])
     i = bisect.bisect_left(sorted_elems, target)
     lo = sorted_elems[max(i - 1, 0)]
     hi = sorted_elems[min(i, len(sorted_elems) - 1)]

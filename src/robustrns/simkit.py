@@ -14,7 +14,10 @@ are left out of range by default (the fraction is reported);
 The ladder-window kernel reads ranks from per-ladder tables instead of
 binary-searching (``_RankTable``): buckets no wider than the ladder's smallest
 gap hold at most one rung each, so the first rung above a target is a floor
-and two gathers, and each rung's fold is gathered from a table too.
+and two gathers, and each rung's fold is gathered from a table too; the
+nearest-rung fallback is searched only where a window is empty.  The group
+and general kernels share one Garner step loop that takes int64 remainders by
+floor division (``_mod``), not by ``%``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multi_mod import CascadeSpec, _general_steps, _group_steps
+from .multi_mod import CascadeSpec, _general_steps
 from .two_mod import TwoModSystem, level_context, sigma_chain
 
 CHUNK = 1 << 16
@@ -146,9 +149,13 @@ class _RankTable:
         i = self.first_above(target - half, strict=left_open)
         cand = self.padded[i]
         ok = cand <= target + half if left_open else cand < target + half
-        k = self.first_above(target, strict=False)
-        k -= target - self.padded[k - 1] <= self.padded[k] - target
-        return self.folds[np.where(ok, i, k)]
+        miss = np.flatnonzero(~ok)
+        if miss.size:
+            t = target[miss]
+            k = self.first_above(t, strict=False)
+            k -= t - self.padded[k - 1] <= self.padded[k] - t
+            i[miss] = k
+        return self.folds[i]
 
 
 class LevelKernel:
@@ -168,7 +175,8 @@ class LevelKernel:
         self.robustness_bound = float(ctx.robustness_bound)
 
     def solve(self, r1t: np.ndarray, r2t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        q = (r1t - r2t) / self.m
+        q = r1t - r2t
+        q /= self.m
         n1 = np.zeros(q.shape, dtype=np.int64)
         n2 = np.zeros(q.shape, dtype=np.int64)
         # index arrays: gathering by index is several times cheaper than by mask
@@ -228,33 +236,71 @@ class BasicKernel:
         return np.floor(mean + 0.5)
 
 
-class GroupKernel:
-    """Vectorized within-group solver (pairwise-coprime cofactors)."""
+def _mod(a: np.ndarray, d: int) -> np.ndarray:
+    """``a % d`` for int64 ``a`` and ``d > 0``: numpy's ``//`` by a scalar
+    multiplies, its ``%`` divides.  Exact even where ``(a // d) * d`` wraps."""
+    q = a // d
+    q *= d
+    return np.subtract(a, q, out=q)
 
-    def __init__(self, group):
-        self.group = group
-        self.m = float(group.gcd)
-        self.moduli = [float(mk) for mk in group.moduli]
-        self.g1 = group.cofactors[0]
-        self.steps = _group_steps(group.cofactors)
 
-    def solve(self, rts: list[np.ndarray]):
-        xis = [np.floor((rts[k] - rts[0]) / self.m + 0.5).astype(np.int64)
-               for k in range(1, len(rts))]
-        h1 = np.zeros(rts[0].shape, dtype=np.int64)
-        for xi, step in zip(xis, self.steps):
-            if step is None:
-                continue
-            gk, inv_g1, inv_q, q = step
-            a = (xi * inv_g1) % gk
-            t = ((a - h1) * inv_q) % gk
-            h1 = h1 + q * t
-        folds = [h1]
-        for xi, gk in zip(xis, self.group.cofactors[1:]):
-            folds.append((h1 * self.g1 - xi) // gk)
-        total = sum(f * mk + rt for f, mk, rt in zip(folds, self.moduli, rts))
-        estimate = np.floor(total / len(rts) + 0.5)
-        return folds, estimate
+def _garner_folds(rts: list[np.ndarray], m: float, gammas: tuple[int, ...], steps):
+    """``multi_mod._garner_folds`` elementwise, over the moduli ``m * gammas``
+    with ``steps = _general_steps(gammas)``: the folds, and flags that are
+    cleared where a divisibility test fails (never on coprime cofactors).
+    Each step updates its arrays in place, so a chunk allocates few of them."""
+    xis = []
+    for rt in rts[1:]:
+        x = rt - rts[0]
+        x /= m
+        x += 0.5
+        xis.append(np.floor(x, out=x).astype(np.int64))
+    n1 = None  # zero until the first step sets it
+    consistent = np.ones(rts[0].shape, dtype=bool)
+    for xi, (g, qk, inv1, gq, step, inv_q, q) in zip(xis, steps):
+        if g > 1:
+            reduced = xi // g
+            consistent &= reduced * g == xi
+            xi = reduced
+        if qk == 1:
+            continue
+        diff = _mod(xi * inv1, qk)
+        if n1 is None:  # the first step has q = 1, gq = 1 and inv_q = 1
+            n1 = diff
+            continue
+        diff -= n1
+        if gq > 1:
+            reduced = diff // gq
+            consistent &= reduced * gq == diff
+            diff = reduced
+        if step > 1:
+            t = _mod(diff * inv_q, step)
+            t *= q
+            n1 += t
+    if n1 is None:
+        n1 = np.zeros(rts[0].shape, dtype=np.int64)
+    folds = [n1]
+    for xi, gk in zip(xis, gammas[1:]):
+        f = n1 * gammas[0]
+        f -= xi
+        f //= gk
+        folds.append(f)
+    return folds, consistent
+
+
+def _estimate(*groups) -> np.ndarray:
+    """Rounded mean of ``f * m_k + r_k`` over every ``(folds, moduli, rts)``
+    group; each group is summed in place, in the order ``sum`` would take."""
+    total = None
+    for folds, moduli, rts in groups:
+        part = folds[0] * float(moduli[0])
+        part += rts[0]
+        for f, mk, rt in zip(folds[1:], moduli[1:], rts[1:]):
+            term = f * float(mk)
+            term += rt
+            part += term
+        total = part if total is None else np.add(total, part, out=total)
+    return np.floor(total / sum(len(rts) for *_, rts in groups) + 0.5)
 
 
 class GeneralKernel:
@@ -262,40 +308,29 @@ class GeneralKernel:
 
     def __init__(self, moduli):
         ms = tuple(moduli)
-        self.moduli = [float(mk) for mk in ms]
+        self.moduli = ms
         m = math.gcd(*ms)
         self.m = float(m)
-        gammas = tuple(mk // m for mk in ms)
-        self.gammas = gammas
-        self.g1 = gammas[0]
-        self.steps = _general_steps(gammas)
-        # a divisibility test by g = 1 (or gq = 1) always passes: skip it
-        self.can_fail = any(g > 1 or gq > 1 for g, _, _, gq, *_ in self.steps)
+        self.gammas = tuple(mk // m for mk in ms)
+        self.steps = _general_steps(self.gammas)
 
     def solve(self, rts: list[np.ndarray]):
-        xis = [np.floor((rts[k] - rts[0]) / self.m + 0.5).astype(np.int64)
-               for k in range(1, len(rts))]
-        shape = rts[0].shape
-        n1 = np.zeros(shape, dtype=np.int64)
-        consistent = np.ones(shape, dtype=bool)
-        for xi, (g, qk, inv1, gq, step, inv_q, q) in zip(xis, self.steps):
-            if g > 1:
-                consistent &= (xi % g) == 0
-                xi = xi // g
-            if qk == 1:
-                continue
-            diff = (xi * inv1) % qk - n1
-            if gq > 1:
-                consistent &= (diff % gq) == 0
-                diff = diff // gq
-            if step > 1:
-                n1 = n1 + q * ((diff * inv_q) % step)
-        folds = [n1, *((n1 * self.g1 - xi) // gk for xi, gk in zip(xis, self.gammas[1:]))]
-        if self.can_fail:
-            folds = [np.where(consistent, f, 0) for f in folds]
-        total = sum(f * mk + rt for f, mk, rt in zip(folds, self.moduli, rts))
-        estimate = np.floor(total / len(rts) + 0.5)
-        return folds, estimate, consistent
+        folds, consistent = _garner_folds(rts, self.m, self.gammas, self.steps)
+        for f in folds:
+            f *= consistent
+        return folds, _estimate((folds, self.moduli, rts)), consistent
+
+
+class GroupKernel(GeneralKernel):
+    """Vectorized within-group solver (pairwise-coprime cofactors)."""
+
+    def __init__(self, group):
+        super().__init__(group.moduli)
+        self.group = group
+
+    def solve(self, rts: list[np.ndarray]):
+        folds, _ = _garner_folds(rts, self.m, self.gammas, self.steps)
+        return folds, _estimate((folds, self.moduli, rts))
 
 
 class CascadeKernel:
@@ -326,11 +361,8 @@ class CascadeKernel:
                   for mk, h in zip(self.spec.group1.moduli, f1)]
         folds2 = [l2 * (self.spec.group2.eta // mk) + h
                   for mk, h in zip(self.spec.group2.moduli, f2)]
-        total = sum(f * float(mk) + rt
-                    for f, mk, rt in zip(folds1, self.spec.group1.moduli, rts1))
-        total += sum(f * float(mk) + rt
-                     for f, mk, rt in zip(folds2, self.spec.group2.moduli, rts2))
-        estimate = np.floor(total / (len(rts1) + len(rts2)) + 0.5)
+        estimate = _estimate((folds1, self.spec.group1.moduli, rts1),
+                             (folds2, self.spec.group2.moduli, rts2))
         return folds1, folds2, estimate
 
 
@@ -344,7 +376,8 @@ class _Accumulator:
         self.clamped = 0
 
     def add(self, values, estimates, failures, clamped):
-        err = np.abs(estimates - values)
+        err = estimates - values
+        np.abs(err, out=err)
         self.trials += values.size
         self.abs_sum += float(err.sum())
         pos = values >= 1
@@ -439,7 +472,7 @@ def _trial_rows(moduli, estimators, series: int, points, trials: int, seed: int,
                         else np.full(size, fixed, dtype=np.int64))
                 values = ints.astype(np.float64)
                 true_folds = [ints // mk for mk in imoduli]
-                exact = [(ints % mk).astype(np.float64) for mk in imoduli]
+                exact = [(ints - f * mk).astype(np.float64) for f, mk in zip(true_folds, imoduli)]
             elif fixed is None:
                 values = rng.uniform(0.0, float(value_range), size=size)
                 floors = [np.floor(values / mk) for mk in fmoduli]
@@ -452,7 +485,8 @@ def _trial_rows(moduli, estimators, series: int, points, trials: int, seed: int,
             rts = []
             out_of_range = np.zeros(size, dtype=bool)
             for r, mk in zip(exact, fmoduli):
-                rt = r + _sample_errors(rng, tau, size, error_mode)
+                rt = _sample_errors(rng, tau, size, error_mode)
+                rt += r
                 out_of_range |= (rt < 0.0) | (rt >= mk)
                 if range_mode == "clamp":
                     rt = np.clip(rt, 0.0, np.nextafter(mk, 0.0))

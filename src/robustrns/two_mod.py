@@ -289,7 +289,7 @@ class LevelContext:
     ``s1``/``s2`` are the sorted ladders.  At the full-lcm level ``k + 1`` a
     ladder's depth is ``gamma - 1``, so it holds every residue and is
     ``range(gamma)``, built in O(1); every other level holds a sorted tuple.
-    Consumers only index, slice, bisect and take ``len``.
+    The scalar solvers index a ladder and rank in it, never take its ``len``.
     """
 
     system: TwoModSystem
@@ -400,44 +400,50 @@ def solve_basic(system: TwoModSystem, obs: RemainderObservation) -> FoldingSolut
     return _solution(system, n1, n2, obs, exact)
 
 
+def _neighbours(ladder: Sequence[int], edge: int) -> tuple[int, int]:
+    """The last rung below the integer ``edge`` and the first at or above it,
+    each clipped to the ladder's ends; on a ``range``, whose ``len`` overflows
+    past 2^63 rungs, by arithmetic instead of ``bisect``."""
+    if ladder[-1] < edge:
+        return ladder[-1], ladder[-1]
+    i = max(edge, 0) if type(ladder) is range else bisect.bisect_left(ladder, edge)
+    return ladder[max(i - 1, 0)], ladder[i]
+
+
 def _window_pick(elements: Sequence[int], target: float, half: float, left_open: bool) -> int:
     """Unique ladder element in the half-open window around ``target``.
 
     Falls back to the nearest element (ties to the smaller one) when the
     window is empty; at most one element can ever sit inside the window
-    because the ladder's minimum gap is at least ``2 * half``.
+    because the ladder's minimum gap is at least ``2 * half``.  The window
+    is taken as the integers in ``[start, stop)``.
     """
     if left_open:  # want x with target - half < x <= target + half
-        i = bisect.bisect_right(elements, target - half)
-        if i < len(elements) and elements[i] <= target + half:
-            return elements[i]
+        start, stop = math.floor(target - half) + 1, math.floor(target + half) + 1
     else:  # want x with target - half <= x < target + half
-        i = bisect.bisect_left(elements, target - half)
-        if i < len(elements) and elements[i] < target + half:
-            return elements[i]
-    i = bisect.bisect_left(elements, target)
-    lo = elements[max(i - 1, 0)]
-    hi = elements[min(i, len(elements) - 1)]
+        start, stop = math.ceil(target - half), math.ceil(target + half)
+    if elements[-1] >= start:
+        x = elements[max(start, 0) if type(elements) is range else bisect.bisect_left(elements, start)]
+        if x < stop:
+            return x
+    lo, hi = _neighbours(elements, math.ceil(target))
     return lo if target - lo <= hi - target else hi
 
 
 def _window_pick_exact(elements: Sequence[int], num: int, scale: int, sigma: int, left_open: bool) -> int:
     """``_window_pick`` at ``target = num / scale`` and ``half = sigma / 2``
-    (``scale > 0``) in integer arithmetic: the ladder holds integers, so each
-    rational window edge is replaced by its floor (for ``x > y`` and ``x <= y``)
-    or its ceiling (for ``x >= y`` and ``x < y``)."""
+    (``scale > 0``) in integer arithmetic: the rational window edges become
+    integer ones by floor division."""
     lo2, hi2, den2 = 2 * num - sigma * scale, 2 * num + sigma * scale, 2 * scale
     if left_open:
-        i = bisect.bisect_right(elements, lo2 // den2)
-        if i < len(elements) and elements[i] <= hi2 // den2:
-            return elements[i]
+        start, stop = lo2 // den2 + 1, hi2 // den2 + 1
     else:
-        i = bisect.bisect_left(elements, -(-lo2 // den2))
-        if i < len(elements) and elements[i] < -(-hi2 // den2):
-            return elements[i]
-    i = bisect.bisect_left(elements, -(-num // scale))
-    lo = elements[max(i - 1, 0)]
-    hi = elements[min(i, len(elements) - 1)]
+        start, stop = -(-lo2 // den2), -(-hi2 // den2)
+    if elements[-1] >= start:
+        x = elements[max(start, 0) if type(elements) is range else bisect.bisect_left(elements, start)]
+        if x < stop:
+            return x
+    lo, hi = _neighbours(elements, -(-num // scale))
     return lo if 2 * num <= (lo + hi) * scale else hi
 
 

@@ -2,25 +2,31 @@
 
 At the full-lcm level a ladder's depth is ``gamma - 1``, so it holds every
 residue and ``level_context`` keeps it as ``range(gamma)``; every other level
-keeps a sorted tuple.  Either way the ladder must equal the sorted definition.
+keeps a sorted tuple.  Either way the ladder must equal the sorted definition,
+and solving with it must give what solving with the same ladder as a tuple
+gives.
 """
 
 import copy
 import dataclasses
 import math
 import pickle
+from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
 
 import fraction_reference as ref
+from robustrns.oracle import _nearest, falsifier_report
 from robustrns.two_mod import (
     RemainderObservation,
     TwoModSystem,
     _depth_tables,
+    _neighbours,
     _sigma_values,
     level_context,
     sigma_chain,
     solve_level,
+    solve_with_context,
     true_folds,
 )
 
@@ -44,15 +50,16 @@ def test_ladders_equal_their_definition_at_every_level(system):
             assert isinstance(ladder, range) == (depth == mod - 1)
 
 
-# Cofactors just past 2^60: the sorted-tuple ladders of the top level would
-# hold 2^61 ints; as ranges the context builds at once.
+# Cofactors just past 2^60 and past 2^64: the sorted-tuple ladders of the top
+# level would hold 2^61 and 2^65 ints; as ranges the context builds at once,
+# and the solvers rank within them by arithmetic, never by ``len``.
 HUGE = TwoModSystem(2**20, 2**60 + 1, 2**60 + 3)
+PAST_2_64 = TwoModSystem(1024, 2**64 + 1, 2**64 + 3)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_top_level_near_2_60_recovers_the_folds(data):
-    system = HUGE
+def solve_top_level_draw(system, data):
+    """Solve an in-guarantee observation of a value drawn below the lcm at the
+    top level; the folds must be ``value // m_i``."""
     top = sigma_chain(system).levels
     ctx = level_context(system, top)
     assert ctx.s1 == range(system.gamma2) and ctx.s2 == range(system.gamma1)
@@ -62,9 +69,55 @@ def test_top_level_near_2_60_recovers_the_folds(data):
     d1, d2 = data.draw(st.integers(-err, err)), data.draw(st.integers(-err, err))
     obs = RemainderObservation(value % system.m1 + d1, value % system.m2 + d2)
     sol = solve_level(system, obs, top)
-    assert (sol.n1, sol.n2) == true_folds(system, value)
+    assert (sol.n1, sol.n2) == true_folds(system, value) == (value // system.m1, value // system.m2)
     assert abs(sol.estimate - value) <= max(abs(d1), abs(d2))
+    return ctx, obs, sol
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_top_level_near_2_60_recovers_the_folds(data):
+    ctx, obs, sol = solve_top_level_draw(HUGE, data)
     assert sol == ref.solve_with_context(ctx, obs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_top_level_past_2_64_recovers_the_folds(data):
+    # the Fraction reference bisects the range, which overflows past 2^63 rungs
+    solve_top_level_draw(PAST_2_64, data)
+
+
+def test_remainders_5_900_past_2_64_and_the_falsifier():
+    sol = solve_level(PAST_2_64, RemainderObservation(5, 900), 2)
+    assert (sol.n1, sol.n2) == (2**63 + 1, 2**63)
+    assert falsifier_report(PAST_2_64, 2).agrees
+
+
+@settings(max_examples=60, deadline=None)
+@given(coprime_systems(gamma_max=10**4), st.data())
+def test_range_ranks_match_tuple_ladders(system, data):
+    """Integer, rational and float observations at the top level, with the
+    ladders as ranges and as tuples; remainders run from ``-2 m_i`` to
+    ``3 m_i``, so windows hit, miss and clip at both ends."""
+    top = sigma_chain(system).levels
+    ctx = level_context(system, top)
+    as_tuples = dataclasses.replace(ctx, s1=tuple(ctx.s1), s2=tuple(ctx.s2))
+    m1, m2 = system.m1, system.m2
+    for _ in range(20):
+        r1 = data.draw(st.integers(-2 * m1, 3 * m1))
+        r2 = data.draw(st.integers(-2 * m2, 3 * m2))
+        frac = Fraction(data.draw(st.integers(-3, 3)), data.draw(st.sampled_from((2, 3, 4))))
+        for obs in (RemainderObservation(r1, r2),
+                    RemainderObservation(r1 + frac, Fraction(r2)),
+                    RemainderObservation(float(r1 + frac), float(r2))):
+            assert solve_with_context(ctx, obs) == solve_with_context(as_tuples, obs)
+    for ladder, rungs in ((ctx.s1, as_tuples.s1), (ctx.s2, as_tuples.s2)):
+        edges = (-3, ladder[-1] // 2, ladder[-1] - 1, ladder[-1] + 2)
+        for target in (Fraction(e * 4 + t, 4) for e in edges for t in range(-6, 7)):
+            assert _nearest(ladder, target) == _nearest(rungs, target)
+        for edge in range(-3, ladder[-1] + 4):
+            assert _neighbours(ladder, edge) == _neighbours(rungs, edge)
 
 
 def test_caches_stay_bounded():
