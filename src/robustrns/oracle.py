@@ -1,7 +1,9 @@
 """Independent brute-force references for the closed forms.
 
-Nothing here shares a code path with the solvers it validates: searches are
-plain scans, ladder depths are grown element by element, and the adversarial
+Nothing here shares a code path with the solvers it validates or with
+``simkit``: the fold search scans every candidate value, vectorized in numpy
+blocks and exact for int, rational and float remainders; the CRT scan is a
+plain loop; ladder depths are grown element by element; and the adversarial
 instances follow the tightness constructions directly.
 """
 
@@ -9,8 +11,11 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .crt_core import InconsistentRemainders
 from .two_mod import (
@@ -50,30 +55,63 @@ def crt_scan(remainders, moduli) -> int:
     raise InconsistentRemainders(f"no value in [0, {lcm}) matches remainders {rs}")
 
 
+# Candidates per block of the fold search: 2^16 int64 values are 512 KB.
+_SCAN_BLOCK = 1 << 16
+_INT64_SAFE = 1 << 62
+
+
 @dataclass(frozen=True)
 class FoldSearchResult:
     n1: int
     n2: int
     value: int
-    deviation: float
+    deviation: int | Fraction | float
 
 
 def exhaustive_fold_search(system: TwoModSystem, obs: RemainderObservation, search_bound: int) -> FoldSearchResult:
     """Scan every candidate value below the bound for the best remainder fit.
 
     Minimizes ``max(|r1~ - r1|, |r2~ - r2|)``; ties go to the smallest value.
+    The candidates are scanned in numpy blocks of at most ``_SCAN_BLOCK``
+    values, each block keeping its first minimum and the scan replacing its
+    best only on a strictly smaller deviation.  Int and rational remainders
+    are scaled to integers over one common denominator, and the scan compares
+    ``|a_i - den * (n % m_i)|`` exactly: in int64 while every magnitude stays
+    below 2^62, in Python integers (``dtype=object``) beyond.  Two float
+    remainders are compared in float64, the IEEE arithmetic of the scalar
+    expression; any other mix runs that expression on Python objects.  The
+    reported deviation is the scalar expression at the chosen value, so its
+    type follows the remainders.
     """
     if system.is_real:
         raise ValueError("exhaustive_fold_search: integer systems only")
+    if search_bound < 1:
+        raise ValueError(f"exhaustive_fold_search: search bound {search_bound} must be at least 1")
     if search_bound > system.lcm:
         raise ValueError("exhaustive_fold_search: bound exceeds the lcm")
-    best_n, best_dev = 0, None
     m1, m2 = system.m1, system.m2
-    for n in range(search_bound):
-        dev = max(abs(obs.r1 - n % m1), abs(obs.r2 - n % m2))
-        if best_dev is None or dev < best_dev:
-            best_n, best_dev = n, dev
-    return FoldSearchResult(best_n // m1, best_n // m2, best_n, best_dev)
+    rs = (obs.r1, obs.r2)
+    if all(isinstance(r, numbers.Rational) for r in rs):
+        exact = [Fraction(r) for r in rs]
+        den = math.lcm(*(f.denominator for f in exact))
+        a1, a2 = (f.numerator * (den // f.denominator) for f in exact)
+        fits = max(abs(a1), abs(a2), search_bound) + den * m2 < _INT64_SAFE
+    else:
+        (a1, a2), den = rs, 1
+        fits = all(isinstance(r, float) for r in rs) and search_bound + m2 < _INT64_SAFE
+    dtype = np.int64 if fits else object
+    best_n, best_dev = 0, None
+    for start in range(0, search_bound, _SCAN_BLOCK):
+        n = np.arange(start, min(start + _SCAN_BLOCK, search_bound), dtype=dtype)
+        d1 = abs(a1 - den * (n % m1))
+        d2 = abs(a2 - den * (n % m2))
+        with np.errstate(invalid="ignore"):  # a NaN compares false, as in Python
+            dev = np.where(d2 > d1, d2, d1)  # max(d1, d2) as Python takes it
+        i = int(np.argmin(dev))
+        if best_dev is None or dev[i] < best_dev:
+            best_n, best_dev = start + i, dev[i]
+    deviation = max(abs(obs.r1 - best_n % m1), abs(obs.r2 - best_n % m2))
+    return FoldSearchResult(best_n // m1, best_n // m2, best_n, deviation)
 
 
 def ladder_depths_definitional(system: TwoModSystem, j: int) -> tuple[int, int]:

@@ -137,6 +137,15 @@ class TestReconstruct:
         assert code == EXIT_ORACLE
         assert json.loads(out)["oracle"]["agrees"] is False
 
+    def test_oracle_bound_must_be_positive(self, capsys):
+        for bound in ("0", "-3"):
+            code, out, err = run_cli(capsys, "reconstruct", "--moduli", "234,377",
+                                     "--remainders", "69,240", "--level", "3",
+                                     "--oracle", "--oracle-bound", bound)
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert f"search bound {bound} must be at least 1" in err
+
     def test_cascade(self, capsys):
         value = 13000
         rems = ",".join(str(value % m) for m in (120, 300, 210, 490))

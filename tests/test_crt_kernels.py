@@ -83,9 +83,10 @@ def test_examples_reach_the_divisibility_tests():
 
 
 @SETTINGS
-@given(st.integers(2, 399), st.integers(3, 400), st.booleans(), st.data())
-def test_rank_fold_matches_reference(g1, g2, integer_m, data):
-    assume(g1 < g2 and math.gcd(g1, g2) == 1)
+@given(st.integers(2, 399), st.booleans(), st.data())
+def test_rank_fold_matches_reference(g1, integer_m, data):
+    # drawn among the coprime partners, never filtered: g1 + 1 always is one
+    g2 = data.draw(st.sampled_from([g for g in range(g1 + 1, 401) if math.gcd(g1, g) == 1]))
     system = (TwoModSystem(data.draw(st.integers(1, 60)), g1, g2) if integer_m
               else TwoModSystem.real(data.draw(st.floats(0.01, 50.0)), g1, g2))
     level = data.draw(st.integers(1, sigma_chain(system).levels))

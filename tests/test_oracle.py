@@ -1,7 +1,12 @@
+import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from oracle_reference import exhaustive_fold_search as reference_fold_search
+from robustrns import oracle
 from robustrns.crt_core import InconsistentRemainders
 from robustrns.oracle import (
     crt_scan,
@@ -60,6 +65,134 @@ class TestFoldSearch:
         s = TwoModSystem.from_moduli(24, 38)
         with pytest.raises(ValueError):
             exhaustive_fold_search(s, RemainderObservation(0, 0), 457)
+
+    @pytest.mark.parametrize("bound", [0, -1, -457])
+    def test_empty_bound_refuses(self, bound):
+        s = TwoModSystem.from_moduli(24, 38)
+        with pytest.raises(ValueError, match="must be at least 1"):
+            exhaustive_fold_search(s, RemainderObservation(0, 0), bound)
+
+
+def assert_same_search(system, obs, bound):
+    got = exhaustive_fold_search(system, obs, bound)
+    want = reference_fold_search(system, obs, bound)
+    assert (got.n1, got.n2, got.value) == (want.n1, want.n2, want.value)
+    assert type(got.deviation) is type(want.deviation)
+    # repr matches NaN with NaN and tells -0.0 from 0.0, which == does not
+    assert repr(got.deviation) == repr(want.deviation)
+
+
+@st.composite
+def fold_searches(draw):
+    """A small system, one observation and a bound up to the lcm.
+
+    Each remainder is an int, a Fraction, an arbitrary float or a
+    half-integer float (which makes deviation ties), anywhere in
+    [-2 m_i, 3 m_i].
+    """
+    g1 = draw(st.integers(2, 29))
+    g2 = draw(st.sampled_from([g for g in range(g1 + 1, 31) if math.gcd(g1, g) == 1]))
+    system = TwoModSystem(draw(st.integers(1, 8)), g1, g2)
+
+    def remainder(mi):
+        lo, hi = -2 * mi, 3 * mi
+        return draw(st.one_of(
+            st.integers(lo, hi),
+            st.integers(1, 12).flatmap(
+                lambda d: st.integers(lo * d, hi * d).map(lambda a: Fraction(a, d))),
+            st.floats(lo, hi),
+            st.integers(2 * lo, 2 * hi).map(lambda k: k / 2),
+        ))
+
+    obs = RemainderObservation(remainder(system.m1), remainder(system.m2))
+    return system, obs, draw(st.integers(1, system.lcm))
+
+
+class TestFoldSearchMatchesReference:
+    """The numpy block scan against the plain loop in ``oracle_reference``."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(fold_searches(), st.sampled_from([3, 64, 1 << 16]))
+    @example((TwoModSystem(3, 7, 10), RemainderObservation(-5, 47.5), 210), 3)
+    @example((TwoModSystem(3, 7, 10), RemainderObservation(Fraction(7, 2), 0.5), 210), 3)
+    @example((TwoModSystem(1, 2, 3), RemainderObservation(Fraction(-1, 3), 9), 6), 64)
+    def test_property(self, search, block):
+        # small blocks put many block edges inside lcms that stay cheap to loop over
+        with mock.patch.object(oracle, "_SCAN_BLOCK", block):
+            assert_same_search(*search)
+
+    @pytest.mark.parametrize("r1, r2", [
+        (math.nan, 3), (3, math.nan), (math.inf, 3), (3, -math.inf),
+        (math.nan, math.nan), (-0.0, 0.0),
+    ])
+    def test_non_finite_floats(self, r1, r2):
+        assert_same_search(TwoModSystem.from_moduli(234, 377), RemainderObservation(r1, r2), 1170)
+
+
+BLOCK = 1 << 16
+# m = 2: every pair (n % 628, n % 630) has equal parities, so half-integer
+# remainders at (k1 + 1/2, k2 + 1/2) leave exactly two values at deviation
+# 1/2, the neighbours n and n + 1 -- a tie no other value can undercut.
+EDGE_SYSTEM = TwoModSystem(2, 314, 315)  # lcm 197,820 > 3 * 2^16 + 5
+
+
+def observe(system, value, d1, d2):
+    return RemainderObservation(value % system.m1 + d1, value % system.m2 + d2)
+
+
+class TestFoldSearchBlockEdges:
+    @pytest.mark.parametrize("bound, value", [
+        (BLOCK - 1, BLOCK - 2),          # last candidate of a partial first block
+        (BLOCK + 1, BLOCK),              # sole candidate of the second block
+        (3 * BLOCK + 5, 2 * BLOCK),      # first candidate of the third block
+        (3 * BLOCK + 5, 2 * BLOCK + 1),  # just after a block boundary
+        (3 * BLOCK + 5, 3 * BLOCK + 4),  # last candidate of the scan
+    ])
+    # every error below 1/2 leaves the value the only one within that deviation
+    @pytest.mark.parametrize("d1, d2", [(0, 0), (0.25, -0.375), (Fraction(1, 3), Fraction(-2, 5))])
+    def test_minimum_near_block_edge(self, bound, value, d1, d2):
+        obs = observe(EDGE_SYSTEM, value, d1, d2)
+        found = exhaustive_fold_search(EDGE_SYSTEM, obs, bound)
+        want = max(abs(d1), abs(d2))
+        assert (found.value, found.deviation) == (value, want)
+        assert type(found.deviation) is type(want)
+        if not isinstance(d1, Fraction):  # the Fraction loop takes seconds at these bounds
+            assert_same_search(EDGE_SYSTEM, obs, bound)
+
+    @pytest.mark.parametrize("bound, first", [(BLOCK + 1, BLOCK - 1), (3 * BLOCK + 5, 2 * BLOCK - 1)])
+    @pytest.mark.parametrize("half", [0.5, Fraction(1, 2)])
+    def test_tie_straddling_block_edge_keeps_smaller(self, bound, first, half):
+        obs = observe(EDGE_SYSTEM, first, half, half)
+        tied = observe(EDGE_SYSTEM, first + 1, -half, -half)
+        assert (tied.r1, tied.r2) == (obs.r1, obs.r2)  # the next value ties
+        found = exhaustive_fold_search(EDGE_SYSTEM, obs, bound)
+        assert (found.value, found.deviation) == (first, half)
+        assert type(found.deviation) is type(half)
+        if isinstance(half, float):
+            assert_same_search(EDGE_SYSTEM, obs, bound)
+
+
+class TestFoldSearchEdgeSizes:
+    """Small bounds at magnitudes past int64: these run on Python integers."""
+
+    @pytest.mark.parametrize("system, obs, bound", [
+        pytest.param(TwoModSystem(2**62 - 57, 2, 3),
+                     RemainderObservation(4321, Fraction(8642, 3)), 5000, id="m-near-2^62"),
+        pytest.param(TwoModSystem(1, 2**64 + 1, 2**64 + 3),
+                     RemainderObservation(3000, 2997), 5000, id="cofactors-past-2^64"),
+        pytest.param(TwoModSystem(1, 2**64 + 1, 2**64 + 3),
+                     RemainderObservation(2999.5, Fraction(8995, 3)), 5000,
+                     id="cofactors-past-2^64-float-and-fraction"),
+        pytest.param(TwoModSystem(2**62 - 57, 2, 3),
+                     RemainderObservation(4321.25, -17.5), 5000, id="m-near-2^62-floats"),
+        pytest.param(TwoModSystem.from_moduli(234, 377),
+                     RemainderObservation(2**70 + 5, -(2**65)), 1170, id="remainders-past-int64"),
+        pytest.param(TwoModSystem.from_moduli(234, 377),
+                     RemainderObservation(Fraction(69 * 2**61 + 1, 2**61 + 1), 240), 1170,
+                     id="fraction-denominator-past-2^62"),
+    ])
+    def test_matches_reference(self, system, obs, bound):
+        assert_same_search(system, obs, bound)
 
 
 class TestDefinitionalDepths:
