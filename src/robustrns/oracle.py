@@ -77,11 +77,10 @@ def exhaustive_fold_search(system: TwoModSystem, obs: RemainderObservation, sear
     best only on a strictly smaller deviation.  Int and rational remainders
     are scaled to integers over one common denominator, and the scan compares
     ``|a_i - den * (n % m_i)|`` exactly: in int64 while every magnitude stays
-    below 2^62, in Python integers (``dtype=object``) beyond.  Two float
-    remainders are compared in float64, the IEEE arithmetic of the scalar
-    expression; any other mix runs that expression on Python objects.  The
-    reported deviation is the scalar expression at the chosen value, so its
-    type follows the remainders.
+    below 2^62, in Python integers (``dtype=object``) beyond.  Any other
+    remainder (a float, or any non-rational real) runs the scalar expression
+    itself on Python objects.  The reported deviation is that expression at
+    the chosen value, so its type follows the remainders.
     """
     if system.is_real:
         raise ValueError("exhaustive_fold_search: integer systems only")
@@ -97,8 +96,7 @@ def exhaustive_fold_search(system: TwoModSystem, obs: RemainderObservation, sear
         a1, a2 = (f.numerator * (den // f.denominator) for f in exact)
         fits = max(abs(a1), abs(a2), search_bound) + den * m2 < _INT64_SAFE
     else:
-        (a1, a2), den = rs, 1
-        fits = all(isinstance(r, float) for r in rs) and search_bound + m2 < _INT64_SAFE
+        (a1, a2), den, fits = rs, 1, False
     dtype = np.int64 if fits else object
     best_n, best_dev = 0, None
     for start in range(0, search_bound, _SCAN_BLOCK):
