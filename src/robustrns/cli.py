@@ -71,6 +71,15 @@ def _json_scalar(x):
     return x
 
 
+def _json_mean(mean) -> float:
+    """A reconstruction's mean as the JSON float it is reported as; a mean past
+    the float range is refused instead of raising ``OverflowError``."""
+    try:
+        return float(mean)
+    except OverflowError:
+        raise UsageError(f"reconstruct: mean {mean} is past the float range") from None
+
+
 # ---------------------------------------------------------------- manifests
 
 def _write_manifest(out: Path, command: str, config: dict, seed) -> Path:
@@ -215,7 +224,7 @@ def cmd_reconstruct(args) -> int:
         "level": level,
         "n_hat": [sol.n1, sol.n2],
         "N_hat": _json_scalar(sol.estimate),
-        "mean": float(sol.mean),
+        "mean": _json_mean(sol.mean),
     }
     exit_code = EXIT_OK
     if args.oracle:
@@ -268,7 +277,7 @@ def _reconstruct_cascade(args) -> int:
         "n_hat": list(sol.foldings1) + list(sol.foldings2),
         "group_estimates": list(sol.group_estimates),
         "N_hat": sol.estimate,
-        "mean": float(sol.mean),
+        "mean": _json_mean(sol.mean),
         "dynamic_range": rng_,
         "tau_bound": _json_scalar(tau),
         "overlapping": spec.overlapping,

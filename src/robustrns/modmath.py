@@ -1,9 +1,10 @@
-"""Exact integer arithmetic primitives shared by the rest of the package."""
+"""Exact integer arithmetic primitives shared by the rest of the package, and
+the one-step build of the solver records whose exact mean is deferred."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from numbers import Rational
 
@@ -130,3 +131,49 @@ def common_denominator(values) -> tuple[tuple[int, ...], int] | None:
     ratios = [(int(v.numerator), int(v.denominator)) for v in values]
     den = math.lcm(*(d for _, d in ratios))
     return tuple(n * (den // d) for n, d in ratios), den
+
+
+class _ExactMean:
+    """The ``mean`` of a solver record, built from its exact ratio on first read.
+
+    A solver stores the integers ``(num, den)`` under ``_mean_ratio``; the
+    first read builds ``Fraction(num, den)`` and caches it in the instance
+    ``__dict__``.  As a non-data descriptor this is only consulted while that
+    entry is missing, so later reads, and a mean given to the constructor or
+    stored as a float, cost a plain attribute lookup.
+    """
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            return self
+        state = record.__dict__
+        return state.setdefault("mean", Fraction(*state["_mean_ratio"]))
+
+
+def _public_state(record) -> dict:
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
+def _set_state(record, state: dict) -> None:
+    object.__setattr__(record, "__dict__", dict(state))
+
+
+def _solver_record(cls):
+    """Class decorator for a frozen dataclass with a ``mean`` field that
+    ``_record`` may defer: installs ``_ExactMean`` and pickles (and copies)
+    exactly the public fields, with the mean resolved."""
+    cls.mean = _ExactMean()
+    cls.__getstate__ = _public_state
+    cls.__setstate__ = _set_state
+    return cls
+
+
+def _record(cls, values: dict, mean):
+    """A ``_solver_record`` instance holding ``values`` and ``mean``, built in
+    one step instead of one frozen ``__setattr__`` per field.  ``mean`` is a
+    float, kept as is, or the exact ratio ``(num, den)``, left unreduced until
+    something reads it."""
+    values["_mean_ratio" if type(mean) is tuple else "mean"] = mean
+    record = object.__new__(cls)
+    object.__setattr__(record, "__dict__", values)
+    return record

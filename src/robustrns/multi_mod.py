@@ -14,14 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .modmath import _CACHE_SIZE, common_denominator, mod_inverse, round_div, round_half_up
-from .two_mod import (
-    RemainderObservation,
-    TwoModSystem,
-    level_context,
-    sigma_chain,
-    solve_with_context,
-)
+from .modmath import (_CACHE_SIZE, _record, _solver_record, common_denominator, mod_inverse,
+                      round_div, round_half_up)
+from .two_mod import TwoModSystem, _exact_folds, level_context, sigma_chain
 
 
 @dataclass(frozen=True)
@@ -108,11 +103,11 @@ def _xis(remainders, m, scaled) -> list[int]:
     return [round_div(a - nums[0], m * den) for a in nums[1:]]
 
 
-def _average(groups, scaled, with_mean: bool = True):
+def _average(groups, scaled):
     """``(estimate, mean)`` of the reconstructions ``n_k * m_k + r_k`` over every
     ``(folds, moduli, remainders)`` group; ``scaled`` is the common-denominator
-    form of all the remainders, None for float arithmetic.  Without
-    ``with_mean`` an exact mean is not built and None stands in for it."""
+    form of all the remainders, None for float arithmetic.  An exact mean comes
+    as the unreduced ratio ``(num, den)``, a float one as the float."""
     count = sum(len(rs) for _, _, rs in groups)
     if scaled is None:
         mean = sum(sum(n * mk + r for n, mk, r in zip(*group)) for group in groups) / count
@@ -120,7 +115,7 @@ def _average(groups, scaled, with_mean: bool = True):
     nums, den = scaled
     total = sum(n * mk for folds, moduli, _ in groups for n, mk in zip(folds, moduli)) * den
     total += sum(nums)
-    return round_div(total, count * den), Fraction(total, count * den) if with_mean else None
+    return round_div(total, count * den), (total, count * den)
 
 
 def single_stage_robust_crt(group: ModuliGroup, remainders) -> tuple[tuple[int, ...], int, Fraction | float]:
@@ -130,22 +125,23 @@ def single_stage_robust_crt(group: ModuliGroup, remainders) -> tuple[tuple[int, 
     scaled error difference ``(dr_k - dr_1) / gcd`` lies in ``[-1/2, 1/2)``;
     error bound below ``gcd / 4`` is sufficient.
     """
-    return _group_stage(group, tuple(remainders))
+    folds, estimate, mean = _group_stage(group, tuple(remainders))
+    return folds, estimate, Fraction(*mean) if type(mean) is tuple else mean
 
 
-def _group_stage(group: ModuliGroup, rs: tuple, with_mean: bool = True):
-    """``single_stage_robust_crt``; a caller that discards the mean passes
-    ``with_mean=False`` and gets None (or the free float mean) in its place."""
+def _group_stage(group: ModuliGroup, rs: tuple):
+    """``single_stage_robust_crt`` with the mean as ``_average`` returns it."""
     if len(rs) != len(group.moduli):
         raise ValueError("single_stage_robust_crt: remainder/modulus count mismatch")
     scaled = common_denominator(rs)
     # xi_k estimates (r_k - r_1) / m = h_1 * g_1 - h_k * g_k, exactly under the
     # window condition; h_1 then follows from the coprime congruences.
     folds = _garner_folds(_xis(rs, group.gcd, scaled), group.cofactors)
-    estimate, mean = _average([(folds, group.moduli, rs)], scaled, with_mean)
+    estimate, mean = _average([(folds, group.moduli, rs)], scaled)
     return folds, estimate, mean
 
 
+@_solver_record
 @dataclass(frozen=True)
 class GeneralCrtSolution:
     """Fold recovery over arbitrary moduli (cofactors need not be coprime)."""
@@ -177,7 +173,8 @@ def general_robust_crt(moduli, remainders) -> GeneralCrtSolution:
     if not consistent:
         folds = (0,) * len(ms)
     estimate, mean = _average([(folds, ms, rs)], scaled)
-    return GeneralCrtSolution(folds, estimate, mean, consistent)
+    return _record(GeneralCrtSolution,
+                   {"folds": folds, "estimate": estimate, "consistent": consistent}, mean)
 
 
 @dataclass(frozen=True)
@@ -212,6 +209,7 @@ def cascade_spec(moduli1, moduli2, level: int) -> CascadeSpec:
     return CascadeSpec(group1, group2, level, cross, low_is_group1, overlapping)
 
 
+@_solver_record
 @dataclass(frozen=True)
 class CascadeSolution:
     """Inner folds, outer folds, and the combined reconstruction.
@@ -235,24 +233,25 @@ def cascade_reconstruct(spec: CascadeSpec, remainders1, remainders2) -> CascadeS
     """Run both group stages, then the cross stage, and assemble total folds."""
     rs1 = tuple(remainders1)
     rs2 = tuple(remainders2)
-    h1, est1, _ = _group_stage(spec.group1, rs1, with_mean=False)
-    h2, est2, _ = _group_stage(spec.group2, rs2, with_mean=False)
+    h1, est1, _ = _group_stage(spec.group1, rs1)
+    h2, est2, _ = _group_stage(spec.group2, rs2)
+    # The group estimates are integer remainders modulo the group lcms, so the
+    # cross stage is the integer branch of ``solve_with_context``.
+    ctx = level_context(spec.cross, spec.level)
     if spec.low_is_group1:
-        obs = RemainderObservation(est1, est2)
+        l1, l2 = _exact_folds(ctx, est1 - est2, spec.cross.m)
     else:
-        obs = RemainderObservation(est2, est1)
-    cross_sol = solve_with_context(level_context(spec.cross, spec.level), obs)
-    if spec.low_is_group1:
-        l1, l2 = cross_sol.n1, cross_sol.n2
-    else:
-        l1, l2 = cross_sol.n2, cross_sol.n1
+        l2, l1 = _exact_folds(ctx, est2 - est1, spec.cross.m)
     foldings1 = tuple(l1 * (spec.group1.eta // mk) + hk for mk, hk in zip(spec.group1.moduli, h1))
     foldings2 = tuple(l2 * (spec.group2.eta // mk) + hk for mk, hk in zip(spec.group2.moduli, h2))
     estimate, mean = _average(
         [(foldings1, spec.group1.moduli, rs1), (foldings2, spec.group2.moduli, rs2)],
         common_denominator(rs1 + rs2),
     )
-    return CascadeSolution(h1, h2, l1, l2, (est1, est2), foldings1, foldings2, estimate, mean)
+    return _record(CascadeSolution, {
+        "h1": h1, "h2": h2, "l1": l1, "l2": l2, "group_estimates": (est1, est2),
+        "foldings1": foldings1, "foldings2": foldings2, "estimate": estimate,
+    }, mean)
 
 
 def cascade_bounds(spec: CascadeSpec) -> tuple[int, Fraction]:

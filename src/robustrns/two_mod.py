@@ -8,7 +8,7 @@ remainder errors over a smaller usable range, higher levels reach the full lcm
 with the smallest error budget.  Everything here is exact: integer and rational
 observations go through integer arithmetic (every test is scaled by the
 observation's denominator and cross-multiplied, and only the reported mean is
-built as a ``Fraction``), real-scalar observations through floats.
+a ``Fraction``, built when first read), real-scalar observations through floats.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .modmath import _CACHE_SIZE, common_denominator, mod_inverse, round_div, round_half_up
+from .modmath import (_CACHE_SIZE, _record, _solver_record, common_denominator, mod_inverse,
+                      round_div, round_half_up)
 
 
 @dataclass(frozen=True)
@@ -110,12 +111,15 @@ class RemainderObservation:
     r2: int | float
 
 
+@_solver_record
 @dataclass(frozen=True)
 class FoldingSolution:
     """Recovered fold integers plus the averaged reconstruction.
 
     ``estimate`` is the rounded mean in integer mode and the raw mean in
-    real-scalar mode; ``mean`` always keeps the unrounded average.
+    real-scalar mode; ``mean`` always keeps the unrounded average.  The
+    solvers leave an exact mean as an integer ratio and build its
+    ``Fraction`` on first read.
     """
 
     n1: int
@@ -265,20 +269,21 @@ def ladder_depths(system: TwoModSystem, j: int) -> tuple[int, int]:
     return d1[j - 1], d2[j - 1]
 
 
+def _range_and_bound(system: TwoModSystem, sigma: int, depth1: int, depth2: int):
+    """A level's dynamic range and its robustness bound ``m * sigma / 4``,
+    a float in real-scalar mode and a ``Fraction`` otherwise."""
+    rng = min(system.m2 * (1 + depth2), system.m1 * (1 + depth1))
+    return rng, system.m * sigma / 4.0 if system.is_real else Fraction(system.m * sigma, 4)
+
+
 def level_table(system: TwoModSystem) -> tuple[RobustnessLevel, ...]:
     """All trade-off rows, from the most robust level up to the full lcm."""
     chain = sigma_chain(system)
     d1s, d2s = _depth_tables(system.gamma1, system.gamma2)
     rows = []
     for j in range(1, chain.levels + 1):
-        s = chain.sigma(j)
-        depth1, depth2 = d1s[j - 1], d2s[j - 1]
-        rng = min(system.m2 * (1 + depth2), system.m1 * (1 + depth1))
-        if system.is_real:
-            bound = system.m * s / 4.0
-        else:
-            bound = Fraction(system.m * s, 4)
-        rows.append(RobustnessLevel(j, s, depth1, depth2, rng, bound))
+        s, depth1, depth2 = chain.sigma(j), d1s[j - 1], d2s[j - 1]
+        rows.append(RobustnessLevel(j, s, depth1, depth2, *_range_and_bound(system, s, depth1, depth2)))
     return tuple(rows)
 
 
@@ -322,15 +327,10 @@ def level_context(system: TwoModSystem, j: int) -> LevelContext:
     g1, g2 = system.gamma1, system.gamma2
     s1 = _sorted_ladder(g1, g2, depth1)
     s2 = _sorted_ladder(g2, g1, depth2)
-    rng = min(system.m2 * (1 + depth2), system.m1 * (1 + depth1))
-    if system.is_real:
-        bound = system.m * s / 4.0
-    else:
-        bound = Fraction(system.m * s, 4)
     return LevelContext(
         system, j, s, depth1, depth2, s1, s2,
         mod_inverse(g1, g2), mod_inverse(g2, g1),
-        rng, bound, Fraction(s, 2),
+        *_range_and_bound(system, s, depth1, depth2), Fraction(s, 2),
     )
 
 
@@ -353,10 +353,12 @@ def _solution(system: TwoModSystem, n1: int, n2: int, obs: RemainderObservation,
     ``exact`` is ``_exact_parts(system, obs)``."""
     if exact is None:
         mean = ((n1 * system.m1 + obs.r1) + (n2 * system.m2 + obs.r2)) / 2
-        return FoldingSolution(n1, n2, mean if system.is_real else round_half_up(mean), mean)
+        estimate = mean if system.is_real else round_half_up(mean)
+        return _record(FoldingSolution, {"n1": n1, "n2": n2, "estimate": estimate}, mean)
     a1, a2, den = exact
     total = (n1 * system.gamma1 + n2 * system.gamma2) * system.m * den + a1 + a2
-    return FoldingSolution(n1, n2, round_div(total, 2 * den), Fraction(total, 2 * den))
+    return _record(FoldingSolution, {"n1": n1, "n2": n2, "estimate": round_div(total, 2 * den)},
+                   (total, 2 * den))
 
 
 def estimate_value(n1: int, n2: int, obs: RemainderObservation, system: TwoModSystem):
@@ -476,19 +478,23 @@ def solve_with_context(ctx: LevelContext, obs: RemainderObservation) -> FoldingS
             n1 = n2 = 0
         return _solution(system, n1, n2, obs, None)
     a1, a2, den = exact
-    num, scale = a1 - a2, den * system.m  # q = (r1 - r2) / m = num / scale
-    sigma = ctx.sigma
+    n1, n2 = _exact_folds(ctx, a1 - a2, den * system.m)
+    return _solution(system, n1, n2, obs, exact)
+
+
+def _exact_folds(ctx: LevelContext, num: int, scale: int) -> tuple[int, int]:
+    """The folds ``solve_with_context`` recovers from an exact observation
+    with ``q = (r1 - r2) / m = num / scale`` (``scale > 0``)."""
+    system, sigma = ctx.system, ctx.sigma
     if 2 * num >= sigma * scale:
         s2 = _window_pick_exact(ctx.s2, num, scale, sigma, left_open=True)
         n2 = s2 * ctx.inv21 % system.gamma1
-        n1 = round_div(n2 * system.gamma2 * scale - num, system.gamma1 * scale)
-    elif 2 * num < -sigma * scale:
+        return round_div(n2 * system.gamma2 * scale - num, system.gamma1 * scale), n2
+    if 2 * num < -sigma * scale:
         s1 = _window_pick_exact(ctx.s1, -num, scale, sigma, left_open=False)
         n1 = s1 * ctx.inv12 % system.gamma2
-        n2 = round_div(n1 * system.gamma1 * scale + num, system.gamma2 * scale)
-    else:
-        n1 = n2 = 0
-    return _solution(system, n1, n2, obs, exact)
+        return n1, round_div(n1 * system.gamma1 * scale + num, system.gamma2 * scale)
+    return 0, 0
 
 
 def solve_level_real(system: TwoModSystem, obs: RemainderObservation, j: int) -> FoldingSolution:

@@ -166,6 +166,23 @@ class TestReconstruct:
         assert payload["moduli"] == [45.0, 72.5]
         assert isinstance(payload["N_hat"], float)
 
+    def test_mean_past_float_range_is_refused(self, capsys):
+        big = 2**1030
+        value = big + 9  # every remainder is the value itself, so the mean is too
+        cases = {
+            "two_mod": ("--moduli", f"{3 * big},{5 * big}", "--remainders", f"7,{value}"),
+            "cascade": ("--groups", f"{3 * big},{5 * big}|{7 * big},{11 * big}",
+                        "--remainders", ",".join([str(value)] * 4)),
+        }
+        for mode, argv in cases.items():
+            code, out, err = run_cli(capsys, "reconstruct", *argv)
+            assert code == EXIT_USAGE and out == "", mode
+            assert err.startswith("error: reconstruct: mean ") and "past the float range" in err, mode
+        # the same moduli with a mean inside the float range still answer
+        code, out, _ = run_cli(capsys, "reconstruct", "--moduli", f"{3 * big},{5 * big}",
+                               "--remainders", "7,9")
+        assert code == EXIT_OK and json.loads(out)["mean"] == 8.0
+
     def test_bad_input(self, capsys):
         assert run_cli(capsys, "reconstruct", "--moduli", "234,377",
                        "--remainders", "69")[0] == EXIT_USAGE
