@@ -59,7 +59,7 @@ def fmt(x) -> str:
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return str(x.numerator)
-        x = x.numerator / x.denominator
+        x = _float(x, "value")
     if x == 0:
         return "0"
     return format(_SIX.create_decimal(repr(float(x))).normalize(), "f")
@@ -67,17 +67,17 @@ def fmt(x) -> str:
 
 def _json_scalar(x):
     if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else float(x)
+        return int(x) if x.denominator == 1 else _float(x, "value")
     return x
 
 
-def _json_mean(mean) -> float:
-    """A reconstruction's mean as the JSON float it is reported as; a mean past
-    the float range is refused instead of raising ``OverflowError``."""
+def _float(x, what: str) -> float:
+    """``x`` as the float it is reported as; a value past the float range is
+    refused by name instead of raising ``OverflowError``."""
     try:
-        return float(mean)
+        return float(x)
     except OverflowError:
-        raise UsageError(f"reconstruct: mean {mean} is past the float range") from None
+        raise UsageError(f"{what} {x} is past the float range") from None
 
 
 # ---------------------------------------------------------------- manifests
@@ -224,7 +224,7 @@ def cmd_reconstruct(args) -> int:
         "level": level,
         "n_hat": [sol.n1, sol.n2],
         "N_hat": _json_scalar(sol.estimate),
-        "mean": _json_mean(sol.mean),
+        "mean": _float(sol.mean, "reconstruct: mean"),
     }
     exit_code = EXIT_OK
     if args.oracle:
@@ -277,7 +277,7 @@ def _reconstruct_cascade(args) -> int:
         "n_hat": list(sol.foldings1) + list(sol.foldings2),
         "group_estimates": list(sol.group_estimates),
         "N_hat": sol.estimate,
-        "mean": _json_mean(sol.mean),
+        "mean": _float(sol.mean, "reconstruct: mean"),
         "dynamic_range": rng_,
         "tau_bound": _json_scalar(tau),
         "overlapping": spec.overlapping,

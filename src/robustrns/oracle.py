@@ -5,6 +5,13 @@ Nothing here shares a code path with the solvers it validates or with
 blocks and exact for int, rational and float remainders; the CRT scan is a
 plain loop; ladder depths are grown element by element; and the adversarial
 instances follow the tightness constructions directly.
+
+The exactness scan runs in two phases.  It first calls the scalar solver
+once on each distinct observation that some case of the level produces and
+keeps the folds and estimates in int64 tables; it then counts every case,
+each value with each in-window error pair, against those tables in numpy
+blocks.  The solver is a pure function, so one solve per observation checks
+what a solve per case would.
 """
 
 from __future__ import annotations
@@ -219,29 +226,94 @@ class ExactnessScan:
 def level_exactness_scan(system: TwoModSystem, j: int) -> ExactnessScan:
     """Try every value below the level's range and every in-range integer error
     pair whose scaled difference stays in the guarantee window; the solver must
-    recover the exact folds and keep the estimate within the largest error."""
+    recover the exact folds and keep the estimate within the largest error.
+
+    A case is a value ``v`` and an observation ``(a, b)`` in
+    ``[0, m1) x [0, m2)`` whose errors ``d1 = a - v % m1``, ``d2 = b - v % m2``
+    have ``d1 - d2`` in the window ``[-w/2, w/2)``, ``w = m * sigma_j``.  As
+    ``d1 - d2 = (a - b) - (v % m1 - v % m2)``, the cases of one value are the
+    observations on a run of diagonals ``a - b``.  The scan solves each
+    observation on a diagonal that some value reaches once, into int64
+    ``(m1, m2)`` tables of folds and estimates; it then walks the values in
+    blocks, and their cases, a contiguous slice of the tables per value in
+    diagonal order, in chunks of at most ``_CASE_BLOCK``.  Every value, fold
+    and estimate stays below ``2 * lcm``, so the int64 arithmetic is exact; a
+    larger system is refused.
+    """
     if system.is_real:
         raise ValueError("level_exactness_scan: integer systems only")
+    if 2 * system.lcm >= 1 << 63:
+        raise ValueError(f"level_exactness_scan: lcm {system.lcm} is past the scan's int64 range")
     ctx = level_context(system, j)
-    m, m1, m2 = system.m, system.m1, system.m2
-    window = m * ctx.sigma  # error differences allowed in [-window/2, window/2)
-    lo_diff = -(window // 2)
-    hi_diff = (window - 1) // 2 if window % 2 else window // 2 - 1
+    m1, m2 = system.m1, system.m2
+    window = system.m * ctx.sigma  # error differences allowed in [-window/2, window/2)
+    lo_diff, hi_diff = -(window // 2), (window - 1) // 2
+    reach = _reached_diagonals(m1, m2, ctx.dynamic_range, lo_diff, hi_diff)
+    n1, n2, est = (np.zeros((m1, m2), dtype=np.int64) for _ in range(3))
+    for a in range(m1):
+        bs = np.flatnonzero(reach[a:a + m2][::-1])  # diagonal index a - b + m2 - 1
+        sols = [solve_with_context(ctx, RemainderObservation(a, b)) for b in bs.tolist()]
+        n1[a, bs] = [sol.n1 for sol in sols]
+        n2[a, bs] = [sol.n2 for sol in sols]
+        est[a, bs] = [sol.estimate for sol in sols]
+    return ExactnessScan(j, *_count_cases(m1, m2, ctx.dynamic_range, lo_diff, hi_diff, n1, n2, est))
+
+
+# Values, and gathered cases, per block of the exactness scan.
+_CASE_BLOCK = 1 << 12
+
+
+def _value_blocks(m1: int, m2: int, limit: int):
+    """``(v, v % m1, v % m2)`` over ``[0, limit)`` in int64 blocks."""
+    for start in range(0, limit, _CASE_BLOCK):
+        v = np.arange(start, min(start + _CASE_BLOCK, limit), dtype=np.int64)
+        yield v, v % m1, v % m2
+
+
+def _reached_diagonals(m1: int, m2: int, limit: int, lo_diff: int, hi_diff: int) -> np.ndarray:
+    """Which diagonals ``a - b`` (index ``a - b + m2 - 1``) hold a case of some
+    value below ``limit``: those within ``[lo_diff, hi_diff]`` of a value's own
+    ``v % m1 - v % m2``."""
+    width = m1 + m2 - 1
+    own = np.zeros(width, dtype=bool)
+    for _, r1, r2 in _value_blocks(m1, m2, limit):
+        own[r1 - r2 + (m2 - 1)] = True
+    below = np.concatenate(([0], np.cumsum(own)))  # own diagonals below each index
+    k = np.arange(width)
+    return below[np.clip(k - lo_diff + 1, 0, width)] > below[np.clip(k - hi_diff, 0, width)]
+
+
+def _count_cases(m1, m2, limit, lo_diff, hi_diff, n1, n2, est) -> tuple[int, int, int]:
+    """``(checked, fold_failures, estimate_failures)`` over every case of every
+    value below ``limit``, against the solved tables."""
+    width = m1 + m2 - 1
+    order = np.argsort(np.subtract.outer(np.arange(m1), np.arange(m2)).ravel(), kind="stable")
+    a, b = np.divmod(order, m2)
+    n1, n2, est = n1.ravel()[order], n2.ravel()[order], est.ravel()[order]
+    # first[i]: position in diagonal order of the first cell on diagonal index i
+    first = np.searchsorted(a - b, np.arange(-(m2 - 1), m1 + 1))
     checked = fold_fail = est_fail = 0
-    for value in range(ctx.dynamic_range):
-        r1, r2 = value % m1, value % m2
-        n1, n2 = value // m1, value // m2
-        for d1 in range(-r1, m1 - r1):
-            lo = max(-r2, d1 - hi_diff)
-            hi = min(m2 - 1 - r2, d1 - lo_diff)
-            for d2 in range(lo, hi + 1):
-                checked += 1
-                sol = solve_with_context(ctx, RemainderObservation(r1 + d1, r2 + d2))
-                if (sol.n1, sol.n2) != (n1, n2):
-                    fold_fail += 1
-                elif abs(sol.estimate - value) > max(abs(d1), abs(d2)):
-                    est_fail += 1
-    return ExactnessScan(j, checked, fold_fail, est_fail)
+    for v, r1, r2 in _value_blocks(m1, m2, limit):
+        own = r1 - r2 + (m2 - 1)
+        lo = first[np.clip(own + lo_diff, 0, width)]
+        count = first[np.clip(own + hi_diff + 1, 0, width)] - lo
+        end = np.cumsum(count)
+        begin = end - count
+        shift = lo - begin  # case position in the block -> cell position
+        q1, q2 = v // m1, v // m2
+        total = int(end[-1])
+        checked += total
+        for p0 in range(0, total, _CASE_BLOCK):
+            p1 = min(p0 + _CASE_BLOCK, total)
+            o0, o1 = np.searchsorted(end, (p0, p1 - 1), side="right")
+            runs = np.minimum(end[o0:o1 + 1], p1) - np.maximum(begin[o0:o1 + 1], p0)
+            who = np.repeat(np.arange(o0, o1 + 1), runs)
+            cell = np.arange(p0, p1) + shift[who]
+            folds_ok = (n1[cell] == q1[who]) & (n2[cell] == q2[who])
+            err = np.maximum(np.abs(a[cell] - r1[who]), np.abs(b[cell] - r2[who]))
+            fold_fail += p1 - p0 - int(np.count_nonzero(folds_ok))
+            est_fail += int(np.count_nonzero(folds_ok & (np.abs(est[cell] - v[who]) > err)))
+    return checked, fold_fail, est_fail
 
 
 def falsifier_report(system: TwoModSystem, j: int) -> OracleReport:

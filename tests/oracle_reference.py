@@ -1,16 +1,21 @@
-"""Reference copy of the exhaustive fold search as a plain Python loop.
+"""Reference copies of two oracles as plain Python loops.
 
-This is ``oracle.exhaustive_fold_search`` as it stood before the scan moved
-to numpy blocks: one candidate at a time, the scalar deviation expression,
-and a strict comparison so ties keep the smallest value.
-``test_oracle.py`` requires the package's search to return equal results
-with a deviation of the same type.
+``exhaustive_fold_search`` is ``oracle.exhaustive_fold_search`` as it stood
+before the scan moved to numpy blocks: one candidate at a time, the scalar
+deviation expression, and a strict comparison so ties keep the smallest
+value.  ``test_oracle.py`` requires the package's search to return equal
+results with a deviation of the same type.
+
+``level_exactness_scan`` is ``oracle.level_exactness_scan`` as it stood
+before it solved each observation once and counted cases in numpy: one
+``solve_with_context`` call per case.  ``test_oracle.py`` requires the
+package's scan to return an equal ``ExactnessScan``.
 """
 
 from __future__ import annotations
 
-from robustrns.oracle import FoldSearchResult
-from robustrns.two_mod import RemainderObservation, TwoModSystem
+from robustrns.oracle import ExactnessScan, FoldSearchResult
+from robustrns.two_mod import RemainderObservation, TwoModSystem, level_context, solve_with_context
 
 
 def exhaustive_fold_search(system: TwoModSystem, obs: RemainderObservation, search_bound: int) -> FoldSearchResult:
@@ -29,3 +34,31 @@ def exhaustive_fold_search(system: TwoModSystem, obs: RemainderObservation, sear
         if best_dev is None or dev < best_dev:
             best_n, best_dev = n, dev
     return FoldSearchResult(best_n // m1, best_n // m2, best_n, best_dev)
+
+
+def level_exactness_scan(system: TwoModSystem, j: int) -> ExactnessScan:
+    """Try every value below the level's range and every in-range integer error
+    pair whose scaled difference stays in the guarantee window; the solver must
+    recover the exact folds and keep the estimate within the largest error."""
+    if system.is_real:
+        raise ValueError("level_exactness_scan: integer systems only")
+    ctx = level_context(system, j)
+    m, m1, m2 = system.m, system.m1, system.m2
+    window = m * ctx.sigma  # error differences allowed in [-window/2, window/2)
+    lo_diff = -(window // 2)
+    hi_diff = (window - 1) // 2 if window % 2 else window // 2 - 1
+    checked = fold_fail = est_fail = 0
+    for value in range(ctx.dynamic_range):
+        r1, r2 = value % m1, value % m2
+        n1, n2 = value // m1, value // m2
+        for d1 in range(-r1, m1 - r1):
+            lo = max(-r2, d1 - hi_diff)
+            hi = min(m2 - 1 - r2, d1 - lo_diff)
+            for d2 in range(lo, hi + 1):
+                checked += 1
+                sol = solve_with_context(ctx, RemainderObservation(r1 + d1, r2 + d2))
+                if (sol.n1, sol.n2) != (n1, n2):
+                    fold_fail += 1
+                elif abs(sol.estimate - value) > max(abs(d1), abs(d2)):
+                    est_fail += 1
+    return ExactnessScan(j, checked, fold_fail, est_fail)

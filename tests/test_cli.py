@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from robustrns.cli import EXIT_OK, EXIT_ORACLE, EXIT_USAGE, _parse_span, fmt, main
+from robustrns.two_mod import TwoModSystem, level_table
 
 
 def run_cli(capsys, *argv):
@@ -81,6 +82,30 @@ class TestLevels:
         i = lines.index("index delta bound range_low range_high")
         assert lines[i + 1].split() == ["1", "143", "35.75", "468", "468"]
         assert lines[i + 2].split() == ["2", "52", "13", "936", "1638"]
+
+    @pytest.mark.parametrize("fmt_name", ["csv", "json"])
+    def test_bound_past_float_range_is_refused(self, capsys, fmt_name):
+        m = 2**1030 + 1  # the bound m * sigma / 4 is a non-integer past the float range
+        bounds = [r.robustness_bound for r in level_table(TwoModSystem(m, 3, 5))]
+        first = next(b for b in bounds if b.denominator != 1)
+        code, out, err = run_cli(capsys, "levels", "--m1", str(3 * m), "--m2", str(5 * m),
+                                 "--format", fmt_name)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: value {first} is past the float range\n"
+
+    @pytest.mark.parametrize("fmt_name", ["csv", "json"])
+    def test_bound_inside_float_range_answers(self, capsys, fmt_name):
+        m = 2**1000 + 1
+        bounds = [r.robustness_bound for r in level_table(TwoModSystem(m, 3, 5))]
+        code, out, _ = run_cli(capsys, "levels", "--m1", str(3 * m), "--m2", str(5 * m),
+                               "--format", fmt_name)
+        assert code == EXIT_OK
+        if fmt_name == "json":
+            got = [row["robustness_bound"] for row in json.loads(out)["levels"]]
+            assert got == [int(b) if b.denominator == 1 else float(b) for b in bounds]
+        else:
+            got = [line.split(",")[2] for line in out.splitlines()[1:]]
+            assert got == [fmt(b) for b in bounds] and all(got)
 
     def test_usage_errors(self, capsys):
         assert run_cli(capsys, "levels", "--m1", "377", "--m2", "234")[0] == EXIT_USAGE
@@ -182,6 +207,13 @@ class TestReconstruct:
         code, out, _ = run_cli(capsys, "reconstruct", "--moduli", f"{3 * big},{5 * big}",
                                "--remainders", "7,9")
         assert code == EXIT_OK and json.loads(out)["mean"] == 8.0
+
+    def test_tau_bound_past_float_range_is_refused(self, capsys):
+        g = 2**1030 + 1  # the cascade's tau bound is a non-integer past the float range
+        code, out, err = run_cli(capsys, "reconstruct", "--groups",
+                                 f"{3 * g},{5 * g}|{7 * g},{11 * g}", "--remainders", "1,1,1,1")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: value ") and err.endswith("/4 is past the float range\n")
 
     def test_bad_input(self, capsys):
         assert run_cli(capsys, "reconstruct", "--moduli", "234,377",

@@ -1,10 +1,14 @@
+import contextlib
 import math
+from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import oracle_reference
 from oracle_reference import exhaustive_fold_search as reference_fold_search
 from robustrns import oracle
 from robustrns.crt_core import InconsistentRemainders
@@ -23,6 +27,7 @@ from robustrns.two_mod import (
     level_context,
     sigma_chain,
     solve_level,
+    solve_with_context,
     true_folds,
 )
 from tests_util import random_coprime_pair
@@ -261,3 +266,112 @@ class TestExactnessScan:
         scan = level_exactness_scan(s, 1)
         assert scan.ok
         assert scan.checked > 0
+
+    def test_refuses_past_int64(self):
+        s = TwoModSystem(1, 2**32 + 1, 2**32 + 3)  # 2 * lcm is past 2^63
+        with pytest.raises(ValueError, match="int64"):
+            level_exactness_scan(s, 1)
+
+
+# Coprime cofactor pairs of the equivalence property.  Both moduli stay at most
+# 40, so the reference loop over every level of a system such as (1, 39, 40),
+# about 41,000 cases, takes about a third of a second.
+_SCAN_PAIRS = [(g1, g2) for g2 in range(3, 41) for g1 in range(2, g2) if math.gcd(g1, g2) == 1]
+
+
+@st.composite
+def scan_systems(draw):
+    m = draw(st.integers(1, 4))
+    g1, g2 = draw(st.sampled_from([p for p in _SCAN_PAIRS if m * p[1] <= 40]))
+    return TwoModSystem(m, g1, g2)
+
+
+@contextlib.contextmanager
+def _patched_solver(fake):
+    """``fake`` stands in for ``solve_with_context`` in both exactness scans."""
+    with mock.patch.object(oracle, "solve_with_context", fake), \
+            mock.patch.object(oracle_reference, "solve_with_context", fake):
+        yield
+
+
+def _both_scans(system, j, fake=solve_with_context):
+    """The package's and the reference's scan of one level."""
+    with _patched_solver(fake):
+        return level_exactness_scan(system, j), oracle_reference.level_exactness_scan(system, j)
+
+
+def _corrupting(targets):
+    """A solver that returns wrong folds or a far estimate on chosen observations:
+    ``targets`` maps ``(r1, r2)`` to ``"folds"`` or ``"estimate"``."""
+    def fake(ctx, obs):
+        sol = solve_with_context(ctx, obs)
+        fault = targets.get((obs.r1, obs.r2))
+        if fault == "folds":
+            return SimpleNamespace(n1=sol.n1 + 1, n2=sol.n2, estimate=sol.estimate)
+        if fault == "estimate":
+            return SimpleNamespace(n1=sol.n1, n2=sol.n2, estimate=sol.estimate + ctx.system.m2)
+        return sol
+    return fake
+
+
+class TestExactnessScanReference:
+    """The two-phase scan against the per-case loop in ``oracle_reference``."""
+
+    @pytest.mark.parametrize("moduli", [(24, 38), (12, 18)])
+    def test_every_level_matches(self, moduli):
+        s = TwoModSystem.from_moduli(*moduli)
+        for j in range(1, sigma_chain(s).levels + 1):
+            scan, reference = _both_scans(s, j)
+            assert scan == reference
+            assert scan.ok and scan.checked > 0
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(scan_systems())
+    def test_random_systems_match(self, system):
+        for j in range(1, sigma_chain(system).levels + 1):
+            scan, reference = _both_scans(system, j)
+            assert scan == reference
+
+    @pytest.mark.parametrize("moduli,j", [((12, 18), 1), ((24, 38), 2), ((24, 38), 4)])
+    def test_wrong_folds_on_one_observation(self, moduli, j):
+        s = TwoModSystem.from_moduli(*moduli)
+        scan, reference = _both_scans(s, j, _corrupting({(5 % s.m1, 5 % s.m2): "folds"}))
+        assert scan == reference
+        assert scan.fold_failures > 0 and scan.estimate_failures == 0
+
+    @pytest.mark.parametrize("moduli,j", [((12, 18), 1), ((24, 38), 2), ((24, 38), 4)])
+    def test_estimate_outside_the_error(self, moduli, j):
+        s = TwoModSystem.from_moduli(*moduli)
+        scan, reference = _both_scans(s, j, _corrupting({(5 % s.m1, 5 % s.m2): "estimate"}))
+        assert scan == reference
+        assert scan.estimate_failures > 0 and scan.fold_failures == 0
+
+    @pytest.mark.parametrize("block,moduli,j", [(1, (12, 18), 1), (7, (24, 38), 4), (100, (24, 38), 3)])
+    def test_block_edges(self, block, moduli, j):
+        """Blocks far smaller than a level split values and their cases at
+        every kind of edge; faults on many observations make every count
+        depend on which cell each case reads."""
+        s = TwoModSystem.from_moduli(*moduli)
+        cells = [(a, b) for a in range(s.m1) for b in range(s.m2)]
+        targets = {cell: "folds" for cell in cells[::11]}
+        targets.update({cell: "estimate" for cell in cells[3::7]})
+        with mock.patch.object(oracle, "_CASE_BLOCK", block):
+            scan, reference = _both_scans(s, j, _corrupting(targets))
+        assert scan == reference
+        assert scan.fold_failures > 0 and scan.estimate_failures > 0
+
+    @pytest.mark.parametrize("moduli", [(24, 38), (12, 18), (40, 136)])
+    def test_each_observation_solved_once(self, moduli):
+        s = TwoModSystem.from_moduli(*moduli)
+        for j in range(1, sigma_chain(s).levels + 1):
+            calls = Counter()
+
+            def counting(ctx, obs):
+                calls[obs.r1, obs.r2] += 1
+                return solve_with_context(ctx, obs)
+
+            with _patched_solver(counting):
+                scan = level_exactness_scan(s, j)
+            assert max(calls.values()) == 1
+            assert sum(calls.values()) <= min(s.m1 * s.m2, scan.checked)
+            assert all(0 <= a < s.m1 and 0 <= b < s.m2 for a, b in calls)
