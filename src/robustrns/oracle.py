@@ -1,10 +1,13 @@
 """Independent brute-force references for the closed forms.
 
 Nothing here shares a code path with the solvers it validates or with
-``simkit``: the fold search scans every candidate value, vectorized in numpy
-blocks and exact for int, rational and float remainders; the CRT scan is a
-plain loop; ladder depths are grown element by element; and the adversarial
-instances follow the tightness constructions directly.
+``simkit``: the fold search scans every candidate value in numpy blocks,
+exact for int, rational and float remainders; each side's deviation depends
+on the candidate's residue only, so it is computed once per residue into a
+table that a block reads as one contiguous window, and a side never holds
+more than about two blocks of values.  The CRT scan is a plain loop; ladder
+depths are grown element by element; and the adversarial instances follow
+the tightness constructions directly.
 
 The exactness scan runs in two phases.  It first calls the scalar solver
 once on each distinct observation that some case of the level produces and
@@ -86,11 +89,16 @@ def exhaustive_fold_search(system: TwoModSystem, obs: RemainderObservation, sear
     ``|a_i - den * (n % m_i)|`` exactly: in int64 while every magnitude stays
     below 2^62, in Python integers (``dtype=object``) beyond.  Any other
     remainder (a float, or any non-rational real) runs the scalar expression
-    itself on Python objects.  The reported deviation is that expression at
-    the chosen value, so its type follows the remainders.
+    itself on Python objects.  A side's deviation depends on ``n % m_i``
+    only, so it is computed once per residue (see ``_side_deviations``) and
+    each block is a max and an argmin over windows of those values.  The
+    reported deviation is the scalar expression at the chosen value, so its
+    type follows the remainders.
     """
     if system.is_real:
         raise ValueError("exhaustive_fold_search: integer systems only")
+    if not isinstance(search_bound, int) or isinstance(search_bound, bool):
+        raise ValueError(f"exhaustive_fold_search: search bound {search_bound!r} must be an int")
     if search_bound < 1:
         raise ValueError(f"exhaustive_fold_search: search bound {search_bound} must be at least 1")
     if search_bound > system.lcm:
@@ -106,17 +114,52 @@ def exhaustive_fold_search(system: TwoModSystem, obs: RemainderObservation, sear
         (a1, a2), den, fits = rs, 1, False
     dtype = np.int64 if fits else object
     best_n, best_dev = 0, None
-    for start in range(0, search_bound, _SCAN_BLOCK):
-        n = np.arange(start, min(start + _SCAN_BLOCK, search_bound), dtype=dtype)
-        d1 = abs(a1 - den * (n % m1))
-        d2 = abs(a2 - den * (n % m2))
-        with np.errstate(invalid="ignore"):  # a NaN compares false, as in Python
-            dev = np.where(d2 > d1, d2, d1)  # max(d1, d2) as Python takes it
+    windows = zip(_side_deviations(a1, den, m1, search_bound, dtype),
+                  _side_deviations(a2, den, m2, search_bound, dtype))
+    for start, (d1, d2) in zip(range(0, search_bound, _SCAN_BLOCK), windows):
+        if dtype is object:
+            with np.errstate(invalid="ignore"):  # a NaN compares false, as in Python
+                dev = np.where(d2 > d1, d2, d1)  # max(d1, d2) as Python takes it
+        else:
+            dev = np.maximum(d1, d2)
         i = int(np.argmin(dev))
         if best_dev is None or dev[i] < best_dev:
             best_n, best_dev = start + i, dev[i]
     deviation = max(abs(obs.r1 - best_n % m1), abs(obs.r2 - best_n % m2))
     return FoldSearchResult(best_n // m1, best_n // m2, best_n, deviation)
+
+
+def _side_deviations(a, den: int, mod: int, bound: int, dtype):
+    """``|a - den * (n % mod)|`` for the candidates ``n`` of each scan block.
+
+    A period that fits in a block is tabulated once, ``min(mod, bound)``
+    residues, and laid out periodically over at most ``mod - 1`` plus one
+    block, so the block starting at ``start`` is the contiguous window at
+    ``start % mod``.
+    A longer period is never tabulated in full: each block computes its own
+    residues, at most two increasing runs.  Either way a side holds
+    O(``_SCAN_BLOCK``) values.
+    """
+    size = min(_SCAN_BLOCK, bound)
+    period = min(mod, bound)
+    if period <= size:
+        span = size if bound == size else period - 1 + size
+        laid = np.empty(span, dtype=dtype)
+        laid[:period] = abs(a - den * np.arange(period, dtype=dtype))
+        done = period
+        while done < span:  # copy the filled prefix after itself until the span is full
+            step = min(done, span - done)
+            laid[done:done + step] = laid[:step]
+            done += step
+        for start in range(0, bound, size):
+            offset = start % mod
+            yield laid[offset:offset + min(size, bound - start)]
+    else:
+        for start in range(0, bound, size):
+            lead = start % mod
+            k = np.arange(lead, lead + min(size, bound - start), dtype=dtype)
+            k[mod - lead:] -= mod  # the run that wraps past the period
+            yield abs(a - den * k)
 
 
 def ladder_depths_definitional(system: TwoModSystem, j: int) -> tuple[int, int]:
@@ -233,12 +276,15 @@ def level_exactness_scan(system: TwoModSystem, j: int) -> ExactnessScan:
     have ``d1 - d2`` in the window ``[-w/2, w/2)``, ``w = m * sigma_j``.  As
     ``d1 - d2 = (a - b) - (v % m1 - v % m2)``, the cases of one value are the
     observations on a run of diagonals ``a - b``.  The scan solves each
-    observation on a diagonal that some value reaches once, into int64
-    ``(m1, m2)`` tables of folds and estimates; it then walks the values in
-    blocks, and their cases, a contiguous slice of the tables per value in
-    diagonal order, in chunks of at most ``_CASE_BLOCK``.  Every value, fold
-    and estimate stays below ``2 * lcm``, so the int64 arithmetic is exact; a
-    larger system is refused.
+    observation on a diagonal that some value reaches once, straight into
+    int64 tables of folds and estimates laid out in diagonal order (see
+    ``_diagonal_layout``); it then walks the values in blocks, and their
+    cases, a contiguous slice of the tables per value, in chunks of at most
+    ``_CASE_BLOCK``, and recovers each case's observation from its position.
+    The tables take 24 bytes per observation, the diagonal of each position
+    1 to 4 more, and everything else is O(``m1 + m2 + _CASE_BLOCK``).  Every
+    value, fold and estimate stays below ``2 * lcm``, so the int64 arithmetic
+    is exact; a larger system is refused.
     """
     if system.is_real:
         raise ValueError("level_exactness_scan: integer systems only")
@@ -249,14 +295,17 @@ def level_exactness_scan(system: TwoModSystem, j: int) -> ExactnessScan:
     window = system.m * ctx.sigma  # error differences allowed in [-window/2, window/2)
     lo_diff, hi_diff = -(window // 2), (window - 1) // 2
     reach = _reached_diagonals(m1, m2, ctx.dynamic_range, lo_diff, hi_diff)
-    n1, n2, est = (np.zeros((m1, m2), dtype=np.int64) for _ in range(3))
-    for a in range(m1):
-        bs = np.flatnonzero(reach[a:a + m2][::-1])  # diagonal index a - b + m2 - 1
-        sols = [solve_with_context(ctx, RemainderObservation(a, b)) for b in bs.tolist()]
-        n1[a, bs] = [sol.n1 for sol in sols]
-        n2[a, bs] = [sol.n2 for sol in sols]
-        est[a, bs] = [sol.estimate for sol in sols]
-    return ExactnessScan(j, *_count_cases(m1, m2, ctx.dynamic_range, lo_diff, hi_diff, n1, n2, est))
+    first, low = _diagonal_layout(m1, m2)
+    n1, n2, est = (np.zeros(m1 * m2, dtype=np.int64) for _ in range(3))
+    for d in np.flatnonzero(reach).tolist():
+        a0, p0, p1 = int(low[d]), int(first[d]), int(first[d + 1])
+        c = d - (m2 - 1)  # a - b on this diagonal
+        sols = [solve_with_context(ctx, RemainderObservation(a, a - c)) for a in range(a0, a0 + p1 - p0)]
+        n1[p0:p1] = [sol.n1 for sol in sols]
+        n2[p0:p1] = [sol.n2 for sol in sols]
+        est[p0:p1] = [sol.estimate for sol in sols]
+    counts = _count_cases(m1, m2, ctx.dynamic_range, lo_diff, hi_diff, first, low, n1, n2, est)
+    return ExactnessScan(j, *counts)
 
 
 # Values, and gathered cases, per block of the exactness scan.
@@ -268,6 +317,22 @@ def _value_blocks(m1: int, m2: int, limit: int):
     for start in range(0, limit, _CASE_BLOCK):
         v = np.arange(start, min(start + _CASE_BLOCK, limit), dtype=np.int64)
         yield v, v % m1, v % m2
+
+
+def _diagonal_layout(m1: int, m2: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal order of the observations ``(a, b)`` in ``[0, m1) x [0, m2)``:
+    by diagonal index ``d = a - b + m2 - 1``, then by ``a``.
+
+    Returns ``first``, the position of each diagonal's first cell (with the
+    total ``m1 * m2`` appended), and ``low``, each diagonal's smallest ``a``;
+    the cell at position ``p`` on diagonal ``d`` is ``a = low[d] + p - first[d]``
+    and ``b = a - d + m2 - 1``.
+    """
+    d = np.arange(m1 + m2 - 1, dtype=np.int64)
+    low = np.maximum(d - (m2 - 1), 0)
+    first = np.zeros(m1 + m2, dtype=np.int64)
+    np.cumsum(np.minimum(d, m1 - 1) - low + 1, out=first[1:])
+    return first, low
 
 
 def _reached_diagonals(m1: int, m2: int, limit: int, lo_diff: int, hi_diff: int) -> np.ndarray:
@@ -283,15 +348,14 @@ def _reached_diagonals(m1: int, m2: int, limit: int, lo_diff: int, hi_diff: int)
     return below[np.clip(k - lo_diff + 1, 0, width)] > below[np.clip(k - hi_diff, 0, width)]
 
 
-def _count_cases(m1, m2, limit, lo_diff, hi_diff, n1, n2, est) -> tuple[int, int, int]:
+def _count_cases(m1, m2, limit, lo_diff, hi_diff, first, low, n1, n2, est) -> tuple[int, int, int]:
     """``(checked, fold_failures, estimate_failures)`` over every case of every
-    value below ``limit``, against the solved tables."""
+    value below ``limit``, against the tables solved in diagonal order."""
     width = m1 + m2 - 1
-    order = np.argsort(np.subtract.outer(np.arange(m1), np.arange(m2)).ravel(), kind="stable")
-    a, b = np.divmod(order, m2)
-    n1, n2, est = n1.ravel()[order], n2.ravel()[order], est.ravel()[order]
-    # first[i]: position in diagonal order of the first cell on diagonal index i
-    first = np.searchsorted(a - b, np.arange(-(m2 - 1), m1 + 1))
+    to_a = low - first[:-1]  # a = position + to_a[d] on diagonal d
+    to_b = to_a - np.arange(width) + (m2 - 1)  # b = a - (d - (m2 - 1))
+    # the diagonal of each position, in the smallest unsigned type that holds it
+    diag_of = np.repeat(np.arange(width, dtype=np.min_scalar_type(width - 1)), np.diff(first))
     checked = fold_fail = est_fail = 0
     for v, r1, r2 in _value_blocks(m1, m2, limit):
         own = r1 - r2 + (m2 - 1)
@@ -309,8 +373,10 @@ def _count_cases(m1, m2, limit, lo_diff, hi_diff, n1, n2, est) -> tuple[int, int
             runs = np.minimum(end[o0:o1 + 1], p1) - np.maximum(begin[o0:o1 + 1], p0)
             who = np.repeat(np.arange(o0, o1 + 1), runs)
             cell = np.arange(p0, p1) + shift[who]
+            diag = diag_of[cell]
+            a, b = cell + to_a[diag], cell + to_b[diag]
             folds_ok = (n1[cell] == q1[who]) & (n2[cell] == q2[who])
-            err = np.maximum(np.abs(a[cell] - r1[who]), np.abs(b[cell] - r2[who]))
+            err = np.maximum(np.abs(a - r1[who]), np.abs(b - r2[who]))
             fold_fail += p1 - p0 - int(np.count_nonzero(folds_ok))
             est_fail += int(np.count_nonzero(folds_ok & (np.abs(est[cell] - v[who]) > err)))
     return checked, fold_fail, est_fail

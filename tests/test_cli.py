@@ -171,6 +171,15 @@ class TestReconstruct:
             assert out == ""
             assert f"search bound {bound} must be at least 1" in err
 
+    @pytest.mark.parametrize("bound", ["1170.0", "1e3", "true", "3/2"])
+    def test_oracle_bound_must_be_an_integer(self, capsys, bound):
+        code, out, err = run_cli(capsys, "reconstruct", "--moduli", "234,377",
+                                 "--remainders", "69,240", "--level", "3",
+                                 "--oracle", "--oracle-bound", bound)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--oracle-bound" in err and "Traceback" not in err
+
     def test_cascade(self, capsys):
         value = 13000
         rems = ",".join(str(value % m) for m in (120, 300, 210, 490))

@@ -1,10 +1,12 @@
 import contextlib
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -76,6 +78,12 @@ class TestFoldSearch:
         s = TwoModSystem.from_moduli(24, 38)
         with pytest.raises(ValueError, match="must be at least 1"):
             exhaustive_fold_search(s, RemainderObservation(0, 0), bound)
+
+    @pytest.mark.parametrize("bound", [1170.0, Fraction(1170), True, False, "1170", np.int64(1170)])
+    def test_bound_must_be_an_int(self, bound):
+        s = TwoModSystem.from_moduli(234, 377)
+        with pytest.raises(ValueError, match="must be an int"):
+            exhaustive_fold_search(s, RemainderObservation(69, 240), bound)
 
 
 def assert_same_search(system, obs, bound):
@@ -177,6 +185,87 @@ class TestFoldSearchBlockEdges:
             assert_same_search(EDGE_SYSTEM, obs, bound)
 
 
+# (234, 377): m1 = 234, m2 = 377, lcm 6,786; the observations mix every
+# remainder kind, including magnitudes that move the scan to Python integers.
+TABLE_SYSTEM = TwoModSystem.from_moduli(234, 377)
+TABLE_OBSERVATIONS = [
+    RemainderObservation(69, 240),
+    RemainderObservation(Fraction(139, 2), Fraction(-7, 3)),
+    RemainderObservation(69.25, 240),
+    RemainderObservation(Fraction(139, 2), 512.75),
+    RemainderObservation(2**70 + 5, 240),
+]
+
+
+class TestFoldSearchResidueTables:
+    """Each side's deviations come from a table of its residues, laid out
+    periodically; these bounds cover every way a bound cuts the periods."""
+
+    @pytest.mark.parametrize("bound", [
+        pytest.param(100, id="below-m1"),
+        pytest.param(234, id="equal-m1"),
+        pytest.param(300, id="between-m1-and-m2"),
+        pytest.param(6786, id="lcm"),
+        pytest.param(1000, id="multiple-of-neither"),
+    ])
+    @pytest.mark.parametrize("obs", TABLE_OBSERVATIONS)
+    def test_bounds_against_periods(self, bound, obs):
+        assert_same_search(TABLE_SYSTEM, obs, bound)
+
+    @pytest.mark.parametrize("block", [
+        pytest.param(50, id="both-periods-longer"),
+        pytest.param(300, id="m2-period-longer"),
+        pytest.param(377, id="both-periods-fit"),
+    ])
+    @pytest.mark.parametrize("bound", [6786, 1000, 377, 60])
+    @pytest.mark.parametrize("obs", TABLE_OBSERVATIONS)
+    def test_periods_longer_than_the_block(self, block, bound, obs):
+        with mock.patch.object(oracle, "_SCAN_BLOCK", block):
+            assert_same_search(TABLE_SYSTEM, obs, bound)
+
+    @pytest.mark.parametrize("bound", [100, 300, 1000, 6786])
+    def test_deviation_runs_once_per_residue(self, bound):
+        calls = []
+
+        class CountingFloat(float):
+            """Counts each scalar evaluation of ``r - k``; an array operand is
+            left to numpy, which then evaluates one element at a time."""
+
+            def __sub__(self, other):
+                if isinstance(other, np.ndarray):
+                    return NotImplemented
+                calls.append(other)
+                return float(self) - other
+
+        obs = RemainderObservation(CountingFloat(69.25), CountingFloat(240.5))
+        want = reference_fold_search(TABLE_SYSTEM, obs, bound)
+        calls.clear()
+        got = exhaustive_fold_search(TABLE_SYSTEM, obs, bound)
+        assert (got.value, got.deviation) == (want.value, want.deviation)
+        m1, m2 = TABLE_SYSTEM.m1, TABLE_SYSTEM.m2
+        assert len(calls) <= min(m1, bound) + min(m2, bound) + 2
+
+    @pytest.mark.parametrize("system, obs, block, bound", [
+        pytest.param(EDGE_SYSTEM, RemainderObservation(100, 33), 1024, 196_613, id="int64-tabulated"),
+        pytest.param(EDGE_SYSTEM, RemainderObservation(100, 33), 256, 196_613, id="int64-long-periods"),
+        pytest.param(EDGE_SYSTEM, RemainderObservation(100.5, 33), 1024, 40_000, id="float-tabulated"),
+        pytest.param(EDGE_SYSTEM, RemainderObservation(100.5, 33), 256, 40_000, id="float-long-periods"),
+        pytest.param(TwoModSystem(1, 2**64 + 1, 2**64 + 3), RemainderObservation(100, 33), 256, 40_000,
+                     id="cofactors-past-2^64"),
+    ])
+    def test_memory_follows_the_block_not_the_bound(self, system, obs, block, bound):
+        with mock.patch.object(oracle, "_SCAN_BLOCK", block):
+            tracemalloc.start()
+            try:
+                exhaustive_fold_search(system, obs, bound)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        # a few hundred bytes per candidate of a block or two; the bound spans
+        # 39 to 768 blocks
+        assert peak < 512 * block
+
+
 class TestFoldSearchEdgeSizes:
     """Small bounds at magnitudes past int64: these run on Python integers."""
 
@@ -272,6 +361,20 @@ class TestExactnessScan:
         with pytest.raises(ValueError, match="int64"):
             level_exactness_scan(s, 1)
 
+    def test_peak_memory_per_observation(self):
+        # 60,200 observations: the int64 tables of folds and estimates take 24
+        # bytes each, and reordered copies of them would not fit under 45
+        s = TwoModSystem.from_moduli(200, 301)
+        level_context(s, 1)  # cached, so not part of the scan's peak
+        tracemalloc.start()
+        try:
+            scan = level_exactness_scan(s, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert scan.ok and scan.checked == 5_805_202
+        assert peak <= 45 * s.m1 * s.m2
+
 
 # Coprime cofactor pairs of the equivalence property.  Both moduli stay at most
 # 40, so the reference loop over every level of a system such as (1, 39, 40),
@@ -302,7 +405,9 @@ def _both_scans(system, j, fake=solve_with_context):
 
 def _corrupting(targets):
     """A solver that returns wrong folds or a far estimate on chosen observations:
-    ``targets`` maps ``(r1, r2)`` to ``"folds"`` or ``"estimate"``."""
+    ``targets`` maps ``(r1, r2)`` to ``"folds"``, ``"estimate"`` or ``"nudge"``
+    (an estimate one off, which fails only the cases whose largest error it
+    crosses)."""
     def fake(ctx, obs):
         sol = solve_with_context(ctx, obs)
         fault = targets.get((obs.r1, obs.r2))
@@ -310,6 +415,8 @@ def _corrupting(targets):
             return SimpleNamespace(n1=sol.n1 + 1, n2=sol.n2, estimate=sol.estimate)
         if fault == "estimate":
             return SimpleNamespace(n1=sol.n1, n2=sol.n2, estimate=sol.estimate + ctx.system.m2)
+        if fault == "nudge":
+            return SimpleNamespace(n1=sol.n1, n2=sol.n2, estimate=sol.estimate + 1)
         return sol
     return fake
 
@@ -355,6 +462,7 @@ class TestExactnessScanReference:
         cells = [(a, b) for a in range(s.m1) for b in range(s.m2)]
         targets = {cell: "folds" for cell in cells[::11]}
         targets.update({cell: "estimate" for cell in cells[3::7]})
+        targets.update({cell: "nudge" for cell in cells[5::13]})
         with mock.patch.object(oracle, "_CASE_BLOCK", block):
             scan, reference = _both_scans(s, j, _corrupting(targets))
         assert scan == reference
