@@ -117,20 +117,25 @@ def round_div(num: int, den: int) -> int:
     return (2 * num + den) // (2 * den)
 
 
-def common_denominator(values) -> tuple[tuple[int, ...], int] | None:
-    """Exact scalars as integers over one positive denominator.
+def common_denominator(values) -> tuple[tuple[int, ...], int]:
+    """Scalars as integers over one positive denominator: ``(nums, den)`` with
+    ``values[i] == nums[i] / den`` exactly.
 
-    Returns ``(nums, den)`` with ``values[i] == nums[i] / den`` for ints and
-    rationals (anything with ``numerator``/``denominator``), or None when any
-    value is a float: scaling a float would change its arithmetic.
+    Ints and rationals (anything with ``numerator``/``denominator``) give their
+    own ratio; a float gives its exact binary value ``p / 2^k``
+    (``float.as_integer_ratio``), so every input is taken at the value it
+    holds.  A NaN or an infinity raises ``ValueError``.
     """
     if all(type(v) is int for v in values):
         return tuple(values), 1
-    if any(isinstance(v, float) for v in values):
-        return None
-    ratios = [(int(v.numerator), int(v.denominator)) for v in values]
-    den = math.lcm(*(d for _, d in ratios))
-    return tuple(n * (den // d) for n, d in ratios), den
+    try:
+        ratios = [v.as_integer_ratio() if isinstance(v, float) else (int(v.numerator), int(v.denominator))
+                  for v in values]
+    except (ValueError, OverflowError):  # only a NaN or an infinity has no ratio
+        bad = next(v for v in values if isinstance(v, float) and not math.isfinite(v))
+        raise ValueError(f"non-finite value {bad!r}") from None
+    den = math.lcm(*[d for _, d in ratios])
+    return tuple([n * (den // d) for n, d in ratios]), den
 
 
 class _ExactMean:

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .modmath import (_CACHE_SIZE, _record, _solver_record, common_denominator, mod_inverse,
-                      round_div, round_half_up)
+from .modmath import _CACHE_SIZE, _record, _solver_record, common_denominator, mod_inverse, round_div
 from .two_mod import TwoModSystem, _exact_folds, level_context, sigma_chain
 
 
@@ -95,10 +94,9 @@ def _garner_folds(xis, gammas) -> tuple[int, ...] | None:
     return (n1, *((n1 * g1 - xi) // gk for xi, gk in zip(xis, gammas[1:])))
 
 
-def _xis(remainders, m, scaled) -> list[int]:
-    """Rounded scaled differences ``xi_k = [(r_k - r_1) / m]``."""
-    if scaled is None:
-        return [round_half_up((r - remainders[0]) / m) for r in remainders[1:]]
+def _xis(m, scaled) -> list[int]:
+    """Rounded scaled differences ``xi_k = [(r_k - r_1) / m]`` of the remainders
+    in their common-denominator form ``scaled``."""
     nums, den = scaled
     return [round_div(a - nums[0], m * den) for a in nums[1:]]
 
@@ -106,16 +104,15 @@ def _xis(remainders, m, scaled) -> list[int]:
 def _average(groups, scaled):
     """``(estimate, mean)`` of the reconstructions ``n_k * m_k + r_k`` over every
     ``(folds, moduli, remainders)`` group; ``scaled`` is the common-denominator
-    form of all the remainders, None for float arithmetic.  An exact mean comes
-    as the unreduced ratio ``(num, den)``, a float one as the float."""
-    count = sum(len(rs) for _, _, rs in groups)
-    if scaled is None:
-        mean = sum(sum(n * mk + r for n, mk, r in zip(*group)) for group in groups) / count
-        return round_half_up(mean), mean
+    form of all the remainders.  The mean is the exact mean rounded to a float
+    when any remainder is a float, and the unreduced ratio ``(num, den)``
+    otherwise."""
     nums, den = scaled
     total = sum(n * mk for folds, moduli, _ in groups for n, mk in zip(folds, moduli)) * den
     total += sum(nums)
-    return round_div(total, count * den), (total, count * den)
+    den *= len(nums)
+    as_float = any(isinstance(r, float) for _, _, rs in groups for r in rs)
+    return round_div(total, den), total / den if as_float else (total, den)
 
 
 def single_stage_robust_crt(group: ModuliGroup, remainders) -> tuple[tuple[int, ...], int, Fraction | float]:
@@ -136,7 +133,7 @@ def _group_stage(group: ModuliGroup, rs: tuple):
     scaled = common_denominator(rs)
     # xi_k estimates (r_k - r_1) / m = h_1 * g_1 - h_k * g_k, exactly under the
     # window condition; h_1 then follows from the coprime congruences.
-    folds = _garner_folds(_xis(rs, group.gcd, scaled), group.cofactors)
+    folds = _garner_folds(_xis(group.gcd, scaled), group.cofactors)
     estimate, mean = _average([(folds, group.moduli, rs)], scaled)
     return folds, estimate, mean
 
@@ -168,7 +165,7 @@ def general_robust_crt(moduli, remainders) -> GeneralCrtSolution:
     m = math.gcd(*ms)
     gammas = tuple(mi // m for mi in ms)
     scaled = common_denominator(rs)
-    folds = _garner_folds(_xis(rs, m, scaled), gammas)
+    folds = _garner_folds(_xis(m, scaled), gammas)
     consistent = folds is not None
     if not consistent:
         folds = (0,) * len(ms)

@@ -2,7 +2,8 @@
 
 Nothing here shares a code path with the solvers it validates or with
 ``simkit``: the fold search scans every candidate value in numpy blocks,
-exact for int, rational and float remainders; each side's deviation depends
+exact for int, rational and float remainders (a float taken at its exact
+binary value) on integer tables; each side's deviation depends
 on the candidate's residue only, so it is computed once per residue into a
 table that a block reads as one contiguous window, and a side never holds
 more than about two blocks of values.  The CRT scan is a plain loop; ladder
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -84,12 +84,12 @@ def exhaustive_fold_search(system: TwoModSystem, obs: RemainderObservation, sear
     Minimizes ``max(|r1~ - r1|, |r2~ - r2|)``; ties go to the smallest value.
     The candidates are scanned in numpy blocks of at most ``_SCAN_BLOCK``
     values, each block keeping its first minimum and the scan replacing its
-    best only on a strictly smaller deviation.  Int and rational remainders
-    are scaled to integers over one common denominator, and the scan compares
-    ``|a_i - den * (n % m_i)|`` exactly: in int64 while every magnitude stays
-    below 2^62, in Python integers (``dtype=object``) beyond.  Any other
-    remainder (a float, or any non-rational real) runs the scalar expression
-    itself on Python objects.  A side's deviation depends on ``n % m_i``
+    best only on a strictly smaller deviation.  Each remainder is taken as
+    its exact ``Fraction`` (a float at its binary value; a NaN or an infinity
+    raises ``ValueError``), the two are scaled to integers over one common
+    denominator, and the scan compares ``|a_i - den * (n % m_i)|`` exactly:
+    in int64 while every magnitude stays below 2^62, in Python integers
+    (``dtype=object``) beyond.  A side's deviation depends on ``n % m_i``
     only, so it is computed once per residue (see ``_side_deviations``) and
     each block is a max and an argmin over windows of those values.  The
     reported deviation is the scalar expression at the chosen value, so its
@@ -104,24 +104,19 @@ def exhaustive_fold_search(system: TwoModSystem, obs: RemainderObservation, sear
     if search_bound > system.lcm:
         raise ValueError("exhaustive_fold_search: bound exceeds the lcm")
     m1, m2 = system.m1, system.m2
-    rs = (obs.r1, obs.r2)
-    if all(isinstance(r, numbers.Rational) for r in rs):
-        exact = [Fraction(r) for r in rs]
-        den = math.lcm(*(f.denominator for f in exact))
-        a1, a2 = (f.numerator * (den // f.denominator) for f in exact)
-        fits = max(abs(a1), abs(a2), search_bound) + den * m2 < _INT64_SAFE
-    else:
-        (a1, a2), den, fits = rs, 1, False
+    try:
+        exact = [Fraction(r) for r in (obs.r1, obs.r2)]
+    except (ValueError, OverflowError):
+        raise ValueError(f"exhaustive_fold_search: remainders must be finite, got {obs}") from None
+    den = math.lcm(*(f.denominator for f in exact))
+    a1, a2 = (f.numerator * (den // f.denominator) for f in exact)
+    fits = max(abs(a1), abs(a2), search_bound) + den * m2 < _INT64_SAFE
     dtype = np.int64 if fits else object
     best_n, best_dev = 0, None
     windows = zip(_side_deviations(a1, den, m1, search_bound, dtype),
                   _side_deviations(a2, den, m2, search_bound, dtype))
     for start, (d1, d2) in zip(range(0, search_bound, _SCAN_BLOCK), windows):
-        if dtype is object:
-            with np.errstate(invalid="ignore"):  # a NaN compares false, as in Python
-                dev = np.where(d2 > d1, d2, d1)  # max(d1, d2) as Python takes it
-        else:
-            dev = np.maximum(d1, d2)
+        dev = np.maximum(d1, d2)
         i = int(np.argmin(dev))
         if best_dev is None or dev[i] < best_dev:
             best_n, best_dev = start + i, dev[i]

@@ -6,9 +6,12 @@ are identified exactly.  The chain of Euclidean remainders of the cofactor pair
 parameterizes a ladder of trade-off levels: lower levels tolerate larger
 remainder errors over a smaller usable range, higher levels reach the full lcm
 with the smallest error budget.  Everything here is exact: integer and rational
-observations go through integer arithmetic (every test is scaled by the
-observation's denominator and cross-multiplied, and only the reported mean is
-a ``Fraction``, built when first read), real-scalar observations through floats.
+observations and floats alike go through integer arithmetic: a float is
+taken at its exact binary value ``p / 2^k``, every input (a real system's
+``m`` included) is scaled to an integer over one common denominator, and
+every test is cross-multiplied.  The reported mean is a ``Fraction``, built
+when first read, for int and rational inputs; for a real system or a float
+remainder it is the exact mean rounded to a float once, at the end.
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .modmath import (_CACHE_SIZE, _record, _solver_record, common_denominator, mod_inverse,
-                      round_div, round_half_up)
+from .modmath import _CACHE_SIZE, _record, _solver_record, common_denominator, mod_inverse, round_div
 
 
 @dataclass(frozen=True)
@@ -30,8 +32,11 @@ class TwoModSystem:
 
     ``m`` is an int in integer mode and a float in real-scalar mode; the
     cofactors are integers either way and must satisfy ``1 < gamma1 < gamma2``.
-    The hash is computed once, since every cached lookup keyed on the system
-    hashes it; it is not a field, so ``repr``, ``==``, ``asdict`` and the
+    The mode is part of the identity: ``==`` and the hash compare
+    ``(is_real, m, gamma1, gamma2)``, so ``real(4.0, 2, 3)`` and
+    ``TwoModSystem(4, 2, 3)`` are different systems with their own cached
+    contexts.  The hash is computed once, since every cached lookup keyed on
+    the system hashes it; it is not a field, so ``repr``, ``asdict`` and the
     pickled state are those of the three fields.
     """
 
@@ -50,11 +55,18 @@ class TwoModSystem:
             raise ValueError(
                 f"TwoModSystem: cofactors ({self.gamma1}, {self.gamma2}) are not coprime"
             )
-        if not (isinstance(self.m, int) and self.m > 0) and not (
+        if isinstance(self.m, bool) or not (isinstance(self.m, int) and self.m > 0) and not (
             isinstance(self.m, float) and math.isfinite(self.m) and self.m > 0
         ):
             raise ValueError(f"TwoModSystem: invalid common factor m={self.m!r}")
-        object.__setattr__(self, "_hash", hash((self.m, self.gamma1, self.gamma2)))
+        key = (self.is_real, self.m, self.gamma1, self.gamma2)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __eq__(self, other):
+        if not isinstance(other, TwoModSystem):
+            return NotImplemented
+        return self._key == other._key
 
     def __hash__(self):
         return self._hash
@@ -116,9 +128,10 @@ class RemainderObservation:
 class FoldingSolution:
     """Recovered fold integers plus the averaged reconstruction.
 
-    ``estimate`` is the rounded mean in integer mode and the raw mean in
-    real-scalar mode; ``mean`` always keeps the unrounded average.  The
-    solvers leave an exact mean as an integer ratio and build its
+    ``estimate`` is the rounded mean in integer mode and the mean itself in
+    real-scalar mode; ``mean`` always keeps the unrounded average.  For a real
+    system or a float remainder the mean is the exact mean rounded to a
+    float; otherwise the solvers leave it as an integer ratio and build its
     ``Fraction`` on first read.
     """
 
@@ -335,30 +348,27 @@ def level_context(system: TwoModSystem, j: int) -> LevelContext:
 
 
 def _exact_parts(system: TwoModSystem, obs: RemainderObservation):
-    """``(a1, a2, den)`` with ``r_i = a_i / den`` and ``den > 0`` when the system
-    and both remainders are exact (ints or rationals); None when anything is a
-    float, which keeps float arithmetic."""
+    """``(a1, a2, mn, den, as_float)``: integers with ``r_i = a_i / den``,
+    ``m = mn / den`` and ``den > 0``, floats taken at their exact binary value,
+    and whether the mean is reported as a float (a real system or a float
+    remainder)."""
     r1, r2 = obs.r1, obs.r2
     if type(r1) is int and type(r2) is int and type(system.m) is int:
-        return r1, r2, 1
-    scaled = None if system.is_real else common_denominator((r1, r2))
-    if scaled is None:
-        return None
-    (a1, a2), den = scaled
-    return a1, a2, den
+        return r1, r2, system.m, 1, False
+    (a1, a2, mn), den = common_denominator((r1, r2, system.m))
+    return a1, a2, mn, den, system.is_real or isinstance(r1, float) or isinstance(r2, float)
 
 
 def _solution(system: TwoModSystem, n1: int, n2: int, obs: RemainderObservation, exact) -> FoldingSolution:
-    """Folds plus the averaged reconstruction ``(n1 m1 + r1 + n2 m2 + r2) / 2``;
-    ``exact`` is ``_exact_parts(system, obs)``."""
-    if exact is None:
-        mean = ((n1 * system.m1 + obs.r1) + (n2 * system.m2 + obs.r2)) / 2
-        estimate = mean if system.is_real else round_half_up(mean)
-        return _record(FoldingSolution, {"n1": n1, "n2": n2, "estimate": estimate}, mean)
-    a1, a2, den = exact
-    total = (n1 * system.gamma1 + n2 * system.gamma2) * system.m * den + a1 + a2
-    return _record(FoldingSolution, {"n1": n1, "n2": n2, "estimate": round_div(total, 2 * den)},
-                   (total, 2 * den))
+    """Folds plus the averaged reconstruction ``(n1 m1 + r1 + n2 m2 + r2) / 2``,
+    exact from ``exact = _exact_parts(system, obs)``.  A real system or a float
+    remainder gets the exact mean rounded to a float, which is also the
+    estimate in real mode; otherwise the mean stays the exact ratio."""
+    a1, a2, mn, den, as_float = exact
+    total = (n1 * system.gamma1 + n2 * system.gamma2) * mn + a1 + a2
+    mean = total / (2 * den) if as_float else (total, 2 * den)
+    estimate = mean if as_float and system.is_real else round_div(total, 2 * den)
+    return _record(FoldingSolution, {"n1": n1, "n2": n2, "estimate": estimate}, mean)
 
 
 def estimate_value(n1: int, n2: int, obs: RemainderObservation, system: TwoModSystem):
@@ -377,20 +387,8 @@ def solve_basic(system: TwoModSystem, obs: RemainderObservation) -> FoldingSolut
     beta = system.gamma2 % g1
     top = (g1 // beta) * beta  # the wrapped quotient must lie in [beta/2, top - beta/2)
     exact = _exact_parts(system, obs)
-    if exact is None:
-        half = beta / 2
-        q = (obs.r1 - obs.r2) / system.m
-        n2 = 0
-        if q >= half:
-            n2 = round_half_up(q / beta)
-        elif q < -half:
-            wrap = q - math.floor(q / g1) * g1
-            if half <= wrap < top - half:
-                n2 = round_half_up(wrap / beta)
-        n1 = round_half_up((n2 * system.m2 + obs.r2 - obs.r1) / system.m1)
-        return _solution(system, n1, n2, obs, None)
-    a1, a2, den = exact
-    num, scale = a1 - a2, den * system.m  # q = (r1 - r2) / m = num / scale
+    a1, a2, scale, _, _ = exact
+    num = a1 - a2  # q = (r1 - r2) / m = num / scale
     n2 = 0
     if 2 * num >= beta * scale:
         n2 = round_div(num, beta * scale)
@@ -412,30 +410,15 @@ def _neighbours(ladder: Sequence[int], edge: int) -> tuple[int, int]:
     return ladder[max(i - 1, 0)], ladder[i]
 
 
-def _window_pick(elements: Sequence[int], target: float, half: float, left_open: bool) -> int:
-    """Unique ladder element in the half-open window around ``target``.
+def _window_pick(elements: Sequence[int], num: int, scale: int, sigma: int, left_open: bool) -> int:
+    """Unique ladder element in the half-open window of half-width
+    ``sigma / 2`` around ``target = num / scale`` (``scale > 0``).
 
     Falls back to the nearest element (ties to the smaller one) when the
     window is empty; at most one element can ever sit inside the window
-    because the ladder's minimum gap is at least ``2 * half``.  The window
-    is taken as the integers in ``[start, stop)``.
+    because the ladder's minimum gap is at least ``sigma``.  The rational
+    window edges become the integers in ``[start, stop)`` by floor division.
     """
-    if left_open:  # want x with target - half < x <= target + half
-        start, stop = math.floor(target - half) + 1, math.floor(target + half) + 1
-    else:  # want x with target - half <= x < target + half
-        start, stop = math.ceil(target - half), math.ceil(target + half)
-    if elements[-1] >= start:
-        x = elements[max(start, 0) if type(elements) is range else bisect.bisect_left(elements, start)]
-        if x < stop:
-            return x
-    lo, hi = _neighbours(elements, math.ceil(target))
-    return lo if target - lo <= hi - target else hi
-
-
-def _window_pick_exact(elements: Sequence[int], num: int, scale: int, sigma: int, left_open: bool) -> int:
-    """``_window_pick`` at ``target = num / scale`` and ``half = sigma / 2``
-    (``scale > 0``) in integer arithmetic: the rational window edges become
-    integer ones by floor division."""
     lo2, hi2, den2 = 2 * num - sigma * scale, 2 * num + sigma * scale, 2 * scale
     if left_open:
         start, stop = lo2 // den2 + 1, hi2 // den2 + 1
@@ -461,51 +444,38 @@ def solve_level(system: TwoModSystem, obs: RemainderObservation, j: int) -> Fold
 
 
 def solve_with_context(ctx: LevelContext, obs: RemainderObservation) -> FoldingSolution:
-    system = ctx.system
-    exact = _exact_parts(system, obs)
-    if exact is None:
-        half = ctx.sigma / 2
-        q = (obs.r1 - obs.r2) / system.m
-        if q >= half:
-            s2 = _window_pick(ctx.s2, q, half, left_open=True)
-            n2 = s2 * ctx.inv21 % system.gamma1
-            n1 = round_half_up((n2 * system.m2 + obs.r2 - obs.r1) / system.m1)
-        elif q < -half:
-            s1 = _window_pick(ctx.s1, -q, half, left_open=False)
-            n1 = s1 * ctx.inv12 % system.gamma2
-            n2 = round_half_up((n1 * system.m1 + obs.r1 - obs.r2) / system.m2)
-        else:
-            n1 = n2 = 0
-        return _solution(system, n1, n2, obs, None)
-    a1, a2, den = exact
-    n1, n2 = _exact_folds(ctx, a1 - a2, den * system.m)
-    return _solution(system, n1, n2, obs, exact)
+    exact = _exact_parts(ctx.system, obs)
+    a1, a2, scale, _, _ = exact
+    n1, n2 = _exact_folds(ctx, a1 - a2, scale)
+    return _solution(ctx.system, n1, n2, obs, exact)
 
 
 def _exact_folds(ctx: LevelContext, num: int, scale: int) -> tuple[int, int]:
-    """The folds ``solve_with_context`` recovers from an exact observation
-    with ``q = (r1 - r2) / m = num / scale`` (``scale > 0``)."""
+    """The folds ``solve_with_context`` recovers from an observation with
+    ``q = (r1 - r2) / m = num / scale`` (``scale > 0``)."""
     system, sigma = ctx.system, ctx.sigma
     if 2 * num >= sigma * scale:
-        s2 = _window_pick_exact(ctx.s2, num, scale, sigma, left_open=True)
+        s2 = _window_pick(ctx.s2, num, scale, sigma, left_open=True)
         n2 = s2 * ctx.inv21 % system.gamma1
         return round_div(n2 * system.gamma2 * scale - num, system.gamma1 * scale), n2
     if 2 * num < -sigma * scale:
-        s1 = _window_pick_exact(ctx.s1, -num, scale, sigma, left_open=False)
+        s1 = _window_pick(ctx.s1, -num, scale, sigma, left_open=False)
         n1 = s1 * ctx.inv12 % system.gamma2
         return n1, round_div(n1 * system.gamma1 * scale + num, system.gamma2 * scale)
     return 0, 0
 
 
 def solve_level_real(system: TwoModSystem, obs: RemainderObservation, j: int) -> FoldingSolution:
-    """Real-scalar entry point; identical control flow with real arithmetic."""
+    """Real-scalar entry point: ``solve_level``'s control flow on the exact
+    values of the float inputs and of ``m``, with the mean, which is also the
+    estimate, rounded to a float once at the end."""
     if not system.is_real:
         raise ValueError("solve_level_real: system is not in real-scalar mode")
     return solve_level(system, obs, j)
 
 
 def true_folds(system: TwoModSystem, value) -> tuple[int, int]:
-    """Fold integers of an exact value: ``n_i = floor(value / m_i)``."""
-    if system.is_real:
-        return math.floor(value / system.m1), math.floor(value / system.m2)
-    return value // system.m1, value // system.m2
+    """Fold integers of a value, ``n_i = floor(value / (m * gamma_i))``, taken
+    exactly (a float value and a real ``m`` at their binary values)."""
+    (v, mn), _ = common_denominator((value, system.m))
+    return v // (mn * system.gamma1), v // (mn * system.gamma2)

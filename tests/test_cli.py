@@ -1,6 +1,8 @@
 import hashlib
 import json
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -200,6 +202,13 @@ class TestReconstruct:
         assert payload["moduli"] == [45.0, 72.5]
         assert isinstance(payload["N_hat"], float)
 
+    @pytest.mark.parametrize("remainders", ["NaN,55.2", "19.7,NaN", "Infinity,55.2", "19.7,-Infinity"])
+    def test_non_finite_remainders_exit_2(self, capsys, remainders):
+        code, out, err = run_cli(capsys, "reconstruct", "--real", "--m", "2.5",
+                                 "--moduli", "45,72.5", "--remainders", remainders, "--level", "3")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: non-finite value ")
+
     def test_mean_past_float_range_is_refused(self, capsys):
         big = 2**1030
         value = big + 9  # every remainder is the value itself, so the mean is too
@@ -383,6 +392,60 @@ class TestSimulateGolden:
         code, out, err = run_cli(capsys, "simulate", *argv, "--seed", "42")
         assert code == EXIT_OK, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of every ``robustrns ...`` line of the README's CLI block,
+    continuation lines joined."""
+    block = README.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("robustrns ")]
+
+
+# The stdout of the README's levels and reconstruct examples, byte for byte.
+GOLDEN_README = {
+    "levels --m1 234 --m2 377": """\
+system m1=234 m2=377: m=13 gamma1=18 gamma2=29 lcm=6786
+level sigma bound depth1 depth2 dynamic_range
+1 11 35.75 1 1 468
+2 7 22.75 3 1 754
+3 4 13 4 3 1170
+4 3 9.75 8 4 1885
+5 1 3.25 28 17 6786
+delta baseline:
+index delta bound range_low range_high
+1 143 35.75 468 468
+2 52 13 936 1638
+3 13 3.25 3744 6786
+""",
+    "reconstruct --moduli 234,377 --remainders 69,240 --level 3 --oracle": json.dumps({
+        "mode": "two_mod", "moduli": [234, 377], "level": 3, "n_hat": [4, 2],
+        "N_hat": 1000, "mean": 999.5,
+        "oracle": {"search_bound": 1170, "folds": [4, 2], "value": 999, "agrees": True},
+    }, indent=2) + "\n",
+    'reconstruct --groups "120,300|210,490" --remainders 40,100,160,370 --level 2': json.dumps({
+        "mode": "cascade", "groups": [[120, 300], [210, 490]], "level": 2,
+        "h": [[3, 1], [1, 0]], "l": [0, 0], "n_hat": [3, 1, 1, 0], "group_estimates": [400, 370],
+        "N_hat": 385, "mean": 385.0, "dynamic_range": 13230, "tau_bound": 15, "overlapping": False,
+    }, indent=2) + "\n",
+    "reconstruct --real --m 2.5 --moduli 45,72.5 --remainders 19.7,55.2 --level 3": json.dumps({
+        "mode": "two_mod", "moduli": [45.0, 72.5], "level": 3, "n_hat": [4, 2],
+        "N_hat": 199.95, "mean": 199.95,
+    }, indent=2) + "\n",
+}
+
+
+class TestReadmeGolden:
+    def test_pinned_commands_are_the_readme_ones(self):
+        pinned = [shlex.split(command) for command in GOLDEN_README]
+        assert [argv for argv in readme_commands() if argv[0] in ("levels", "reconstruct")] == pinned
+
+    @pytest.mark.parametrize("command", list(GOLDEN_README))
+    def test_stdout(self, capsys, command):
+        assert run_cli(capsys, *shlex.split(command)) == (EXIT_OK, GOLDEN_README[command], "")
 
 
 class TestVerify:

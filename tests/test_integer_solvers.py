@@ -5,12 +5,16 @@ by field (folds, estimate, mean, and the mean's type) on random coprime
 systems, for int, ``Fraction`` and float observations, inside the guarantee
 and in the fallback region, in range and out of range, and at edge sizes:
 cofactors near 2^61 on their depth-1 level, and m = 2^40 + 7 over
-(1000, 1001).
+(1000, 1001).  A float is taken at its exact binary value: the reference runs
+on the exact ``Fraction`` of each float, and the solver's mean must be the
+reference mean rounded to a float.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
@@ -29,6 +33,7 @@ from robustrns.two_mod import (
     level_context,
     sigma_chain,
     solve_basic,
+    solve_level_real,
     solve_with_context,
 )
 
@@ -40,6 +45,41 @@ def same(new, old):
     assert new == old
     mean = (lambda sol: sol[-1]) if isinstance(new, tuple) else (lambda sol: sol.mean)
     assert type(mean(new)) is type(mean(old))
+
+
+def _without_mean(sol):
+    if isinstance(sol, tuple):
+        return sol[:-1], sol[-1]
+    return {f.name: getattr(sol, f.name) for f in dataclasses.fields(sol) if f.name != "mean"}, sol.mean
+
+
+def _remainders(arg):
+    if isinstance(arg, RemainderObservation):
+        return [arg.r1, arg.r2]
+    return arg if isinstance(arg, list) else []
+
+
+def _exact(arg):
+    """A solver argument with each float remainder as its exact ``Fraction``."""
+    if isinstance(arg, RemainderObservation):
+        return RemainderObservation(*_exact([arg.r1, arg.r2]))
+    if isinstance(arg, list):
+        return [Fraction(r) if isinstance(r, float) else r for r in arg]
+    return arg
+
+
+def same_as_reference(solve, reference, *args):
+    """``solve(*args)`` against ``reference``: ``same`` on int and ``Fraction``
+    remainders.  With a float remainder the reference runs on the exact values,
+    and every field but the mean must be equal, the mean being the reference
+    mean rounded to a float."""
+    new = solve(*args)
+    if not any(isinstance(r, float) for arg in args for r in _remainders(arg)):
+        same(new, reference(*args))
+        return
+    (fields, mean), (want, exact_mean) = _without_mean(new), _without_mean(reference(*map(_exact, args)))
+    assert fields == want
+    assert type(mean) is float and mean == float(exact_mean)
 
 
 @st.composite
@@ -90,7 +130,7 @@ def level_cases(draw):
 @given(level_cases())
 def test_solve_with_context_matches_reference(case):
     ctx, obs = case
-    same(solve_with_context(ctx, obs), ref.solve_with_context(ctx, obs))
+    same_as_reference(solve_with_context, ref.solve_with_context, ctx, obs)
 
 
 @SETTINGS
@@ -99,8 +139,8 @@ def test_solve_basic_and_estimate_match_reference(data):
     system = data.draw(coprime_systems())
     assume(system.gamma2 % system.gamma1 > 0)
     obs = data.draw(observations(system, system.lcm, system.m2))
+    same_as_reference(solve_basic, ref.solve_basic, system, obs)
     sol = solve_basic(system, obs)
-    same(sol, ref.solve_basic(system, obs))
     assert estimate_value(sol.n1, sol.n2, obs, system) == sol.estimate
 
 
@@ -114,10 +154,16 @@ def test_real_mode_matches_reference_bit_for_bit(data):
     value = data.draw(st.floats(0.0, system.lcm, exclude_max=True))
     d1, d2 = (data.draw(st.floats(-system.m2, system.m2)) for _ in range(2))
     obs = RemainderObservation(value % system.m1 + d1, value % system.m2 + d2)
-    for new, old in ((solve_with_context(ctx, obs), ref.solve_with_context(ctx, obs)),
-                     (solve_basic(system, obs), ref.solve_basic(system, obs))):
+    # m = p / q exactly, q a power of two: the reference solves the integer
+    # system (p, gamma1, gamma2) on every input scaled by q
+    p, q = system.m.as_integer_ratio()
+    scaled_ctx = level_context(TwoModSystem(p, g.gamma1, g.gamma2), j)
+    scaled = RemainderObservation(Fraction(obs.r1) * q, Fraction(obs.r2) * q)
+    for new, old in ((solve_with_context(ctx, obs), ref.solve_with_context(scaled_ctx, scaled)),
+                     (solve_basic(system, obs), ref.solve_basic(scaled_ctx.system, scaled))):
         assert (new.n1, new.n2) == (old.n1, old.n2)
-        assert repr(new.estimate) == repr(old.estimate) and repr(new.mean) == repr(old.mean)
+        want = float(old.mean / q)
+        assert repr(new.estimate) == repr(want) and repr(new.mean) == repr(want)
 
 
 def _edges(system, ctx):
@@ -155,9 +201,9 @@ def edge_observations(draw):
 @given(edge_observations())
 def test_comparison_edges_match_reference(case):
     ctx, obs = case
-    same(solve_with_context(ctx, obs), ref.solve_with_context(ctx, obs))
+    same_as_reference(solve_with_context, ref.solve_with_context, ctx, obs)
     if ctx.system.gamma2 % ctx.system.gamma1:
-        same(solve_basic(ctx.system, obs), ref.solve_basic(ctx.system, obs))
+        same_as_reference(solve_basic, ref.solve_basic, ctx.system, obs)
 
 
 @st.composite
@@ -207,7 +253,7 @@ def test_single_stage_matches_reference(data):
     inside = data.draw(st.booleans())
     err = max(1, group.gcd // 4) if inside else max(group.moduli)
     rs = data.draw(group_remainders(group.moduli, group.eta, err))
-    same(single_stage_robust_crt(group, rs), ref.single_stage_robust_crt(group, rs))
+    same_as_reference(single_stage_robust_crt, ref.single_stage_robust_crt, group, rs)
 
 
 @SETTINGS
@@ -218,7 +264,7 @@ def test_general_matches_reference(data):
     inside = data.draw(st.booleans())
     err = max(1, m // 4) if inside else max(moduli)
     rs = data.draw(group_remainders(moduli, math.lcm(*moduli), err))
-    same(general_robust_crt(moduli, rs), ref.general_robust_crt(moduli, rs))
+    same_as_reference(general_robust_crt, ref.general_robust_crt, moduli, rs)
 
 
 @SETTINGS
@@ -233,8 +279,7 @@ def test_cascade_matches_reference(data):
     err = max(1, min(g1.gcd, g2.gcd) // 4) if inside else max(g1.moduli + g2.moduli)
     rs = data.draw(group_remainders(g1.moduli + g2.moduli, bound, err))
     split = len(g1.moduli)
-    same(cascade_reconstruct(spec, rs[:split], rs[split:]),
-         ref.cascade_reconstruct(spec, rs[:split], rs[split:]))
+    same_as_reference(cascade_reconstruct, ref.cascade_reconstruct, spec, rs[:split], rs[split:])
 
 
 @st.composite
@@ -257,8 +302,8 @@ def huge_depth_one_cases(draw):
 @given(huge_depth_one_cases())
 def test_cofactors_near_2_61_match_reference(case):
     ctx, obs = case
-    same(solve_with_context(ctx, obs), ref.solve_with_context(ctx, obs))
-    same(solve_basic(ctx.system, obs), ref.solve_basic(ctx.system, obs))
+    same_as_reference(solve_with_context, ref.solve_with_context, ctx, obs)
+    same_as_reference(solve_basic, ref.solve_basic, ctx.system, obs)
 
 
 @pytest.fixture(scope="module")
@@ -279,3 +324,55 @@ def test_60_bit_lcm_is_exact(wide_context, data):
     same(sol, ref.solve_with_context(ctx, obs))
     assert (sol.n1, sol.n2) == (value // system.m1, value // system.m2)
     assert abs(sol.estimate - value) <= max(abs(d1), abs(d2))
+
+
+def _nudged(x, ulps):
+    """``x`` moved by ``ulps`` units in the last place."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+def _near_edge_probes(system, rng):
+    """Real-mode observations within two ulps of a comparison edge: ``r2`` at
+    random, ``r1`` the float nearest to ``r2 + q m`` for every edge ``q`` of
+    every level (``_edges``), then nudged by -2 to 2 ulps."""
+    m = Fraction(system.m)
+    for j in range(1, sigma_chain(system).levels + 1):
+        ctx = level_context(system, j)
+        for q in _edges(system, ctx):
+            for _ in range(2):
+                r2 = float(rng.uniform(0, system.m2))
+                r1 = float(Fraction(r2) + q * m)
+                for ulps in range(-2, 3):
+                    yield ctx, RemainderObservation(_nudged(r1, ulps), r2)
+
+
+@pytest.mark.parametrize("m", [2.5, 0.1])
+def test_real_mode_folds_are_exact_next_to_window_edges(m):
+    system = TwoModSystem.real(m, 18, 29)
+    p, q = system.m.as_integer_ratio()
+    probes = mismatches = 0
+    for ctx, obs in _near_edge_probes(system, np.random.default_rng(7)):
+        scaled_ctx = level_context(TwoModSystem(p, 18, 29), ctx.j)
+        want = ref.solve_with_context(scaled_ctx, RemainderObservation(Fraction(obs.r1) * q,
+                                                                       Fraction(obs.r2) * q))
+        got = solve_with_context(ctx, obs)
+        probes += 1
+        mismatches += (got.n1, got.n2) != (want.n1, want.n2)
+    assert (probes, mismatches) == (1030, 0)
+
+
+def test_real_mode_mean_is_the_correctly_rounded_exact_mean():
+    system = TwoModSystem.real(0.1, 18, 29)
+    m = Fraction(system.m)
+    rng = np.random.default_rng(11)
+    draws = 4000
+    levels = rng.integers(1, sigma_chain(system).levels + 1, size=draws).tolist()
+    r1s, r2s = rng.uniform(0, system.m1, size=draws).tolist(), rng.uniform(0, system.m2, size=draws).tolist()
+    misses = 0
+    for j, r1, r2 in zip(levels, r1s, r2s):
+        sol = solve_level_real(system, RemainderObservation(r1, r2), j)
+        exact = (Fraction(r1) + Fraction(r2) + (sol.n1 * system.gamma1 + sol.n2 * system.gamma2) * m) / 2
+        misses += type(sol.mean) is not float or sol.mean != float(exact) or sol.estimate != sol.mean
+    assert misses == 0

@@ -1,4 +1,5 @@
-"""Level contexts: full-lcm ladders as ranges, bounded caches, the cached hash.
+"""Level contexts: full-lcm ladders as ranges, bounded caches, the cached hash,
+and a system's mode as part of the identity its context is cached under.
 
 At the full-lcm level a ladder's depth is ``gamma - 1``, so it holds every
 residue and ``level_context`` keeps it as ``range(gamma)``; every other level
@@ -13,11 +14,15 @@ import math
 import pickle
 from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import fraction_reference as ref
-from robustrns.oracle import _nearest, falsifier_report
+from robustrns.oracle import _nearest, falsifier_report, level_exactness_scan
+from robustrns.simkit import LevelKernel
 from robustrns.two_mod import (
+    FoldingSolution,
     RemainderObservation,
     TwoModSystem,
     _depth_tables,
@@ -26,6 +31,7 @@ from robustrns.two_mod import (
     level_context,
     sigma_chain,
     solve_level,
+    solve_level_real,
     solve_with_context,
     true_folds,
 )
@@ -130,7 +136,7 @@ def test_caches_stay_bounded():
 
 def test_hash_is_cached_and_fields_are_unchanged():
     system = TwoModSystem(13, 18, 29)
-    assert hash(system) == hash((13, 18, 29)) == hash(TwoModSystem(13, 18, 29))
+    assert hash(system) == hash((False, 13, 18, 29)) == hash(TwoModSystem(13, 18, 29))
     assert repr(system) == "TwoModSystem(m=13, gamma1=18, gamma2=29)"
     assert dataclasses.asdict(system) == {"m": 13, "gamma1": 18, "gamma2": 29}
     assert pickle.loads(pickle.dumps(system)).__dict__ == system.__dict__
@@ -139,4 +145,46 @@ def test_hash_is_cached_and_fields_are_unchanged():
         assert twin == system and hash(twin) == hash(system)
     assert system.__getstate__() == {"m": 13, "gamma1": 18, "gamma2": 29}
     real = TwoModSystem.real(2.5, 18, 29)
-    assert hash(real) == hash((2.5, 18, 29)) and real != TwoModSystem(2, 18, 29)
+    assert hash(real) == hash((True, 2.5, 18, 29)) and real != TwoModSystem(2, 18, 29)
+    for twin in (pickle.loads(pickle.dumps(real)), dataclasses.replace(real)):
+        assert twin == real and hash(twin) == hash(real) and twin.is_real
+
+
+def test_mode_is_part_of_the_identity():
+    integer, real = TwoModSystem(4, 2, 3), TwoModSystem.real(4.0, 2, 3)
+    assert integer != real and real != integer
+    assert hash(integer) != hash(real)
+    assert len({integer, real}) == 2
+    assert dataclasses.replace(real, m=4) == integer and dataclasses.replace(integer, m=4.0) == real
+    for bad in (True, False):
+        with pytest.raises(ValueError, match="invalid common factor"):
+            TwoModSystem(bad, 2, 3)
+
+
+def _mode_answers(system):
+    """What every context-cached entry point gives on ``system`` at its one
+    level: ``(4, 2, 3)`` has the single level 1, range 24."""
+    kernel = LevelKernel(system, 1)
+    r1t, r2t = np.array([5.5]), np.array([1.0])
+    n1, n2 = kernel.solve(r1t, r2t)
+    vector = (int(n1[0]), int(n2[0]), kernel.estimate(n1, n2, r1t, r2t).tolist(), kernel.dynamic_range)
+    if system.is_real:
+        sol = solve_level_real(system, RemainderObservation(5.5, 1.0), 1)
+        return sol, type(sol.estimate), vector, type(kernel.dynamic_range)
+    sol = solve_level(system, RemainderObservation(5, 1), 1)
+    return (sol, type(sol.estimate), type(sol.mean), vector, type(kernel.dynamic_range),
+            level_exactness_scan(system, 1))
+
+
+@pytest.mark.parametrize("real_first", [True, False])
+def test_each_mode_keeps_its_own_context_in_either_cache_order(real_first):
+    integer, real = TwoModSystem(4, 2, 3), TwoModSystem.real(4.0, 2, 3)
+    level_context.cache_clear()  # the order below, not earlier tests, fills the cache
+    order = (real, integer) if real_first else (integer, real)
+    got = {system: _mode_answers(system) for system in order}
+    assert got[integer][:5] == (
+        FoldingSolution(1, 1, 13, Fraction(13)), int, Fraction, (1, 1, [13.0], 24), int)
+    assert (got[integer][5].checked, got[integer][5].fold_failures,
+            got[integer][5].estimate_failures) == (608, 0, 0)
+    assert got[real] == (FoldingSolution(1, 1, 13.25, 13.25), float, (1, 1, [13.25], 24.0), float)
+    assert level_context(integer, 1).system is not level_context(real, 1).system

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -212,6 +213,19 @@ class TestCascade:
     def test_rejects_equal_lcms(self):
         with pytest.raises(ValueError):
             cascade_spec([120, 300], [200, 75], 1)  # both lcm 600
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_remainders_are_refused(self, bad):
+        spec = cascade_spec([120, 300], [210, 490], 2)
+        calls = [
+            lambda: single_stage_robust_crt(ModuliGroup.from_moduli([120, 300]), [40.0, bad]),
+            lambda: general_robust_crt([120, 300, 210], [bad, 100, 160]),
+            lambda: cascade_reconstruct(spec, [40, 100], [160.0, bad]),
+            lambda: cascade_reconstruct(spec, [bad, 100], [160, 370]),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="non-finite"):
+                call()
 
     def test_level_validation(self):
         with pytest.raises(ValueError):

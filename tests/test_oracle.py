@@ -91,8 +91,20 @@ def assert_same_search(system, obs, bound):
     want = reference_fold_search(system, obs, bound)
     assert (got.n1, got.n2, got.value) == (want.n1, want.n2, want.value)
     assert type(got.deviation) is type(want.deviation)
-    # repr matches NaN with NaN and tells -0.0 from 0.0, which == does not
+    # repr tells -0.0 from 0.0, which == does not
     assert repr(got.deviation) == repr(want.deviation)
+
+
+def assert_same_exact_search(system, obs, bound):
+    """The search against the loop run on the exact ``Fraction`` of each float
+    remainder: the same value, and the deviation the scalar expression at that
+    value, which rounds the exact deviation to a float when a float wins."""
+    got = exhaustive_fold_search(system, obs, bound)
+    want = reference_fold_search(system, RemainderObservation(Fraction(obs.r1), Fraction(obs.r2)), bound)
+    assert (got.n1, got.n2, got.value) == (want.n1, want.n2, want.value)
+    at_value = max(abs(obs.r1 - want.value % system.m1), abs(obs.r2 - want.value % system.m2))
+    assert repr(got.deviation) == repr(at_value)
+    assert float(got.deviation) == float(want.deviation)
 
 
 @st.composite
@@ -132,14 +144,19 @@ class TestFoldSearchMatchesReference:
     def test_property(self, search, block):
         # small blocks put many block edges inside lcms that stay cheap to loop over
         with mock.patch.object(oracle, "_SCAN_BLOCK", block):
-            assert_same_search(*search)
+            assert_same_exact_search(*search)
 
     @pytest.mark.parametrize("r1, r2", [
         (math.nan, 3), (3, math.nan), (math.inf, 3), (3, -math.inf),
         (math.nan, math.nan), (-0.0, 0.0),
     ])
     def test_non_finite_floats(self, r1, r2):
-        assert_same_search(TwoModSystem.from_moduli(234, 377), RemainderObservation(r1, r2), 1170)
+        system, obs = TwoModSystem.from_moduli(234, 377), RemainderObservation(r1, r2)
+        if math.isfinite(r1) and math.isfinite(r2):
+            assert_same_search(system, obs, 1170)
+        else:
+            with pytest.raises(ValueError, match="must be finite"):
+                exhaustive_fold_search(system, obs, 1170)
 
 
 BLOCK = 1 << 16

@@ -18,6 +18,7 @@ from robustrns.two_mod import (
     solve_basic,
     solve_level,
     solve_level_real,
+    solve_with_context,
     true_folds,
 )
 
@@ -350,6 +351,23 @@ class TestRealMode:
     def test_real_entry_requires_real_system(self):
         with pytest.raises(ValueError):
             solve_level_real(TwoModSystem.from_moduli(24, 38), RemainderObservation(0, 0), 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("system", [TwoModSystem.real(2.5, 18, 29), TwoModSystem(13, 18, 29)],
+                             ids=["real", "integer"])
+    def test_non_finite_remainders_are_refused(self, system, bad):
+        solvers = [
+            lambda obs: solve_basic(system, obs),
+            lambda obs: solve_level(system, obs, 3),
+            lambda obs: solve_with_context(level_context(system, 5), obs),
+            lambda obs: estimate_value(1, 1, obs, system),
+        ]
+        if system.is_real:
+            solvers.append(lambda obs: solve_level_real(system, obs, 3))
+        for solve in solvers:
+            for obs in (RemainderObservation(bad, 3.0), RemainderObservation(19.7, bad)):
+                with pytest.raises(ValueError, match="non-finite"):
+                    solve(obs)
 
 
 class TestDeltaVersusSigmaBaseline:
