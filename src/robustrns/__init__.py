@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .modmath import (
     CoprimeFactorization,
     coprime_factorization,
-    gcd_lcm,
     mod_inverse,
     round_half_up,
 )
@@ -21,16 +20,14 @@ from .two_mod import (
     FoldingSolution,
     LevelContext,
     RemainderObservation,
-    ResidueLadder,
     RobustnessLevel,
     SigmaChain,
     TwoModSystem,
+    delta_baseline,
     delta_chain,
-    estimate_value,
     ladder_depths,
     level_context,
     level_table,
-    residue_ladder,
     sigma_chain,
     solve_basic,
     solve_level,
@@ -71,4 +68,18 @@ from .simkit import (
     run_tau_sweep,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "CoprimeFactorization", "coprime_factorization", "mod_inverse", "round_half_up",
+    "CrtSystem", "InconsistentRemainders", "crt_reconstruct", "crt_system", "remainders_of",
+    "DeltaChain", "FoldingSolution", "LevelContext", "RemainderObservation", "RobustnessLevel",
+    "SigmaChain", "TwoModSystem", "delta_baseline", "delta_chain", "ladder_depths",
+    "level_context", "level_table", "sigma_chain", "solve_basic", "solve_level",
+    "solve_level_real", "solve_with_context", "true_folds",
+    "CascadeSolution", "CascadeSpec", "GeneralCrtSolution", "ModuliGroup", "cascade_bounds",
+    "cascade_reconstruct", "cascade_spec", "general_robust_crt", "single_stage_robust_crt",
+    "AdversarialInstance", "ExactnessScan", "FoldSearchResult", "OracleReport", "crt_scan",
+    "exhaustive_fold_search", "falsifier_report", "ladder_depths_definitional",
+    "level_exactness_scan", "range_falsifier", "range_falsifier_basic",
+    "SweepResult", "SweepRow", "TrialConfig", "run_boundary_probe", "run_comparison",
+    "run_tau_sweep",
+]

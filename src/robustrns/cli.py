@@ -1,5 +1,11 @@
 """Command-line frontend: analysis, reconstruction, simulation, verification, export.
 
+The commands parse their arguments, call the library and print its results;
+they compute nothing of their own.  Each subcommand takes only the flags it
+reads (``--seed`` for ``simulate`` and ``verify``; ``--out`` for ``levels``,
+``reconstruct``, ``simulate`` and ``plane``; ``--format`` for ``levels``,
+``simulate`` and ``plane``), so any other flag is a usage error.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 strict oracle
 mismatch.  All commands are non-interactive and deterministic for a given seed;
 every file written with ``--out`` gets a sibling ``<out>.manifest.json`` that
@@ -11,11 +17,14 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from dataclasses import asdict, fields
-from decimal import Context, Decimal, ROUND_HALF_UP
+from decimal import Context, Decimal, InvalidOperation, ROUND_HALF_UP
 from fractions import Fraction
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .oracle import (
@@ -30,7 +39,7 @@ from .simkit import TrialConfig, run_boundary_probe, run_comparison, run_tau_swe
 from .two_mod import (
     RemainderObservation,
     TwoModSystem,
-    delta_chain,
+    delta_baseline,
     ladder_depths,
     level_context,
     level_table,
@@ -82,52 +91,32 @@ def _float(x, what: str) -> float:
 
 # ---------------------------------------------------------------- manifests
 
-def _write_manifest(out: Path, command: str, config: dict, seed) -> Path:
+def _emit(text: str, out: str | None, command: str, config: dict, seed) -> None:
+    """Print ``text``, or write it to ``out`` next to its manifest."""
+    if out is None:
+        sys.stdout.write(text)
+        return
+    path = Path(out)
+    path.write_text(text)
     manifest = {
         "command": command,
         "config": config,
         "seed": seed,
         "artifact_version": __version__,
-        "outputs": [str(out)],
+        "outputs": [str(path)],
     }
-    path = Path(f"{out}.manifest.json")
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def _emit(text: str, out: str | None, command: str, config: dict, seed) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        path = Path(out)
-        path.write_text(text)
-        _write_manifest(path, command, config, seed)
+    Path(f"{path}.manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------- levels
 
-def _delta_baseline(system: TwoModSystem):
-    ch = delta_chain(system)
-    m1, m2 = system.m1, system.m2
-    d1 = ch.delta(1)
-    base = m1 * (1 + (m2 // m1) * (m1 // d1))
-    rows = [(1, d1, Fraction(d1, 4), base, base)]
-    lower = base
-    for i in range(2, ch.g + 1):
-        di = ch.delta(i)
-        lower *= ch.delta(i - 1) // di
-        upper = max(m1 * (m2 // di), m2 * (m1 // di))
-        rows.append((i, di, Fraction(di, 4), lower, upper))
-    return rows
-
-
 def cmd_levels(args) -> int:
     system = TwoModSystem.from_moduli(args.m1, args.m2)
     rows = level_table(system)
-    baseline = _delta_baseline(system)
-    config = {"m1": args.m1, "m2": args.m2}
+    baseline = delta_baseline(system)
+    buf = io.StringIO()
     if args.format == "json":
-        payload = {
+        json.dump({
             "system": {"m1": args.m1, "m2": args.m2, "m": system.m,
                        "gamma1": system.gamma1, "gamma2": system.gamma2,
                        "lcm": system.lcm},
@@ -141,11 +130,9 @@ def cmd_levels(args) -> int:
                  "range_low": lo, "range_high": hi}
                 for i, d, b, lo, hi in baseline
             ],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out, "levels", config, None)
-        return EXIT_OK
-    buf = io.StringIO()
-    if args.format == "csv":
+        }, buf, indent=2)
+        buf.write("\n")
+    elif args.format == "csv":
         buf.write("j,sigma,robustness_bound,depth1,depth2,dynamic_range\n")
         for r in rows:
             buf.write(f"{r.j},{r.sigma},{fmt(r.robustness_bound)},"
@@ -161,61 +148,59 @@ def cmd_levels(args) -> int:
         buf.write("index delta bound range_low range_high\n")
         for i, d, b, lo, hi in baseline:
             buf.write(f"{i} {d} {fmt(b)} {lo} {hi}\n")
-    _emit(buf.getvalue(), args.out, "levels", config, None)
+    _emit(buf.getvalue(), args.out, "levels", {"m1": args.m1, "m2": args.m2}, None)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- reconstruct
 
-def _parse_int_list(text: str, what: str) -> list[int]:
+def _parse_list(text: str, what: str, kind=int) -> list:
+    """A comma list of ``kind`` values (``int`` or ``Decimal``)."""
     try:
-        return [int(part.strip()) for part in text.split(",")]
-    except ValueError as exc:
-        raise UsageError(f"could not parse {what} {text!r} as integers") from exc
+        return [kind(part.strip()) for part in text.split(",")]
+    except (ValueError, InvalidOperation):
+        raise UsageError(f"could not parse {what} {text!r} as {kind.__name__} values") from None
 
 
-def _parse_number_list(text: str, what: str) -> list[Decimal]:
-    try:
-        return [Decimal(part.strip()) for part in text.split(",")]
-    except Exception as exc:
-        raise UsageError(f"could not parse {what} {text!r} as decimals") from exc
+def _check_remainders(rs: list, moduli: list) -> None:
+    for r, mi in zip(rs, moduli):
+        if not 0 <= r < mi:
+            raise UsageError(f"remainder {r} out of range [0, {mi})")
 
 
 def cmd_reconstruct(args) -> int:
+    if not args.oracle and (args.strict or args.oracle_bound is not None):
+        raise UsageError("reconstruct: --strict and --oracle-bound need --oracle")
+    if args.real != (args.m is not None):
+        raise UsageError("reconstruct: real mode takes --real with --m <decimal>")
     if args.groups:
+        if args.moduli or args.real or args.oracle:
+            raise UsageError("reconstruct: cascade mode is integer-valued and takes no "
+                             "--moduli or --oracle")
         return _reconstruct_cascade(args)
     if not args.moduli:
         raise UsageError("reconstruct: need --moduli or --groups")
+    kind = Decimal if args.real else int
+    moduli = _parse_list(args.moduli, "--moduli", kind)
+    rs = _parse_list(args.remainders, "--remainders", kind)
+    for what, values in (("moduli", moduli), ("remainders", rs)):
+        if len(values) != 2:
+            raise UsageError(f"reconstruct: exactly two {what}")
     if args.real:
-        if args.m is None:
-            raise UsageError("reconstruct: real mode needs --m <decimal>")
-        m = Decimal(args.m)
-        moduli = _parse_number_list(args.moduli, "--moduli")
-        if len(moduli) != 2:
-            raise UsageError("reconstruct: exactly two moduli")
-        gammas = []
-        for mi in moduli:
-            g = mi / m
+        ms = _parse_list(args.m, "--m", Decimal)
+        if len(ms) != 1 or not ms[0].is_finite() or ms[0] <= 0:
+            raise UsageError(f"reconstruct: --m {args.m!r} is not one positive decimal")
+        m = ms[0]
+        gammas = [mi / m for mi in moduli]
+        for mi, g in zip(moduli, gammas):
             if g != g.to_integral_value():
                 raise UsageError(f"modulus {mi} is not an integer multiple of m={m}")
-            gammas.append(int(g))
-        system = TwoModSystem.real(float(m), gammas[0], gammas[1])
-        rs = _parse_number_list(args.remainders, "--remainders")
-        if len(rs) != 2:
-            raise UsageError("reconstruct: exactly two remainders")
+        system = TwoModSystem.real(float(m), int(gammas[0]), int(gammas[1]))
         obs = RemainderObservation(float(rs[0]), float(rs[1]))
     else:
-        moduli = _parse_int_list(args.moduli, "--moduli")
-        if len(moduli) != 2:
-            raise UsageError("reconstruct: exactly two moduli")
-        system = TwoModSystem.from_moduli(moduli[0], moduli[1])
-        rs = _parse_int_list(args.remainders, "--remainders")
-        if len(rs) != 2:
-            raise UsageError("reconstruct: exactly two remainders")
-        for r, mi in zip(rs, (system.m1, system.m2)):
-            if not 0 <= r < mi:
-                raise UsageError(f"remainder {r} out of range [0, {mi})")
-        obs = RemainderObservation(rs[0], rs[1])
+        system = TwoModSystem.from_moduli(*moduli)
+        _check_remainders(rs, moduli)
+        obs = RemainderObservation(*rs)
     level = args.level if args.level is not None else sigma_chain(system).levels
     sol = solve_level(system, obs, level)
     payload = {
@@ -250,22 +235,14 @@ def cmd_reconstruct(args) -> int:
 
 
 def _reconstruct_cascade(args) -> int:
-    if args.real:
-        raise UsageError("reconstruct: cascade mode is integer-valued")
-    parts = args.groups.split("|")
-    if len(parts) != 2:
-        raise UsageError("reconstruct: --groups needs two |-separated lists")
-    g1 = _parse_int_list(parts[0], "--groups")
-    g2 = _parse_int_list(parts[1], "--groups")
-    rs = _parse_int_list(args.remainders, "--remainders")
+    g1, g2 = _parse_groups(args.groups)
+    rs = _parse_list(args.remainders, "--remainders")
     if len(rs) != len(g1) + len(g2):
         raise UsageError(
             f"reconstruct: expected {len(g1) + len(g2)} remainders, got {len(rs)}")
     level = args.level if args.level is not None else 1
     spec = cascade_spec(g1, g2, level)
-    for r, mk in zip(rs, g1 + g2):
-        if not 0 <= r < mk:
-            raise UsageError(f"remainder {r} out of range [0, {mk})")
+    _check_remainders(rs, g1 + g2)
     sol = cascade_reconstruct(spec, rs[: len(g1)], rs[len(g1):])
     rng_, tau = cascade_bounds(spec)
     payload = {
@@ -302,7 +279,7 @@ def _parse_span(text: str, what: str, integer: bool = False) -> list:
         return [int(v) if integer else float(v) for v in text]
     parse = int if integer else float
     if ":" not in text:
-        return [parse(p) for p in text.split(",")]
+        return _parse_list(text, what, parse)
     parts = text.split(":")
     if integer and len(parts) == 2:
         parts.append("1")
@@ -325,18 +302,7 @@ def _load_config(args) -> dict:
         if unknown:
             raise UsageError(f"unknown config fields: {sorted(unknown)}")
         cfg.update(raw)
-    for key in ("m1", "m2", "level", "trials", "seed", "value_mode", "error_mode", "range_mode"):
-        val = getattr(args, key)
-        if val is not None:
-            cfg[key] = val
-    if args.tau is not None:
-        cfg["tau"] = args.tau
-    if args.groups is not None:
-        cfg["groups"] = args.groups
-    if args.probe_boundary is not None:
-        cfg["neighbors"] = args.probe_boundary
-    if args.compare:
-        cfg["compare"] = True
+    cfg.update({k: v for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None})
     defaults = {f.name: f.default for f in fields(TrialConfig)}
     cfg.setdefault("trials", defaults["trials_per_point"])
     for key in ("seed", "value_mode", "error_mode", "range_mode"):
@@ -359,23 +325,12 @@ def _sweep_csv(results) -> str:
     return buf.getvalue()
 
 
-def _emit_sweep(results, args, cfg, seed) -> None:
-    if args.format == "json":
-        payload = [
-            {"series": res.series, "rows": [asdict(row) for row in res.rows]}
-            for res in results
-        ]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out, "simulate", cfg, seed)
-    else:
-        _emit(_sweep_csv(results), args.out, "simulate", cfg, seed)
-
-
 def _parse_groups(value) -> tuple[list[int], list[int]]:
     if isinstance(value, str):
         parts = value.split("|")
         if len(parts) != 2:
             raise UsageError("groups: need two |-separated moduli lists")
-        return _parse_int_list(parts[0], "groups"), _parse_int_list(parts[1], "groups")
+        return _parse_list(parts[0], "groups"), _parse_list(parts[1], "groups")
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return [int(v) for v in value[0]], [int(v) for v in value[1]]
     raise UsageError("groups: need two moduli lists")
@@ -384,29 +339,33 @@ def _parse_groups(value) -> tuple[list[int], list[int]]:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     seed = int(cfg["seed"])
-    trials = int(cfg["trials"])
-    if cfg.get("compare"):
+    results = _run_sweeps(cfg, seed, int(cfg["trials"]))
+    if args.format == "json":
+        payload = [
+            {"series": res.series, "rows": [asdict(row) for row in res.rows]}
+            for res in results
+        ]
+        text = json.dumps(payload, indent=2) + "\n"
+    else:
+        text = _sweep_csv(results)
+    _emit(text, args.out, "simulate", cfg, seed)
+    return EXIT_OK
+
+
+def _run_sweeps(cfg: dict, seed: int, trials: int) -> list:
+    """The sweep, boundary probe or comparison that ``cfg`` describes."""
+    modes = {"error_mode": cfg["error_mode"], "range_mode": cfg["range_mode"]}
+    compare = cfg.get("compare")
+    if "groups" in cfg or compare:
         if "groups" not in cfg:
             raise UsageError("simulate --compare needs groups")
-        g1, g2 = _parse_groups(cfg["groups"])
-        level = int(cfg.get("level", 1))
-        spec = cascade_spec(g1, g2, level)
-        taus = _parse_span(cfg.get("tau", "0:25:1"), "tau")
-        results = run_comparison(spec, taus, trials, seed,
-                                 error_mode=cfg["error_mode"],
-                                 range_mode=cfg["range_mode"])
-        _emit_sweep(results, args, cfg, seed)
-        return EXIT_OK
-    if "groups" in cfg:
-        g1, g2 = _parse_groups(cfg["groups"])
-        spec = cascade_spec(g1, g2, int(cfg.get("level", 1)))
-        config = TrialConfig(
-            cascade=spec, level=spec.level,
-            tau_values=tuple(_parse_span(cfg.get("tau", "0:10:1"), "tau")),
-            trials_per_point=trials, seed=seed,
-            error_mode=cfg["error_mode"], range_mode=cfg["range_mode"])
-        _emit_sweep([run_tau_sweep(config)], args, cfg, seed)
-        return EXIT_OK
+        spec = cascade_spec(*_parse_groups(cfg["groups"]), int(cfg.get("level", 1)))
+        taus = tuple(_parse_span(cfg.get("tau", "0:25:1" if compare else "0:10:1"), "tau"))
+        if compare:
+            return run_comparison(spec, taus, trials, seed, **modes)
+        return [run_tau_sweep(TrialConfig(
+            cascade=spec, level=spec.level, tau_values=taus,
+            trials_per_point=trials, seed=seed, **modes))]
     if cfg["value_mode"] == "real":
         if "m" not in cfg or "gammas" not in cfg:
             raise UsageError("simulate: real mode needs m and gammas in the config")
@@ -421,36 +380,34 @@ def cmd_simulate(args) -> int:
     level = int(cfg.get("level", sigma_chain(system).levels))
     if "neighbors" in cfg:
         neighbors = _parse_span(cfg["neighbors"], "neighbors", integer=True)
-        result = run_boundary_probe(system, level, neighbors, trials, seed,
-                                    range_mode=cfg["range_mode"])
-        _emit_sweep([result], args, cfg, seed)
-        return EXIT_OK
+        return [run_boundary_probe(system, level, neighbors, trials, seed,
+                                   range_mode=cfg["range_mode"])]
     if "tau" not in cfg:
         raise UsageError("simulate: need tau values (or neighbors for a probe)")
     config = TrialConfig(
         system=system, level=level,
         tau_values=tuple(_parse_span(cfg["tau"], "tau")),
-        trials_per_point=trials, seed=seed,
-        value_mode=cfg["value_mode"], error_mode=cfg["error_mode"],
-        range_mode=cfg["range_mode"])
-    _emit_sweep([run_tau_sweep(config)], args, cfg, seed)
-    return EXIT_OK
+        trials_per_point=trials, seed=seed, value_mode=cfg["value_mode"], **modes)
+    return [run_tau_sweep(config)]
 
 
 # ---------------------------------------------------------------- verify
 
 def _random_coprime_pair(rng, gamma_max: int) -> tuple[int, int]:
-    import math as _math
     while True:
         g1 = int(rng.integers(2, gamma_max))
         g2 = int(rng.integers(g1 + 1, gamma_max + 1))
-        if _math.gcd(g1, g2) == 1:
+        if math.gcd(g1, g2) == 1:
             return g1, g2
 
 
-def cmd_verify(args) -> int:
-    import numpy as np
+def _depth_pairs(system: TwoModSystem) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """Closed-form and definitional ladder depths at every level."""
+    return [(ladder_depths(system, j), ladder_depths_definitional(system, j))
+            for j in range(1, sigma_chain(system).levels + 1)]
 
+
+def cmd_verify(args) -> int:
     failures = 0
 
     def report(ok: bool, text: str):
@@ -459,16 +416,14 @@ def cmd_verify(args) -> int:
         if not ok:
             failures += 1
 
-    ran_any = False
+    if (args.m1 is None or args.m2 is None) and not args.random_systems:
+        raise UsageError("verify: give --m1/--m2 and/or --random-systems")
     if args.m1 is not None and args.m2 is not None:
         system = TwoModSystem.from_moduli(args.m1, args.m2)
         levels = sigma_chain(system).levels
-        for j in range(1, levels + 1):
-            closed = ladder_depths(system, j)
-            definitional = ladder_depths_definitional(system, j)
+        for j, (closed, definitional) in enumerate(_depth_pairs(system), 1):
             report(closed == definitional,
                    f"ladder depths at level {j}: closed form {closed} vs definition {definitional}")
-        ran_any = True
         if args.exhaustive:
             for j in range(1, levels + 1):
                 scan = level_exactness_scan(system, j)
@@ -484,15 +439,8 @@ def cmd_verify(args) -> int:
         rng = np.random.default_rng(args.seed or 0)
         for _ in range(args.random_systems):
             g1, g2 = _random_coprime_pair(rng, args.gamma_max)
-            system = TwoModSystem(1, g1, g2)
-            ok = True
-            for j in range(1, sigma_chain(system).levels + 1):
-                if ladder_depths(system, j) != ladder_depths_definitional(system, j):
-                    ok = False
+            ok = all(closed == definitional for closed, definitional in _depth_pairs(TwoModSystem(1, g1, g2)))
             report(ok, f"ladder depths agree for cofactors ({g1}, {g2})")
-        ran_any = True
-    if not ran_any:
-        raise UsageError("verify: give --m1/--m2 and/or --random-systems")
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
@@ -502,28 +450,24 @@ def cmd_plane(args) -> int:
     system = TwoModSystem.from_moduli(args.m1, args.m2)
     if args.max > system.lcm:
         raise UsageError(f"plane: --max {args.max} exceeds the lcm {system.lcm}")
-    config = {"m1": args.m1, "m2": args.m2, "max": args.max}
+    rows = [(n, n % system.m1, n % system.m2) for n in range(args.max)]
     if args.format == "json":
-        rows = [{"N": n, "r1": n % system.m1, "r2": n % system.m2}
-                for n in range(args.max)]
-        _emit(json.dumps(rows) + "\n", args.out, "plane", config, None)
-        return EXIT_OK
-    buf = io.StringIO()
-    buf.write("N,r1,r2\n")
-    for n in range(args.max):
-        buf.write(f"{n},{n % system.m1},{n % system.m2}\n")
-    _emit(buf.getvalue(), args.out, "plane", config, None)
+        text = json.dumps([{"N": n, "r1": r1, "r2": r2} for n, r1, r2 in rows]) + "\n"
+    else:
+        text = "N,r1,r2\n" + "".join(f"{n},{r1},{r2}\n" for n, r1, r2 in rows)
+    _emit(text, args.out, "plane", {"m1": args.m1, "m2": args.m2, "max": args.max}, None)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- parser
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="RNG seed")
-    common.add_argument("--out", type=str, default=None, help="output file path")
-    common.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="override the command's default output format")
+    # one parent parser per shared flag; each subcommand takes the ones it reads
+    seed, out, form = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    seed.add_argument("--seed", type=int, default=None, help="RNG seed")
+    out.add_argument("--out", type=str, default=None, help="output file path")
+    form.add_argument("--format", choices=("csv", "json"), default=None,
+                      help="override the command's default output format")
 
     parser = argparse.ArgumentParser(
         prog="robustrns",
@@ -532,13 +476,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"robustrns {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("levels", parents=[common],
+    p = sub.add_parser("levels", parents=[out, form],
                        help="print the range/error trade-off table")
     p.add_argument("--m1", type=int, required=True)
     p.add_argument("--m2", type=int, required=True)
     p.set_defaults(func=cmd_levels)
 
-    p = sub.add_parser("reconstruct", parents=[common],
+    p = sub.add_parser("reconstruct", parents=[out],
                        help="recover fold integers and the value estimate")
     p.add_argument("--moduli", type=str)
     p.add_argument("--groups", type=str, help='cascade groups, e.g. "120,300|210,490"')
@@ -551,23 +495,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true", help="exit 3 on oracle disagreement")
     p.set_defaults(func=cmd_reconstruct)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[seed, out, form],
                        help="Monte Carlo sweeps, probes and comparisons (CSV)")
     p.add_argument("--m1", type=int)
     p.add_argument("--m2", type=int)
     p.add_argument("--level", type=int)
     p.add_argument("--tau", type=str, help='error bounds: "0:13:0.5" or comma list')
     p.add_argument("--trials", type=int)
-    p.add_argument("--probe-boundary", type=str, help='values to probe: "465:470"')
+    p.add_argument("--probe-boundary", dest="neighbors", type=str, help='values to probe: "465:470"')
     p.add_argument("--groups", type=str)
-    p.add_argument("--compare", action="store_true")
+    p.add_argument("--compare", action="store_true", default=None)
     p.add_argument("--config", type=str, help="JSON config file")
     p.add_argument("--value-mode", dest="value_mode", choices=("integer", "real"))
     p.add_argument("--error-mode", dest="error_mode", choices=("real", "integer"))
     p.add_argument("--range-mode", dest="range_mode", choices=("allow", "clamp"))
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[seed],
                        help="run oracle equivalence and tightness checks")
     p.add_argument("--m1", type=int)
     p.add_argument("--m2", type=int)
@@ -577,7 +521,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-max", type=int, default=200)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("plane", parents=[common],
+    p = sub.add_parser("plane", parents=[out, form],
                        help="dump (N, r1, r2) rows for external plotting")
     p.add_argument("--m1", type=int, required=True)
     p.add_argument("--m2", type=int, required=True)

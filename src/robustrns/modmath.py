@@ -13,17 +13,6 @@ from numbers import Rational
 _CACHE_SIZE = 256
 
 
-def gcd_lcm(values) -> tuple[int, int]:
-    """Return ``(gcd, lcm)`` of a non-empty list of positive integers."""
-    vals = list(values)
-    if not vals:
-        raise ValueError("gcd_lcm: need at least one value")
-    for v in vals:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ValueError(f"gcd_lcm: values must be positive integers, got {v!r}")
-    return math.gcd(*vals), math.lcm(*vals)
-
-
 def mod_inverse(a: int, n: int) -> int:
     """Multiplicative inverse of ``a`` modulo ``n``, in ``[0, n)``.
 

@@ -98,17 +98,25 @@ class TwoModSystem:
     def is_real(self) -> bool:
         return isinstance(self.m, float)
 
+    def _times(self, k: int) -> int | float:
+        """``m * k`` for an integer ``k``; in real-scalar mode the exact
+        product of ``m``'s binary value and ``k``, rounded to a float once."""
+        if self.is_real:
+            p, q = self.m.as_integer_ratio()
+            return p * k / q
+        return self.m * k
+
     @property
     def m1(self):
-        return self.m * self.gamma1
+        return self._times(self.gamma1)
 
     @property
     def m2(self):
-        return self.m * self.gamma2
+        return self._times(self.gamma2)
 
     @property
     def lcm(self):
-        return self.m * self.gamma1 * self.gamma2
+        return self._times(self.gamma1 * self.gamma2)
 
 
 @dataclass(frozen=True)
@@ -179,21 +187,6 @@ class DeltaChain:
 
 
 @dataclass(frozen=True)
-class ResidueLadder:
-    """The residues ``|t * gamma_other|_gamma`` for ``t = 0..depth``.
-
-    ``side=2`` reduces multiples of gamma2 modulo gamma1; ``side=1`` the other
-    way around.  All elements are distinct; ``min_gap`` is the smallest
-    pairwise distance.
-    """
-
-    side: int
-    depth: int
-    elements: tuple[int, ...]
-    min_gap: int
-
-
-@dataclass(frozen=True)
 class RobustnessLevel:
     """One row of the range/error trade-off table."""
 
@@ -227,19 +220,27 @@ def delta_chain(system: TwoModSystem) -> DeltaChain:
     return DeltaChain(tuple(system.m * v for v in rel), len(rel) - 2)
 
 
-def residue_ladder(system: TwoModSystem, side: int, depth: int) -> ResidueLadder:
-    if side == 2:
-        base, mod = system.gamma2, system.gamma1
-    elif side == 1:
-        base, mod = system.gamma1, system.gamma2
-    else:
-        raise ValueError(f"residue_ladder: side must be 1 or 2, got {side}")
-    if not 1 <= depth < mod:
-        raise ValueError(f"residue_ladder: depth {depth} out of range [1, {mod})")
-    elements = tuple(t * base % mod for t in range(depth + 1))
-    ordered = sorted(elements)
-    min_gap = min(b - a for a, b in zip(ordered, ordered[1:]))
-    return ResidueLadder(side, depth, elements, min_gap)
+def delta_baseline(system: TwoModSystem) -> list[tuple[int, int, Fraction, int, int]]:
+    """The prior-art baseline rows ``(i, delta_i, delta_i / 4, range_low,
+    range_high)`` of an integer system, one per entry of its delta chain.
+
+    Errors below ``delta_i / 4`` leave a value recoverable over the baseline's
+    range, which it brackets between ``range_low`` and ``range_high``.
+    """
+    if system.is_real:
+        raise ValueError("delta_baseline: integer systems only")
+    ch = delta_chain(system)
+    m1, m2 = system.m1, system.m2
+    d1 = ch.delta(1)
+    base = m1 * (1 + (m2 // m1) * (m1 // d1))
+    rows = [(1, d1, Fraction(d1, 4), base, base)]
+    lower = base
+    for i in range(2, ch.g + 1):
+        di = ch.delta(i)
+        lower *= ch.delta(i - 1) // di
+        upper = max(m1 * (m2 // di), m2 * (m1 // di))
+        rows.append((i, di, Fraction(di, 4), lower, upper))
+    return rows
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -285,7 +286,7 @@ def ladder_depths(system: TwoModSystem, j: int) -> tuple[int, int]:
 def _range_and_bound(system: TwoModSystem, sigma: int, depth1: int, depth2: int):
     """A level's dynamic range and its robustness bound ``m * sigma / 4``,
     a float in real-scalar mode and a ``Fraction`` otherwise."""
-    rng = min(system.m2 * (1 + depth2), system.m1 * (1 + depth1))
+    rng = system._times(min(system.gamma2 * (1 + depth2), system.gamma1 * (1 + depth1)))
     return rng, system.m * sigma / 4.0 if system.is_real else Fraction(system.m * sigma, 4)
 
 
@@ -321,7 +322,6 @@ class LevelContext:
     inv21: int  # inverse of gamma2 modulo gamma1
     dynamic_range: int | float
     robustness_bound: Fraction | float
-    half: Fraction  # sigma / 2, exact
 
 
 def _sorted_ladder(base: int, mod: int, depth: int) -> Sequence[int]:
@@ -343,7 +343,7 @@ def level_context(system: TwoModSystem, j: int) -> LevelContext:
     return LevelContext(
         system, j, s, depth1, depth2, s1, s2,
         mod_inverse(g1, g2), mod_inverse(g2, g1),
-        *_range_and_bound(system, s, depth1, depth2), Fraction(s, 2),
+        *_range_and_bound(system, s, depth1, depth2),
     )
 
 
@@ -369,11 +369,6 @@ def _solution(system: TwoModSystem, n1: int, n2: int, obs: RemainderObservation,
     mean = total / (2 * den) if as_float else (total, 2 * den)
     estimate = mean if as_float and system.is_real else round_div(total, 2 * den)
     return _record(FoldingSolution, {"n1": n1, "n2": n2, "estimate": estimate}, mean)
-
-
-def estimate_value(n1: int, n2: int, obs: RemainderObservation, system: TwoModSystem):
-    """Averaged reconstruction from fold integers, rounded in integer mode."""
-    return _solution(system, n1, n2, obs, _exact_parts(system, obs)).estimate
 
 
 def solve_basic(system: TwoModSystem, obs: RemainderObservation) -> FoldingSolution:

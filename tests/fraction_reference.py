@@ -73,12 +73,13 @@ def _window_pick(elements, target, half, left_open: bool) -> int:
 def solve_with_context(ctx, obs) -> FoldingSolution:
     system = ctx.system
     q = _q21(system, obs)
-    if q >= ctx.half:
-        s2 = _window_pick(ctx.s2, q, ctx.half, left_open=True)
+    half = Fraction(ctx.sigma, 2)
+    if q >= half:
+        s2 = _window_pick(ctx.s2, q, half, left_open=True)
         n2 = s2 * ctx.inv21 % system.gamma1
         n1 = round_half_up(as_exact_ratio(n2 * system.m2 + obs.r2 - obs.r1, system.m1))
-    elif q < -ctx.half:
-        s1 = _window_pick(ctx.s1, -q, ctx.half, left_open=False)
+    elif q < -half:
+        s1 = _window_pick(ctx.s1, -q, half, left_open=False)
         n1 = s1 * ctx.inv12 % system.gamma2
         n2 = round_half_up(as_exact_ratio(n1 * system.m1 + obs.r1 - obs.r2, system.m2))
     else:

@@ -486,7 +486,37 @@ class TestPlane:
                        "--max", "457")[0] == EXIT_USAGE
 
 
+_RECONSTRUCT = ["reconstruct", "--moduli", "234,377", "--remainders", "69,240", "--level", "3"]
+_GROUPS_RECONSTRUCT = ["reconstruct", "--groups", _GROUPS, "--remainders", "40,100,160,370"]
+_VERIFY = ["verify", "--m1", "24", "--m2", "38"]
+_PLANE = ["plane", "--m1", "24", "--m2", "38", "--max", "76"]
+_LEVELS = ["levels", "--m1", "234", "--m2", "377"]
+
+# A flag the subcommand would not read, with the arguments it runs on.
+UNREAD_FLAGS = {
+    "levels --seed": [*_LEVELS, "--seed", "5"],
+    "reconstruct --seed": [*_RECONSTRUCT, "--seed", "5"],
+    "reconstruct --format": [*_RECONSTRUCT, "--format", "csv"],
+    "verify --out": [*_VERIFY, "--out", "{tmp}/v.txt"],
+    "verify --format": [*_VERIFY, "--format", "json"],
+    "plane --seed": [*_PLANE, "--seed", "5"],
+    "reconstruct --strict without --oracle": [*_RECONSTRUCT, "--strict"],
+    "reconstruct --oracle-bound without --oracle": [*_RECONSTRUCT, "--oracle-bound", "100"],
+    "reconstruct --m without --real": [*_RECONSTRUCT, "--m", "2.5"],
+    "reconstruct --groups with --moduli": [*_GROUPS_RECONSTRUCT, "--moduli", "234,377"],
+    "reconstruct --groups with --oracle": [*_GROUPS_RECONSTRUCT, "--oracle"],
+}
+
+
 class TestUsage:
+    @pytest.mark.parametrize("case", list(UNREAD_FLAGS))
+    def test_unread_flag_is_refused(self, capsys, tmp_path, case):
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in UNREAD_FLAGS[case]]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE and out == "", err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_command(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == EXIT_USAGE
 

@@ -29,7 +29,6 @@ from robustrns.multi_mod import (
 from robustrns.two_mod import (
     RemainderObservation,
     TwoModSystem,
-    estimate_value,
     level_context,
     sigma_chain,
     solve_basic,
@@ -141,7 +140,7 @@ def test_solve_basic_and_estimate_match_reference(data):
     obs = data.draw(observations(system, system.lcm, system.m2))
     same_as_reference(solve_basic, ref.solve_basic, system, obs)
     sol = solve_basic(system, obs)
-    assert estimate_value(sol.n1, sol.n2, obs, system) == sol.estimate
+    assert ref._solution(system, obs, sol.n1, sol.n2).estimate == sol.estimate
 
 
 @SETTINGS

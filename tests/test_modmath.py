@@ -6,35 +6,9 @@ from hypothesis import given, strategies as st
 
 from robustrns.modmath import (
     coprime_factorization,
-    gcd_lcm,
     mod_inverse,
     round_half_up,
 )
-
-
-def test_gcd_lcm_pairs():
-    assert gcd_lcm([24, 38]) == (2, 456)
-    assert gcd_lcm([120, 300, 210, 490]) == (10, 29400)
-    assert gcd_lcm([7]) == (7, 7)
-
-
-def test_gcd_lcm_rejects_bad_input():
-    with pytest.raises(ValueError):
-        gcd_lcm([])
-    with pytest.raises(ValueError):
-        gcd_lcm([12, 0])
-    with pytest.raises(ValueError):
-        gcd_lcm([12, -3])
-
-
-@given(st.lists(st.integers(min_value=1, max_value=10_000), min_size=1, max_size=6))
-def test_gcd_lcm_matches_pairwise_fold(values):
-    g, l = gcd_lcm(values)
-    fg, fl = values[0], values[0]
-    for v in values[1:]:
-        fg = math.gcd(fg, v)
-        fl = fl * v // math.gcd(fl, v)
-    assert (g, l) == (fg, fl)
 
 
 def test_mod_inverse_known_values():

@@ -241,26 +241,29 @@ class TestFoldSearchResidueTables:
             assert_same_search(TABLE_SYSTEM, obs, bound)
 
     @pytest.mark.parametrize("bound", [100, 300, 1000, 6786])
-    def test_deviation_runs_once_per_residue(self, bound):
-        calls = []
+    @pytest.mark.parametrize("obs", TABLE_OBSERVATIONS)
+    def test_deviation_runs_once_per_residue(self, bound, obs):
+        """With both periods inside one block, the scan tabulates
+        ``min(m_i, bound)`` residues per side and nothing per candidate.  The
+        residues are counted as the elements of every ``np.arange`` the
+        oracle builds."""
+        built = []
 
-        class CountingFloat(float):
-            """Counts each scalar evaluation of ``r - k``; an array operand is
-            left to numpy, which then evaluates one element at a time."""
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
 
-            def __sub__(self, other):
-                if isinstance(other, np.ndarray):
-                    return NotImplemented
-                calls.append(other)
-                return float(self) - other
+            def arange(self, *args, **kwargs):
+                out = np.arange(*args, **kwargs)
+                built.append(out.size)
+                return out
 
-        obs = RemainderObservation(CountingFloat(69.25), CountingFloat(240.5))
         want = reference_fold_search(TABLE_SYSTEM, obs, bound)
-        calls.clear()
-        got = exhaustive_fold_search(TABLE_SYSTEM, obs, bound)
+        with mock.patch.object(oracle, "np", CountingNumpy()):
+            got = exhaustive_fold_search(TABLE_SYSTEM, obs, bound)
         assert (got.value, got.deviation) == (want.value, want.deviation)
         m1, m2 = TABLE_SYSTEM.m1, TABLE_SYSTEM.m2
-        assert len(calls) <= min(m1, bound) + min(m2, bound) + 2
+        assert 0 < sum(built) <= min(m1, bound) + min(m2, bound)
 
     @pytest.mark.parametrize("system, obs, block, bound", [
         pytest.param(EDGE_SYSTEM, RemainderObservation(100, 33), 1024, 196_613, id="int64-tabulated"),

@@ -8,12 +8,11 @@ from robustrns.oracle import range_falsifier, range_falsifier_basic
 from robustrns.two_mod import (
     RemainderObservation,
     TwoModSystem,
+    delta_baseline,
     delta_chain,
-    estimate_value,
     ladder_depths,
     level_context,
     level_table,
-    residue_ladder,
     sigma_chain,
     solve_basic,
     solve_level,
@@ -91,6 +90,15 @@ class TestDeltaChain:
         assert ch.values == (136, 40, 16, 8)
         assert ch.g == 2
 
+    def test_baseline_rows(self):
+        assert delta_baseline(TwoModSystem.from_moduli(234, 377)) == [
+            (1, 143, 35.75, 468, 468),
+            (2, 52, 13, 936, 1638),
+            (3, 13, 3.25, 3744, 6786),
+        ]
+        with pytest.raises(ValueError, match="integer systems only"):
+            delta_baseline(TwoModSystem.real(2.5, 18, 29))
+
     def test_immediate_termination(self):
         ch = delta_chain(TwoModSystem.from_moduli(6, 21))
         assert ch.delta(1) == 3 and ch.g == 1
@@ -107,36 +115,36 @@ class TestDeltaChain:
 
 
 class TestResidueLadder:
-    def test_side1_example(self):
-        lad = residue_ladder(TwoModSystem(13, 18, 29), side=1, depth=4)
-        assert lad.elements == (0, 18, 7, 25, 14)
-        assert lad.min_gap == 4
+    """The sorted ladders of a level context: ``s1`` holds ``|t * gamma1|_gamma2``
+    for ``t = 0..depth1`` and ``s2`` holds ``|t * gamma2|_gamma1`` for
+    ``t = 0..depth2``."""
 
-    def test_side2_examples(self):
+    @staticmethod
+    def min_gap(ladder):
+        return min(b - a for a, b in zip(ladder, ladder[1:]))
+
+    def test_examples(self):
         s = TwoModSystem(13, 18, 29)
-        lad1 = residue_ladder(s, side=2, depth=1)
-        assert set(lad1.elements) == {0, 11} and lad1.min_gap == 11
-        lad3 = residue_ladder(s, side=2, depth=3)
-        assert set(lad3.elements) == {0, 11, 4, 15} and lad3.min_gap == 4
+        assert tuple(level_context(s, 3).s1) == (0, 7, 14, 18, 25)  # depth1 = 4
+        assert self.min_gap(level_context(s, 3).s1) == 4
+        assert tuple(level_context(s, 1).s2) == (0, 11)  # depth2 = 1
+        assert self.min_gap(level_context(s, 1).s2) == 11
+        assert tuple(level_context(s, 3).s2) == (0, 4, 11, 15)  # depth2 = 3
+        assert self.min_gap(level_context(s, 3).s2) == 4
 
-    def test_depth_validation(self):
-        s = TwoModSystem(13, 18, 29)
-        with pytest.raises(ValueError):
-            residue_ladder(s, side=2, depth=18)
-        with pytest.raises(ValueError):
-            residue_ladder(s, side=1, depth=0)
-        with pytest.raises(ValueError):
-            residue_ladder(s, side=3, depth=1)
-
-    @given(coprime_pairs, st.integers(min_value=1, max_value=400))
+    @given(coprime_pairs)
     @settings(max_examples=150)
-    def test_distinctness(self, pair, depth):
+    def test_definition_distinct_rungs_and_gap(self, pair):
         g1, g2 = pair
         system = TwoModSystem(1, g1, g2)
-        for side, mod in ((1, g2), (2, g1)):
-            d = min(depth, mod - 1)
-            lad = residue_ladder(system, side=side, depth=d)
-            assert len(set(lad.elements)) == d + 1
+        for j in range(1, sigma_chain(system).levels + 1):
+            ctx = level_context(system, j)
+            for ladder, base, mod, depth in ((ctx.s1, g1, g2, ctx.depth1),
+                                             (ctx.s2, g2, g1, ctx.depth2)):
+                rungs = list(ladder)
+                assert rungs == sorted(t * base % mod for t in range(depth + 1))
+                assert len(set(rungs)) == depth + 1
+                assert self.min_gap(rungs) >= ctx.sigma
 
 
 class TestLadderDepths:
@@ -262,7 +270,7 @@ class TestSolveLevel:
         s = TwoModSystem.from_moduli(234, 377)
         for j in (1, 3, 5):
             ctx = level_context(s, j)
-            half = float(ctx.half)
+            half = ctx.sigma / 2
             tau = float(ctx.robustness_bound) * 0.999
             for _ in range(400):
                 value = int(rng.integers(0, ctx.dynamic_range))
@@ -302,13 +310,31 @@ class TestSolveLevel:
 class TestEstimate:
     def test_examples(self):
         s = TwoModSystem.from_moduli(234, 377)
-        assert estimate_value(4, 2, RemainderObservation(69, 240), s) == 1000
+        sol = solve_level(s, RemainderObservation(69, 240), 3)
+        assert (sol.n1, sol.n2, sol.estimate) == (4, 2, 1000)
         s2 = TwoModSystem.from_moduli(40, 136)
-        assert estimate_value(2, 0, RemainderObservation(23, 98), s2) == 101
-        assert estimate_value(3, 1, RemainderObservation(30, 14), s2) == 150
+        sol = solve_basic(s2, RemainderObservation(23, 98))
+        assert (sol.n1, sol.n2, sol.estimate) == (2, 0, 101)
+        sol = solve_basic(s2, RemainderObservation(30, 14))
+        assert (sol.n1, sol.n2, sol.estimate) == (3, 1, 150)
 
 
 class TestRealMode:
+    @pytest.mark.parametrize("m", [0.1, 0.3, 0.7, 1.3, 2.5, 3.7, 0.01])
+    def test_ranges_and_lcm_are_the_rounded_exact_products(self, m):
+        exact = Fraction(m)
+        for g1, g2 in [(18, 29), (20, 49), (13, 21), (34, 55), (7, 100)]:
+            s = TwoModSystem.real(m, g1, g2)
+            assert s.lcm == float(exact * g1 * g2)
+            for row in level_table(s):
+                want = float(exact * min(g2 * (1 + row.depth2), g1 * (1 + row.depth1)))
+                assert row.dynamic_range == want
+                assert level_context(s, row.j).dynamic_range == want
+
+    def test_range_rounded_once_example(self):
+        # m2 * (1 + depth2) in floats is 14.500000000000002
+        assert level_table(TwoModSystem.real(0.1, 18, 29))[3].dynamic_range == 14.5
+
     def test_unit_m_matches_integer_mode(self, rng):
         si = TwoModSystem(1, 18, 29)
         sr = TwoModSystem.real(1.0, 18, 29)
@@ -360,7 +386,6 @@ class TestRealMode:
             lambda obs: solve_basic(system, obs),
             lambda obs: solve_level(system, obs, 3),
             lambda obs: solve_with_context(level_context(system, 5), obs),
-            lambda obs: estimate_value(1, 1, obs, system),
         ]
         if system.is_real:
             solvers.append(lambda obs: solve_level_real(system, obs, 3))
