@@ -272,11 +272,17 @@ _CONFIG_KEYS = {
 }
 
 
-def _parse_span(text: str, what: str, integer: bool = False) -> list:
+def _parse_span(text, what: str, integer: bool = False) -> list:
     """Either a comma list or an inclusive start:stop[:step] span; integer
-    lists and spans are parsed with ``int``, so they stay exact past 2^53."""
+    lists and spans are parsed with ``int``, so they stay exact past 2^53.
+    A config may also give a JSON list, or a bare number, which is read as
+    the one-value list its text gives on the command line."""
     if isinstance(text, (list, tuple)):
         return [int(v) if integer else float(v) for v in text]
+    if isinstance(text, (int, float)) and not isinstance(text, bool):
+        text = str(text)
+    if not isinstance(text, str):
+        raise UsageError(f"{what}: need a list, a span or a number, got {text!r}")
     parse = int if integer else float
     if ":" not in text:
         return _parse_list(text, what, parse)
@@ -352,6 +358,11 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+# what a cascade sweep would ignore: the two-modulus system and the probe
+_CASCADE_UNREAD = {"m1": "m1", "m2": "m2", "m": "m", "gammas": "gammas",
+                   "neighbors": "--probe-boundary"}
+
+
 def _run_sweeps(cfg: dict, seed: int, trials: int) -> list:
     """The sweep, boundary probe or comparison that ``cfg`` describes."""
     modes = {"error_mode": cfg["error_mode"], "range_mode": cfg["range_mode"]}
@@ -359,6 +370,11 @@ def _run_sweeps(cfg: dict, seed: int, trials: int) -> list:
     if "groups" in cfg or compare:
         if "groups" not in cfg:
             raise UsageError("simulate --compare needs groups")
+        unread = [label for key, label in _CASCADE_UNREAD.items() if key in cfg]
+        if cfg["value_mode"] != "integer":
+            unread.append("--value-mode real")
+        if unread:
+            raise UsageError(f"simulate: groups cannot be combined with {', '.join(unread)}")
         spec = cascade_spec(*_parse_groups(cfg["groups"]), int(cfg.get("level", 1)))
         taus = tuple(_parse_span(cfg.get("tau", "0:25:1" if compare else "0:10:1"), "tau"))
         if compare:
@@ -416,9 +432,13 @@ def cmd_verify(args) -> int:
         if not ok:
             failures += 1
 
-    if (args.m1 is None or args.m2 is None) and not args.random_systems:
+    if (args.m1 is None) != (args.m2 is None):
+        raise UsageError("verify: give both --m1 and --m2")
+    if args.m1 is None and not args.random_systems:
         raise UsageError("verify: give --m1/--m2 and/or --random-systems")
-    if args.m1 is not None and args.m2 is not None:
+    if args.m1 is None and (args.exhaustive or args.falsify):
+        raise UsageError("verify: --exhaustive and --falsify need --m1/--m2")
+    if args.m1 is not None:
         system = TwoModSystem.from_moduli(args.m1, args.m2)
         levels = sigma_chain(system).levels
         for j, (closed, definitional) in enumerate(_depth_pairs(system), 1):

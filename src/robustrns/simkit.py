@@ -11,13 +11,14 @@ comparison share one run of the group stages per chunk.  Observed remainders
 are left out of range by default (the fraction is reported);
 ``range_mode="clamp"`` pins them into ``[0, m_i)``.
 
-The ladder-window kernel reads ranks from per-ladder tables instead of
-binary-searching (``_RankTable``): buckets no wider than the ladder's smallest
-gap hold at most one rung each, so the first rung above a target is a floor
-and two gathers, and each rung's fold is gathered from a table too; the
-nearest-rung fallback is searched only where a window is empty.  The group
-and general kernels share one Garner step loop that takes int64 remainders by
-floor division (``_mod``), not by ``%``.
+The ladder-window kernel is one lookup over a signed threshold table
+(``LevelKernel``): ladder 1 mirrored onto negative ``q = (r1 - r2) / m``,
+ladder 2 on positive ``q``, rung 0 shared.  The rung in the window is the
+nearest rung, so ``q`` maps to both folds through thresholds at the midpoints
+between rungs, each holding its tie rule in its float value; a floor, four
+gathers and a compare find it, with no masking and no fallback search.  The
+group and general kernels share one Garner step loop that takes int64
+remainders by floor division (``_mod``), not by ``%``.
 """
 
 from __future__ import annotations
@@ -103,63 +104,29 @@ def _chunks(total: int):
         start += size
 
 
-class _RankTable:
-    """Window search over one sorted ladder of integer rungs, without binary search.
-
-    The rungs are split into buckets of width ``2**shift``, no wider than the
-    ladder's smallest gap, so a bucket holds at most one rung.  Per bucket the
-    table keeps the padded index of the first rung at or after the bucket's
-    start (``after``) and the bucket's rung, or ``inf`` when it has none.  The
-    first rung above ``y`` is then ``after[b] + (rung[b] <= y)`` with
-    ``b = floor(y / 2**shift)``: a scale, a floor and two gathers.  A ``y``
-    outside the ladder's span is clipped into the first or the last bucket,
-    which hold the rungs 0 (every ladder starts at ``t = 0``) and the top
-    rung.  The padded ladder has ``-inf`` and ``inf`` at its ends, so a window
-    past either end compares false and needs no bounds test.  The table grows
-    with the ladder, not with gamma: on random systems a ladder's gaps stayed
-    below twice its smallest, which keeps it under 4 buckets per rung.
-    """
-
-    def __init__(self, rungs: tuple[int, ...], inverse: int, modulus: int):
-        shift = min(b - a for a, b in zip(rungs, rungs[1:])).bit_length() - 1
-        buckets = np.array([r >> shift for r in rungs], dtype=np.intp)
-        held = np.zeros(buckets[-1] + 1, dtype=np.intp)
-        held[buckets] = 1
-        self.after = np.cumsum(held) - held + 1
-        self.rung = np.full(held.size, np.inf)
-        self.rung[buckets] = rungs
-        self.scale = 2.0 ** -shift
-        self.top = float(buckets[-1])
-        self.padded = np.array((-np.inf, *rungs, np.inf), dtype=np.float64)
-        # the fold each rung stands for: rung * inverse mod modulus, exact
-        self.folds = np.array((0, *(r * inverse % modulus for r in rungs), 0), dtype=np.int64)
-
-    def first_above(self, y: np.ndarray, strict: bool) -> np.ndarray:
-        """Padded index of the first rung ``> y`` (``strict``) or ``>= y``."""
-        b = np.floor(y * self.scale)
-        np.clip(b, 0.0, self.top, out=b)
-        b = b.astype(np.intp)
-        rung = self.rung[b]
-        return self.after[b] + (rung <= y if strict else rung < y)
-
-    def fold(self, target: np.ndarray, half: float, left_open: bool) -> np.ndarray:
-        """Fold of the rung in the window around ``target``; when the window
-        (``(t - h, t + h]`` if ``left_open`` else ``[t - h, t + h)``) is empty,
-        of the rung nearest ``target``, ties to the lower one."""
-        i = self.first_above(target - half, strict=left_open)
-        cand = self.padded[i]
-        ok = cand <= target + half if left_open else cand < target + half
-        miss = np.flatnonzero(~ok)
-        if miss.size:
-            t = target[miss]
-            k = self.first_above(t, strict=False)
-            k -= t - self.padded[k - 1] <= self.padded[k] - t
-            i[miss] = k
-        return self.folds[i]
-
-
 class LevelKernel:
-    """Vectorized ladder-window solver for one (system, level) pair."""
+    """Vectorized ladder-window solver for one (system, level) pair.
+
+    ``q = (r1 - r2) / m`` maps to the folds by a step function over one
+    signed ladder: ladder 1 mirrored onto ``q < 0``, rung 0, ladder 2 on
+    ``q > 0``.  Rungs are at least sigma apart, so the rung in the window is
+    the nearest rung, and the thresholds sit at the midpoints between
+    neighbouring rungs.  A threshold's float value holds its tie rule: a tie
+    goes toward 0 on ladder 1's side (the window ``[t - h, t + h)`` is closed
+    on the left); on ladder 2's side it goes up only where the gap is sigma
+    (the window ``(t - h, t + h]`` then holds the midpoint) and down
+    otherwise, where the threshold is ``nextafter(T, inf)``.  Buckets of width
+    ``2**shift`` hold one threshold at most, so the interval of ``q`` is
+    ``after[b] + (q >= threshold[b])`` with ``b = floor(q / 2**shift)``.
+
+    Both folds of an interval come from the exact rung relation.  The
+    companion fold equals the solver's rounding
+    ``floor((n_i m_i + r_i - r_j) / m_j + 0.5)`` while ``q`` lies within
+    ``(gamma_j - 1) / 2`` of the rung, as it does between two rungs; the
+    rounding runs only for ``q`` outside ``[q_lo, q_hi]``, past the end
+    rungs.  From ``gamma1 * gamma2 = 2**40`` on, float error nears that
+    half-unit margin, so the span shrinks to ``[-h, h)``.
+    """
 
     def __init__(self, system: TwoModSystem, level: int):
         ctx = level_context(system, level)
@@ -168,29 +135,58 @@ class LevelKernel:
         self.m = float(system.m)
         self.m1 = float(system.m1)
         self.m2 = float(system.m2)
-        self.half = ctx.sigma / 2.0
-        self.ladder1 = _RankTable(ctx.s1, ctx.inv12, system.gamma2)
-        self.ladder2 = _RankTable(ctx.s2, ctx.inv21, system.gamma1)
         self.dynamic_range = ctx.dynamic_range
         self.robustness_bound = float(ctx.robustness_bound)
+        g1, g2, sigma = system.gamma1, system.gamma2, ctx.sigma
+        dtype = np.int64 if g2 < 2**31 else object  # rung * inverse < g2**2
+        s1 = np.array(ctx.s1[1:], dtype=dtype)
+        s2 = np.array(ctx.s2[1:], dtype=dtype)
+        f1 = s1 * ctx.inv12 % g2  # n1 of the rung s1: n1 * g1 = n2 * g2 + s1
+        f2 = s2 * ctx.inv21 % g1  # n2 of the rung s2: n2 * g2 = n1 * g1 + s2
+        rungs = np.concatenate((-s1[::-1], [0], s2))
+        self.n1 = np.concatenate((f1[::-1], [0], (f2 * g2 - s2) // g1)).astype(np.int64)
+        self.n2 = np.concatenate((((f1 * g1 - s1) // g2)[::-1], [0], f2)).astype(np.int64)
+        twice = rungs[1:] + rungs[:-1]
+        threshold = twice.astype(np.float64) * 0.5
+        tie_down = (rungs[:-1] >= 0) & (rungs[1:] - rungs[:-1] != sigma)
+        threshold[tie_down] = np.nextafter(threshold[tie_down], np.inf)
+        shift = int(np.diff(twice).min()).bit_length() - 2  # 2**shift <= min gap
+        self.scale = 2.0 ** -shift
+        # bucket k lives at k mod len, so a negative bucket is a negative index
+        bucket = np.floor(threshold * self.scale).astype(np.intp)
+        self.first, self.last = float(bucket[0]), float(bucket[-1])
+        ks = np.arange(bucket[0], bucket[-1] + 1)
+        self.after = np.roll(np.searchsorted(bucket, ks), bucket[0])
+        held = np.full(ks.size, np.inf)
+        held[bucket - bucket[0]] = threshold
+        self.threshold = np.roll(held, bucket[0])
+        if g1 * g2 < 2**40:
+            self.q_lo = float(rungs[0]) - (g2 - 1) / 2
+            self.q_hi = float(rungs[-1]) + (g1 - 1) / 2
+        else:
+            self.q_lo, self.q_hi = -sigma / 2, np.nextafter(sigma / 2, -np.inf)
+
+    def _folds(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Both folds of the rung ``q`` falls to, from the tables."""
+        b = q * self.scale
+        np.floor(b, out=b)
+        np.clip(b, self.first, self.last, out=b)
+        b = b.astype(np.intp)
+        i = self.after[b]
+        i += q >= self.threshold[b]
+        return self.n1[i], self.n2[i]
 
     def solve(self, r1t: np.ndarray, r2t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         q = r1t - r2t
         q /= self.m
-        n1 = np.zeros(q.shape, dtype=np.int64)
-        n2 = np.zeros(q.shape, dtype=np.int64)
-        # index arrays: gathering by index is several times cheaper than by mask
-        hi = np.flatnonzero(q >= self.half)
+        n1, n2 = self._folds(q)
+        hi = np.flatnonzero(q > self.q_hi)
         if hi.size:
-            nn2 = self.ladder2.fold(q[hi], self.half, left_open=True)
-            nn1 = np.floor((nn2 * self.m2 + r2t[hi] - r1t[hi]) / self.m1 + 0.5)
-            n2[hi] = nn2
+            nn1 = np.floor((n2[hi] * self.m2 + r2t[hi] - r1t[hi]) / self.m1 + 0.5)
             n1[hi] = nn1.astype(np.int64)
-        lo = np.flatnonzero(q < -self.half)
+        lo = np.flatnonzero(q < self.q_lo)
         if lo.size:
-            nn1 = self.ladder1.fold(-q[lo], self.half, left_open=False)
-            nn2 = np.floor((nn1 * self.m1 + r1t[lo] - r2t[lo]) / self.m2 + 0.5)
-            n1[lo] = nn1
+            nn2 = np.floor((n1[lo] * self.m1 + r1t[lo] - r2t[lo]) / self.m2 + 0.5)
             n2[lo] = nn2.astype(np.int64)
         return n1, n2
 

@@ -1,13 +1,12 @@
-"""Reference copies of the group, general and rank-table kernels with ``%``.
+"""Reference copies of the group and general kernels with ``%``.
 
-These are ``simkit.GroupKernel.solve``, ``simkit.GeneralKernel.solve`` and
-``simkit._RankTable.fold`` as they stood before the kernels took their
-remainders by floor division and shared one Garner step loop: every
-remainder is an int64 ``%``, inconsistent folds are zeroed by ``np.where``,
-the group stage runs its own step table (``group_steps``, copied here since
-the package dropped it), and the nearest-rung fallback is computed for every
-target.  ``test_crt_kernels.py`` requires the package's kernels to return
-identical arrays.  The general step table comes from the package's
+These are ``simkit.GroupKernel.solve`` and ``simkit.GeneralKernel.solve`` as
+they stood before the kernels took their remainders by floor division and
+shared one Garner step loop: every remainder is an int64 ``%``, inconsistent
+folds are zeroed by ``np.where``, and the group stage runs its own step
+table (``group_steps``, copied here since the package dropped it).
+``test_crt_kernels.py`` requires the package's kernels to return identical
+arrays.  The general step table comes from the package's
 ``_general_steps``, whose data the rewrite did not touch.
 """
 
@@ -89,12 +88,3 @@ def general_solve(moduli, rts):
     estimate = np.floor(total / len(rts) + 0.5)
     return folds, estimate, consistent
 
-
-def rank_fold(table, target, half: float, left_open: bool):
-    """``_RankTable.fold`` of ``table``, with the nearest rung taken for every target."""
-    i = table.first_above(target - half, strict=left_open)
-    cand = table.padded[i]
-    ok = cand <= target + half if left_open else cand < target + half
-    k = table.first_above(target, strict=False)
-    k -= target - table.padded[k - 1] <= table.padded[k] - target
-    return table.folds[np.where(ok, i, k)]

@@ -1,11 +1,12 @@
 """Reference copy of the vector ladder-window solver with binary search.
 
-This is ``simkit.LevelKernel.solve`` as it stood before the rank tables
+This is ``simkit.LevelKernel.solve`` as it stood before table lookups
 replaced ``np.searchsorted``: every window and nearest-rung search is a
-binary search over the sorted float ladder, and the fold is computed per
-observation.  ``test_level_kernel_ranks.py`` requires the package's kernel
-to return identical fold arrays.  Ladders, inverses and levels come from the
-package's ``level_context``, whose data the rewrite did not touch.
+binary search over the sorted float ladder of the side ``q`` falls on, and
+the fold is computed per observation.  ``test_level_kernel_ranks.py``
+requires the package's kernel to return identical fold arrays.  Ladders,
+inverses and levels come from the package's ``level_context``, whose data
+the rewrites did not touch.
 """
 
 from __future__ import annotations
@@ -55,4 +56,26 @@ def level_solve(system, level: int, r1t: np.ndarray, r2t: np.ndarray):
         nn2 = np.floor((nn1 * m1 + r1t[lo] - r2t[lo]) / m2 + 0.5)
         n1[lo] = nn1
         n2[lo] = nn2.astype(np.int64)
+    return n1, n2
+
+
+def window_folds(system, level: int, q: np.ndarray):
+    """Both folds of the rung ``level_solve`` picks for ``q = (r1 - r2) / m``,
+    each from the exact rung relation ``n1 * gamma1 - n2 * gamma2 = -q_rung``
+    instead of the rounding ``level_solve`` applies to its companion fold."""
+    ctx = level_context(system, level)
+    g1, g2 = system.gamma1, system.gamma2
+    half = ctx.sigma / 2.0
+    n1 = np.zeros(q.shape, dtype=np.int64)
+    n2 = np.zeros(q.shape, dtype=np.int64)
+    hi = q >= half
+    s = _pick_window(np.asarray(ctx.s2, dtype=np.float64), q[hi], half, left_open=True)
+    s = s.astype(np.int64)
+    n2[hi] = s * ctx.inv21 % g1
+    n1[hi] = (n2[hi] * g2 - s) // g1
+    lo = q < -half
+    s = _pick_window(np.asarray(ctx.s1, dtype=np.float64), -q[lo], half, left_open=False)
+    s = s.astype(np.int64)
+    n1[lo] = s * ctx.inv12 % g2
+    n2[lo] = (n1[lo] * g1 - s) // g2
     return n1, n2

@@ -339,6 +339,29 @@ class TestSimulate:
         assert out == ""
         assert "m2=72" in err and "m1" not in err
 
+    @pytest.mark.parametrize("key, value, flag", [
+        ("tau", 5, ["--tau", "5"]),
+        ("tau", 2.5, ["--tau", "2.5"]),
+        ("neighbors", 467, ["--probe-boundary", "467"]),
+    ])
+    def test_config_number_is_a_one_value_span(self, capsys, tmp_path, key, value, flag):
+        base = ["--m1", "234", "--m2", "377", "--level", "1", "--trials", "300", "--seed", "3"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), *base)
+        assert code == EXIT_OK, err
+        assert len(out.strip().splitlines()) == 2
+        assert out == run_cli(capsys, "simulate", *base, *flag)[1]
+
+    @pytest.mark.parametrize("value", [True, None, {"start": 0}])
+    @pytest.mark.parametrize("key", ["tau", "neighbors"])
+    def test_config_span_of_another_type_is_refused(self, capsys, tmp_path, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"m1": 234, "m2": 377, "trials": 10, key: value}))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == EXIT_USAGE and out == ""
+        assert f"{key}: need a list" in err and "Traceback" not in err
+
     def test_config_rejects_unknown_fields(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"m1": 234, "m2": 377, "tau": [1.0], "bogus": 1}))
@@ -491,6 +514,8 @@ _GROUPS_RECONSTRUCT = ["reconstruct", "--groups", _GROUPS, "--remainders", "40,1
 _VERIFY = ["verify", "--m1", "24", "--m2", "38"]
 _PLANE = ["plane", "--m1", "24", "--m2", "38", "--max", "76"]
 _LEVELS = ["levels", "--m1", "234", "--m2", "377"]
+_CASCADE_SWEEP = ["simulate", "--groups", _GROUPS, "--level", "2", "--trials", "10",
+                  "--out", "{tmp}/s.csv"]
 
 # A flag the subcommand would not read, with the arguments it runs on.
 UNREAD_FLAGS = {
@@ -505,6 +530,13 @@ UNREAD_FLAGS = {
     "reconstruct --m without --real": [*_RECONSTRUCT, "--m", "2.5"],
     "reconstruct --groups with --moduli": [*_GROUPS_RECONSTRUCT, "--moduli", "234,377"],
     "reconstruct --groups with --oracle": [*_GROUPS_RECONSTRUCT, "--oracle"],
+    "simulate --groups with --probe-boundary": [*_CASCADE_SWEEP, "--probe-boundary", "465:470"],
+    "simulate --groups with --value-mode real": [*_CASCADE_SWEEP, "--value-mode", "real"],
+    "simulate --groups with --m1/--m2": [*_CASCADE_SWEEP, "--m1", "234", "--m2", "377"],
+    "simulate --compare with --m1/--m2": [*_CASCADE_SWEEP, "--compare", "--m1", "234", "--m2", "377"],
+    "verify --random-systems with --exhaustive": ["verify", "--random-systems", "1", "--exhaustive"],
+    "verify --random-systems with --falsify": ["verify", "--random-systems", "1", "--falsify"],
+    "verify --m1 without --m2": ["verify", "--m1", "24", "--random-systems", "1"],
 }
 
 

@@ -1,11 +1,11 @@
-"""The group, general and rank-table kernels against their ``%`` reference copies.
+"""The group and general kernels against their ``%`` reference copies.
 
 ``crt_kernel_reference`` keeps the kernels as they were with int64 ``%``, a
-step table of the group stage's own, ``np.where`` zeroing and a nearest-rung
-search for every target.  The package's kernels must return identical folds,
-estimates and consistency flags: on random moduli sets (steps with
-``g > 1`` and ``gq > 1`` included), with remainders from ``-2 m_i`` to
-``3 m_i`` and with errors from well inside the bound to far past it.
+step table of the group stage's own and ``np.where`` zeroing.  The package's
+kernels must return identical folds, estimates and consistency flags: on
+random moduli sets (steps with ``g > 1`` and ``gq > 1`` included), with
+remainders from ``-2 m_i`` to ``3 m_i`` and with errors from well inside the
+bound to far past it.
 """
 
 import math
@@ -15,8 +15,7 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 
 import crt_kernel_reference as ref
 from robustrns.multi_mod import ModuliGroup, _general_steps
-from robustrns.simkit import GeneralKernel, GroupKernel, LevelKernel, _mod
-from robustrns.two_mod import TwoModSystem, level_context, sigma_chain
+from robustrns.simkit import GeneralKernel, GroupKernel, _mod
 
 SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -80,24 +79,6 @@ def test_examples_reach_the_divisibility_tests():
     """The explicit examples above run steps with ``g > 1`` and ``gq > 1``."""
     assert any(g > 1 for g, *_ in _general_steps((2, 4, 6)))
     assert any(gq > 1 for _, _, _, gq, *_ in _general_steps((1, 6, 10, 15)))
-
-
-@SETTINGS
-@given(st.integers(2, 399), st.booleans(), st.data())
-def test_rank_fold_matches_reference(g1, integer_m, data):
-    # drawn among the coprime partners, never filtered: g1 + 1 always is one
-    g2 = data.draw(st.sampled_from([g for g in range(g1 + 1, 401) if math.gcd(g1, g) == 1]))
-    system = (TwoModSystem(data.draw(st.integers(1, 60)), g1, g2) if integer_m
-              else TwoModSystem.real(data.draw(st.floats(0.01, 50.0)), g1, g2))
-    level = data.draw(st.integers(1, sigma_chain(system).levels))
-    half = level_context(system, level).sigma / 2.0
-    kernel = LevelKernel(system, level)
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    for table, gamma, left_open in ((kernel.ladder1, g2, False), (kernel.ladder2, g1, True)):
-        targets = np.concatenate((rng.uniform(-gamma, 2.0 * gamma, 2000),
-                                  np.arange(-3.0, gamma + 3.0, 0.5)))
-        np.testing.assert_array_equal(table.fold(targets, half, left_open),
-                                      ref.rank_fold(table, targets, half, left_open))
 
 
 def test_mod_is_the_floored_remainder_on_int64_extremes():
