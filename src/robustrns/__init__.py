@@ -63,7 +63,6 @@ from .simkit import (
     SweepResult,
     SweepRow,
     TrialConfig,
-    run_boundary_probe,
     run_comparison,
     run_tau_sweep,
 )
@@ -80,6 +79,5 @@ __all__ = [
     "AdversarialInstance", "ExactnessScan", "FoldSearchResult", "OracleReport", "crt_scan",
     "exhaustive_fold_search", "falsifier_report", "ladder_depths_definitional",
     "level_exactness_scan", "range_falsifier", "range_falsifier_basic",
-    "SweepResult", "SweepRow", "TrialConfig", "run_boundary_probe", "run_comparison",
-    "run_tau_sweep",
+    "SweepResult", "SweepRow", "TrialConfig", "run_comparison", "run_tau_sweep",
 ]

@@ -35,7 +35,7 @@ from .oracle import (
     range_falsifier,
 )
 from .multi_mod import cascade_bounds, cascade_reconstruct, cascade_spec
-from .simkit import TrialConfig, run_boundary_probe, run_comparison, run_tau_sweep
+from .simkit import TrialConfig, run_comparison, run_tau_sweep
 from .two_mod import (
     RemainderObservation,
     TwoModSystem,
@@ -272,18 +272,34 @@ _CONFIG_KEYS = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_INTEGER = (_is_int, "an integer")
+_NUMBER = (lambda v: _is_int(v) or isinstance(v, float), "a number")
+# the check and JSON kind of each scalar config field; m1/m2 are numbers in real mode
+_KINDS = {"level": _INTEGER, "trials": _INTEGER, "seed": _INTEGER, "m": _NUMBER,
+          "gammas": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
+                     "two integers"),
+          "compare": (lambda v: isinstance(v, bool), "true or false")}
+
+
 def _parse_span(text, what: str, integer: bool = False) -> list:
     """Either a comma list or an inclusive start:stop[:step] span; integer
     lists and spans are parsed with ``int``, so they stay exact past 2^53.
-    A config may also give a JSON list, or a bare number, which is read as
-    the one-value list its text gives on the command line."""
-    if isinstance(text, (list, tuple)):
-        return [int(v) if integer else float(v) for v in text]
-    if isinstance(text, (int, float)) and not isinstance(text, bool):
-        text = str(text)
+    A config may also give a JSON list of values, or a bare value, which is
+    the one-value list.  A list or span without values is refused."""
+    parse = int if integer else float
+    is_kind, kind = _INTEGER if integer else _NUMBER
+    if is_kind(text):
+        text = [text]
+    if isinstance(text, list):
+        if not text or not all(map(is_kind, text)):
+            raise UsageError(f"{what}: need a list, each element {kind}, got {text!r}")
+        return [parse(v) for v in text]
     if not isinstance(text, str):
         raise UsageError(f"{what}: need a list, a span or a number, got {text!r}")
-    parse = int if integer else float
     if ":" not in text:
         return _parse_list(text, what, parse)
     parts = text.split(":")
@@ -292,8 +308,8 @@ def _parse_span(text, what: str, integer: bool = False) -> list:
     if len(parts) != 3:
         raise UsageError(f"could not parse {what} span {text!r}")
     start, stop, step = (parse(p) for p in parts)
-    if step <= 0:
-        raise UsageError(f"{what}: step must be positive")
+    if not (step > 0 and stop >= start and (integer or math.isfinite(stop - start))):
+        raise UsageError(f"{what}: span {text!r} needs finite ends, start <= stop and step > 0")
     if integer:
         return list(range(start, stop + 1, step))
     count = int((stop - start) / step + 1e-9) + 1
@@ -301,6 +317,7 @@ def _parse_span(text, what: str, integer: bool = False) -> list:
 
 
 def _load_config(args) -> dict:
+    """The flags over the config file over the library's defaults, each field of its JSON kind."""
     cfg: dict = {}
     if args.config:
         raw = json.loads(Path(args.config).read_text())
@@ -313,6 +330,12 @@ def _load_config(args) -> dict:
     cfg.setdefault("trials", defaults["trials_per_point"])
     for key in ("seed", "value_mode", "error_mode", "range_mode"):
         cfg.setdefault(key, defaults[key])
+    if "groups" in cfg:  # a cascade's error bounds; a two-modulus sweep names its own
+        cfg.setdefault("tau", "0:25:1" if cfg.get("compare") else "0:10:1")
+    modulus = _NUMBER if cfg["value_mode"] == "real" else _INTEGER
+    for key, (is_kind, kind) in {**_KINDS, "m1": modulus, "m2": modulus}.items():
+        if key in cfg and not is_kind(cfg[key]):
+            raise UsageError(f"{key}: {cfg[key]!r} is not {kind}")
     return cfg
 
 
@@ -331,21 +354,20 @@ def _sweep_csv(results) -> str:
     return buf.getvalue()
 
 
-def _parse_groups(value) -> tuple[list[int], list[int]]:
+def _parse_groups(value) -> list[list[int]]:
+    """Two moduli lists, as ``"a,b|c,d"`` or as two JSON lists of ints."""
     if isinstance(value, str):
-        parts = value.split("|")
-        if len(parts) != 2:
-            raise UsageError("groups: need two |-separated moduli lists")
-        return _parse_list(parts[0], "groups"), _parse_list(parts[1], "groups")
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return [int(v) for v in value[0]], [int(v) for v in value[1]]
-    raise UsageError("groups: need two moduli lists")
+        value = [_parse_list(group, "groups") for group in value.split("|")]
+    if (isinstance(value, list) and len(value) == 2
+            and all(isinstance(g, list) and all(map(_is_int, g)) for g in value)):
+        return value
+    raise UsageError(f"groups: need two lists of integer moduli, got {value!r}")
 
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    seed = int(cfg["seed"])
-    results = _run_sweeps(cfg, seed, int(cfg["trials"]))
+    config = _trial_config(cfg)
+    results = run_comparison(config) if cfg.get("compare") else [run_tau_sweep(config)]
     if args.format == "json":
         payload = [
             {"series": res.series, "rows": [asdict(row) for row in res.rows]}
@@ -354,57 +376,43 @@ def cmd_simulate(args) -> int:
         text = json.dumps(payload, indent=2) + "\n"
     else:
         text = _sweep_csv(results)
-    _emit(text, args.out, "simulate", cfg, seed)
+    # the sweep as run, so that the manifest's config reruns it byte for byte
+    cfg.update(level=config.level, tau=list(config.tau_values))
+    if config.probe:
+        cfg["neighbors"] = list(config.probe)
+    _emit(text, args.out, "simulate", cfg, config.seed)
     return EXIT_OK
 
 
-# what a cascade sweep would ignore: the two-modulus system and the probe
-_CASCADE_UNREAD = {"m1": "m1", "m2": "m2", "m": "m", "gammas": "gammas",
-                   "neighbors": "--probe-boundary"}
+def _system(cfg: dict) -> TwoModSystem | None:
+    """The two-modulus system ``cfg`` gives, if any: ``m1`` and ``m2``, or in
+    real mode ``m`` and ``gammas``, which ``m1``/``m2`` must then match."""
+    if cfg["value_mode"] != "real":
+        given = [key for key in ("m1", "m2", "m", "gammas") if key in cfg]
+        if given and given != ["m1", "m2"]:
+            raise UsageError(f"simulate: integer systems take only m1 and m2, got {given}")
+        return TwoModSystem.from_moduli(cfg["m1"], cfg["m2"]) if given else None
+    if "m" not in cfg or "gammas" not in cfg:
+        raise UsageError("simulate: real mode needs m and gammas in the config")
+    system = TwoModSystem.real(float(cfg["m"]), *cfg["gammas"])
+    for key, gamma in (("m1", system.gamma1), ("m2", system.gamma2)):
+        if key in cfg and Decimal(str(cfg[key])) != Decimal(str(cfg["m"])) * gamma:
+            raise UsageError(f"simulate: {key}={cfg[key]} is not m*gamma = {cfg['m']}*{gamma}")
+    return system
 
 
-def _run_sweeps(cfg: dict, seed: int, trials: int) -> list:
-    """The sweep, boundary probe or comparison that ``cfg`` describes."""
-    modes = {"error_mode": cfg["error_mode"], "range_mode": cfg["range_mode"]}
-    compare = cfg.get("compare")
-    if "groups" in cfg or compare:
-        if "groups" not in cfg:
-            raise UsageError("simulate --compare needs groups")
-        unread = [label for key, label in _CASCADE_UNREAD.items() if key in cfg]
-        if cfg["value_mode"] != "integer":
-            unread.append("--value-mode real")
-        if unread:
-            raise UsageError(f"simulate: groups cannot be combined with {', '.join(unread)}")
-        spec = cascade_spec(*_parse_groups(cfg["groups"]), int(cfg.get("level", 1)))
-        taus = tuple(_parse_span(cfg.get("tau", "0:25:1" if compare else "0:10:1"), "tau"))
-        if compare:
-            return run_comparison(spec, taus, trials, seed, **modes)
-        return [run_tau_sweep(TrialConfig(
-            cascade=spec, level=spec.level, tau_values=taus,
-            trials_per_point=trials, seed=seed, **modes))]
-    if cfg["value_mode"] == "real":
-        if "m" not in cfg or "gammas" not in cfg:
-            raise UsageError("simulate: real mode needs m and gammas in the config")
-        system = TwoModSystem.real(float(cfg["m"]), int(cfg["gammas"][0]), int(cfg["gammas"][1]))
-        for key, gamma in (("m1", system.gamma1), ("m2", system.gamma2)):
-            if key in cfg and Decimal(str(cfg[key])) != Decimal(str(cfg["m"])) * gamma:
-                raise UsageError(f"simulate: {key}={cfg[key]} is not m*gamma = {cfg['m']}*{gamma}")
-    elif "m1" not in cfg or "m2" not in cfg:
-        raise UsageError("simulate: need --m1/--m2, groups, or a config file")
-    else:
-        system = TwoModSystem.from_moduli(int(cfg["m1"]), int(cfg["m2"]))
-    level = int(cfg.get("level", sigma_chain(system).levels))
-    if "neighbors" in cfg:
-        neighbors = _parse_span(cfg["neighbors"], "neighbors", integer=True)
-        return [run_boundary_probe(system, level, neighbors, trials, seed,
-                                   range_mode=cfg["range_mode"])]
-    if "tau" not in cfg:
-        raise UsageError("simulate: need tau values (or neighbors for a probe)")
-    config = TrialConfig(
-        system=system, level=level,
-        tau_values=tuple(_parse_span(cfg["tau"], "tau")),
-        trials_per_point=trials, seed=seed, value_mode=cfg["value_mode"], **modes)
-    return [run_tau_sweep(config)]
+def _trial_config(cfg: dict) -> TrialConfig:
+    """The sweep of ``cfg``; ``TrialConfig`` refuses what it cannot run, such
+    as a system next to groups, or a probe or real values on a cascade."""
+    groups = _parse_groups(cfg["groups"]) if "groups" in cfg else None
+    cascade = groups and cascade_spec(*groups, cfg.get("level", 1))
+    taus = _parse_span(cfg["tau"], "tau") if "tau" in cfg else []
+    probe = _parse_span(cfg["neighbors"], "neighbors", integer=True) if "neighbors" in cfg else []
+    return TrialConfig(
+        system=_system(cfg), cascade=cascade, level=cfg.get("level"),
+        tau_values=tuple(taus), probe=tuple(probe), trials_per_point=cfg["trials"],
+        seed=cfg["seed"], value_mode=cfg["value_mode"], error_mode=cfg["error_mode"],
+        range_mode=cfg["range_mode"])
 
 
 # ---------------------------------------------------------------- verify
@@ -438,6 +446,8 @@ def cmd_verify(args) -> int:
         raise UsageError("verify: give --m1/--m2 and/or --random-systems")
     if args.m1 is None and (args.exhaustive or args.falsify):
         raise UsageError("verify: --exhaustive and --falsify need --m1/--m2")
+    if args.random_systems and args.gamma_max < 3:
+        raise UsageError("verify: --gamma-max must be at least 3 (cofactors 2 and 3)")
     if args.m1 is not None:
         system = TwoModSystem.from_moduli(args.m1, args.m2)
         levels = sigma_chain(system).levels

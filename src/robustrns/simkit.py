@@ -33,19 +33,22 @@ from .two_mod import TwoModSystem, level_context, sigma_chain
 
 CHUNK = 1 << 16
 
-_VALUE_MODES = ("integer", "real")
-_ERROR_MODES = ("real", "integer")
-_RANGE_MODES = ("allow", "clamp")
+_MODES = {"value_mode": ("integer", "real"), "error_mode": ("real", "integer"),
+          "range_mode": ("allow", "clamp")}
 
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """One sweep: a system (or cascade), a level, error bounds, and a seed."""
+    """One sweep: a system (or cascade), a level (by default the spec's, or
+    the full-lcm level), error bounds, and a seed.  A ``probe`` fixes the
+    values, with at most one tau, by default the level's robustness bound.
+    Both defaults are written into the fields when the config is made."""
 
     system: TwoModSystem | None = None
     cascade: CascadeSpec | None = None
-    level: int = 1
+    level: int | None = None
     tau_values: tuple[float, ...] = ()
+    probe: tuple[int, ...] = ()
     trials_per_point: int = 100_000
     seed: int = 0
     value_mode: str = "integer"
@@ -57,18 +60,26 @@ class TrialConfig:
             raise ValueError("TrialConfig: provide exactly one of system / cascade")
         if self.trials_per_point < 1:
             raise ValueError("TrialConfig: trials_per_point must be at least 1")
-        if any(t < 0 for t in self.tau_values):
-            raise ValueError("TrialConfig: tau values must be nonnegative")
-        if self.value_mode not in _VALUE_MODES:
-            raise ValueError(f"TrialConfig: unknown value_mode {self.value_mode!r}")
-        if self.error_mode not in _ERROR_MODES:
-            raise ValueError(f"TrialConfig: unknown error_mode {self.error_mode!r}")
-        if self.range_mode not in _RANGE_MODES:
-            raise ValueError(f"TrialConfig: unknown range_mode {self.range_mode!r}")
-        if self.cascade is not None and self.value_mode == "real":
-            raise ValueError("TrialConfig: cascade sweeps are integer-valued")
-        if self.system is not None and self.system.is_real and self.value_mode == "integer":
+        for name, modes in _MODES.items():
+            if getattr(self, name) not in modes:
+                raise ValueError(f"TrialConfig: unknown {name} {getattr(self, name)!r}")
+        if self.cascade is not None:
+            if self.value_mode == "real" or self.probe:
+                raise ValueError("TrialConfig: cascade sweeps are integer-valued, with no probe")
+            if self.level not in (None, self.cascade.level):
+                raise ValueError(f"TrialConfig: level {self.level} is not the cascade's level")
+            object.__setattr__(self, "level", self.cascade.level)
+        elif self.system.is_real and self.value_mode == "integer":
             raise ValueError("TrialConfig: a real-valued system needs value_mode='real'")
+        elif self.level is None:
+            object.__setattr__(self, "level", sigma_chain(self.system).levels)
+        if self.probe and not self.tau_values:
+            bound = level_context(self.system, self.level).robustness_bound
+            object.__setattr__(self, "tau_values", (float(bound),))
+        if not all(math.isfinite(t) and t >= 0 for t in self.tau_values):
+            raise ValueError("TrialConfig: tau values must be finite and nonnegative")
+        if not self.tau_values or self.probe and len(self.tau_values) > 1:
+            raise ValueError("TrialConfig: a sweep needs tau values, a probe at most one")
 
 
 @dataclass(frozen=True)
@@ -439,19 +450,20 @@ def _general_series(kernel: GeneralKernel):
     return estimate
 
 
-def _trial_rows(moduli, estimators, series: int, points, trials: int, seed: int, *,
-                value_range=None, value_mode: str = "integer", error_mode: str = "real",
-                range_mode: str = "allow") -> list[list[SweepRow]]:
+def _trial_rows(config: TrialConfig, value_range, estimators, series: int) -> list[list[SweepRow]]:
     """The trial loop behind every sweep: one list of rows per series.
 
-    ``points`` holds ``(tau, fixed)`` pairs: errors are drawn on ``[-tau, tau]``
-    and values are ``fixed`` or, when it is None, uniform on
-    ``[0, value_range)``.  Every estimator maps the same noisy remainders and
-    the true folds to ``(estimates, failures)`` of one or more series, which
-    are accumulated as they are yielded, ``series`` in all.  Integer values
-    are held as int64, so values past 2^63 are refused here with a message of
-    their own instead of numpy's."""
-    integer = value_mode == "integer"
+    Each point draws errors on ``[-tau, tau]``; its values are a probed value
+    or uniform on ``[0, value_range)``.  Every estimator maps the same noisy
+    remainders and the true folds to ``(estimates, failures)`` of one or more
+    series, which are accumulated as they are yielded, ``series`` in all.
+    Integer values are held as int64, so values past 2^63 are refused here
+    with a message of their own instead of numpy's."""
+    spec, system = config.cascade, config.system
+    moduli = (system.m1, system.m2) if spec is None else spec.group1.moduli + spec.group2.moduli
+    points = ([(config.tau_values[0], int(value)) for value in config.probe] if config.probe
+              else [(tau, None) for tau in config.tau_values])
+    integer = config.value_mode == "integer"
     fmoduli = [float(mk) for mk in moduli]
     imoduli = [int(mk) for mk in moduli]
     rows = [[] for _ in range(series)]
@@ -461,8 +473,8 @@ def _trial_rows(moduli, estimators, series: int, points, trials: int, seed: int,
             raise ValueError(f"integer values in [{lo}, {hi}) need more than 64 bits; "
                              "int64 holds values in [-2^63, 2^63)")
         accs = [_Accumulator() for _ in range(series)]
-        for chunk_index, size in _chunks(trials):
-            rng = _rng(seed, p, chunk_index)
+        for chunk_index, size in _chunks(config.trials_per_point):
+            rng = _rng(config.seed, p, chunk_index)
             if integer:
                 ints = (rng.integers(0, hi, size=size) if fixed is None
                         else np.full(size, fixed, dtype=np.int64))
@@ -481,10 +493,10 @@ def _trial_rows(moduli, estimators, series: int, points, trials: int, seed: int,
             rts = []
             out_of_range = np.zeros(size, dtype=bool)
             for r, mk in zip(exact, fmoduli):
-                rt = _sample_errors(rng, tau, size, error_mode)
+                rt = _sample_errors(rng, tau, size, config.error_mode)
                 rt += r
                 out_of_range |= (rt < 0.0) | (rt >= mk)
-                if range_mode == "clamp":
+                if config.range_mode == "clamp":
                     rt = np.clip(rt, 0.0, np.nextafter(mk, 0.0))
                 rts.append(rt)
             outputs = (out for estimate in estimators for out in estimate(rts, true_folds))
@@ -496,52 +508,31 @@ def _trial_rows(moduli, estimators, series: int, points, trials: int, seed: int,
 
 
 def run_tau_sweep(config: TrialConfig) -> SweepResult:
-    """Error-bound sweep: values uniform below the level's range, errors
-    uniform on [-tau, tau] per point, fold failures and error moments tracked."""
+    """Error-bound sweep or probe: errors uniform on [-tau, tau] per point, values
+    uniform below the level's range or probed, fold failures and error moments tracked."""
     if config.cascade is not None:
         kernel = CascadeKernel(config.cascade, config.level)
-        moduli = config.cascade.group1.moduli + config.cascade.group2.moduli
         estimator, series = _cascade_series(kernel), f"cascade_level{config.level}"
     else:
         kernel = LevelKernel(config.system, config.level)
-        moduli = (config.system.m1, config.system.m2)
-        estimator, series = _level_series(kernel), f"level{config.level}"
-    (rows,) = _trial_rows(
-        moduli, [estimator], 1, [(tau, None) for tau in config.tau_values],
-        config.trials_per_point, config.seed, value_range=kernel.dynamic_range,
-        value_mode=config.value_mode, error_mode=config.error_mode,
-        range_mode=config.range_mode)
+        kind = "probe_level" if config.probe else "level"
+        estimator, series = _level_series(kernel), f"{kind}{config.level}"
+    (rows,) = _trial_rows(config, kernel.dynamic_range, [estimator], 1)
     return SweepResult(tuple(rows), series=series)
 
 
-def run_boundary_probe(system: TwoModSystem, level: int, neighbors, trials: int,
-                       seed: int, tau: float | None = None,
-                       range_mode: str = "allow") -> SweepResult:
-    """Fixed-value probe around the dynamic range; errors default to uniform
-    within the level's robustness bound."""
-    kernel = LevelKernel(system, level)
-    if tau is None:
-        tau = kernel.robustness_bound
-    (rows,) = _trial_rows(
-        (system.m1, system.m2), [_level_series(kernel)], 1,
-        [(tau, int(value)) for value in neighbors], trials, seed,
-        value_mode="real" if system.is_real else "integer", range_mode=range_mode)
-    return SweepResult(tuple(rows), series=f"probe_level{level}")
-
-
-def run_comparison(spec: CascadeSpec, tau_values, trials: int, seed: int,
-                   error_mode: str = "real", range_mode: str = "allow") -> tuple[SweepResult, ...]:
+def run_comparison(config: TrialConfig) -> tuple[SweepResult, ...]:
     """Three estimators on identical noisy remainders, values below the
     configured cascade's range: lcm-wide single stage over all moduli, the
     two-stage cascade (coarsest cross level), and the cascade at its level.
     Both cascades share one run of the group stages per chunk."""
-    moduli = spec.group1.moduli + spec.group2.moduli
+    spec = config.cascade
+    if spec is None:
+        raise ValueError("run_comparison: needs a cascade config")
     cascade_top = CascadeKernel(spec, level=sigma_chain(spec.cross).levels)
     cascade_cfg = CascadeKernel(spec)
     series = ("single_stage", "two_stage", f"cascade_level{spec.level}")
-    estimators = [_general_series(GeneralKernel(moduli)),
+    estimators = [_general_series(GeneralKernel(spec.group1.moduli + spec.group2.moduli)),
                   _cascade_series(cascade_top, cascade_cfg)]
-    rows = _trial_rows(
-        moduli, estimators, len(series), [(tau, None) for tau in tau_values], trials, seed,
-        value_range=cascade_cfg.dynamic_range, error_mode=error_mode, range_mode=range_mode)
+    rows = _trial_rows(config, cascade_cfg.dynamic_range, estimators, len(series))
     return tuple(SweepResult(tuple(r), series=name) for name, r in zip(series, rows))

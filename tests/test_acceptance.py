@@ -124,7 +124,8 @@ def test_c07_boundary_probe_statistics():
     system = rr.TwoModSystem.from_moduli(234, 377)
     details = []
     for j, (below, tgt_below, at, tgt_at) in TABLE_PROBES.items():
-        res = rr.run_boundary_probe(system, j, [below, at], trials, seed=20240201)
+        res = rr.run_tau_sweep(rr.TrialConfig(system=system, level=j, probe=(below, at),
+                                              trials_per_point=trials, seed=20240201))
         got_below, got_at = res.rows[0].mean_abs_error, res.rows[1].mean_abs_error
         tol_below = 0.10 if not FULL else (0.03 if j == 1 else 0.05)
         tol_at = 0.10 if not FULL else 0.05
@@ -153,7 +154,8 @@ def test_c08_sweep_envelope_and_breakdown():
 
 def test_c09_comparison_brackets():
     spec = rr.cascade_spec([120, 300], [210, 490], 2)
-    single, two_stage, cascade = rr.run_comparison(spec, [10.0, 14.0], 20_000, seed=93)
+    single, two_stage, cascade = rr.run_comparison(rr.TrialConfig(
+        cascade=spec, tau_values=(10.0, 14.0), trials_per_point=20_000, seed=93))
     assert single.rows[0].failure_rate > 0
     assert cascade.rows[0].failure_rate == 0.0
     assert single.rows[1].failure_rate > 0

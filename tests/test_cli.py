@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from robustrns.cli import EXIT_OK, EXIT_ORACLE, EXIT_USAGE, _parse_span, fmt, main
+from robustrns.cli import EXIT_OK, EXIT_ORACLE, EXIT_USAGE, _parse_span, _sweep_csv, fmt, main
+from robustrns.simkit import TrialConfig, run_tau_sweep
 from robustrns.two_mod import TwoModSystem, level_table
 
 
@@ -242,6 +243,12 @@ class TestReconstruct:
                        "--remainders", "1,2,3")[0] == EXIT_USAGE
 
 
+# well-formed configs of each kind, for the type refusals to spoil one field of
+_INTEGER = {"m1": 234, "m2": 377, "level": 1, "tau": [1.0], "trials": 10}
+_CASCADE = {"groups": "120,300|210,490", "trials": 10}
+_REAL = {"value_mode": "real", "m": 2.5, "gammas": [18, 29], "tau": [1.0], "trials": 10}
+
+
 class TestSimulate:
     def test_row_count_and_header(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--m1", "234", "--m2", "377",
@@ -282,6 +289,18 @@ class TestSimulate:
         below = float(lines[1].split(",")[1])
         at = float(lines[2].split(",")[1])
         assert at > 10 * below
+
+    def test_probe_honours_tau_and_error_mode(self, capsys):
+        base = ["--m1", "234", "--m2", "377", "--level", "1", "--probe-boundary", "467",
+                "--trials", "200", "--seed", "1"]
+        code, out, err = run_cli(capsys, "simulate", *base, "--tau", "100",
+                                 "--error-mode", "integer")
+        assert code == EXIT_OK, err
+        assert out != run_cli(capsys, "simulate", *base)[1]
+        config = TrialConfig(system=TwoModSystem.from_moduli(234, 377), level=1, probe=(467,),
+                             tau_values=(100.0,), trials_per_point=200, seed=1,
+                             error_mode="integer")
+        assert out == _sweep_csv([run_tau_sweep(config)])
 
     def test_compare_series(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--groups", "120,300|210,490",
@@ -362,6 +381,48 @@ class TestSimulate:
         assert code == EXIT_USAGE and out == ""
         assert f"{key}: need a list" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("raw, name", [
+        ({**_INTEGER, "neighbors": [465.7, True]}, "neighbors"),
+        ({**_INTEGER, "neighbors": [465, True]}, "neighbors"),
+        ({**_INTEGER, "tau": [1.0, "2"]}, "tau"),
+        ({**_INTEGER, "tau": [1.0, False]}, "tau"),
+        ({**_INTEGER, "level": 2.9}, "level"),
+        ({**_INTEGER, "trials": 100.7}, "trials"),
+        ({**_INTEGER, "seed": True}, "seed"),
+        ({**_INTEGER, "m1": 234.0}, "m1"),
+        ({**_INTEGER, "m2": "377"}, "m2"),
+        ({**_CASCADE, "groups": [[120.9, 300], [210, 490]]}, "groups"),
+        ({**_CASCADE, "groups": [120, 300]}, "groups"),
+        ({**_CASCADE, "compare": "no"}, "compare"),
+        ({**_REAL, "gammas": [18, 29.0]}, "gammas"),
+        ({**_REAL, "m": "2.5"}, "m"),
+    ])
+    def test_config_values_of_the_wrong_type_are_refused(self, capsys, tmp_path, raw, name):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith(f"error: {name}: ") and "Traceback" not in err, err
+
+    def test_integer_config_refuses_m_and_gammas(self, capsys, tmp_path):
+        for extra in ({"m": 13}, {"gammas": [18, 29]}):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({**_INTEGER, **extra}))
+            code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+            assert code == EXIT_USAGE and out == ""
+            assert "integer systems take only m1 and m2" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--tau", "nan"], ["--tau", "inf"], ["--tau", "1,-inf"], ["--tau", "0:inf:1"],
+        ["--tau", "5:0:1"], ["--probe-boundary", "470:465"],
+        ["--probe-boundary", "467", "--tau", "1,2"],
+    ])
+    def test_empty_and_non_finite_sweeps_are_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, "simulate", "--m1", "234", "--m2", "377",
+                                 "--level", "1", "--trials", "10", *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_config_rejects_unknown_fields(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"m1": 234, "m2": 377, "tau": [1.0], "bogus": 1}))
@@ -403,17 +464,37 @@ GOLDEN_SIMULATE = {
 }
 
 
+def golden_case(tmp_path, case):
+    """The argv (with the real config written under ``tmp_path``) and digest of ``case``."""
+    real_config = tmp_path / "real.json"
+    real_config.write_text(json.dumps({
+        "m": 2.5, "gammas": [18, 29], "m1": 45, "m2": 72.5, "value_mode": "real",
+        "level": 3, "tau": "0:3:0.5"}))
+    argv, digest = GOLDEN_SIMULATE[case]
+    return [a.replace("{real_config}", str(real_config)) for a in argv], digest
+
+
 class TestSimulateGolden:
     @pytest.mark.parametrize("case", sorted(GOLDEN_SIMULATE))
     def test_csv_sha256(self, capsys, tmp_path, case):
-        real_config = tmp_path / "real.json"
-        real_config.write_text(json.dumps({
-            "m": 2.5, "gammas": [18, 29], "m1": 45, "m2": 72.5, "value_mode": "real",
-            "level": 3, "tau": "0:3:0.5"}))
-        argv, digest = GOLDEN_SIMULATE[case]
-        argv = [a.replace("{real_config}", str(real_config)) for a in argv]
+        argv, digest = golden_case(tmp_path, case)
         code, out, err = run_cli(capsys, "simulate", *argv, "--seed", "42")
         assert code == EXIT_OK, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_SIMULATE))
+    def test_manifest_config_reruns_the_sweep(self, capsys, tmp_path, case):
+        argv, digest = golden_case(tmp_path, case)
+        out_path = tmp_path / "sweep.csv"
+        code, _, err = run_cli(capsys, "simulate", *argv, "--seed", "42", "--out", str(out_path))
+        assert code == EXIT_OK, err
+        manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+        assert {"level", "tau"} <= set(manifest["config"])
+        rerun = tmp_path / "rerun.json"
+        rerun.write_text(json.dumps(manifest["config"]))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(rerun))
+        assert code == EXIT_OK, err
+        assert out == out_path.read_text()
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -490,6 +571,12 @@ class TestVerify:
         assert code == EXIT_OK
         assert out.count("PASS") == 5
 
+    def test_gamma_max_below_3_is_refused(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--random-systems", "1", "--gamma-max", "2")
+        assert code == EXIT_USAGE and out == ""
+        assert "--gamma-max must be at least 3" in err
+        assert run_cli(capsys, "verify", "--random-systems", "1", "--gamma-max", "3")[0] == EXIT_OK
+
     def test_needs_a_scope(self, capsys):
         assert run_cli(capsys, "verify")[0] == EXIT_USAGE
 
@@ -534,6 +621,8 @@ UNREAD_FLAGS = {
     "simulate --groups with --value-mode real": [*_CASCADE_SWEEP, "--value-mode", "real"],
     "simulate --groups with --m1/--m2": [*_CASCADE_SWEEP, "--m1", "234", "--m2", "377"],
     "simulate --compare with --m1/--m2": [*_CASCADE_SWEEP, "--compare", "--m1", "234", "--m2", "377"],
+    "simulate --compare without --groups": ["simulate", "--m1", "234", "--m2", "377", "--tau", "1",
+                                            "--trials", "10", "--compare"],
     "verify --random-systems with --exhaustive": ["verify", "--random-systems", "1", "--exhaustive"],
     "verify --random-systems with --falsify": ["verify", "--random-systems", "1", "--falsify"],
     "verify --m1 without --m2": ["verify", "--m1", "24", "--random-systems", "1"],

@@ -10,7 +10,6 @@ from robustrns.simkit import (
     GroupKernel,
     LevelKernel,
     TrialConfig,
-    run_boundary_probe,
     run_comparison,
     run_tau_sweep,
 )
@@ -172,29 +171,34 @@ class TestSweeps:
 
 class TestBoundaryProbe:
     def test_interior_mae_near_third_of_bound(self, system):
-        res = run_boundary_probe(system, 1, [300], 40_000, seed=17)
+        res = run_tau_sweep(TrialConfig(system=system, level=1, probe=(300,),
+                                        trials_per_point=40_000, seed=17))
         row = res.rows[0]
         bound = LevelKernel(system, 1).robustness_bound
         assert row.failure_rate == 0.0
         assert row.mean_abs_error == pytest.approx(bound / 3, rel=0.1)
 
     def test_range_boundary_jump(self, system):
-        res = run_boundary_probe(system, 1, [467, 468], 40_000, seed=17)
+        res = run_tau_sweep(TrialConfig(system=system, level=1, probe=(467, 468),
+                                        trials_per_point=40_000, seed=17))
         below, at = res.rows
         assert below.failure_rate == 0.0
         assert at.failure_rate == 1.0
         assert at.mean_abs_error > 20 * below.mean_abs_error
 
     def test_determinism(self, system):
-        a = run_boundary_probe(system, 2, [700, 754], 20_000, seed=4)
-        b = run_boundary_probe(system, 2, [700, 754], 20_000, seed=4)
+        cfg = TrialConfig(system=system, level=2, probe=(700, 754), trials_per_point=20_000,
+                          seed=4)
+        a = run_tau_sweep(cfg)
+        b = run_tau_sweep(cfg)
         assert a == b
 
 
 class TestComparison:
     def test_bracketing_of_bounds(self):
         spec = cascade_spec([120, 300], [210, 490], 2)
-        single, two_stage, cascade = run_comparison(spec, [2.0, 10.0, 14.0], 15_000, seed=29)
+        single, two_stage, cascade = run_comparison(TrialConfig(
+            cascade=spec, tau_values=(2.0, 10.0, 14.0), trials_per_point=15_000, seed=29))
         assert single.series == "single_stage"
         assert two_stage.series == "two_stage"
         assert cascade.series == "cascade_level2"
@@ -213,7 +217,8 @@ class TestComparison:
 
     def test_envelope_below_all_bounds(self):
         spec = cascade_spec([120, 300], [210, 490], 2)
-        for res in run_comparison(spec, [2.0], 10_000, seed=41):
+        for res in run_comparison(TrialConfig(cascade=spec, tau_values=(2.0,),
+                                              trials_per_point=10_000, seed=41)):
             assert res.rows[0].mean_abs_error <= 2.0
 
 
@@ -227,6 +232,31 @@ class TestConfigValidation:
             TrialConfig(tau_values=(1.0,))
         with pytest.raises(ValueError):
             TrialConfig(system=system, cascade=cascade_spec([120, 300], [210, 490], 2))
+
+    def test_level_defaults_to_the_spec_or_the_full_lcm_level(self, system):
+        assert TrialConfig(system=system, tau_values=(1.0,)).level == 5
+        spec = cascade_spec([120, 300], [210, 490], 2)
+        assert TrialConfig(cascade=spec, tau_values=(1.0,)).level == 2
+        with pytest.raises(ValueError, match="level 1 is not the cascade's level"):
+            TrialConfig(cascade=spec, level=1, tau_values=(1.0,))
+
+    def test_probe_takes_one_tau_that_defaults_to_the_bound(self, system):
+        cfg = TrialConfig(system=system, level=2, probe=(753,))
+        assert cfg.tau_values == (LevelKernel(system, 2).robustness_bound,)
+        with pytest.raises(ValueError, match="a probe at most one"):
+            TrialConfig(system=system, level=2, probe=(753,), tau_values=(1.0, 2.0))
+        with pytest.raises(ValueError, match="finite"):
+            TrialConfig(system=system, level=2, probe=(753,), tau_values=(math.inf,))
+        spec = cascade_spec([120, 300], [210, 490], 2)
+        with pytest.raises(ValueError, match="with no probe"):
+            TrialConfig(cascade=spec, probe=(753,), tau_values=(1.0,))
+        with pytest.raises(ValueError, match="needs a cascade"):
+            run_comparison(TrialConfig(system=system, tau_values=(1.0,)))
+
+    @pytest.mark.parametrize("taus", [(), (math.nan,), (math.inf,), (1.0, -math.inf)])
+    def test_non_finite_taus_and_empty_sweeps_are_refused(self, system, taus):
+        with pytest.raises(ValueError, match="tau values"):
+            TrialConfig(system=system, tau_values=taus)
 
     def test_real_system_needs_real_values(self):
         real = TwoModSystem.real(2.5, 18, 29)
@@ -246,10 +276,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="more than 64 bits"):
             run_tau_sweep(TrialConfig(cascade=spec, level=1, tau_values=(0.0,), trials_per_point=10))
         with pytest.raises(ValueError, match="more than 64 bits"):
-            run_comparison(spec, [0.0], 10, seed=0)
+            run_comparison(TrialConfig(cascade=spec, tau_values=(0.0,), trials_per_point=10))
 
     def test_probe_values_past_int64_are_refused(self, system):
-        assert run_boundary_probe(system, 1, [2**63 - 1], 10, seed=0).rows[0].trials == 10
+        edge = TrialConfig(system=system, level=1, probe=(2**63 - 1,), trials_per_point=10)
+        assert run_tau_sweep(edge).rows[0].trials == 10
         for value in (2**63, 20_000_000_000_000_000_000, -2**63 - 1):
             with pytest.raises(ValueError, match="more than 64 bits"):
-                run_boundary_probe(system, 1, [0, value], 10, seed=0)
+                run_tau_sweep(TrialConfig(system=system, level=1, probe=(0, value),
+                                          trials_per_point=10))
