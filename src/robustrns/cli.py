@@ -297,7 +297,7 @@ def _parse_span(text, what: str, integer: bool = False) -> list:
     if isinstance(text, list):
         if not text or not all(map(is_kind, text)):
             raise UsageError(f"{what}: need a list, each element {kind}, got {text!r}")
-        return [parse(v) for v in text]
+        return [v if integer else _float(v, what) for v in text]
     if not isinstance(text, str):
         raise UsageError(f"{what}: need a list, a span or a number, got {text!r}")
     if ":" not in text:
@@ -394,7 +394,7 @@ def _system(cfg: dict) -> TwoModSystem | None:
         return TwoModSystem.from_moduli(cfg["m1"], cfg["m2"]) if given else None
     if "m" not in cfg or "gammas" not in cfg:
         raise UsageError("simulate: real mode needs m and gammas in the config")
-    system = TwoModSystem.real(float(cfg["m"]), *cfg["gammas"])
+    system = TwoModSystem.real(_float(cfg["m"], "m"), *cfg["gammas"])
     for key, gamma in (("m1", system.gamma1), ("m2", system.gamma2)):
         if key in cfg and Decimal(str(cfg[key])) != Decimal(str(cfg["m"])) * gamma:
             raise UsageError(f"simulate: {key}={cfg[key]} is not m*gamma = {cfg['m']}*{gamma}")
@@ -491,10 +491,21 @@ def cmd_plane(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+def _nonnegative_int(text: str) -> int:
+    """A nonnegative integer flag value; argparse refuses anything else by the flag's name."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"need a nonnegative integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # one parent parser per shared flag; each subcommand takes the ones it reads
     seed, out, form = (argparse.ArgumentParser(add_help=False) for _ in range(3))
-    seed.add_argument("--seed", type=int, default=None, help="RNG seed")
+    seed.add_argument("--seed", type=_nonnegative_int, default=None, help="RNG seed")
     out.add_argument("--out", type=str, default=None, help="output file path")
     form.add_argument("--format", choices=("csv", "json"), default=None,
                       help="override the command's default output format")
@@ -547,7 +558,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m2", type=int)
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--falsify", action="store_true")
-    p.add_argument("--random-systems", type=int, default=0)
+    p.add_argument("--random-systems", type=_nonnegative_int, default=0)
     p.add_argument("--gamma-max", type=int, default=200)
     p.set_defaults(func=cmd_verify)
 
@@ -555,7 +566,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="dump (N, r1, r2) rows for external plotting")
     p.add_argument("--m1", type=int, required=True)
     p.add_argument("--m2", type=int, required=True)
-    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--max", type=_nonnegative_int, required=True)
     p.set_defaults(func=cmd_plane)
     return parser
 

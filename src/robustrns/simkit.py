@@ -60,6 +60,8 @@ class TrialConfig:
             raise ValueError("TrialConfig: provide exactly one of system / cascade")
         if self.trials_per_point < 1:
             raise ValueError("TrialConfig: trials_per_point must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"TrialConfig: seed must be nonnegative, got {self.seed}")
         for name, modes in _MODES.items():
             if getattr(self, name) not in modes:
                 raise ValueError(f"TrialConfig: unknown {name} {getattr(self, name)!r}")
@@ -199,41 +201,6 @@ class LevelKernel:
         if lo.size:
             nn2 = np.floor((n1[lo] * self.m1 + r1t[lo] - r2t[lo]) / self.m2 + 0.5)
             n2[lo] = nn2.astype(np.int64)
-        return n1, n2
-
-    def estimate(self, n1, n2, r1t, r2t):
-        mean = (n1 * self.m1 + r1t + n2 * self.m2 + r2t) * 0.5
-        if self.system.is_real:
-            return mean
-        return np.floor(mean + 0.5)
-
-
-class BasicKernel:
-    """Vectorized quotient-rounding solver (the coarsest level's closed form)."""
-
-    def __init__(self, system: TwoModSystem):
-        self.system = system
-        self.m = float(system.m)
-        self.m1 = float(system.m1)
-        self.m2 = float(system.m2)
-        self.g1 = system.gamma1
-        self.beta = system.gamma2 % system.gamma1
-        self.half = self.beta / 2.0
-        self.wrap_hi = (system.gamma1 // self.beta) * self.beta - self.half
-
-    def solve(self, r1t: np.ndarray, r2t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        q = (r1t - r2t) / self.m
-        n2 = np.zeros(q.shape, dtype=np.int64)
-        hi = q >= self.half
-        if hi.any():
-            n2[hi] = np.floor(q[hi] / self.beta + 0.5).astype(np.int64)
-        lo = q < -self.half
-        if lo.any():
-            ql = q[lo]
-            wrap = ql - np.floor(ql / self.g1) * self.g1
-            inside = (wrap >= self.half) & (wrap < self.wrap_hi)
-            n2[lo] = np.where(inside, np.floor(wrap / self.beta + 0.5), 0.0).astype(np.int64)
-        n1 = np.floor((n2 * self.m2 + r2t - r1t) / self.m1 + 0.5).astype(np.int64)
         return n1, n2
 
     def estimate(self, n1, n2, r1t, r2t):

@@ -395,36 +395,25 @@ def solve_basic(system: TwoModSystem, obs: RemainderObservation) -> FoldingSolut
     return _solution(system, n1, n2, obs, exact)
 
 
-def _neighbours(ladder: Sequence[int], edge: int) -> tuple[int, int]:
-    """The last rung below the integer ``edge`` and the first at or above it,
-    each clipped to the ladder's ends; on a ``range``, whose ``len`` overflows
-    past 2^63 rungs, by arithmetic instead of ``bisect``."""
-    if ladder[-1] < edge:
-        return ladder[-1], ladder[-1]
-    i = max(edge, 0) if type(ladder) is range else bisect.bisect_left(ladder, edge)
-    return ladder[max(i - 1, 0)], ladder[i]
+def _nearest_rung(ladder: Sequence[int], num: int, scale: int, sigma: int, left_open: bool) -> int:
+    """The rung nearest ``target = num / scale`` (``scale > 0``), between the
+    last rung below ``ceil(target)`` and the first at or above it, each
+    clipped to the ladder's ends; on a ``range``, whose ``len`` overflows
+    past 2^63 rungs, ranked by arithmetic instead of ``bisect``.
 
-
-def _window_pick(elements: Sequence[int], num: int, scale: int, sigma: int, left_open: bool) -> int:
-    """Unique ladder element in the half-open window of half-width
-    ``sigma / 2`` around ``target = num / scale`` (``scale > 0``).
-
-    Falls back to the nearest element (ties to the smaller one) when the
-    window is empty; at most one element can ever sit inside the window
-    because the ladder's minimum gap is at least ``sigma``.  The rational
-    window edges become the integers in ``[start, stop)`` by floor division.
+    Rungs are at least ``sigma`` apart, so a window of half-width
+    ``sigma / 2`` around the target holds no rung but this one.  An exact
+    tie goes up only on a left-open window ``(t - sigma/2, t + sigma/2]``
+    with the two rungs ``sigma`` apart, and down otherwise: ``LevelKernel``'s
+    threshold rule.
     """
-    lo2, hi2, den2 = 2 * num - sigma * scale, 2 * num + sigma * scale, 2 * scale
-    if left_open:
-        start, stop = lo2 // den2 + 1, hi2 // den2 + 1
-    else:
-        start, stop = -(-lo2 // den2), -(-hi2 // den2)
-    if elements[-1] >= start:
-        x = elements[max(start, 0) if type(elements) is range else bisect.bisect_left(elements, start)]
-        if x < stop:
-            return x
-    lo, hi = _neighbours(elements, -(-num // scale))
-    return lo if 2 * num <= (lo + hi) * scale else hi
+    edge = -(-num // scale)
+    if ladder[-1] < edge:
+        return ladder[-1]
+    i = max(edge, 0) if type(ladder) is range else bisect.bisect_left(ladder, edge)
+    lo, hi = ladder[max(i - 1, 0)], ladder[i]
+    side = 2 * num - (lo + hi) * scale
+    return hi if side > 0 or side == 0 and left_open and hi - lo == sigma else lo
 
 
 def solve_level(system: TwoModSystem, obs: RemainderObservation, j: int) -> FoldingSolution:
@@ -450,11 +439,11 @@ def _exact_folds(ctx: LevelContext, num: int, scale: int) -> tuple[int, int]:
     ``q = (r1 - r2) / m = num / scale`` (``scale > 0``)."""
     system, sigma = ctx.system, ctx.sigma
     if 2 * num >= sigma * scale:
-        s2 = _window_pick(ctx.s2, num, scale, sigma, left_open=True)
+        s2 = _nearest_rung(ctx.s2, num, scale, sigma, left_open=True)
         n2 = s2 * ctx.inv21 % system.gamma1
         return round_div(n2 * system.gamma2 * scale - num, system.gamma1 * scale), n2
     if 2 * num < -sigma * scale:
-        s1 = _window_pick(ctx.s1, -num, scale, sigma, left_open=False)
+        s1 = _nearest_rung(ctx.s1, -num, scale, sigma, left_open=False)
         n1 = s1 * ctx.inv12 % system.gamma2
         return n1, round_div(n1 * system.gamma1 * scale + num, system.gamma2 * scale)
     return 0, 0

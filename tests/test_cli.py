@@ -423,6 +423,25 @@ class TestSimulate:
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("raw, name", [
+        ({**_INTEGER, "tau": [10**400]}, "tau"),
+        ({**_INTEGER, "tau": 10**400}, "tau"),
+        ({**_REAL, "m": 10**400}, "m"),
+    ])
+    def test_config_numbers_past_the_float_range_are_refused(self, capsys, tmp_path, raw, name):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith(f"error: {name} 1000") and "past the float range" in err, err
+
+    def test_negative_config_seed_is_refused(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**_INTEGER, "seed": -1}))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == EXIT_USAGE and out == ""
+        assert "seed must be nonnegative" in err and "Traceback" not in err
+
     def test_config_rejects_unknown_fields(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"m1": 234, "m2": 377, "tau": [1.0], "bogus": 1}))
@@ -637,6 +656,18 @@ class TestUsage:
         assert code == EXIT_USAGE and out == "", err
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["verify", "--random-systems", "-1"], "--random-systems"),
+        (["plane", "--m1", "4", "--m2", "6", "--max", "-3"], "--max"),
+        (["simulate", "--m1", "234", "--m2", "377", "--tau", "1", "--trials", "10", "--seed", "-1"],
+         "--seed"),
+        ([*_VERIFY, "--seed", "-1"], "--seed"),
+    ])
+    def test_negative_counts_and_seeds_are_refused(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert f"argument {flag}: need a nonnegative integer, got '-" in err, err
 
     def test_unknown_command(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == EXIT_USAGE

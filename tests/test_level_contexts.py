@@ -26,7 +26,7 @@ from robustrns.two_mod import (
     RemainderObservation,
     TwoModSystem,
     _depth_tables,
-    _neighbours,
+    _nearest_rung,
     _sigma_values,
     level_context,
     sigma_chain,
@@ -122,8 +122,11 @@ def test_range_ranks_match_tuple_ladders(system, data):
         edges = (-3, ladder[-1] // 2, ladder[-1] - 1, ladder[-1] + 2)
         for target in (Fraction(e * 4 + t, 4) for e in edges for t in range(-6, 7)):
             assert _nearest(ladder, target) == _nearest(rungs, target)
-        for edge in range(-3, ladder[-1] + 4):
-            assert _neighbours(ladder, edge) == _neighbours(rungs, edge)
+        # the midpoints num / 2 of a full ladder are ties, at edges -3 .. ladder[-1] + 3
+        nums = range(-7, 2 * ladder[-1] + 7, 2)
+        for left_open in (False, True):
+            assert ([_nearest_rung(ladder, num, 2, ctx.sigma, left_open) for num in nums]
+                    == [_nearest_rung(rungs, num, 2, ctx.sigma, left_open) for num in nums])
 
 
 def test_caches_stay_bounded():
