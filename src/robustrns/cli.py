@@ -82,11 +82,15 @@ def _json_scalar(x):
 
 def _float(x, what: str) -> float:
     """``x`` as the float it is reported as; a value past the float range is
-    refused by name instead of raising ``OverflowError``."""
+    refused by name and by its size (it has over 300 digits) instead of
+    raising ``OverflowError``."""
     try:
         return float(x)
     except OverflowError:
-        raise UsageError(f"{what} {x} is past the float range") from None
+        digits = len(str(abs(x.numerator)))
+        size = (f"{digits}-digit integer" if x.denominator == 1
+                else f"fraction with a {digits}-digit numerator")
+        raise UsageError(f"{what} (a {size}) is past the float range") from None
 
 
 # ---------------------------------------------------------------- manifests
@@ -446,8 +450,9 @@ def cmd_verify(args) -> int:
         raise UsageError("verify: give --m1/--m2 and/or --random-systems")
     if args.m1 is None and (args.exhaustive or args.falsify):
         raise UsageError("verify: --exhaustive and --falsify need --m1/--m2")
-    if args.random_systems and args.gamma_max < 3:
-        raise UsageError("verify: --gamma-max must be at least 3 (cofactors 2 and 3)")
+    if args.random_systems and not 3 <= args.gamma_max < 2**63:
+        raise UsageError("verify: --gamma-max must be at least 3 (cofactors 2 and 3) and below "
+                         "2^63 (the int64 limit of the cofactor draws)")
     if args.m1 is not None:
         system = TwoModSystem.from_moduli(args.m1, args.m2)
         levels = sigma_chain(system).levels

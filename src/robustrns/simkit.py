@@ -19,6 +19,14 @@ between rungs, each holding its tie rule in its float value; a floor, four
 gathers and a compare find it, with no masking and no fallback search.  The
 group and general kernels share one Garner step loop that takes int64
 remainders by floor division (``_mod``), not by ``%``.
+
+A sweep allocates one ``_Workspace`` of ``min(CHUNK, trials_per_point)``
+elements and drops it when it returns; no buffer outlives the sweep.  Each
+chunk writes its values, true folds, remainders (exact, then noisy in place),
+``LevelKernel``'s scratch and folds, the fail flags and the accumulator's
+errors into it.  In-place steps keep the bytes of the expressions they
+replace: the same operations in the same order (``r + err`` equals
+``err + r``), and a sum over the same array in the same order.
 """
 
 from __future__ import annotations
@@ -107,14 +115,29 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
+class _Workspace:
+    """A sweep's buffers: per modulus the true folds and remainders, and
+    scratch.  ``LevelKernel`` returns its folds in ``c`` and ``a`` and its
+    estimate in ``f``; called without a workspace, it returns fresh arrays."""
+
+    def __init__(self, shape, moduli: int = 0):
+        self.values, self.q, self.f = (np.empty(shape) for _ in range(3))
+        self.a, self.b, self.c = (np.empty(shape, np.intp) for _ in range(3))
+        self.flag, self.fail, self.out_of_range = (np.empty(shape, bool) for _ in range(3))
+        self.folds = [np.empty(shape, np.int64) for _ in range(moduli)]
+        self.rts = [np.empty(shape) for _ in range(moduli)]
+
+    def head(self, size: int) -> _Workspace:
+        """Views of every buffer's first ``size`` elements (a chunk's tail)."""
+        view = object.__new__(_Workspace)
+        for name, buf in vars(self).items():
+            setattr(view, name, [b[:size] for b in buf] if isinstance(buf, list) else buf[:size])
+        return view
+
+
 def _chunks(total: int):
-    start = 0
-    index = 0
-    while start < total:
-        size = min(CHUNK, total - start)
-        yield index, size
-        index += 1
-        start += size
+    for index, start in enumerate(range(0, total, CHUNK)):
+        yield index, min(CHUNK, total - start)
 
 
 class LevelKernel:
@@ -165,49 +188,56 @@ class LevelKernel:
         threshold[tie_down] = np.nextafter(threshold[tie_down], np.inf)
         shift = int(np.diff(twice).min()).bit_length() - 2  # 2**shift <= min gap
         self.scale = 2.0 ** -shift
-        # bucket k lives at k mod len, so a negative bucket is a negative index
+        # bucket k lives at index k - first, so every index is nonnegative
         bucket = np.floor(threshold * self.scale).astype(np.intp)
         self.first, self.last = float(bucket[0]), float(bucket[-1])
-        ks = np.arange(bucket[0], bucket[-1] + 1)
-        self.after = np.roll(np.searchsorted(bucket, ks), bucket[0])
-        held = np.full(ks.size, np.inf)
-        held[bucket - bucket[0]] = threshold
-        self.threshold = np.roll(held, bucket[0])
+        self.after = np.searchsorted(bucket, np.arange(bucket[0], bucket[-1] + 1))
+        self.threshold = np.full(self.after.size, np.inf)
+        self.threshold[bucket - bucket[0]] = threshold
         if g1 * g2 < 2**40:
             self.q_lo = float(rungs[0]) - (g2 - 1) / 2
             self.q_hi = float(rungs[-1]) + (g1 - 1) / 2
         else:
             self.q_lo, self.q_hi = -sigma / 2, np.nextafter(sigma / 2, -np.inf)
 
-    def _folds(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _folds(self, q: np.ndarray, ws=None) -> tuple[np.ndarray, np.ndarray]:
         """Both folds of the rung ``q`` falls to, from the tables."""
-        b = q * self.scale
+        ws = _Workspace(q.shape) if ws is None else ws
+        b = np.multiply(q, self.scale, out=ws.f)
         np.floor(b, out=b)
         np.clip(b, self.first, self.last, out=b)
-        b = b.astype(np.intp)
-        i = self.after[b]
-        i += q >= self.threshold[b]
-        return self.n1[i], self.n2[i]
+        k = np.subtract(b, self.first, out=ws.a, casting="unsafe")
+        i = np.take(self.after, k, out=ws.b, mode="clip")
+        i += np.greater_equal(q, np.take(self.threshold, k, out=ws.f, mode="clip"), out=ws.flag)
+        return np.take(self.n1, i, out=ws.c, mode="clip"), np.take(self.n2, i, out=ws.a, mode="clip")
 
-    def solve(self, r1t: np.ndarray, r2t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        q = r1t - r2t
+    def solve(self, r1t: np.ndarray, r2t: np.ndarray, ws=None) -> tuple[np.ndarray, np.ndarray]:
+        ws = _Workspace(r1t.shape) if ws is None else ws
+        q = np.subtract(r1t, r2t, out=ws.q)
         q /= self.m
-        n1, n2 = self._folds(q)
-        hi = np.flatnonzero(q > self.q_hi)
+        n1, n2 = self._folds(q, ws)
+        hi = np.flatnonzero(np.greater(q, self.q_hi, out=ws.flag))
         if hi.size:
             nn1 = np.floor((n2[hi] * self.m2 + r2t[hi] - r1t[hi]) / self.m1 + 0.5)
             n1[hi] = nn1.astype(np.int64)
-        lo = np.flatnonzero(q < self.q_lo)
+        lo = np.flatnonzero(np.less(q, self.q_lo, out=ws.flag))
         if lo.size:
             nn2 = np.floor((n1[lo] * self.m1 + r1t[lo] - r2t[lo]) / self.m2 + 0.5)
             n2[lo] = nn2.astype(np.int64)
         return n1, n2
 
-    def estimate(self, n1, n2, r1t, r2t):
-        mean = (n1 * self.m1 + r1t + n2 * self.m2 + r2t) * 0.5
+    def estimate(self, n1, n2, r1t, r2t, ws=None):
+        """``((n1 m1 + r1t) + n2 m2 + r2t) * 0.5``, rounded for integer systems."""
+        ws = _Workspace(n1.shape) if ws is None else ws
+        mean = np.multiply(n1, self.m1, out=ws.f)
+        mean += r1t
+        mean += np.multiply(n2, self.m2, out=ws.q)
+        mean += r2t
+        mean *= 0.5
         if self.system.is_real:
             return mean
-        return np.floor(mean + 0.5)
+        mean += 0.5
+        return np.floor(mean, out=mean)
 
 
 def _mod(a: np.ndarray, d: int) -> np.ndarray:
@@ -321,15 +351,15 @@ class CascadeKernel:
     def solve(self, rts1: list[np.ndarray], rts2: list[np.ndarray]):
         return self._cross_stage(self.k1.solve(rts1), self.k2.solve(rts2), rts1, rts2)
 
-    def _cross_stage(self, stage1, stage2, rts1, rts2):
+    def _cross_stage(self, stage1, stage2, rts1, rts2, ws=None):
         """The cross stage and the assembly, given both group stages'
         ``(folds, estimate)``; cascades of one spec can share those."""
         (f1, est1), (f2, est2) = stage1, stage2
         if self.spec.low_is_group1:
-            l_lo, l_hi = self.cross.solve(est1, est2)
+            l_lo, l_hi = self.cross.solve(est1, est2, ws)
             l1, l2 = l_lo, l_hi
         else:
-            l_lo, l_hi = self.cross.solve(est2, est1)
+            l_lo, l_hi = self.cross.solve(est2, est1, ws)
             l1, l2 = l_hi, l_lo
         folds1 = [l1 * (self.spec.group1.eta // mk) + h
                   for mk, h in zip(self.spec.group1.moduli, f1)]
@@ -349,16 +379,19 @@ class _Accumulator:
         self.failures = 0
         self.clamped = 0
 
-    def add(self, values, estimates, failures, clamped):
-        err = estimates - values
+    def add(self, values, estimates, failures, clamped, ws):
+        err = np.subtract(estimates, values, out=ws.q)
         np.abs(err, out=err)
         self.trials += values.size
         self.abs_sum += float(err.sum())
-        pos = values >= 1
-        self.rel_sum += float((err[pos] / values[pos]).sum())
-        self.rel_n += int(pos.sum())
-        self.failures += int(failures.sum())
-        self.clamped += int(clamped.sum())
+        pos = np.greater_equal(values, 1, out=ws.flag)
+        n = int(np.count_nonzero(pos))
+        # gather only when a value is below 1: the sum is over the same array
+        rel, below = (err, values) if n == values.size else (err[pos], values[pos])
+        self.rel_sum += float(np.divide(rel, below, out=rel).sum())
+        self.rel_n += n
+        self.failures += int(np.count_nonzero(failures))
+        self.clamped += int(np.count_nonzero(clamped))
 
     def row(self, x: float) -> SweepRow:
         return SweepRow(
@@ -375,21 +408,21 @@ class _Accumulator:
 def _sample_errors(rng, tau: float, size: int, error_mode: str) -> np.ndarray:
     if error_mode == "integer":
         t = int(math.floor(tau))
-        return rng.integers(-t, t + 1, size=size).astype(np.float64)
+        return rng.integers(-t, t + 1, size=size)  # added to float64 remainders
     return rng.uniform(-tau, tau, size=size)
 
 
-def _misfolds(folds, true_folds) -> np.ndarray:
-    fail = np.zeros(true_folds[0].shape, dtype=bool)
-    for f, t in zip(folds, true_folds):
-        fail |= f != t
+def _misfolds(folds, true_folds, ws) -> np.ndarray:
+    fail = np.not_equal(folds[0], true_folds[0], out=ws.fail)
+    for f, t in zip(folds[1:], true_folds[1:]):
+        fail |= np.not_equal(f, t, out=ws.flag)
     return fail
 
 
 def _level_series(kernel: LevelKernel):
-    def estimate(rts, true_folds):
-        n1, n2 = kernel.solve(*rts)
-        yield kernel.estimate(n1, n2, *rts), _misfolds((n1, n2), true_folds)
+    def estimate(rts, true_folds, ws):
+        n1, n2 = kernel.solve(*rts, ws)
+        yield kernel.estimate(n1, n2, *rts, ws), _misfolds((n1, n2), true_folds, ws)
     return estimate
 
 
@@ -399,21 +432,21 @@ def _cascade_series(*kernels: CascadeKernel):
     k1, k2 = kernels[0].k1, kernels[0].k2
     split = len(kernels[0].spec.group1.moduli)
 
-    def estimate(rts, true_folds):
+    def estimate(rts, true_folds, ws):
         rts1, rts2 = rts[:split], rts[split:]
         stage1, stage2 = k1.solve(rts1), k2.solve(rts2)
         for kernel in kernels:
-            folds1, folds2, est = kernel._cross_stage(stage1, stage2, rts1, rts2)
-            fail = _misfolds(folds1 + folds2, true_folds)
+            folds1, folds2, est = kernel._cross_stage(stage1, stage2, rts1, rts2, ws)
+            fail = _misfolds(folds1 + folds2, true_folds, ws)
             del folds1, folds2  # free them before the next series runs
             yield est, fail
     return estimate
 
 
 def _general_series(kernel: GeneralKernel):
-    def estimate(rts, true_folds):
+    def estimate(rts, true_folds, ws):
         folds, est, consistent = kernel.solve(rts)
-        yield est, ~consistent | _misfolds(folds, true_folds)
+        yield est, ~consistent | _misfolds(folds, true_folds, ws)
     return estimate
 
 
@@ -434,6 +467,7 @@ def _trial_rows(config: TrialConfig, value_range, estimators, series: int) -> li
     fmoduli = [float(mk) for mk in moduli]
     imoduli = [int(mk) for mk in moduli]
     rows = [[] for _ in range(series)]
+    workspace = _Workspace(min(CHUNK, config.trials_per_point), len(moduli))
     for p, (tau, fixed) in enumerate(points):
         lo, hi = (0, int(value_range)) if fixed is None else (fixed, fixed + 1)
         if integer and (lo < -2**63 or hi > 2**63):
@@ -442,33 +476,38 @@ def _trial_rows(config: TrialConfig, value_range, estimators, series: int) -> li
         accs = [_Accumulator() for _ in range(series)]
         for chunk_index, size in _chunks(config.trials_per_point):
             rng = _rng(config.seed, p, chunk_index)
+            ws = workspace.head(size)
+            values, true_folds, rts = ws.values, ws.folds, ws.rts
             if integer:
                 ints = (rng.integers(0, hi, size=size) if fixed is None
                         else np.full(size, fixed, dtype=np.int64))
-                values = ints.astype(np.float64)
-                true_folds = [ints // mk for mk in imoduli]
-                exact = [(ints - f * mk).astype(np.float64) for f, mk in zip(true_folds, imoduli)]
+                np.copyto(values, ints)
+                for f, rt, mk in zip(true_folds, rts, imoduli):
+                    np.floor_divide(ints, mk, out=f)
+                    np.subtract(ints, np.multiply(f, mk, out=ws.a), out=rt)
+                del ints
             elif fixed is None:
                 values = rng.uniform(0.0, float(value_range), size=size)
-                floors = [np.floor(values / mk) for mk in fmoduli]
-                exact = [values - f * mk for f, mk in zip(floors, fmoduli)]
-                true_folds = [f.astype(np.int64) for f in floors]
+                for f, rt, mk in zip(true_folds, rts, fmoduli):
+                    np.floor(np.divide(values, mk, out=rt), out=rt)
+                    np.copyto(f, rt, casting="unsafe")
+                    rt *= mk
+                    np.subtract(values, rt, out=rt)
             else:
-                values = np.full(size, float(fixed))
-                true_folds = [(values // mk).astype(np.int64) for mk in fmoduli]
-                exact = [values % mk for mk in fmoduli]
-            rts = []
-            out_of_range = np.zeros(size, dtype=bool)
-            for r, mk in zip(exact, fmoduli):
-                rt = _sample_errors(rng, tau, size, config.error_mode)
-                rt += r
-                out_of_range |= (rt < 0.0) | (rt >= mk)
+                values.fill(float(fixed))
+                for f, rt, mk in zip(true_folds, rts, fmoduli):
+                    np.copyto(f, np.floor_divide(values, mk, out=rt), casting="unsafe")
+                    np.remainder(values, mk, out=rt)
+            ws.out_of_range.fill(False)
+            for rt, mk in zip(rts, fmoduli):
+                rt += _sample_errors(rng, tau, size, config.error_mode)
+                ws.out_of_range |= np.less(rt, 0.0, out=ws.flag)
+                ws.out_of_range |= np.greater_equal(rt, mk, out=ws.flag)
                 if config.range_mode == "clamp":
-                    rt = np.clip(rt, 0.0, np.nextafter(mk, 0.0))
-                rts.append(rt)
-            outputs = (out for estimate in estimators for out in estimate(rts, true_folds))
+                    np.clip(rt, 0.0, np.nextafter(mk, 0.0), out=rt)
+            outputs = (out for estimate in estimators for out in estimate(rts, true_folds, ws))
             for acc, (est, fail) in zip(accs, outputs, strict=True):
-                acc.add(values, est, fail, out_of_range)
+                acc.add(values, est, fail, ws.out_of_range, ws)
         for out, acc in zip(rows, accs):
             out.append(acc.row(tau if fixed is None else fixed))
     return rows

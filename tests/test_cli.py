@@ -94,7 +94,8 @@ class TestLevels:
         code, out, err = run_cli(capsys, "levels", "--m1", str(3 * m), "--m2", str(5 * m),
                                  "--format", fmt_name)
         assert code == EXIT_USAGE and out == ""
-        assert err == f"error: value {first} is past the float range\n"
+        digits = len(str(first.numerator))
+        assert err == f"error: value (a fraction with a {digits}-digit numerator) is past the float range\n"
 
     @pytest.mark.parametrize("fmt_name", ["csv", "json"])
     def test_bound_inside_float_range_answers(self, capsys, fmt_name):
@@ -232,7 +233,8 @@ class TestReconstruct:
         code, out, err = run_cli(capsys, "reconstruct", "--groups",
                                  f"{3 * g},{5 * g}|{7 * g},{11 * g}", "--remainders", "1,1,1,1")
         assert code == EXIT_USAGE and out == ""
-        assert err.startswith("error: value ") and err.endswith("/4 is past the float range\n")
+        assert err.startswith("error: value (a fraction with a ")
+        assert err.endswith("-digit numerator) is past the float range\n")
 
     def test_bad_input(self, capsys):
         assert run_cli(capsys, "reconstruct", "--moduli", "234,377",
@@ -427,13 +429,16 @@ class TestSimulate:
         ({**_INTEGER, "tau": [10**400]}, "tau"),
         ({**_INTEGER, "tau": 10**400}, "tau"),
         ({**_REAL, "m": 10**400}, "m"),
+        ({**_INTEGER, "tau": [-10**400]}, "tau"),
     ])
     def test_config_numbers_past_the_float_range_are_refused(self, capsys, tmp_path, raw, name):
+        """The refusal names the field and the number's size, not its digits."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw))
         code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
         assert code == EXIT_USAGE and out == ""
-        assert err.startswith(f"error: {name} 1000") and "past the float range" in err, err
+        assert err == f"error: {name} (a 401-digit integer) is past the float range\n"
+        assert len(err) < 120
 
     def test_negative_config_seed_is_refused(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -589,6 +594,14 @@ class TestVerify:
                                "--gamma-max", "60", "--seed", "2")
         assert code == EXIT_OK
         assert out.count("PASS") == 5
+
+    @pytest.mark.parametrize("gamma_max", [2**63, 10**23])
+    def test_gamma_max_past_int64_is_refused(self, capsys, gamma_max):
+        code, out, err = run_cli(capsys, "verify", "--random-systems", "1",
+                                 "--gamma-max", str(gamma_max))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: verify: --gamma-max must be")
+        assert "below 2^63 (the int64 limit of the cofactor draws)" in err
 
     def test_gamma_max_below_3_is_refused(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--random-systems", "1", "--gamma-max", "2")

@@ -1,0 +1,124 @@
+"""The sweep workspace: chunks reuse one set of buffers, and kernels called
+without a workspace still return fresh arrays.
+
+A sweep allocates its workspace once; after that a chunk should allocate
+only what the generator draws (values and one error array at a time) and
+the few gathers the accumulator needs when a value is below 1.  The
+allocation test reads ``tracemalloc`` at each chunk start (``_rng`` is called
+once per chunk) and bounds every later chunk's peak above its starting level
+by three CHUNK-sized float64 arrays.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from robustrns import simkit
+from robustrns.multi_mod import cascade_spec
+from robustrns.simkit import CHUNK, CascadeKernel, LevelKernel, TrialConfig, run_tau_sweep
+from robustrns.two_mod import TwoModSystem
+
+SYSTEM = TwoModSystem.from_moduli(234, 377)
+
+
+def chunk_peaks(monkeypatch, config):
+    """Each chunk's peak traced memory above its level at the chunk's start."""
+    marks = []
+    rng = simkit._rng
+
+    def marked_rng(*args):
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return rng(*args)
+
+    monkeypatch.setattr(simkit, "_rng", marked_rng)
+    tracemalloc.start()
+    try:
+        run_tau_sweep(config)
+        marks.append(tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    return [peak - start for (start, _), (_, peak) in zip(marks, marks[1:])]
+
+
+@pytest.mark.parametrize("config", [
+    TrialConfig(system=SYSTEM, level=3, tau_values=(5.0, 40.0), trials_per_point=2 * CHUNK,
+                seed=1),
+    TrialConfig(system=TwoModSystem.real(2.5, 18, 29), level=3, tau_values=(0.5, 4.0),
+                trials_per_point=2 * CHUNK, seed=2, value_mode="real"),
+    TrialConfig(system=SYSTEM, level=1, probe=(466, 467), trials_per_point=2 * CHUNK, seed=3),
+], ids=["integer", "real", "probe"])
+def test_chunks_after_the_first_allocate_at_most_three_arrays(monkeypatch, config):
+    peaks = chunk_peaks(monkeypatch, config)
+    assert len(peaks) == 4
+    arrays = [peak / (CHUNK * 8) for peak in peaks[1:]]
+    assert max(arrays) <= 3, arrays
+
+
+def remainders(kernel, size, seed):
+    """Remainders far outside ``[0, m_i)``, so ``q`` runs past both end rungs."""
+    rng = np.random.default_rng(seed)
+    system = kernel.system
+    r1t = rng.uniform(-2 * system.m1, 3 * system.m1, size)
+    r2t = rng.uniform(-2 * system.m2, 3 * system.m2, size)
+    q = (r1t - r2t) / kernel.m
+    assert (q < kernel.q_lo).any() and (q > kernel.q_hi).any()  # both fallback branches
+    return r1t, r2t
+
+
+@pytest.mark.parametrize("system", [SYSTEM, TwoModSystem.real(2.5, 18, 29)], ids=str)
+def test_kernel_results_without_a_workspace_are_fresh(system):
+    kernel = LevelKernel(system, 2)
+    first_in = remainders(kernel, 3000, 1)
+    first = kernel.solve(*first_in)
+    first_est = kernel.estimate(*first, *first_in)
+    kept = [a.copy() for a in (*first, first_est)]
+    second_in = remainders(kernel, 3000, 2)
+    second = kernel.solve(*second_in)
+    second_est = kernel.estimate(*second, *second_in)
+    for a, b in zip((*first, first_est), (*second, second_est)):
+        assert not np.shares_memory(a, b)
+    for a, b in zip((*first, first_est), kept):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("system", [SYSTEM, TwoModSystem.real(2.5, 18, 29)], ids=str)
+@pytest.mark.parametrize("size", [1000, 357], ids=["whole", "tail"])
+def test_kernel_outputs_match_with_and_without_a_workspace(system, size):
+    ws = simkit._Workspace(1000).head(size)
+    for level in (1, 3):
+        kernel = LevelKernel(system, level)
+        r1t, r2t = remainders(kernel, size, level)
+        n1, n2 = kernel.solve(r1t, r2t)
+        est = kernel.estimate(n1, n2, r1t, r2t)
+        w1, w2 = kernel.solve(r1t, r2t, ws)
+        w_est = kernel.estimate(w1, w2, r1t, r2t, ws)
+        for a, b in zip((n1, n2, est), (w1, w2, w_est)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            np.testing.assert_array_equal(a, b)
+
+
+def test_cascade_cross_stage_matches_with_and_without_a_workspace(rng):
+    spec = cascade_spec([120, 300], [210, 490], 2)
+    values = rng.integers(0, 13230, size=700)
+    rts = [values % m + rng.uniform(-20, 20, size=values.size) for m in (120, 300, 210, 490)]
+    kernel = CascadeKernel(spec)
+    stages = kernel.k1.solve(rts[:2]), kernel.k2.solve(rts[2:])
+    plain = kernel._cross_stage(*stages, rts[:2], rts[2:])
+    shared = kernel._cross_stage(*stages, rts[:2], rts[2:], simkit._Workspace(1024).head(700))
+    for a, b in zip((*plain[0], *plain[1], plain[2]), (*shared[0], *shared[1], shared[2])):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("low", [0.0, 1.0], ids=["with_zero_values", "all_at_least_one"])
+def test_accumulator_relative_error_sums_the_gathered_array(rng, low):
+    values = np.floor(rng.uniform(low, 50.0, 5000))
+    estimates = values + rng.uniform(-3.0, 3.0, values.size)
+    acc = simkit._Accumulator()
+    acc.add(values, estimates, np.zeros(values.size, bool), np.zeros(values.size, bool),
+            simkit._Workspace(values.size))
+    pos = values >= 1
+    err = np.abs(estimates - values)
+    assert acc.rel_sum == float((err[pos] / values[pos]).sum())
+    assert acc.rel_n == int(pos.sum()) and acc.abs_sum == float(err.sum())
