@@ -2,12 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .modmath import (
-    CoprimeFactorization,
-    coprime_factorization,
-    mod_inverse,
-    round_half_up,
-)
+from .modmath import mod_inverse, round_half_up
 from .crt_core import (
     CrtSystem,
     InconsistentRemainders,
@@ -68,7 +63,7 @@ from .simkit import (
 )
 
 __all__ = [
-    "CoprimeFactorization", "coprime_factorization", "mod_inverse", "round_half_up",
+    "mod_inverse", "round_half_up",
     "CrtSystem", "InconsistentRemainders", "crt_reconstruct", "crt_system", "remainders_of",
     "DeltaChain", "FoldingSolution", "LevelContext", "RemainderObservation", "RobustnessLevel",
     "SigmaChain", "TwoModSystem", "delta_baseline", "delta_chain", "ladder_depths",

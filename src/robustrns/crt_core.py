@@ -1,11 +1,17 @@
-"""Error-free reconstruction from remainders, for general (non-coprime) moduli."""
+"""Error-free reconstruction from remainders, for general (non-coprime) moduli.
+
+This is the robust CRT with exact remainders: the scaled differences
+``(r_k - r_1) / gcd`` are then integers, and the Garner steps of
+``multi_mod._garner_folds`` solve them with gcds only, at any size.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
-from .modmath import CoprimeFactorization, coprime_factorization, mod_inverse
+from .multi_mod import _garner_folds
 
 
 class InconsistentRemainders(ValueError):
@@ -14,54 +20,54 @@ class InconsistentRemainders(ValueError):
 
 @dataclass(frozen=True)
 class CrtSystem:
-    """Precomputed reconstruction data for a fixed list of moduli.
-
-    ``M[j] = lcm // mu[j]`` and ``D[j]`` is the inverse of ``M[j]`` modulo
-    ``mu[j]`` (0 when ``mu[j] == 1``), so that ``sum(r_j * D_j * M_j)`` reduced
-    modulo the lcm recovers any value consistent with all the congruences.
-    """
+    """Moduli ``m_k = gcd * cofactors[k]`` and their lcm."""
 
     moduli: tuple[int, ...]
-    factorization: CoprimeFactorization
-    M: tuple[int, ...]
-    D: tuple[int, ...]
+    gcd: int
+    cofactors: tuple[int, ...]
     lcm: int
 
 
 def crt_system(moduli) -> CrtSystem:
-    fact = coprime_factorization(moduli)
-    lcm = fact.lcm
-    M = tuple(lcm // mu for mu in fact.mu)
-    D = tuple(0 if mu == 1 else mod_inverse(Mj % mu, mu) for Mj, mu in zip(M, fact.mu))
-    return CrtSystem(fact.moduli, fact, M, D, lcm)
+    ms = tuple(moduli)
+    if not ms:
+        raise ValueError("crt_system: need at least one modulus")
+    for m in ms:
+        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+            raise ValueError(f"crt_system: invalid modulus {m!r}")
+    g = math.gcd(*ms)
+    return CrtSystem(ms, g, tuple(m // g for m in ms), math.lcm(*ms))
 
 
 def remainders_of(value: int, system: CrtSystem) -> tuple[int, ...]:
     """Remainders of a nonnegative integer with respect to every modulus."""
-    if value < 0:
-        raise ValueError(f"remainders_of: value must be nonnegative, got {value}")
+    if type(value) is not int or value < 0:
+        raise ValueError(f"remainders_of: value must be a nonnegative int, got {value!r}")
     return tuple(value % m for m in system.moduli)
 
 
 def crt_reconstruct(remainders, system: CrtSystem) -> int:
-    """The unique value in ``[0, lcm)`` matching all remainders.
+    """The unique value in ``[0, lcm)`` matching all remainders, each an
+    ``int`` in ``[0, m_k)``.
 
     Raises :class:`InconsistentRemainders` when no such value exists, which
     can only happen for non-coprime moduli.
     """
     rs = tuple(remainders)
-    if len(rs) != len(system.moduli):
+    ms = system.moduli
+    if len(rs) != len(ms):
         raise ValueError("crt_reconstruct: remainder/modulus count mismatch")
-    for r, m in zip(rs, system.moduli):
-        if not (0 <= r < m):
-            raise ValueError(f"crt_reconstruct: remainder {r} out of range for modulus {m}")
-    for i in range(len(rs)):
-        for j in range(i + 1, len(rs)):
-            g = math.gcd(system.moduli[i], system.moduli[j])
-            if (rs[i] - rs[j]) % g != 0:
-                raise InconsistentRemainders(
-                    f"remainders {rs[i]} and {rs[j]} disagree modulo "
-                    f"gcd({system.moduli[i]}, {system.moduli[j]}) = {g}"
-                )
-    total = sum(r * d * M for r, d, M in zip(rs, system.D, system.M))
-    return total % system.lcm
+    for r, m in zip(rs, ms):
+        if type(r) is not int or not 0 <= r < m:
+            raise ValueError(f"crt_reconstruct: remainder {r!r} is not an int in [0, {m})")
+    r1, g = rs[0], system.gcd
+    folds = None
+    if len({r % g for r in rs}) == 1:  # every (r_k - r_1) divisible by the gcd
+        folds = _garner_folds([(r - r1) // g for r in rs[1:]], system.cofactors)
+    if folds is None:
+        # Pairwise-consistent remainders have a solution (generalized CRT), so some pair disagrees.
+        for (ri, mi), (rj, mj) in combinations(zip(rs, ms), 2):
+            g = math.gcd(mi, mj)
+            if (ri - rj) % g:
+                raise InconsistentRemainders(f"remainders {ri} and {rj} disagree modulo gcd({mi}, {mj}) = {g}")
+    return folds[0] * ms[0] + r1

@@ -4,7 +4,7 @@ the one-step build of the solver records whose exact mean is deferred."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from fractions import Fraction
 from numbers import Rational
 
@@ -26,56 +26,6 @@ def mod_inverse(a: int, n: int) -> int:
     if math.gcd(a, n) != 1:
         raise ValueError(f"mod_inverse: {a} is not invertible modulo {n}")
     return pow(a, -1, n)
-
-
-@dataclass(frozen=True)
-class CoprimeFactorization:
-    """Pairwise-coprime divisors mu_i of the moduli whose product is the lcm."""
-
-    moduli: tuple[int, ...]
-    mu: tuple[int, ...]
-
-    @property
-    def lcm(self) -> int:
-        return math.prod(self.mu)
-
-
-def _prime_powers(n: int) -> dict[int, int]:
-    """Trial-division factorization; moduli in this package are desk-scale."""
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def coprime_factorization(moduli) -> CoprimeFactorization:
-    """Split ``lcm(moduli)`` into pairwise-coprime factors mu_i dividing m_i.
-
-    Every prime power p^e appearing in the lcm is assigned to the first
-    modulus that contains it, which makes the output deterministic.
-    """
-    ms = tuple(moduli)
-    if not ms:
-        raise ValueError("coprime_factorization: need at least one modulus")
-    for m in ms:
-        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-            raise ValueError(f"coprime_factorization: invalid modulus {m!r}")
-    owners: dict[int, tuple[int, int]] = {}  # prime -> (exponent, owner index)
-    for i, m in enumerate(ms):
-        for p, e in _prime_powers(m).items():
-            best = owners.get(p)
-            if best is None or e > best[0]:
-                owners[p] = (e, i)
-    mu = [1] * len(ms)
-    for p, (e, i) in owners.items():
-        mu[i] *= p**e
-    return CoprimeFactorization(ms, tuple(mu))
 
 
 def round_half_up(x):

@@ -58,6 +58,11 @@ def crt_scan(remainders, moduli) -> int:
     """
     rs = tuple(remainders)
     ms = tuple(moduli)
+    if not ms or len(rs) != len(ms):
+        raise ValueError("crt_scan: need one remainder per modulus, at least one")
+    for m in ms:
+        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+            raise ValueError(f"crt_scan: invalid modulus {m!r}")
     lcm = math.lcm(*ms)
     for n in range(lcm):
         if all(n % m == r for m, r in zip(ms, rs)):

@@ -4,11 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from robustrns.modmath import (
-    coprime_factorization,
-    mod_inverse,
-    round_half_up,
-)
+from robustrns.modmath import mod_inverse, round_half_up
 
 
 def test_mod_inverse_known_values():
@@ -38,23 +34,6 @@ def test_mod_inverse_roundtrip(a, n):
     x = mod_inverse(a, n)
     assert 0 <= x < max(n, 1)
     assert a * x % n == 1 % n
-
-
-def test_coprime_factorization_examples():
-    assert coprime_factorization([24, 38]).mu == (24, 19)
-    assert coprime_factorization([5, 7]).mu == (5, 7)
-    assert coprime_factorization([12, 18]).mu == (4, 9)
-
-
-@given(st.lists(st.integers(min_value=1, max_value=10_000), min_size=1, max_size=6))
-def test_coprime_factorization_invariants(moduli):
-    fact = coprime_factorization(moduli)
-    assert fact.lcm == math.lcm(*moduli)
-    for mu, m in zip(fact.mu, fact.moduli):
-        assert m % mu == 0
-    for i in range(len(fact.mu)):
-        for j in range(i + 1, len(fact.mu)):
-            assert math.gcd(fact.mu[i], fact.mu[j]) == 1
 
 
 def test_round_half_up_examples():
