@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .modmath import mod_inverse, round_half_up
+from .modmath import mod_inverse
 from .crt_core import (
     CrtSystem,
     InconsistentRemainders,
@@ -63,7 +63,7 @@ from .simkit import (
 )
 
 __all__ = [
-    "mod_inverse", "round_half_up",
+    "mod_inverse",
     "CrtSystem", "InconsistentRemainders", "crt_reconstruct", "crt_system", "remainders_of",
     "DeltaChain", "FoldingSolution", "LevelContext", "RemainderObservation", "RobustnessLevel",
     "SigmaChain", "TwoModSystem", "delta_baseline", "delta_chain", "ladder_depths",

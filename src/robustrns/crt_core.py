@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
+from .modmath import _checked_moduli
 from .multi_mod import _garner_folds
 
 
@@ -29,12 +30,7 @@ class CrtSystem:
 
 
 def crt_system(moduli) -> CrtSystem:
-    ms = tuple(moduli)
-    if not ms:
-        raise ValueError("crt_system: need at least one modulus")
-    for m in ms:
-        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-            raise ValueError(f"crt_system: invalid modulus {m!r}")
+    ms = _checked_moduli("crt_system", moduli)
     g = math.gcd(*ms)
     return CrtSystem(ms, g, tuple(m // g for m in ms), math.lcm(*ms))
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 from dataclasses import fields
 from fractions import Fraction
-from numbers import Rational
 
 # Per-system caches (ladder contexts, chains, CRT steps) are bounded so a
 # long-lived process does not grow without limit over many systems.
@@ -28,30 +27,25 @@ def mod_inverse(a: int, n: int) -> int:
     return pow(a, -1, n)
 
 
-def round_half_up(x):
-    """The bracket rounding used everywhere here: ``[x] = floor(x + 1/2)``.
-
-    Halves round toward +infinity, so ``-1/2 <= x - [x] < 1/2`` holds exactly.
-    Accepts ints, floats and rationals (``fractions.Fraction``).
-    """
-    if isinstance(x, bool):
-        raise TypeError("round_half_up: bool is not a scalar")
-    if isinstance(x, int):
-        return x
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise ValueError(f"round_half_up: non-finite input {x!r}")
-        return math.floor(x + 0.5)
-    if isinstance(x, Rational):
-        return math.floor(x + Fraction(1, 2))
-    raise TypeError(f"round_half_up: unsupported type {type(x).__name__}")
+def _checked_moduli(caller: str, moduli) -> tuple[int, ...]:
+    """``moduli`` as a tuple, refused with a ``ValueError`` that names
+    ``caller`` unless there is at least one and each is an ``int`` (not a
+    ``bool``) of at least 1."""
+    ms = tuple(moduli)
+    if not ms:
+        raise ValueError(f"{caller}: need at least one modulus")
+    for m in ms:
+        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+            raise ValueError(f"{caller}: invalid modulus {m!r}")
+    return ms
 
 
 def round_div(num: int, den: int) -> int:
     """``[num / den]`` for integers with ``den > 0``, in integer arithmetic.
 
-    ``floor(num / den + 1/2) == floor((2 num + den) / (2 den))``, so this is
-    ``round_half_up`` of the exact ratio without building a rational.
+    Halves round toward +infinity: ``floor(num / den + 1/2) == floor((2 num
+    + den) / (2 den))``, so ``-1/2 <= num / den - [num / den] < 1/2`` holds
+    exactly, without building a rational.
     """
     return (2 * num + den) // (2 * den)
 

@@ -13,8 +13,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
-from .modmath import _CACHE_SIZE, _record, _solver_record, common_denominator, mod_inverse, round_div
+from .modmath import (_CACHE_SIZE, _checked_moduli, _record, _solver_record, common_denominator,
+                      mod_inverse, round_div)
 from .two_mod import TwoModSystem, _exact_folds, level_context, sigma_chain
 
 
@@ -29,21 +31,13 @@ class ModuliGroup:
 
     @classmethod
     def from_moduli(cls, moduli) -> "ModuliGroup":
-        ms = tuple(moduli)
-        if not ms:
-            raise ValueError("ModuliGroup: need at least one modulus")
-        for m in ms:
-            if not isinstance(m, int) or m < 1:
-                raise ValueError(f"ModuliGroup: invalid modulus {m!r}")
+        ms = _checked_moduli("ModuliGroup", moduli)
         g = math.gcd(*ms)
         cof = tuple(m // g for m in ms)
-        for i in range(len(cof)):
-            for j in range(i + 1, len(cof)):
-                if math.gcd(cof[i], cof[j]) != 1:
-                    raise ValueError(
-                        f"ModuliGroup: cofactors {cof[i]} and {cof[j]} share a factor; "
-                        "only pairwise-coprime cofactors are supported"
-                    )
+        for a, b in combinations(cof, 2):
+            if math.gcd(a, b) != 1:
+                raise ValueError(f"ModuliGroup: cofactors {a} and {b} share a factor; "
+                                 "only pairwise-coprime cofactors are supported")
         return cls(ms, g, cof, g * math.prod(cof))
 
 
@@ -130,12 +124,21 @@ def _group_stage(group: ModuliGroup, rs: tuple):
     """``single_stage_robust_crt`` with the mean as ``_average`` returns it."""
     if len(rs) != len(group.moduli):
         raise ValueError("single_stage_robust_crt: remainder/modulus count mismatch")
+    return _single_stage(group.moduli, group.gcd, group.cofactors, rs)[:3]
+
+
+def _single_stage(moduli: tuple, m: int, gammas: tuple, rs: tuple):
+    """``(folds, estimate, mean, consistent)`` over the moduli ``m * gammas``:
+    ``xi_k`` estimates ``(r_k - r_1) / m = n_1 * g_1 - n_k * g_k``, exactly
+    under the window condition, and the Garner steps solve for the folds,
+    which are all zero when the congruences have no solution."""
     scaled = common_denominator(rs)
-    # xi_k estimates (r_k - r_1) / m = h_1 * g_1 - h_k * g_k, exactly under the
-    # window condition; h_1 then follows from the coprime congruences.
-    folds = _garner_folds(_xis(group.gcd, scaled), group.cofactors)
-    estimate, mean = _average([(folds, group.moduli, rs)], scaled)
-    return folds, estimate, mean
+    folds = _garner_folds(_xis(m, scaled), gammas)
+    consistent = folds is not None
+    if not consistent:
+        folds = (0,) * len(moduli)
+    estimate, mean = _average([(folds, moduli, rs)], scaled)
+    return folds, estimate, mean, consistent
 
 
 @_solver_record
@@ -162,14 +165,8 @@ def general_robust_crt(moduli, remainders) -> GeneralCrtSolution:
     rs = tuple(remainders)
     if len(ms) < 2 or len(rs) != len(ms):
         raise ValueError("general_robust_crt: need matching moduli/remainders, at least two")
-    m = math.gcd(*ms)
-    gammas = tuple(mi // m for mi in ms)
-    scaled = common_denominator(rs)
-    folds = _garner_folds(_xis(m, scaled), gammas)
-    consistent = folds is not None
-    if not consistent:
-        folds = (0,) * len(ms)
-    estimate, mean = _average([(folds, ms, rs)], scaled)
+    m = math.gcd(*_checked_moduli("general_robust_crt", ms))
+    folds, estimate, mean, consistent = _single_stage(ms, m, tuple(mi // m for mi in ms), rs)
     return _record(GeneralCrtSolution,
                    {"folds": folds, "estimate": estimate, "consistent": consistent}, mean)
 

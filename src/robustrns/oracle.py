@@ -28,6 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .crt_core import InconsistentRemainders
+from .modmath import _checked_moduli
 from .two_mod import (
     RemainderObservation,
     TwoModSystem,
@@ -51,19 +52,22 @@ class OracleReport:
         return self.expected == self.computed
 
 
+_CRT_SCAN_MAX = 1 << 20
+
+
 def crt_scan(remainders, moduli) -> int:
-    """Linear scan of ``[0, lcm)`` for the unique match.
+    """Linear scan of ``[0, lcm)`` for the unique match, for an lcm of at
+    most ``_CRT_SCAN_MAX`` (a second or so); a larger one is refused.
 
     Raises :class:`InconsistentRemainders` when nothing matches.
     """
     rs = tuple(remainders)
-    ms = tuple(moduli)
-    if not ms or len(rs) != len(ms):
+    ms = _checked_moduli("crt_scan", moduli)
+    if len(rs) != len(ms):
         raise ValueError("crt_scan: need one remainder per modulus, at least one")
-    for m in ms:
-        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-            raise ValueError(f"crt_scan: invalid modulus {m!r}")
     lcm = math.lcm(*ms)
+    if lcm > _CRT_SCAN_MAX:
+        raise ValueError(f"crt_scan: lcm {lcm} is past the scan's limit {_CRT_SCAN_MAX}")
     for n in range(lcm):
         if all(n % m == r for m, r in zip(ms, rs)):
             return n
@@ -241,14 +245,11 @@ def range_falsifier_basic(system: TwoModSystem) -> AdversarialInstance:
     return AdversarialInstance(n_value, dr1, Fraction(0))
 
 
-def _nearest(sorted_elems, target) -> int:
-    """Element nearest ``target``, ties to the smaller one; in a full ladder
-    ``range(gamma)``, whose ``len`` overflows past 2^63, ``target`` rounded."""
-    if isinstance(sorted_elems, range):
-        return min(max(math.ceil(target - Fraction(1, 2)), 0), sorted_elems[-1])
-    i = bisect.bisect_left(sorted_elems, target)
-    lo = sorted_elems[max(i - 1, 0)]
-    hi = sorted_elems[min(i, len(sorted_elems) - 1)]
+def _nearest(ladder, target) -> int:
+    """The rung of a ``two_mod.Ladder`` nearest ``target``, ties to the
+    smaller one."""
+    i = ladder.rank(math.ceil(target))
+    lo, hi = ladder.rungs[max(i - 1, 0)], ladder.rungs[min(i, ladder.depth)]
     return lo if target - lo <= hi - target else hi
 
 

@@ -37,9 +37,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multi_mod import CascadeSpec, _general_steps
-from .two_mod import TwoModSystem, level_context, sigma_chain
+from .two_mod import TwoModSystem, _level_row, ladder_depths, level_context, sigma_chain
 
 CHUNK = 1 << 16
+# Signed rungs a LevelKernel may tabulate: about 90 bytes each while it
+# builds, so 2^22 rungs peak near 420 MB and take about a second.
+MAX_RUNGS = 1 << 22
 
 _MODES = {"value_mode": ("integer", "real"), "error_mode": ("real", "integer"),
           "range_mode": ("allow", "clamp")}
@@ -84,7 +87,7 @@ class TrialConfig:
         elif self.level is None:
             object.__setattr__(self, "level", sigma_chain(self.system).levels)
         if self.probe and not self.tau_values:
-            bound = level_context(self.system, self.level).robustness_bound
+            bound = _level_row(self.system, self.level).robustness_bound
             object.__setattr__(self, "tau_values", (float(bound),))
         if not all(math.isfinite(t) and t >= 0 for t in self.tau_values):
             raise ValueError("TrialConfig: tau values must be finite and nonnegative")
@@ -165,6 +168,10 @@ class LevelKernel:
     """
 
     def __init__(self, system: TwoModSystem, level: int):
+        depth1, depth2 = ladder_depths(system, level)
+        if depth1 + depth2 + 1 > MAX_RUNGS:
+            raise ValueError(f"LevelKernel: level {level} has {depth1 + depth2 + 1} signed rungs; "
+                             f"the kernel's tables hold at most {MAX_RUNGS}")
         ctx = level_context(system, level)
         self.system = system
         self.level = level
@@ -175,10 +182,10 @@ class LevelKernel:
         self.robustness_bound = float(ctx.robustness_bound)
         g1, g2, sigma = system.gamma1, system.gamma2, ctx.sigma
         dtype = np.int64 if g2 < 2**31 else object  # rung * inverse < g2**2
-        s1 = np.array(ctx.s1[1:], dtype=dtype)
-        s2 = np.array(ctx.s2[1:], dtype=dtype)
-        f1 = s1 * ctx.inv12 % g2  # n1 of the rung s1: n1 * g1 = n2 * g2 + s1
-        f2 = s2 * ctx.inv21 % g1  # n2 of the rung s2: n2 * g2 = n1 * g1 + s2
+        s1 = np.array(ctx.s1.rungs[1:], dtype=dtype)
+        s2 = np.array(ctx.s2.rungs[1:], dtype=dtype)
+        f1 = ctx.s1.fold(s1)  # n1 of the rung s1: n1 * g1 = n2 * g2 + s1
+        f2 = ctx.s2.fold(s2)  # n2 of the rung s2: n2 * g2 = n1 * g1 + s2
         rungs = np.concatenate((-s1[::-1], [0], s2))
         self.n1 = np.concatenate((f1[::-1], [0], (f2 * g2 - s2) // g1)).astype(np.int64)
         self.n2 = np.concatenate((((f1 * g1 - s1) // g2)[::-1], [0], f2)).astype(np.int64)

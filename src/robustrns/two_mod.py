@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .modmath import _CACHE_SIZE, _record, _solver_record, common_denominator, mod_inverse, round_div
+from .modmath import (_CACHE_SIZE, _checked_moduli, _record, _solver_record, common_denominator,
+                      mod_inverse, round_div)
 
 
 @dataclass(frozen=True)
@@ -82,9 +83,8 @@ class TwoModSystem:
     @classmethod
     def from_moduli(cls, m1: int, m2: int) -> "TwoModSystem":
         """Integer-mode system from the two moduli themselves."""
-        if not (isinstance(m1, int) and isinstance(m2, int)):
-            raise ValueError("from_moduli: moduli must be integers")
-        if not 0 < m1 < m2:
+        _checked_moduli("from_moduli", (m1, m2))
+        if not m1 < m2:
             raise ValueError(f"from_moduli: need 0 < m1 < m2, got ({m1}, {m2})")
         m = math.gcd(m1, m2)
         return cls(m, m1 // m, m2 // m)
@@ -283,68 +283,92 @@ def ladder_depths(system: TwoModSystem, j: int) -> tuple[int, int]:
     return d1[j - 1], d2[j - 1]
 
 
-def _range_and_bound(system: TwoModSystem, sigma: int, depth1: int, depth2: int):
-    """A level's dynamic range and its robustness bound ``m * sigma / 4``,
-    a float in real-scalar mode and a ``Fraction`` otherwise."""
+def _level_row(system: TwoModSystem, j: int) -> RobustnessLevel:
+    """Row ``j`` of the trade-off table: the range is ``m`` times the smaller
+    ladder span and the bound ``m * sigma / 4``, each a float in real-scalar
+    mode and exact otherwise."""
+    depth1, depth2 = ladder_depths(system, j)
+    s = sigma_chain(system).sigma(j)
     rng = system._times(min(system.gamma2 * (1 + depth2), system.gamma1 * (1 + depth1)))
-    return rng, system.m * sigma / 4.0 if system.is_real else Fraction(system.m * sigma, 4)
+    bound = system.m * s / 4.0 if system.is_real else Fraction(system.m * s, 4)
+    return RobustnessLevel(j, s, depth1, depth2, rng, bound)
 
 
 def level_table(system: TwoModSystem) -> tuple[RobustnessLevel, ...]:
     """All trade-off rows, from the most robust level up to the full lcm."""
-    chain = sigma_chain(system)
-    d1s, d2s = _depth_tables(system.gamma1, system.gamma2)
-    rows = []
-    for j in range(1, chain.levels + 1):
-        s, depth1, depth2 = chain.sigma(j), d1s[j - 1], d2s[j - 1]
-        rows.append(RobustnessLevel(j, s, depth1, depth2, *_range_and_bound(system, s, depth1, depth2)))
-    return tuple(rows)
+    return tuple(_level_row(system, j) for j in range(1, sigma_chain(system).levels + 1))
 
 
 @dataclass(frozen=True)
-class LevelContext:
-    """Cached per-(system, level) data so hot loops avoid rebuilding ladders.
+class Ladder:
+    """The sorted rungs ``|t * base|_mod``, ``t = 0..depth``, and each rung's
+    fold ``t``.  At full depth ``mod - 1`` they are every residue, so
+    ``rungs`` is ``range(mod)``, built in O(1) and ranked by arithmetic;
+    otherwise a sorted tuple, ranked by ``bisect``.  Only this class knows
+    which.  ``len`` is ``depth + 1``, which overflows past 2^63 rungs, so the
+    solvers never take it."""
 
-    ``s1``/``s2`` are the sorted ladders.  At the full-lcm level ``k + 1`` a
-    ladder's depth is ``gamma - 1``, so it holds every residue and is
-    ``range(gamma)``, built in O(1); every other level holds a sorted tuple.
-    The scalar solvers index a ladder and rank in it, never take its ``len``.
-    """
+    rungs: Sequence[int]
+    depth: int
+    inverse: int  # of base modulo mod: a rung's fold is rung * inverse % mod
+    mod: int
+
+    @classmethod
+    def build(cls, base: int, mod: int, depth: int) -> "Ladder":
+        rungs = range(mod) if depth == mod - 1 else tuple(sorted(t * base % mod for t in range(depth + 1)))
+        return cls(rungs, depth, mod_inverse(base, mod), mod)
+
+    def __len__(self) -> int:
+        return self.depth + 1
+
+    def rank(self, edge: int) -> int:
+        """The number of rungs below the integer ``edge``."""
+        if type(self.rungs) is range:
+            return min(max(edge, 0), self.mod)
+        return bisect.bisect_left(self.rungs, edge)
+
+    def fold(self, rung):
+        """The ``t`` of a rung; elementwise on an integer numpy array."""
+        return rung * self.inverse % self.mod
+
+    def nearest(self, num: int, scale: int, sigma: int, left_open: bool) -> int:
+        """The fold of the rung nearest ``target = num / scale`` (``scale >
+        0``): the last rung below ``ceil(target)`` or the first at or above
+        it, each clipped to the ladder's ends.  Rungs are at least ``sigma``
+        apart, so a window of half-width ``sigma / 2`` around the target
+        holds no rung but this one.  An exact tie goes up only on a left-open
+        window ``(t - sigma/2, t + sigma/2]`` with the two rungs ``sigma``
+        apart, and down otherwise: ``LevelKernel``'s threshold rule.  This is
+        the scalar solvers' hot path, so it ranks and folds inline, one call
+        per pick."""
+        rungs = self.rungs
+        edge = -(-num // scale)
+        if rungs[-1] < edge:
+            return self.fold(rungs[-1])
+        i = max(edge, 0) if type(rungs) is range else bisect.bisect_left(rungs, edge)
+        lo, hi = rungs[max(i - 1, 0)], rungs[i]
+        side = 2 * num - (lo + hi) * scale
+        rung = hi if side > 0 or side == 0 and left_open and hi - lo == sigma else lo
+        return rung * self.inverse % self.mod
+
+
+@dataclass(frozen=True)
+class LevelContext(RobustnessLevel):
+    """A level's row plus its two ladders, cached per (system, level) so hot
+    loops never rebuild them; the picked rung's fold is ``n1`` on ``s1`` and
+    ``n2`` on ``s2``."""
 
     system: TwoModSystem
-    j: int
-    sigma: int
-    depth1: int
-    depth2: int
-    s1: Sequence[int]  # sorted ladder |t*gamma1|_gamma2, t = 0..depth1
-    s2: Sequence[int]  # sorted ladder |t*gamma2|_gamma1, t = 0..depth2
-    inv12: int  # inverse of gamma1 modulo gamma2
-    inv21: int  # inverse of gamma2 modulo gamma1
-    dynamic_range: int | float
-    robustness_bound: Fraction | float
-
-
-def _sorted_ladder(base: int, mod: int, depth: int) -> Sequence[int]:
-    """Sorted ``|t * base|_mod`` for ``t = 0..depth``; at depth ``mod - 1`` the
-    multiples of a unit run over every residue, so the ladder is ``range(mod)``."""
-    if depth == mod - 1:
-        return range(mod)
-    return tuple(sorted(t * base % mod for t in range(depth + 1)))
+    s1: Ladder  # |t*gamma1|_gamma2, t = 0..depth1
+    s2: Ladder  # |t*gamma2|_gamma1, t = 0..depth2
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def level_context(system: TwoModSystem, j: int) -> LevelContext:
-    depth1, depth2 = ladder_depths(system, j)
-    chain = sigma_chain(system)
-    s = chain.sigma(j)
+    row = _level_row(system, j)
     g1, g2 = system.gamma1, system.gamma2
-    s1 = _sorted_ladder(g1, g2, depth1)
-    s2 = _sorted_ladder(g2, g1, depth2)
-    return LevelContext(
-        system, j, s, depth1, depth2, s1, s2,
-        mod_inverse(g1, g2), mod_inverse(g2, g1),
-        *_range_and_bound(system, s, depth1, depth2),
-    )
+    return LevelContext(**vars(row), system=system,
+                        s1=Ladder.build(g1, g2, row.depth1), s2=Ladder.build(g2, g1, row.depth2))
 
 
 def _exact_parts(system: TwoModSystem, obs: RemainderObservation):
@@ -395,27 +419,6 @@ def solve_basic(system: TwoModSystem, obs: RemainderObservation) -> FoldingSolut
     return _solution(system, n1, n2, obs, exact)
 
 
-def _nearest_rung(ladder: Sequence[int], num: int, scale: int, sigma: int, left_open: bool) -> int:
-    """The rung nearest ``target = num / scale`` (``scale > 0``), between the
-    last rung below ``ceil(target)`` and the first at or above it, each
-    clipped to the ladder's ends; on a ``range``, whose ``len`` overflows
-    past 2^63 rungs, ranked by arithmetic instead of ``bisect``.
-
-    Rungs are at least ``sigma`` apart, so a window of half-width
-    ``sigma / 2`` around the target holds no rung but this one.  An exact
-    tie goes up only on a left-open window ``(t - sigma/2, t + sigma/2]``
-    with the two rungs ``sigma`` apart, and down otherwise: ``LevelKernel``'s
-    threshold rule.
-    """
-    edge = -(-num // scale)
-    if ladder[-1] < edge:
-        return ladder[-1]
-    i = max(edge, 0) if type(ladder) is range else bisect.bisect_left(ladder, edge)
-    lo, hi = ladder[max(i - 1, 0)], ladder[i]
-    side = 2 * num - (lo + hi) * scale
-    return hi if side > 0 or side == 0 and left_open and hi - lo == sigma else lo
-
-
 def solve_level(system: TwoModSystem, obs: RemainderObservation, j: int) -> FoldingSolution:
     """Ladder-window fold recovery at trade-off level ``j``.
 
@@ -439,12 +442,10 @@ def _exact_folds(ctx: LevelContext, num: int, scale: int) -> tuple[int, int]:
     ``q = (r1 - r2) / m = num / scale`` (``scale > 0``)."""
     system, sigma = ctx.system, ctx.sigma
     if 2 * num >= sigma * scale:
-        s2 = _nearest_rung(ctx.s2, num, scale, sigma, left_open=True)
-        n2 = s2 * ctx.inv21 % system.gamma1
+        n2 = ctx.s2.nearest(num, scale, sigma, left_open=True)
         return round_div(n2 * system.gamma2 * scale - num, system.gamma1 * scale), n2
     if 2 * num < -sigma * scale:
-        s1 = _nearest_rung(ctx.s1, -num, scale, sigma, left_open=False)
-        n1 = s1 * ctx.inv12 % system.gamma2
+        n1 = ctx.s1.nearest(-num, scale, sigma, left_open=False)
         return n1, round_div(n1 * system.gamma1 * scale + num, system.gamma2 * scale)
     return 0, 0
 

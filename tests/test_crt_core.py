@@ -121,6 +121,12 @@ def test_scan_rejects_invalid_moduli():
             crt_scan([0, 0], moduli)
 
 
+def test_scan_refuses_past_its_lcm_limit():
+    with pytest.raises(ValueError, match=r"crt_scan: lcm \d+ is past the scan's limit"):
+        crt_scan([1, 2], [2**61 - 1, 3])
+    assert crt_scan([0], [1 << 20]) == 0  # the limit itself is scanned
+
+
 def _outcome(reconstruct, rs, system):
     try:
         return reconstruct(rs, system)

@@ -172,7 +172,7 @@ def _edges(system, ctx):
     solver's wrap limits and rounding ties."""
     half = Fraction(ctx.sigma, 2)
     qs = {half, -half}
-    for elems, sign in ((ctx.s2, 1), (ctx.s1, -1)):
+    for elems, sign in ((ctx.s2.rungs, 1), (ctx.s1.rungs, -1)):
         for lo, hi in zip(elems, elems[1:]):
             qs.update(sign * x for x in (lo - half, lo + half, Fraction(lo + hi, 2)))
     g1, beta = system.gamma1, system.gamma2 % system.gamma1

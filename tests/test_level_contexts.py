@@ -1,11 +1,12 @@
-"""Level contexts: full-lcm ladders as ranges, bounded caches, the cached hash,
-and a system's mode as part of the identity its context is cached under.
+"""Level contexts: a level's row plus its two ladders, full-lcm ladders as
+ranges, bounded caches, the cached hash, and a system's mode as part of the
+identity its context is cached under.
 
 At the full-lcm level a ladder's depth is ``gamma - 1``, so it holds every
-residue and ``level_context`` keeps it as ``range(gamma)``; every other level
-keeps a sorted tuple.  Either way the ladder must equal the sorted definition,
-and solving with it must give what solving with the same ladder as a tuple
-gives.
+residue and its ``rungs`` are ``range(gamma)``; every other level keeps a
+sorted tuple.  Either way the rungs must equal the sorted definition, each
+rung's fold must be its multiplier, and ranking, picking and solving must
+give what the same ladder as a tuple gives.
 """
 
 import copy
@@ -24,11 +25,12 @@ from robustrns.simkit import LevelKernel
 from robustrns.two_mod import (
     FoldingSolution,
     RemainderObservation,
+    RobustnessLevel,
     TwoModSystem,
     _depth_tables,
-    _nearest_rung,
     _sigma_values,
     level_context,
+    level_table,
     sigma_chain,
     solve_level,
     solve_level_real,
@@ -51,9 +53,15 @@ def test_ladders_equal_their_definition_at_every_level(system):
     g1, g2 = system.gamma1, system.gamma2
     for j in range(1, sigma_chain(system).levels + 1):
         ctx = level_context(system, j)
+        row = RobustnessLevel(*(getattr(ctx, f.name) for f in dataclasses.fields(RobustnessLevel)))
+        assert isinstance(ctx, RobustnessLevel) and row == level_table(system)[j - 1]
         for ladder, depth, base, mod in ((ctx.s1, ctx.depth1, g1, g2), (ctx.s2, ctx.depth2, g2, g1)):
-            assert list(ladder) == sorted(t * base % mod for t in range(depth + 1))
-            assert isinstance(ladder, range) == (depth == mod - 1)
+            assert list(ladder.rungs) == sorted(t * base % mod for t in range(depth + 1))
+            assert isinstance(ladder.rungs, range) == (depth == mod - 1)
+            assert len(ladder) == depth + 1
+            assert [ladder.fold(t * base % mod) for t in range(depth + 1)] == list(range(depth + 1))
+            rungs = np.array(ladder.rungs, dtype=np.int64)
+            assert ladder.fold(rungs).tolist() == [ladder.fold(r) for r in ladder.rungs]
 
 
 # Cofactors just past 2^60 and past 2^64: the sorted-tuple ladders of the top
@@ -68,7 +76,7 @@ def solve_top_level_draw(system, data):
     top level; the folds must be ``value // m_i``."""
     top = sigma_chain(system).levels
     ctx = level_context(system, top)
-    assert ctx.s1 == range(system.gamma2) and ctx.s2 == range(system.gamma1)
+    assert ctx.s1.rungs == range(system.gamma2) and ctx.s2.rungs == range(system.gamma1)
     assert ctx.dynamic_range == system.lcm
     value = data.draw(st.integers(0, system.lcm - 1))
     err = system.m * ctx.sigma // 4 - 1
@@ -108,7 +116,8 @@ def test_range_ranks_match_tuple_ladders(system, data):
     ``3 m_i``, so windows hit, miss and clip at both ends."""
     top = sigma_chain(system).levels
     ctx = level_context(system, top)
-    as_tuples = dataclasses.replace(ctx, s1=tuple(ctx.s1), s2=tuple(ctx.s2))
+    as_tuples = dataclasses.replace(ctx, s1=dataclasses.replace(ctx.s1, rungs=tuple(ctx.s1.rungs)),
+                                    s2=dataclasses.replace(ctx.s2, rungs=tuple(ctx.s2.rungs)))
     m1, m2 = system.m1, system.m2
     for _ in range(20):
         r1 = data.draw(st.integers(-2 * m1, 3 * m1))
@@ -119,14 +128,23 @@ def test_range_ranks_match_tuple_ladders(system, data):
                     RemainderObservation(float(r1 + frac), float(r2))):
             assert solve_with_context(ctx, obs) == solve_with_context(as_tuples, obs)
     for ladder, rungs in ((ctx.s1, as_tuples.s1), (ctx.s2, as_tuples.s2)):
-        edges = (-3, ladder[-1] // 2, ladder[-1] - 1, ladder[-1] + 2)
+        top = ladder.rungs[-1]
+        edges = (-3, top // 2, top - 1, top + 2)
+        for e in (-3, -1, 0, 1, 2, top // 2, top - 1, top, top + 1, top + 3):
+            assert ladder.rank(e) == rungs.rank(e)
         for target in (Fraction(e * 4 + t, 4) for e in edges for t in range(-6, 7)):
             assert _nearest(ladder, target) == _nearest(rungs, target)
-        # the midpoints num / 2 of a full ladder are ties, at edges -3 .. ladder[-1] + 3
-        nums = range(-7, 2 * ladder[-1] + 7, 2)
+        # the midpoints num / 2 of a full ladder are ties, at edges -3 .. top + 3
+        nums = range(-7, 2 * top + 7, 2)
         for left_open in (False, True):
-            assert ([_nearest_rung(ladder, num, 2, ctx.sigma, left_open) for num in nums]
-                    == [_nearest_rung(rungs, num, 2, ctx.sigma, left_open) for num in nums])
+            assert ([ladder.nearest(num, 2, ctx.sigma, left_open) for num in nums]
+                    == [rungs.nearest(num, 2, ctx.sigma, left_open) for num in nums])
+
+
+@pytest.mark.parametrize("j", [0, 6, -1])
+def test_level_out_of_range_is_refused(j):
+    with pytest.raises(ValueError, match=rf"ladder_depths: level {j} out of range \[1, 5\]"):
+        level_context(TwoModSystem(13, 18, 29), j)
 
 
 def test_caches_stay_bounded():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from robustrns.modmath import mod_inverse, round_half_up
+from robustrns.modmath import _checked_moduli, mod_inverse, round_div
 
 
 def test_mod_inverse_known_values():
@@ -36,23 +36,15 @@ def test_mod_inverse_roundtrip(a, n):
     assert a * x % n == 1 % n
 
 
-def test_round_half_up_examples():
-    assert round_half_up(100.5) == 101
-    assert round_half_up(-0.5) == 0
-    assert round_half_up(1.875) == 2
-    assert round_half_up(Fraction(-1, 2)) == 0
-    assert round_half_up(Fraction(199, 2)) == 100
-    assert round_half_up(7) == 7
+def test_round_div_examples():
+    assert round_div(201, 2) == 101
+    assert round_div(-1, 2) == 0
+    assert round_div(15, 8) == 2
+    assert round_div(199, 2) == 100
+    assert round_div(7, 1) == 7
 
 
-def test_round_half_up_rejects_non_finite():
-    with pytest.raises(ValueError):
-        round_half_up(float("nan"))
-    with pytest.raises(ValueError):
-        round_half_up(float("inf"))
-
-
-def test_round_half_up_window_bulk(rng):
+def test_round_div_window_bulk(rng):
     import numpy as np
 
     xs = rng.uniform(-1e9, 1e9, size=100_000)
@@ -60,11 +52,20 @@ def test_round_half_up_window_bulk(rng):
     diff = xs - rounded
     assert np.all(diff >= -0.5)
     assert np.all(diff < 0.5)
-    spot = [round_half_up(float(x)) for x in xs[:200]]
+    spot = [round_div(*float(x).as_integer_ratio()) for x in xs[:200]]
     assert spot == [int(r) for r in rounded[:200]]
 
 
 @given(st.fractions(min_value=-1000, max_value=1000))
-def test_round_half_up_window_exact(x):
-    r = round_half_up(x)
+def test_round_div_window_exact(x):
+    r = round_div(x.numerator, x.denominator)
     assert Fraction(-1, 2) <= x - r < Fraction(1, 2)
+
+
+def test_checked_moduli():
+    assert _checked_moduli("caller", iter([4, 1, 6])) == (4, 1, 6)
+    with pytest.raises(ValueError, match="^caller: need at least one modulus$"):
+        _checked_moduli("caller", [])
+    for bad in (0, -5, 5.0, True, "5", None):
+        with pytest.raises(ValueError, match=f"^caller: invalid modulus {bad!r}$"):
+            _checked_moduli("caller", [3, bad])

@@ -29,6 +29,11 @@ class TestModuliGroup:
         with pytest.raises(ValueError):
             ModuliGroup.from_moduli([120, 300, 210, 490])  # cofactors 12,30,21,49
 
+    @pytest.mark.parametrize("moduli", [[True, 3], [0, 5], [3, -5], [3, 5.0]])
+    def test_invalid_moduli_are_refused(self, moduli):
+        with pytest.raises(ValueError, match="ModuliGroup: invalid modulus"):
+            ModuliGroup.from_moduli(moduli)
+
     def test_singleton_group(self):
         g = ModuliGroup.from_moduli([84])
         assert (g.gcd, g.cofactors, g.eta) == (84, (1,), 84)
@@ -119,6 +124,16 @@ class TestGeneralRobustCrt:
             general_robust_crt([10], [1])
         with pytest.raises(ValueError):
             general_robust_crt([10, 12], [1])
+
+    @pytest.mark.parametrize("moduli, remainders", [
+        ([0, 12], [0, 5]),
+        ([-10, 12], [1, 2]),
+        ([10.0, 12], [1, 2]),
+        ([True, 3], [0, 1]),
+    ])
+    def test_invalid_moduli_are_refused(self, moduli, remainders):
+        with pytest.raises(ValueError, match="general_robust_crt: invalid modulus"):
+            general_robust_crt(moduli, remainders)
 
 
 class TestCascade:

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from robustrns import simkit
 from robustrns.multi_mod import cascade_reconstruct, cascade_spec, general_robust_crt
 from robustrns.simkit import (
     CascadeKernel,
@@ -16,6 +21,7 @@ from robustrns.simkit import (
 from robustrns.two_mod import (
     RemainderObservation,
     TwoModSystem,
+    ladder_depths,
     solve_level,
 )
 
@@ -23,6 +29,47 @@ from robustrns.two_mod import (
 @pytest.fixture(scope="module")
 def system():
     return TwoModSystem.from_moduli(234, 377)
+
+
+class TestLevelKernelSize:
+    def test_cap_counts_signed_rungs(self, system, monkeypatch):
+        depth1, depth2 = ladder_depths(system, 3)
+        monkeypatch.setattr(simkit, "MAX_RUNGS", depth1 + depth2 + 1)
+        LevelKernel(system, 3)
+        monkeypatch.setattr(simkit, "MAX_RUNGS", depth1 + depth2)
+        with pytest.raises(ValueError, match=f"level 3 has {depth1 + depth2 + 1} signed rungs"):
+            LevelKernel(system, 3)
+
+    def test_refused_before_allocating(self):
+        # Top level of cofactors near 2^40: 2^41 + 3 rungs.  In a child under
+        # a 2 GB address-space limit, so an attempt to build the tables ends
+        # in MemoryError there instead of exhausting this process.
+        child = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from robustrns.cli import main
+from robustrns.simkit import LevelKernel
+from robustrns.two_mod import TwoModSystem, sigma_chain
+system = TwoModSystem(1, 2**40 + 1, 2**40 + 3)
+try:
+    LevelKernel(system, sigma_chain(system).levels)
+except ValueError as exc:
+    print(exc)
+moduli = ["--m1", str(2**40 + 1), "--m2", str(2**40 + 3), "--trials", "10"]
+# a probe takes its default tau from the level's row, so level 1 (depth
+# about 2^39) is refused by the kernel before any ladder is built
+print(main(["simulate", *moduli, "--tau", "1"]),
+      main(["simulate", *moduli, "--level", "1", "--probe-boundary", "5:6"]))
+"""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0 and "Traceback" not in done.stderr, done.stderr
+        refused, codes = done.stdout.splitlines()
+        assert refused.startswith(f"LevelKernel: level 2 has {2**41 + 3} signed rungs")
+        assert codes == "2 2" and done.stderr.count("signed rungs") == 2
 
 
 class TestKernelsMatchScalar:
