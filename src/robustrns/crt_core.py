@@ -2,7 +2,8 @@
 
 This is the robust CRT with exact remainders: the scaled differences
 ``(r_k - r_1) / gcd`` are then integers, and the Garner steps of
-``multi_mod._garner_folds`` solve them with gcds only, at any size.
+``multi_mod._garner_n1`` solve them for the first fold with gcds only, at
+any size.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .modmath import _checked_moduli
-from .multi_mod import _garner_folds
+from .multi_mod import _garner_n1
 
 
 class InconsistentRemainders(ValueError):
@@ -57,13 +58,13 @@ def crt_reconstruct(remainders, system: CrtSystem) -> int:
         if type(r) is not int or not 0 <= r < m:
             raise ValueError(f"crt_reconstruct: remainder {r!r} is not an int in [0, {m})")
     r1, g = rs[0], system.gcd
-    folds = None
+    n1 = None
     if len({r % g for r in rs}) == 1:  # every (r_k - r_1) divisible by the gcd
-        folds = _garner_folds([(r - r1) // g for r in rs[1:]], system.cofactors)
-    if folds is None:
+        n1 = _garner_n1([(r - r1) // g for r in rs[1:]], system.cofactors)
+    if n1 is None:
         # Pairwise-consistent remainders have a solution (generalized CRT), so some pair disagrees.
         for (ri, mi), (rj, mj) in combinations(zip(rs, ms), 2):
             g = math.gcd(mi, mj)
             if (ri - rj) % g:
                 raise InconsistentRemainders(f"remainders {ri} and {rj} disagree modulo gcd({mi}, {mj}) = {g}")
-    return folds[0] * ms[0] + r1
+    return n1 * ms[0] + r1

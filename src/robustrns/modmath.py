@@ -50,23 +50,27 @@ def round_div(num: int, den: int) -> int:
     return (2 * num + den) // (2 * den)
 
 
-def common_denominator(values) -> tuple[tuple[int, ...], int]:
+def common_denominator(values, caller: str) -> tuple[tuple[int, ...], int]:
     """Scalars as integers over one positive denominator: ``(nums, den)`` with
     ``values[i] == nums[i] / den`` exactly.
 
     Ints and rationals (anything with ``numerator``/``denominator``) give their
     own ratio; a float gives its exact binary value ``p / 2^k``
     (``float.as_integer_ratio``), so every input is taken at the value it
-    holds.  A NaN or an infinity raises ``ValueError``.
+    holds.  A NaN or an infinity raises ``ValueError``, and so does anything
+    else, with a message that names ``caller``.
     """
     if all(type(v) is int for v in values):
         return tuple(values), 1
-    try:
-        ratios = [v.as_integer_ratio() if isinstance(v, float) else (int(v.numerator), int(v.denominator))
-                  for v in values]
-    except (ValueError, OverflowError):  # only a NaN or an infinity has no ratio
-        bad = next(v for v in values if isinstance(v, float) and not math.isfinite(v))
-        raise ValueError(f"non-finite value {bad!r}") from None
+    ratios = []
+    for v in values:
+        try:
+            ratios.append(v.as_integer_ratio() if isinstance(v, float)
+                          else (int(v.numerator), int(v.denominator)))
+        except (ValueError, OverflowError):  # only a NaN or an infinity has no ratio
+            raise ValueError(f"non-finite value {v!r}") from None
+        except (AttributeError, TypeError):
+            raise ValueError(f"{caller}: {v!r} is not an int, a rational or a float") from None
     den = math.lcm(*[d for _, d in ratios])
     return tuple([n * (den // d) for n, d in ratios]), den
 

@@ -69,10 +69,10 @@ def _general_steps(gammas: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(steps)
 
 
-def _garner_folds(xis, gammas) -> tuple[int, ...] | None:
-    """Folds solving ``n_1 * g_1 = xi_k (mod g_k)`` and ``n_1 * g_1 - n_k * g_k
-    = xi_k``, step by step through ``_general_steps(gammas)``; None when a
-    divisibility test fails, which cannot happen on pairwise-coprime cofactors."""
+def _garner_n1(xis, gammas) -> int | None:
+    """The first fold, solving ``n_1 * g_1 = xi_k (mod g_k)`` step by step
+    through ``_general_steps(gammas)``; None when a divisibility test fails,
+    which cannot happen on pairwise-coprime cofactors."""
     n1 = 0
     for xi, (g, qk, inv1, gq, step, inv_q, q) in zip(xis, _general_steps(gammas)):
         if xi % g:
@@ -83,6 +83,15 @@ def _garner_folds(xis, gammas) -> tuple[int, ...] | None:
                 return None
             if step > 1:
                 n1 += q * ((diff // gq) * inv_q % step)
+    return n1
+
+
+def _garner_folds(xis, gammas) -> tuple[int, ...] | None:
+    """Folds solving ``n_1 * g_1 = xi_k (mod g_k)`` and ``n_1 * g_1 - n_k * g_k
+    = xi_k``: ``_garner_n1`` and the rest from it; None where it is None."""
+    n1 = _garner_n1(xis, gammas)
+    if n1 is None:
+        return None
     g1 = gammas[0]
     # exact divisions: n1 * g1 == xi (mod g_k) by construction
     return (n1, *((n1 * g1 - xi) // gk for xi, gk in zip(xis, gammas[1:])))
@@ -124,15 +133,16 @@ def _group_stage(group: ModuliGroup, rs: tuple):
     """``single_stage_robust_crt`` with the mean as ``_average`` returns it."""
     if len(rs) != len(group.moduli):
         raise ValueError("single_stage_robust_crt: remainder/modulus count mismatch")
-    return _single_stage(group.moduli, group.gcd, group.cofactors, rs)[:3]
+    return _single_stage(group.moduli, group.gcd, group.cofactors, rs, "single_stage_robust_crt")[:3]
 
 
-def _single_stage(moduli: tuple, m: int, gammas: tuple, rs: tuple):
+def _single_stage(moduli: tuple, m: int, gammas: tuple, rs: tuple, caller: str):
     """``(folds, estimate, mean, consistent)`` over the moduli ``m * gammas``:
     ``xi_k`` estimates ``(r_k - r_1) / m = n_1 * g_1 - n_k * g_k``, exactly
     under the window condition, and the Garner steps solve for the folds,
-    which are all zero when the congruences have no solution."""
-    scaled = common_denominator(rs)
+    which are all zero when the congruences have no solution.  A remainder
+    that is not a number is refused in ``caller``'s name."""
+    scaled = common_denominator(rs, caller)
     folds = _garner_folds(_xis(m, scaled), gammas)
     consistent = folds is not None
     if not consistent:
@@ -166,7 +176,8 @@ def general_robust_crt(moduli, remainders) -> GeneralCrtSolution:
     if len(ms) < 2 or len(rs) != len(ms):
         raise ValueError("general_robust_crt: need matching moduli/remainders, at least two")
     m = math.gcd(*_checked_moduli("general_robust_crt", ms))
-    folds, estimate, mean, consistent = _single_stage(ms, m, tuple(mi // m for mi in ms), rs)
+    folds, estimate, mean, consistent = _single_stage(ms, m, tuple(mi // m for mi in ms), rs,
+                                                    "general_robust_crt")
     return _record(GeneralCrtSolution,
                    {"folds": folds, "estimate": estimate, "consistent": consistent}, mean)
 
@@ -240,7 +251,7 @@ def cascade_reconstruct(spec: CascadeSpec, remainders1, remainders2) -> CascadeS
     foldings2 = tuple(l2 * (spec.group2.eta // mk) + hk for mk, hk in zip(spec.group2.moduli, h2))
     estimate, mean = _average(
         [(foldings1, spec.group1.moduli, rs1), (foldings2, spec.group2.moduli, rs2)],
-        common_denominator(rs1 + rs2),
+        common_denominator(rs1 + rs2, "cascade_reconstruct"),
     )
     return _record(CascadeSolution, {
         "h1": h1, "h2": h2, "l1": l1, "l2": l2, "group_estimates": (est1, est2),

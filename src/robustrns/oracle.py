@@ -248,8 +248,7 @@ def range_falsifier_basic(system: TwoModSystem) -> AdversarialInstance:
 def _nearest(ladder, target) -> int:
     """The rung of a ``two_mod.Ladder`` nearest ``target``, ties to the
     smaller one."""
-    i = ladder.rank(math.ceil(target))
-    lo, hi = ladder.rungs[max(i - 1, 0)], ladder.rungs[min(i, ladder.depth)]
+    lo, hi = ladder.neighbours(math.ceil(target))
     return lo if target - lo <= hi - target else hi
 
 

@@ -143,6 +143,19 @@ def _chunks(total: int):
         yield index, min(CHUNK, total - start)
 
 
+def _sorted_rungs(ladder, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """A ladder's rungs above 0 in ascending order, and their folds: the
+    residues ``t * base % mod`` for ``t = 1..depth``, sorted, and their
+    ``t``."""
+    if ladder.depth == ladder.mod - 1:  # every residue once, so no sort
+        rungs = np.arange(1, ladder.mod, dtype=np.int64).astype(dtype)
+        return rungs, ladder.fold(rungs)
+    t = np.arange(1, ladder.depth + 1, dtype=np.int64).astype(dtype)
+    rungs = t * ladder.base % ladder.mod
+    order = np.argsort(rungs)
+    return rungs[order], t[order]
+
+
 class LevelKernel:
     """Vectorized ladder-window solver for one (system, level) pair.
 
@@ -181,11 +194,9 @@ class LevelKernel:
         self.dynamic_range = ctx.dynamic_range
         self.robustness_bound = float(ctx.robustness_bound)
         g1, g2, sigma = system.gamma1, system.gamma2, ctx.sigma
-        dtype = np.int64 if g2 < 2**31 else object  # rung * inverse < g2**2
-        s1 = np.array(ctx.s1.rungs[1:], dtype=dtype)
-        s2 = np.array(ctx.s2.rungs[1:], dtype=dtype)
-        f1 = ctx.s1.fold(s1)  # n1 of the rung s1: n1 * g1 = n2 * g2 + s1
-        f2 = ctx.s2.fold(s2)  # n2 of the rung s2: n2 * g2 = n1 * g1 + s2
+        dtype = np.int64 if g2 < 2**31 else object  # rung * inverse, fold * gamma < g2**2
+        s1, f1 = _sorted_rungs(ctx.s1, dtype)  # n1 of the rung s1: n1 * g1 = n2 * g2 + s1
+        s2, f2 = _sorted_rungs(ctx.s2, dtype)  # n2 of the rung s2: n2 * g2 = n1 * g1 + s2
         rungs = np.concatenate((-s1[::-1], [0], s2))
         self.n1 = np.concatenate((f1[::-1], [0], (f2 * g2 - s2) // g1)).astype(np.int64)
         self.n2 = np.concatenate((((f1 * g1 - s1) // g2)[::-1], [0], f2)).astype(np.int64)
@@ -393,9 +404,13 @@ class _Accumulator:
         self.abs_sum += float(err.sum())
         pos = np.greater_equal(values, 1, out=ws.flag)
         n = int(np.count_nonzero(pos))
-        # gather only when a value is below 1: the sum is over the same array
-        rel, below = (err, values) if n == values.size else (err[pos], values[pos])
-        self.rel_sum += float(np.divide(rel, below, out=rel).sum())
+        # relative errors in place, then one gather only when a value is
+        # below 1: the sum is over the same quotients in the same order
+        if n == values.size:
+            rel = np.divide(err, values, out=err)
+        else:
+            rel = np.divide(err, values, out=err, where=pos)[pos]
+        self.rel_sum += float(rel.sum())
         self.rel_n += n
         self.failures += int(np.count_nonzero(failures))
         self.clamped += int(np.count_nonzero(clamped))

@@ -299,37 +299,162 @@ def level_table(system: TwoModSystem) -> tuple[RobustnessLevel, ...]:
     return tuple(_level_row(system, j) for j in range(1, sigma_chain(system).levels + 1))
 
 
+# Rungs a ladder below the full-lcm level tabulates as a sorted tuple; a
+# deeper one searches instead, in O(log mod) integer steps per query.
+LADDER_TABLE_MAX = 1 << 10
+
+
+def _first_multiple(base: int, mod: int, lo: int, hi: int) -> int:
+    """The smallest ``t >= 0`` with ``lo <= t * base % mod <= hi``, for
+    ``0 <= lo <= hi < mod`` and coprime ``base``, ``mod``.
+
+    If ``[lo, hi]`` holds no multiple of ``a = base % mod``, the answer's
+    ``k = t * a // mod`` is the smallest ``k`` with ``k * mod % a`` in
+    ``[-hi % a, -lo % a]``: the same question on ``(mod % a, a)``, so the
+    frames follow Euclid's algorithm and unwind by ``t = ceil((k * mod +
+    lo) / a)``."""
+    a, frames = base % mod, []
+    while lo:
+        t = -(-lo // a)
+        if t * a <= hi:
+            break
+        frames.append((a, mod, lo))
+        a, mod, lo, hi = mod % a, a, -hi % a, -lo % a
+    else:
+        t = 0
+    for a, mod, lo in reversed(frames):
+        t = -(-(t * mod + lo) // a)
+    return t
+
+
+def _floor_sum(n: int, mod: int, a: int, b: int) -> int:
+    """``sum(floor((a * i + b) / mod) for i in range(n))`` for ``n, mod >= 1``
+    and ``a, b >= 0``, in O(log mod) steps."""
+    total = 0
+    while True:
+        if a >= mod:
+            total += n * (n - 1) // 2 * (a // mod)
+            a %= mod
+        if b >= mod:
+            total += n * (b // mod)
+            b %= mod
+        top = a * n + b
+        if top < mod:
+            return total
+        n, b = divmod(top, mod)
+        mod, a = a, mod
+
+
 @dataclass(frozen=True)
 class Ladder:
-    """The sorted rungs ``|t * base|_mod``, ``t = 0..depth``, and each rung's
-    fold ``t``.  At full depth ``mod - 1`` they are every residue, so
-    ``rungs`` is ``range(mod)``, built in O(1) and ranked by arithmetic;
-    otherwise a sorted tuple, ranked by ``bisect``.  Only this class knows
-    which.  ``len`` is ``depth + 1``, which overflows past 2^63 rungs, so the
-    solvers never take it."""
+    """The rungs ``|t * base|_mod``, ``t = 0..depth``, and each rung's fold
+    ``t``, held as those four numbers.  ``build`` tabulates a ladder at full
+    depth or up to ``LADDER_TABLE_MAX`` rungs (``TableLadder``); a deeper one
+    answers every query by Euclid-style search, in O(log mod) integer steps
+    and O(1) memory at any size.  Rungs are distinct since ``depth < mod``.
+    ``len`` is ``depth + 1``, which overflows past 2^63 rungs, so the solvers
+    never take it."""
 
-    rungs: Sequence[int]
+    base: int
+    mod: int
     depth: int
     inverse: int  # of base modulo mod: a rung's fold is rung * inverse % mod
-    mod: int
 
     @classmethod
     def build(cls, base: int, mod: int, depth: int) -> "Ladder":
-        rungs = range(mod) if depth == mod - 1 else tuple(sorted(t * base % mod for t in range(depth + 1)))
-        return cls(rungs, depth, mod_inverse(base, mod), mod)
+        inverse = mod_inverse(base, mod)
+        if depth == mod - 1:
+            return TableLadder(base, mod, depth, inverse, range(mod))
+        if depth < LADDER_TABLE_MAX:
+            rungs = tuple(sorted(t * base % mod for t in range(depth + 1)))
+            return TableLadder(base, mod, depth, inverse, rungs)
+        return cls(base, mod, depth, inverse)
 
     def __len__(self) -> int:
         return self.depth + 1
 
+    def fold(self, rung):
+        """The ``t`` of a rung; elementwise on an integer numpy array."""
+        return rung * self.inverse % self.mod
+
     def rank(self, edge: int) -> int:
-        """The number of rungs below the integer ``edge``."""
+        """The number of rungs below the integer ``edge``: the rungs at or
+        above it are counted as ``sum(floor((t base + mod - edge) / mod) -
+        floor(t base / mod))``."""
+        if edge <= 0:
+            return 0
+        if edge >= self.mod:
+            return self.depth + 1
+        n, base, mod = self.depth + 1, self.base, self.mod
+        return n - _floor_sum(n, mod, base, mod - edge) + _floor_sum(n, mod, base, 0)
+
+    def _first(self, lo: int, hi: int) -> int | None:
+        """The fold of the rung in ``[lo, hi]`` (clipped to ``[0, mod)``)
+        with the smallest ``t``; None if the ladder has none there."""
+        lo, hi = max(lo, 0), min(hi, self.mod - 1)
+        if lo > hi:
+            return None
+        t = _first_multiple(self.base, self.mod, lo, hi)
+        return t if t <= self.depth else None
+
+    def _reach(self, edge: int, up: bool) -> int | None:
+        """The first rung at or above ``edge`` (``up``) or the last at or
+        below it, by doubling, then halving, the width of the window that
+        ends at ``edge``; None if there is none."""
+        def hit(w):
+            return self._first(edge, edge + w) if up else self._first(edge - w, edge)
+        room = self.mod - 1 - edge if up else edge
+        miss, w = -1, 0
+        while hit(w) is None:
+            if w >= room:
+                return None
+            miss, w = w, min(2 * w + 1, room)
+        while w - miss > 1:
+            mid = (miss + w) // 2
+            miss, w = (miss, mid) if hit(mid) is not None else (mid, w)
+        return edge + w if up else edge - w
+
+    def neighbours(self, edge: int) -> tuple[int, int]:
+        """``(lo, hi)``: the last rung below the integer ``edge`` and the
+        first at or above it, each clipped to the ladder's ends."""
+        if edge <= 0:
+            return 0, 0
+        lo = self._reach(edge - 1, up=False)  # rung 0 is below edge
+        hi = self._reach(edge, up=True)
+        return lo, lo if hi is None else hi
+
+    def nearest(self, num: int, scale: int, sigma: int, left_open: bool) -> int:
+        """The fold of the rung nearest ``target = num / scale`` (``scale >
+        0``), for a ladder whose rungs are at least ``sigma`` apart.  A rung
+        less than ``sigma / 2`` from the target is the only one there, and
+        the search of that window returns its fold; otherwise the target's
+        neighbours and ``TableLadder.nearest``'s tie rule pick it."""
+        # the window: integers x with |2 x scale - 2 num| < sigma scale
+        twice, reach = 2 * num, sigma * scale
+        t = self._first((twice - reach) // (2 * scale) + 1, -((-twice - reach) // (2 * scale)) - 1)
+        if t is not None:
+            return t
+        lo, hi = self.neighbours(-(-num // scale))
+        side = 2 * num - (lo + hi) * scale
+        return self.fold(hi if side > 0 or side == 0 and left_open and hi - lo == sigma else lo)
+
+
+@dataclass(frozen=True)
+class TableLadder(Ladder):
+    """A ladder with its sorted ``rungs``: every residue at full depth, so
+    ``range(mod)``, built in O(1) and ranked by arithmetic; otherwise a
+    sorted tuple, ranked by ``bisect``."""
+
+    rungs: Sequence[int]
+
+    def rank(self, edge: int) -> int:
         if type(self.rungs) is range:
             return min(max(edge, 0), self.mod)
         return bisect.bisect_left(self.rungs, edge)
 
-    def fold(self, rung):
-        """The ``t`` of a rung; elementwise on an integer numpy array."""
-        return rung * self.inverse % self.mod
+    def neighbours(self, edge: int) -> tuple[int, int]:
+        i = self.rank(edge)
+        return self.rungs[max(i - 1, 0)], self.rungs[min(i, self.depth)]
 
     def nearest(self, num: int, scale: int, sigma: int, left_open: bool) -> int:
         """The fold of the rung nearest ``target = num / scale`` (``scale >
@@ -371,22 +496,23 @@ def level_context(system: TwoModSystem, j: int) -> LevelContext:
                         s1=Ladder.build(g1, g2, row.depth1), s2=Ladder.build(g2, g1, row.depth2))
 
 
-def _exact_parts(system: TwoModSystem, obs: RemainderObservation):
+def _exact_parts(system: TwoModSystem, obs: RemainderObservation, caller: str):
     """``(a1, a2, mn, den, as_float)``: integers with ``r_i = a_i / den``,
     ``m = mn / den`` and ``den > 0``, floats taken at their exact binary value,
     and whether the mean is reported as a float (a real system or a float
-    remainder)."""
+    remainder).  A remainder that is not a number is refused in ``caller``'s
+    name."""
     r1, r2 = obs.r1, obs.r2
     if type(r1) is int and type(r2) is int and type(system.m) is int:
         return r1, r2, system.m, 1, False
-    (a1, a2, mn), den = common_denominator((r1, r2, system.m))
+    (a1, a2, mn), den = common_denominator((r1, r2, system.m), caller)
     return a1, a2, mn, den, system.is_real or isinstance(r1, float) or isinstance(r2, float)
 
 
 def _solution(system: TwoModSystem, n1: int, n2: int, obs: RemainderObservation, exact) -> FoldingSolution:
     """Folds plus the averaged reconstruction ``(n1 m1 + r1 + n2 m2 + r2) / 2``,
-    exact from ``exact = _exact_parts(system, obs)``.  A real system or a float
-    remainder gets the exact mean rounded to a float, which is also the
+    exact from ``exact``, what ``_exact_parts`` returns.  A real system or a
+    float remainder gets the exact mean rounded to a float, which is also the
     estimate in real mode; otherwise the mean stays the exact ratio."""
     a1, a2, mn, den, as_float = exact
     total = (n1 * system.gamma1 + n2 * system.gamma2) * mn + a1 + a2
@@ -405,7 +531,7 @@ def solve_basic(system: TwoModSystem, obs: RemainderObservation) -> FoldingSolut
     g1 = system.gamma1
     beta = system.gamma2 % g1
     top = (g1 // beta) * beta  # the wrapped quotient must lie in [beta/2, top - beta/2)
-    exact = _exact_parts(system, obs)
+    exact = _exact_parts(system, obs, "solve_basic")
     a1, a2, scale, _, _ = exact
     num = a1 - a2  # q = (r1 - r2) / m = num / scale
     n2 = 0
@@ -427,11 +553,12 @@ def solve_level(system: TwoModSystem, obs: RemainderObservation, j: int) -> Fold
     ``[-sigma_j / 2, sigma_j / 2)``.
     """
     ctx = level_context(system, j)
-    return solve_with_context(ctx, obs)
+    return solve_with_context(ctx, obs, "solve_level")
 
 
-def solve_with_context(ctx: LevelContext, obs: RemainderObservation) -> FoldingSolution:
-    exact = _exact_parts(ctx.system, obs)
+def solve_with_context(ctx: LevelContext, obs: RemainderObservation,
+                       _caller: str = "solve_with_context") -> FoldingSolution:
+    exact = _exact_parts(ctx.system, obs, _caller)
     a1, a2, scale, _, _ = exact
     n1, n2 = _exact_folds(ctx, a1 - a2, scale)
     return _solution(ctx.system, n1, n2, obs, exact)
@@ -462,5 +589,5 @@ def solve_level_real(system: TwoModSystem, obs: RemainderObservation, j: int) ->
 def true_folds(system: TwoModSystem, value) -> tuple[int, int]:
     """Fold integers of a value, ``n_i = floor(value / (m * gamma_i))``, taken
     exactly (a float value and a real ``m`` at their binary values)."""
-    (v, mn), _ = common_denominator((value, system.m))
+    (v, mn), _ = common_denominator((value, system.m), "true_folds")
     return v // (mn * system.gamma1), v // (mn * system.gamma2)

@@ -5,8 +5,9 @@ integer arithmetic; every exact quantity goes through ``Fraction`` and every
 comparison is made on rationals.  The property tests in
 ``test_integer_solvers.py`` require the package's solvers to return equal
 results field by field.  Ladders and levels come from the package's
-``level_context``, whose data the rewrite did not touch; the rung-to-fold
-inverses and the rounding are computed here.
+``level_context``, whose data the rewrite did not touch, and their sorted
+rungs from ``ladder_reference``; the rung-to-fold inverses and the rounding
+are computed here.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import bisect
 import math
 from fractions import Fraction
 
+import ladder_reference as ladders
 from robustrns.modmath import mod_inverse
 from robustrns.multi_mod import CascadeSolution, GeneralCrtSolution
 from robustrns.two_mod import FoldingSolution, RemainderObservation, level_context
@@ -81,11 +83,11 @@ def solve_with_context(ctx, obs) -> FoldingSolution:
     q = _q21(system, obs)
     half = Fraction(ctx.sigma, 2)
     if q >= half:
-        s2 = _window_pick(ctx.s2.rungs, q, half, left_open=True)
+        s2 = _window_pick(ladders.rungs(ctx.s2), q, half, left_open=True)
         n2 = s2 * pow(system.gamma2, -1, system.gamma1) % system.gamma1
         n1 = round_half_up(as_exact_ratio(n2 * system.m2 + obs.r2 - obs.r1, system.m1))
     elif q < -half:
-        s1 = _window_pick(ctx.s1.rungs, -q, half, left_open=False)
+        s1 = _window_pick(ladders.rungs(ctx.s1), -q, half, left_open=False)
         n1 = s1 * pow(system.gamma1, -1, system.gamma2) % system.gamma2
         n2 = round_half_up(as_exact_ratio(n1 * system.m1 + obs.r1 - obs.r2, system.m2))
     else:

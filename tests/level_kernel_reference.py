@@ -6,13 +6,15 @@ binary search over the sorted float ladder of the side ``q`` falls on, and
 the fold is computed per observation.  ``test_level_kernel_ranks.py``
 requires the package's kernel to return identical fold arrays.  Ladders and
 levels come from the package's ``level_context``, whose data the rewrites
-did not touch; the rung-to-fold inverses are computed here.
+did not touch, and their sorted rungs from ``ladder_reference``; the
+rung-to-fold inverses are computed here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+import ladder_reference as ladders
 from robustrns.two_mod import level_context
 
 
@@ -42,8 +44,8 @@ def level_solve(system, level: int, r1t: np.ndarray, r2t: np.ndarray):
     ctx = level_context(system, level)
     m, m1, m2 = float(system.m), float(system.m1), float(system.m2)
     half = ctx.sigma / 2.0
-    s1 = np.asarray(ctx.s1.rungs, dtype=np.float64)
-    s2 = np.asarray(ctx.s2.rungs, dtype=np.float64)
+    s1 = np.asarray(ladders.rungs(ctx.s1), dtype=np.float64)
+    s2 = np.asarray(ladders.rungs(ctx.s2), dtype=np.float64)
     inv12, inv21 = _inverses(system)
     q = (r1t - r2t) / m
     n1 = np.zeros(q.shape, dtype=np.int64)
@@ -76,12 +78,12 @@ def window_folds(system, level: int, q: np.ndarray):
     n1 = np.zeros(q.shape, dtype=np.int64)
     n2 = np.zeros(q.shape, dtype=np.int64)
     hi = q >= half
-    s = _pick_window(np.asarray(ctx.s2.rungs, dtype=np.float64), q[hi], half, left_open=True)
+    s = _pick_window(np.asarray(ladders.rungs(ctx.s2), dtype=np.float64), q[hi], half, left_open=True)
     s = s.astype(np.int64)
     n2[hi] = s * inv21 % g1
     n1[hi] = (n2[hi] * g2 - s) // g1
     lo = q < -half
-    s = _pick_window(np.asarray(ctx.s1.rungs, dtype=np.float64), -q[lo], half, left_open=False)
+    s = _pick_window(np.asarray(ladders.rungs(ctx.s1), dtype=np.float64), -q[lo], half, left_open=False)
     s = s.astype(np.int64)
     n1[lo] = s * inv12 % g2
     n2[lo] = (n1[lo] * g1 - s) // g2

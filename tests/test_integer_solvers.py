@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import fraction_reference as ref
+import ladder_reference as ladders
 from robustrns.multi_mod import (
     ModuliGroup,
     cascade_reconstruct,
@@ -172,7 +173,7 @@ def _edges(system, ctx):
     solver's wrap limits and rounding ties."""
     half = Fraction(ctx.sigma, 2)
     qs = {half, -half}
-    for elems, sign in ((ctx.s2.rungs, 1), (ctx.s1.rungs, -1)):
+    for elems, sign in ((ladders.rungs(ctx.s2), 1), (ladders.rungs(ctx.s1), -1)):
         for lo, hi in zip(elems, elems[1:]):
             qs.update(sign * x for x in (lo - half, lo + half, Fraction(lo + hi, 2)))
     g1, beta = system.gamma1, system.gamma2 % system.gamma1

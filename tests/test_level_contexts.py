@@ -4,9 +4,10 @@ identity its context is cached under.
 
 At the full-lcm level a ladder's depth is ``gamma - 1``, so it holds every
 residue and its ``rungs`` are ``range(gamma)``; every other level keeps a
-sorted tuple.  Either way the rungs must equal the sorted definition, each
-rung's fold must be its multiplier, and ranking, picking and solving must
-give what the same ladder as a tuple gives.
+sorted tuple up to ``LADDER_TABLE_MAX`` rungs and searches above it.  A
+table's rungs must equal the sorted definition, each rung's fold must be its
+multiplier, and ranking, picking and solving must give what the same ladder
+as a tuple gives.
 """
 
 import copy
@@ -20,12 +21,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import fraction_reference as ref
+import ladder_reference as ladders
 from robustrns.oracle import _nearest, falsifier_report, level_exactness_scan
 from robustrns.simkit import LevelKernel
 from robustrns.two_mod import (
     FoldingSolution,
     RemainderObservation,
     RobustnessLevel,
+    LADDER_TABLE_MAX,
+    TableLadder,
     TwoModSystem,
     _depth_tables,
     _sigma_values,
@@ -56,12 +60,14 @@ def test_ladders_equal_their_definition_at_every_level(system):
         row = RobustnessLevel(*(getattr(ctx, f.name) for f in dataclasses.fields(RobustnessLevel)))
         assert isinstance(ctx, RobustnessLevel) and row == level_table(system)[j - 1]
         for ladder, depth, base, mod in ((ctx.s1, ctx.depth1, g1, g2), (ctx.s2, ctx.depth2, g2, g1)):
-            assert list(ladder.rungs) == sorted(t * base % mod for t in range(depth + 1))
-            assert isinstance(ladder.rungs, range) == (depth == mod - 1)
+            rungs = ladders.rungs(ladder)
+            assert list(rungs) == sorted(t * base % mod for t in range(depth + 1))
+            assert isinstance(ladder, TableLadder) == (depth == mod - 1 or depth < LADDER_TABLE_MAX)
+            if isinstance(ladder, TableLadder):
+                assert ladder.rungs == rungs and isinstance(rungs, range) == (depth == mod - 1)
             assert len(ladder) == depth + 1
             assert [ladder.fold(t * base % mod) for t in range(depth + 1)] == list(range(depth + 1))
-            rungs = np.array(ladder.rungs, dtype=np.int64)
-            assert ladder.fold(rungs).tolist() == [ladder.fold(r) for r in ladder.rungs]
+            assert ladder.fold(np.array(rungs, dtype=np.int64)).tolist() == [ladder.fold(r) for r in rungs]
 
 
 # Cofactors just past 2^60 and past 2^64: the sorted-tuple ladders of the top

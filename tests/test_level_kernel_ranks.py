@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+import ladder_reference as ladders
 import level_kernel_reference as ref
 from robustrns.simkit import LevelKernel
 from robustrns.two_mod import (
@@ -89,8 +90,8 @@ def test_edge_targets_match_reference(case):
     system, level = case
     ctx = level_context(system, level)
     half = ctx.sigma / 2.0
-    targets = np.concatenate((edge_targets(ctx.s2.rungs, half, system.gamma1),
-                              -edge_targets(ctx.s1.rungs, half, system.gamma2),
+    targets = np.concatenate((edge_targets(ladders.rungs(ctx.s2), half, system.gamma1),
+                              -edge_targets(ladders.rungs(ctx.s1), half, system.gamma2),
                               np.arange(-half, half, 0.25)))
     assert_same_table_folds(system, level, targets)
     if not system.is_real:
@@ -162,7 +163,7 @@ def test_thresholds_and_their_neighbours_match_the_exact_solver(system):
     binary value."""
     for level in range(1, sigma_chain(system).levels + 1):
         ctx = level_context(system, level)
-        rungs = np.array((*(-r for r in ctx.s1.rungs[:0:-1]), *ctx.s2.rungs), dtype=np.float64)
+        rungs = np.array((*(-r for r in ladders.rungs(ctx.s1)[:0:-1]), *ladders.rungs(ctx.s2)), dtype=np.float64)
         mid = (rungs[1:] + rungs[:-1]) / 2
         q = np.concatenate((mid, np.nextafter(mid, -np.inf), np.nextafter(mid, np.inf)))
         n1, n2 = LevelKernel(system, level)._folds(q)

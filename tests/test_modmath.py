@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from robustrns.modmath import _checked_moduli, mod_inverse, round_div
+from robustrns.modmath import _checked_moduli, common_denominator, mod_inverse, round_div
+from robustrns.multi_mod import general_robust_crt
+from robustrns.two_mod import RemainderObservation, TwoModSystem, solve_level
 
 
 def test_mod_inverse_known_values():
@@ -69,3 +71,14 @@ def test_checked_moduli():
     for bad in (0, -5, 5.0, True, "5", None):
         with pytest.raises(ValueError, match=f"^caller: invalid modulus {bad!r}$"):
             _checked_moduli("caller", [3, bad])
+
+
+@pytest.mark.parametrize("call, caller, bad", [
+    (lambda: general_robust_crt([10, 12], ["3", 2]), "general_robust_crt", "'3'"),
+    (lambda: solve_level(TwoModSystem(1, 2, 3), RemainderObservation("1", 2), 1), "solve_level", "'1'"),
+    (lambda: general_robust_crt([10, 12], [1j, 2]), "general_robust_crt", "1j"),
+    (lambda: common_denominator((Fraction(1, 2), None), "caller"), "caller", "None"),
+])
+def test_a_remainder_that_is_not_a_number_is_refused(call, caller, bad):
+    with pytest.raises(ValueError, match=f"^{caller}: {bad} is not an int, a rational or a float$"):
+        call()

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import ladder_reference as ladders
 import oracle_reference
 from oracle_reference import exhaustive_fold_search as reference_fold_search
 from robustrns import oracle
@@ -357,10 +358,10 @@ class TestFalsifier:
             value = ctx.dynamic_range - 1
             r1, r2 = value % 234, value % 377
             if s.m2 * (1 + ctx.depth2) <= s.m1 * (1 + ctx.depth1):
-                w = min(ctx.s2.rungs, key=lambda x: (abs(x - Fraction(r1, s.m)), x))
+                w = min(ladders.rungs(ctx.s2), key=lambda x: (abs(x - Fraction(r1, s.m)), x))
                 dr1, dr2 = Fraction(s.m * w - r1, 2), Fraction(0)
             else:
-                w = min(ctx.s1.rungs, key=lambda x: (abs(x - Fraction(r2, s.m)), x))
+                w = min(ladders.rungs(ctx.s1), key=lambda x: (abs(x - Fraction(r2, s.m)), x))
                 dr1, dr2 = Fraction(0), Fraction(s.m * w - r2, 2)
             diff = Fraction(dr1 - dr2) / s.m
             if not -Fraction(ctx.sigma, 2) <= diff < Fraction(ctx.sigma, 2):

@@ -1,0 +1,233 @@
+"""Searched ladders: a ladder below the full-lcm level with more than
+``two_mod.LADDER_TABLE_MAX`` rungs keeps only ``base, mod, depth, inverse``
+and answers ``rank``, ``neighbours`` and ``nearest`` by Euclid-style search.
+
+``ladder_reference`` keeps the tabulated ladder with bisect.  With the cap
+patched to 1 every ladder short of full depth searches, and each query must
+give what the reference gives; solves, falsifiers and ``LevelKernel``'s
+tables must not change when the cap is raised so that every ladder is a
+table again.  Lower levels of cofactors near 2^40 and 2^64, whose tables
+would not fit in memory, must solve under a 1 GB address-space limit.
+"""
+
+import contextlib
+import math
+import os
+import subprocess
+import sys
+import time
+import tracemalloc
+from fractions import Fraction
+from pathlib import Path
+from unittest import mock
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import ladder_reference as ladders
+from robustrns import two_mod
+from robustrns.oracle import range_falsifier
+from robustrns.simkit import LevelKernel
+from robustrns.two_mod import (
+    LADDER_TABLE_MAX,
+    Ladder,
+    RemainderObservation,
+    TableLadder,
+    TwoModSystem,
+    _first_multiple,
+    ladder_depths,
+    level_context,
+    sigma_chain,
+    solve_level,
+)
+
+
+@contextlib.contextmanager
+def table_cap(cap):
+    """``Ladder.build`` with ``LADDER_TABLE_MAX = cap``, on fresh contexts."""
+    with mock.patch.object(two_mod, "LADDER_TABLE_MAX", cap):
+        level_context.cache_clear()
+        try:
+            yield
+        finally:
+            level_context.cache_clear()
+
+
+def least_gap(base, mod, depth):
+    rungs = ladders.build(base, mod, depth).rungs
+    return min((b - a for a, b in zip(rungs, rungs[1:])), default=mod)
+
+
+def assert_matches_reference(ladder, base, mod, depth, sigmas):
+    """Every rank and neighbour pair at edges ``-1 .. mod + 1``, and the
+    nearest rung of every integer and half-integer target from ``-1`` to
+    ``mod + 1`` under both tie rules and each ``sigma`` (at most the least
+    gap; at the least gap, ties go up)."""
+    ref = ladders.build(base, mod, depth)
+    for edge in range(-1, mod + 2):
+        assert ladder.rank(edge) == ref.rank(edge), edge
+        assert ladder.neighbours(edge) == ref.neighbours(edge), edge
+    for num in range(-2, 2 * mod + 3):
+        for sigma in sigmas:
+            for left_open in (False, True):
+                assert (ladder.nearest(num, 2, sigma, left_open)
+                        == ref.nearest(num, 2, sigma, left_open)), (num, sigma, left_open)
+
+
+def searched(base, mod, depth):
+    return Ladder(base, mod, depth, pow(base, -1, mod))
+
+
+@st.composite
+def coprime_ladders(draw, mod_max):
+    mod = draw(st.integers(2, mod_max))
+    base = draw(st.integers(1, 3 * mod).filter(lambda b: math.gcd(b, mod) == 1))
+    return base, mod, draw(st.integers(0, mod - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(coprime_ladders(mod_max=2000), st.data())
+def test_searched_ladders_match_the_reference(ladder, data):
+    base, mod, depth = ladder
+    with table_cap(1):
+        built = Ladder.build(base, mod, depth)
+    if depth == mod - 1:
+        assert isinstance(built, TableLadder) and built.rungs == range(mod)
+    elif depth == 0:  # one rung, at the cap
+        assert isinstance(built, TableLadder) and built.rungs == (0,)
+    else:
+        assert type(built) is Ladder and built == searched(base, mod, depth)
+    assert len(built) == depth + 1
+    sigma = data.draw(st.sampled_from((1, least_gap(base, mod, depth))))
+    assert_matches_reference(searched(base, mod, depth), base, mod, depth, (sigma,))
+
+
+@pytest.mark.parametrize("mod", [2, 3, 7, 30, 53])
+def test_every_depth_of_small_ladders(mod):
+    for base in sorted({1, 2, mod - 1, mod + 1, 2 * mod + 3, 5 * mod // 3}):
+        if math.gcd(base, mod) == 1:
+            for depth in range(mod):
+                sigmas = {1, least_gap(base, mod, depth)}
+                assert_matches_reference(searched(base, mod, depth), base, mod, depth, sigmas)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coprime_ladders(mod_max=10**6), st.data())
+def test_first_multiple_is_the_first(ladder, data):
+    base, mod, _ = ladder
+    lo = data.draw(st.integers(0, mod - 1))
+    hi = data.draw(st.integers(lo, min(mod - 1, lo + data.draw(st.sampled_from((0, 3, mod))))))
+    t = _first_multiple(base, mod, lo, hi)
+    assert lo <= t * base % mod <= hi
+    if t < 5000:
+        assert all(not lo <= s * base % mod <= hi for s in range(t))
+
+
+def test_table_cap():
+    # a tuple up to the cap, a search above it, a range at full depth at any size
+    assert LADDER_TABLE_MAX == 1024
+    assert type(Ladder.build(3, 5000, LADDER_TABLE_MAX - 1).rungs) is tuple
+    assert type(Ladder.build(3, 5000, LADDER_TABLE_MAX)) is Ladder
+    assert Ladder.build(3, 2**70, 2**70 - 1).rungs == range(2**70)
+
+
+@st.composite
+def deep_systems(draw):
+    """Systems whose lower-level ladders exceed the table cap: ``gamma2 =
+    q gamma1 + s`` with a small ``s`` keeps ``sigma_1`` small, so level 1
+    is deep; or any coprime pair up to 3e4 with a level that is."""
+    g1 = draw(st.integers(9000, 29999))
+    if draw(st.booleans()):
+        s = draw(st.integers(2, 8).filter(lambda s: math.gcd(g1, s) == 1))
+        g2 = draw(st.integers(1, 3)) * g1 + s
+    else:
+        g2 = draw(st.integers(g1 + 1, 30000).filter(lambda g: math.gcd(g1, g) == 1))
+    system = TwoModSystem(draw(st.integers(1, 7)), g1, g2)
+    assume(any(max(ladder_depths(system, j)) >= LADDER_TABLE_MAX
+               for j in range(1, sigma_chain(system).levels)))
+    return system
+
+
+def cap_dependent_answers(system, observations):
+    levels = range(1, sigma_chain(system).levels + 1)
+    solves = [solve_level(system, obs, j) for j in levels for obs in observations]
+    falsifiers = [range_falsifier(system, j) for j in levels]
+    kernels = [LevelKernel(system, j) for j in levels]
+    tables = [(k.n1.tolist(), k.n2.tolist(), k.threshold.tolist(), k.after.tolist(),
+               k.first, k.last, k.scale, k.q_lo, k.q_hi) for k in kernels]
+    return solves, falsifiers, tables
+
+
+@settings(max_examples=12, deadline=None)
+@given(deep_systems(), st.data())
+def test_searched_and_tabled_contexts_agree(system, data):
+    levels = sigma_chain(system).levels
+    m1, m2 = system.m1, system.m2
+    observations = []
+    for _ in range(30):
+        r1, r2 = data.draw(st.integers(-m1, 2 * m1)), data.draw(st.integers(-m2, 2 * m2))
+        observations.append(RemainderObservation(r1, r2))
+        observations.append(RemainderObservation(r1 + Fraction(data.draw(st.integers(1, 5)), 6), r2))
+    level_context.cache_clear()
+    searched_answers = cap_dependent_answers(system, observations)
+    with table_cap(2**40):
+        assert all(isinstance(level_context(system, j).s1, TableLadder) for j in range(1, levels + 1))
+        tabled_answers = cap_dependent_answers(system, observations)
+    assert searched_answers == tabled_answers
+
+
+def test_deep_level_builds_in_constant_memory():
+    system = TwoModSystem(1, 10**7 + 19, 2 * 10**7 + 41)
+    level_context.cache_clear()
+    start = time.perf_counter()
+    ctx = level_context(system, 1)
+    elapsed = time.perf_counter() - start
+    assert (ctx.depth1, ctx.depth2) == (6666678, 3333339)
+    level_context.cache_clear()
+    tracemalloc.start()
+    try:
+        level_context(system, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.01 and peak < 1 << 20, (elapsed, peak)
+
+
+def test_lower_levels_near_2_40_and_2_64_solve_in_bounded_memory():
+    # Level 1 of (2^40+1, 2^40+3) has depth1 2^39: as a table it ended in
+    # MemoryError.  In a child under a 1 GB address-space limit and 10 s of
+    # CPU, every in-guarantee solve at both levels must return the folds.
+    child = """
+import random, resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+resource.setrlimit(resource.RLIMIT_CPU, (10, 10))
+from robustrns.cli import main
+from robustrns.oracle import falsifier_report
+from robustrns.two_mod import RemainderObservation, TwoModSystem, level_context, solve_level
+rnd = random.Random(19)
+kinds = []
+for g in (2**40 + 1, 2**64 + 1):
+    system = TwoModSystem(1024, g, g + 2)
+    for j in (1, 2):
+        ctx = level_context(system, j)
+        err = system.m * ctx.sigma // 4 - 1
+        values = [0, 1, ctx.dynamic_range - 1] + [rnd.randrange(ctx.dynamic_range) for _ in range(40)]
+        for v in values:
+            d1, d2 = rnd.randint(-err, err), rnd.randint(-err, err)
+            sol = solve_level(system, RemainderObservation(v % system.m1 + d1, v % system.m2 + d2), j)
+            assert (sol.n1, sol.n2) == (v // system.m1, v // system.m2), (g, j, v, d1, d2)
+            assert abs(sol.estimate - v) <= err
+        assert falsifier_report(system, j).agrees
+    kinds.append(type(level_context(system, 1).s1).__name__)
+print(*kinds)
+print(main(["reconstruct", "--moduli", f"{2**40 + 1},{2**40 + 3}", "--remainders", "5,900",
+            "--level", "1"]))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "Ladder Ladder" and lines[-1] == "0"
