@@ -10,6 +10,11 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 strict oracle
 mismatch.  All commands are non-interactive and deterministic for a given seed;
 every file written with ``--out`` gets a sibling ``<out>.manifest.json`` that
 records the fully resolved configuration.
+
+numpy loads with ``oracle`` and ``simkit``, so the commands import those on
+first use (``simulate``, ``verify`` and ``reconstruct --oracle``) and call
+their functions as module attributes; ``levels``, ``plane`` and
+``reconstruct`` without ``--oracle`` run on the pure-Python exact core.
 """
 
 from __future__ import annotations
@@ -22,20 +27,11 @@ import sys
 from dataclasses import asdict, fields
 from decimal import Context, Decimal, InvalidOperation, ROUND_HALF_UP
 from fractions import Fraction
+from importlib import import_module
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .oracle import (
-    exhaustive_fold_search,
-    falsifier_report,
-    ladder_depths_definitional,
-    level_exactness_scan,
-    range_falsifier,
-)
 from .multi_mod import cascade_bounds, cascade_reconstruct, cascade_spec
-from .simkit import TrialConfig, run_comparison, run_tau_sweep
 from .two_mod import (
     RemainderObservation,
     TwoModSystem,
@@ -53,6 +49,19 @@ EXIT_USAGE = 2
 EXIT_ORACLE = 3
 
 _SIX = Context(prec=6, rounding=ROUND_HALF_UP)
+
+
+# the oracle and harness names the commands use, readable as ``cli.<name>``
+_LAZY = {name: "oracle" for name in (
+    "exhaustive_fold_search", "falsifier_report", "ladder_depths_definitional",
+    "level_exactness_scan", "range_falsifier")}
+_LAZY.update({name: "simkit" for name in ("TrialConfig", "run_comparison", "run_tau_sweep")})
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__package__}.{_LAZY[name]}"), name)
 
 
 class UsageError(Exception):
@@ -222,7 +231,8 @@ def cmd_reconstruct(args) -> int:
         bound = args.oracle_bound
         if bound is None:
             bound = level_context(system, level).dynamic_range
-        found = exhaustive_fold_search(system, obs, bound)
+        from . import oracle
+        found = oracle.exhaustive_fold_search(system, obs, bound)
         agrees = (found.n1, found.n2) == (sol.n1, sol.n2)
         payload["oracle"] = {
             "search_bound": bound,
@@ -330,7 +340,8 @@ def _load_config(args) -> dict:
             raise UsageError(f"unknown config fields: {sorted(unknown)}")
         cfg.update(raw)
     cfg.update({k: v for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None})
-    defaults = {f.name: f.default for f in fields(TrialConfig)}
+    from . import simkit
+    defaults = {f.name: f.default for f in fields(simkit.TrialConfig)}
     cfg.setdefault("trials", defaults["trials_per_point"])
     for key in ("seed", "value_mode", "error_mode", "range_mode"):
         cfg.setdefault(key, defaults[key])
@@ -369,9 +380,11 @@ def _parse_groups(value) -> list[list[int]]:
 
 
 def cmd_simulate(args) -> int:
+    from . import simkit
     cfg = _load_config(args)
     config = _trial_config(cfg)
-    results = run_comparison(config) if cfg.get("compare") else [run_tau_sweep(config)]
+    results = (simkit.run_comparison(config) if cfg.get("compare")
+               else [simkit.run_tau_sweep(config)])
     if args.format == "json":
         payload = [
             {"series": res.series, "rows": [asdict(row) for row in res.rows]}
@@ -405,14 +418,15 @@ def _system(cfg: dict) -> TwoModSystem | None:
     return system
 
 
-def _trial_config(cfg: dict) -> TrialConfig:
+def _trial_config(cfg: dict):
     """The sweep of ``cfg``; ``TrialConfig`` refuses what it cannot run, such
     as a system next to groups, or a probe or real values on a cascade."""
     groups = _parse_groups(cfg["groups"]) if "groups" in cfg else None
     cascade = groups and cascade_spec(*groups, cfg.get("level", 1))
     taus = _parse_span(cfg["tau"], "tau") if "tau" in cfg else []
     probe = _parse_span(cfg["neighbors"], "neighbors", integer=True) if "neighbors" in cfg else []
-    return TrialConfig(
+    from . import simkit
+    return simkit.TrialConfig(
         system=_system(cfg), cascade=cascade, level=cfg.get("level"),
         tau_values=tuple(taus), probe=tuple(probe), trials_per_point=cfg["trials"],
         seed=cfg["seed"], value_mode=cfg["value_mode"], error_mode=cfg["error_mode"],
@@ -431,7 +445,8 @@ def _random_coprime_pair(rng, gamma_max: int) -> tuple[int, int]:
 
 def _depth_pairs(system: TwoModSystem) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """Closed-form and definitional ladder depths at every level."""
-    return [(ladder_depths(system, j), ladder_depths_definitional(system, j))
+    from . import oracle
+    return [(ladder_depths(system, j), oracle.ladder_depths_definitional(system, j))
             for j in range(1, sigma_chain(system).levels + 1)]
 
 
@@ -453,6 +468,7 @@ def cmd_verify(args) -> int:
     if args.random_systems and not 3 <= args.gamma_max < 2**63:
         raise UsageError("verify: --gamma-max must be at least 3 (cofactors 2 and 3) and below "
                          "2^63 (the int64 limit of the cofactor draws)")
+    from . import oracle
     if args.m1 is not None:
         system = TwoModSystem.from_moduli(args.m1, args.m2)
         levels = sigma_chain(system).levels
@@ -461,16 +477,17 @@ def cmd_verify(args) -> int:
                    f"ladder depths at level {j}: closed form {closed} vs definition {definitional}")
         if args.exhaustive:
             for j in range(1, levels + 1):
-                scan = level_exactness_scan(system, j)
+                scan = oracle.level_exactness_scan(system, j)
                 report(scan.ok,
                        f"exhaustive level {j}: {scan.checked} cases, "
                        f"{scan.fold_failures} fold failures, {scan.estimate_failures} estimate failures")
         if args.falsify:
             for j in range(1, levels + 1):
-                rep = falsifier_report(system, j)
-                inst = range_falsifier(system, j)
+                rep = oracle.falsifier_report(system, j)
+                inst = oracle.range_falsifier(system, j)
                 report(rep.agrees, f"tightness at level {j}: value {inst.value} misfolds as required")
     if args.random_systems:
+        import numpy as np
         rng = np.random.default_rng(args.seed or 0)
         for _ in range(args.random_systems):
             g1, g2 = _random_coprime_pair(rng, args.gamma_max)

@@ -68,7 +68,7 @@ def common_denominator(values, caller: str) -> tuple[tuple[int, ...], int]:
             ratios.append(v.as_integer_ratio() if isinstance(v, float)
                           else (int(v.numerator), int(v.denominator)))
         except (ValueError, OverflowError):  # only a NaN or an infinity has no ratio
-            raise ValueError(f"non-finite value {v!r}") from None
+            raise ValueError(f"non-finite value {v!r} in {caller}") from None
         except (AttributeError, TypeError):
             raise ValueError(f"{caller}: {v!r} is not an int, a rational or a float") from None
     den = math.lcm(*[d for _, d in ratios])

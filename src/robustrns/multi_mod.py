@@ -125,15 +125,16 @@ def single_stage_robust_crt(group: ModuliGroup, remainders) -> tuple[tuple[int, 
     scaled error difference ``(dr_k - dr_1) / gcd`` lies in ``[-1/2, 1/2)``;
     error bound below ``gcd / 4`` is sufficient.
     """
-    folds, estimate, mean = _group_stage(group, tuple(remainders))
+    folds, estimate, mean = _group_stage(group, tuple(remainders), "single_stage_robust_crt")
     return folds, estimate, Fraction(*mean) if type(mean) is tuple else mean
 
 
-def _group_stage(group: ModuliGroup, rs: tuple):
-    """``single_stage_robust_crt`` with the mean as ``_average`` returns it."""
+def _group_stage(group: ModuliGroup, rs: tuple, caller: str):
+    """``single_stage_robust_crt`` with the mean as ``_average`` returns it,
+    refusing bad remainders in ``caller``'s name."""
     if len(rs) != len(group.moduli):
-        raise ValueError("single_stage_robust_crt: remainder/modulus count mismatch")
-    return _single_stage(group.moduli, group.gcd, group.cofactors, rs, "single_stage_robust_crt")[:3]
+        raise ValueError(f"{caller}: remainder/modulus count mismatch")
+    return _single_stage(group.moduli, group.gcd, group.cofactors, rs, caller)[:3]
 
 
 def _single_stage(moduli: tuple, m: int, gammas: tuple, rs: tuple, caller: str):
@@ -238,8 +239,8 @@ def cascade_reconstruct(spec: CascadeSpec, remainders1, remainders2) -> CascadeS
     """Run both group stages, then the cross stage, and assemble total folds."""
     rs1 = tuple(remainders1)
     rs2 = tuple(remainders2)
-    h1, est1, _ = _group_stage(spec.group1, rs1)
-    h2, est2, _ = _group_stage(spec.group2, rs2)
+    h1, est1, _ = _group_stage(spec.group1, rs1, "cascade_reconstruct")
+    h2, est2, _ = _group_stage(spec.group2, rs2, "cascade_reconstruct")
     # The group estimates are integer remainders modulo the group lcms, so the
     # cross stage is the integer branch of ``solve_with_context``.
     ctx = level_context(spec.cross, spec.level)

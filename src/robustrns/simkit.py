@@ -230,7 +230,12 @@ class LevelKernel:
         return np.take(self.n1, i, out=ws.c, mode="clip"), np.take(self.n2, i, out=ws.a, mode="clip")
 
     def solve(self, r1t: np.ndarray, r2t: np.ndarray, ws=None) -> tuple[np.ndarray, np.ndarray]:
-        ws = _Workspace(r1t.shape) if ws is None else ws
+        """Both folds of every remainder pair.  A direct call (no workspace)
+        refuses non-finite remainders; a sweep's draws are finite."""
+        if ws is None:
+            if not (np.isfinite(r1t).all() and np.isfinite(r2t).all()):
+                raise ValueError("LevelKernel: a remainder is NaN or infinite")
+            ws = _Workspace(r1t.shape)
         q = np.subtract(r1t, r2t, out=ws.q)
         q /= self.m
         n1, n2 = self._folds(q, ws)

@@ -583,7 +583,7 @@ def solve_level_real(system: TwoModSystem, obs: RemainderObservation, j: int) ->
     estimate, rounded to a float once at the end."""
     if not system.is_real:
         raise ValueError("solve_level_real: system is not in real-scalar mode")
-    return solve_level(system, obs, j)
+    return solve_with_context(level_context(system, j), obs, "solve_level_real")
 
 
 def true_folds(system: TwoModSystem, value) -> tuple[int, int]:

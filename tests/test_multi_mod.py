@@ -233,13 +233,14 @@ class TestCascade:
     def test_non_finite_remainders_are_refused(self, bad):
         spec = cascade_spec([120, 300], [210, 490], 2)
         calls = [
-            lambda: single_stage_robust_crt(ModuliGroup.from_moduli([120, 300]), [40.0, bad]),
-            lambda: general_robust_crt([120, 300, 210], [bad, 100, 160]),
-            lambda: cascade_reconstruct(spec, [40, 100], [160.0, bad]),
-            lambda: cascade_reconstruct(spec, [bad, 100], [160, 370]),
+            ("single_stage_robust_crt",
+             lambda: single_stage_robust_crt(ModuliGroup.from_moduli([120, 300]), [40.0, bad])),
+            ("general_robust_crt", lambda: general_robust_crt([120, 300, 210], [bad, 100, 160])),
+            ("cascade_reconstruct", lambda: cascade_reconstruct(spec, [40, 100], [160.0, bad])),
+            ("cascade_reconstruct", lambda: cascade_reconstruct(spec, [bad, 100], [160, 370])),
         ]
-        for call in calls:
-            with pytest.raises(ValueError, match="non-finite"):
+        for caller, call in calls:
+            with pytest.raises(ValueError, match=f"^non-finite value {bad!r} in {caller}$"):
                 call()
 
     def test_level_validation(self):

@@ -72,6 +72,14 @@ print(main(["simulate", *moduli, "--tau", "1"]),
         assert codes == "2 2" and done.stderr.count("signed rungs") == 2
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_level_kernel_refuses_non_finite_remainders(system, bad):
+    kernel = LevelKernel(system, 3)
+    for r1t, r2t in (([69.0, bad], [240.0, 3.0]), ([69.0, 5.0], [bad, 240.0])):
+        with pytest.raises(ValueError, match="^LevelKernel: a remainder is NaN or infinite$"):
+            kernel.solve(np.array(r1t), np.array(r2t))
+
+
 class TestKernelsMatchScalar:
     def test_level_kernel(self, system, rng):
         for j in (1, 2, 3, 4, 5):

@@ -384,15 +384,15 @@ class TestRealMode:
                              ids=["real", "integer"])
     def test_non_finite_remainders_are_refused(self, system, bad):
         solvers = [
-            lambda obs: solve_basic(system, obs),
-            lambda obs: solve_level(system, obs, 3),
-            lambda obs: solve_with_context(level_context(system, 5), obs),
+            ("solve_basic", lambda obs: solve_basic(system, obs)),
+            ("solve_level", lambda obs: solve_level(system, obs, 3)),
+            ("solve_with_context", lambda obs: solve_with_context(level_context(system, 5), obs)),
         ]
         if system.is_real:
-            solvers.append(lambda obs: solve_level_real(system, obs, 3))
-        for solve in solvers:
+            solvers.append(("solve_level_real", lambda obs: solve_level_real(system, obs, 3)))
+        for caller, solve in solvers:
             for obs in (RemainderObservation(bad, 3.0), RemainderObservation(19.7, bad)):
-                with pytest.raises(ValueError, match="non-finite"):
+                with pytest.raises(ValueError, match=f"^non-finite value {bad!r} in {caller}$"):
                     solve(obs)
 
 
