@@ -23,6 +23,7 @@ import argparse
 import io
 import json
 import math
+import platform
 import sys
 from dataclasses import asdict, fields
 from decimal import Context, Decimal, InvalidOperation, ROUND_HALF_UP
@@ -104,7 +105,7 @@ def _float(x, what: str) -> float:
 
 # ---------------------------------------------------------------- manifests
 
-def _emit(text: str, out: str | None, command: str, config: dict, seed) -> None:
+def _emit(text: str, out: str | None, command: str, config: dict, seed, **versions) -> None:
     """Print ``text``, or write it to ``out`` next to its manifest."""
     if out is None:
         sys.stdout.write(text)
@@ -117,6 +118,7 @@ def _emit(text: str, out: str | None, command: str, config: dict, seed) -> None:
         "seed": seed,
         "artifact_version": __version__,
         "outputs": [str(path)],
+        **versions,
     }
     Path(f"{path}.manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -397,7 +399,8 @@ def cmd_simulate(args) -> int:
     cfg.update(level=config.level, tau=list(config.tau_values))
     if config.probe:
         cfg["neighbors"] = list(config.probe)
-    _emit(text, args.out, "simulate", cfg, config.seed)
+    _emit(text, args.out, "simulate", cfg, config.seed,
+          python=platform.python_version(), numpy=import_module("numpy").__version__)
     return EXIT_OK
 
 

@@ -24,14 +24,19 @@ A sweep allocates one ``_Workspace`` of ``min(CHUNK, trials_per_point)``
 elements and drops it when it returns; no buffer outlives the sweep.  Each
 chunk writes its values, true folds, remainders (exact, then noisy in place),
 ``LevelKernel``'s scratch and folds, the fail flags and the accumulator's
-errors into it.  In-place steps keep the bytes of the expressions they
-replace: the same operations in the same order (``r + err`` equals
+errors into it; real values and errors are drawn into it as ``range * u`` and
+``-tau + (2 tau) u`` from ``Generator.random``, rounded twice as ``uniform``
+rounds them.  Two-modulus integer sweeps below ``INT32_LIMIT`` draw int32
+values (the int64 draw's values and generator state) and hold true folds and
+exact remainders in int32.  In-place steps keep the bytes of the expressions
+they replace: the same operations in the same order (``r + err`` equals
 ``err + r``), and a sum over the same array in the same order.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +48,8 @@ CHUNK = 1 << 16
 # Signed rungs a LevelKernel may tabulate: about 90 bytes each while it
 # builds, so 2^22 rungs peak near 420 MB and take about a second.
 MAX_RUNGS = 1 << 22
+# int32 floor division by a scalar takes about a third of int64's time
+INT32_LIMIT = 1 << 31
 
 _MODES = {"value_mode": ("integer", "real"), "error_mode": ("real", "integer"),
           "range_mode": ("allow", "clamp")}
@@ -91,6 +98,13 @@ class TrialConfig:
             object.__setattr__(self, "tau_values", (float(bound),))
         if not all(math.isfinite(t) and t >= 0 for t in self.tau_values):
             raise ValueError("TrialConfig: tau values must be finite and nonnegative")
+        for tau in self.tau_values:  # what the generator can draw
+            if self.error_mode == "real" and not math.isfinite(tau - -tau):
+                raise ValueError(f"TrialConfig: tau {tau} is too large for real errors; "
+                                 f"2 tau must be finite, so tau at most {sys.float_info.max / 2}")
+            if self.error_mode == "integer" and math.floor(tau) >= 2**63:
+                raise ValueError(f"TrialConfig: tau {tau} is too large for integer errors; "
+                                 "floor(tau) must be below 2^63")
         if not self.tau_values or self.probe and len(self.tau_values) > 1:
             raise ValueError("TrialConfig: a sweep needs tau values, a probe at most one")
 
@@ -119,15 +133,16 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
 
 
 class _Workspace:
-    """A sweep's buffers: per modulus the true folds and remainders, and
-    scratch.  ``LevelKernel`` returns its folds in ``c`` and ``a`` and its
-    estimate in ``f``; called without a workspace, it returns fresh arrays."""
+    """A sweep's buffers: per modulus the true folds (of dtype ``ints``) and
+    remainders, and scratch.  ``LevelKernel`` returns its folds in ``c`` and
+    ``a`` and its estimate in ``f``; called without a workspace, fresh arrays."""
 
-    def __init__(self, shape, moduli: int = 0):
+    def __init__(self, shape, moduli: int = 0, ints=np.int64):
         self.values, self.q, self.f = (np.empty(shape) for _ in range(3))
         self.a, self.b, self.c = (np.empty(shape, np.intp) for _ in range(3))
         self.flag, self.fail, self.out_of_range = (np.empty(shape, bool) for _ in range(3))
-        self.folds = [np.empty(shape, np.int64) for _ in range(moduli)]
+        self.folds = [np.empty(shape, ints) for _ in range(moduli)]
+        self.rem = np.empty(shape, ints)
         self.rts = [np.empty(shape) for _ in range(moduli)]
 
     def head(self, size: int) -> _Workspace:
@@ -432,11 +447,15 @@ class _Accumulator:
         )
 
 
-def _sample_errors(rng, tau: float, size: int, error_mode: str) -> np.ndarray:
+def _sample_errors(rng, tau: float, error_mode: str, out: np.ndarray) -> np.ndarray:
+    """Errors on ``[-tau, tau]``: real ones as ``rng.uniform`` into ``out``."""
     if error_mode == "integer":
         t = int(math.floor(tau))
-        return rng.integers(-t, t + 1, size=size)  # added to float64 remainders
-    return rng.uniform(-tau, tau, size=size)
+        return rng.integers(-t, t + 1, size=out.size)  # added to float64 remainders
+    rng.random(out=out)
+    out *= tau - -tau
+    out += -tau
+    return out
 
 
 def _misfolds(folds, true_folds, ws) -> np.ndarray:
@@ -484,50 +503,53 @@ def _trial_rows(config: TrialConfig, value_range, estimators, series: int) -> li
     or uniform on ``[0, value_range)``.  Every estimator maps the same noisy
     remainders and the true folds to ``(estimates, failures)`` of one or more
     series, which are accumulated as they are yielded, ``series`` in all.
-    Integer values are held as int64, so values past 2^63 are refused here
-    with a message of their own instead of numpy's."""
+    Integer values are held as int64 (or int32), so values past 2^63 are
+    refused here with a message of their own instead of numpy's."""
     spec, system = config.cascade, config.system
     moduli = (system.m1, system.m2) if spec is None else spec.group1.moduli + spec.group2.moduli
-    points = ([(config.tau_values[0], int(value)) for value in config.probe] if config.probe
-              else [(tau, None) for tau in config.tau_values])
+    points = ([(float(config.tau_values[0]), int(value)) for value in config.probe]
+              if config.probe else [(float(tau), None) for tau in config.tau_values])
     integer = config.value_mode == "integer"
+    lo = min(0 if fixed is None else fixed for _, fixed in points)
+    hi = max(int(value_range) if fixed is None else fixed + 1 for _, fixed in points)
+    if integer and (lo < -2**63 or hi > 2**63):
+        raise ValueError(f"integer values in [{lo}, {hi}) need more than 64 bits; "
+                         "int64 holds values in [-2^63, 2^63)")
+    narrow = integer and spec is None and -INT32_LIMIT <= lo and max(hi - 1, *moduli) < INT32_LIMIT
     fmoduli = [float(mk) for mk in moduli]
-    imoduli = [int(mk) for mk in moduli]
     rows = [[] for _ in range(series)]
-    workspace = _Workspace(min(CHUNK, config.trials_per_point), len(moduli))
+    workspace = _Workspace(min(CHUNK, config.trials_per_point), len(moduli),
+                           np.int32 if narrow else np.int64)
     for p, (tau, fixed) in enumerate(points):
-        lo, hi = (0, int(value_range)) if fixed is None else (fixed, fixed + 1)
-        if integer and (lo < -2**63 or hi > 2**63):
-            raise ValueError(f"integer values in [{lo}, {hi}) need more than 64 bits; "
-                             "int64 holds values in [-2^63, 2^63)")
         accs = [_Accumulator() for _ in range(series)]
         for chunk_index, size in _chunks(config.trials_per_point):
             rng = _rng(config.seed, p, chunk_index)
             ws = workspace.head(size)
             values, true_folds, rts = ws.values, ws.folds, ws.rts
-            if integer:
-                ints = (rng.integers(0, hi, size=size) if fixed is None
-                        else np.full(size, fixed, dtype=np.int64))
+            if fixed is not None:  # every trial holds one value
+                values.fill(float(fixed))
+                for f, rt, mk in zip(true_folds, rts, moduli if integer else fmoduli):
+                    fold, rem = divmod(fixed if integer else float(fixed), mk)
+                    np.copyto(f, fold, casting="unsafe")
+                    rt.fill(rem)
+            elif integer:
+                ints = rng.integers(0, int(value_range), size=size, dtype=ws.rem.dtype)
                 np.copyto(values, ints)
-                for f, rt, mk in zip(true_folds, rts, imoduli):
+                for f, rt, mk in zip(true_folds, rts, moduli):
                     np.floor_divide(ints, mk, out=f)
-                    np.subtract(ints, np.multiply(f, mk, out=ws.a), out=rt)
+                    np.subtract(ints, np.multiply(f, mk, out=ws.rem), out=rt)
                 del ints
-            elif fixed is None:
-                values = rng.uniform(0.0, float(value_range), size=size)
+            else:
+                rng.random(out=values)
+                values *= float(value_range)
                 for f, rt, mk in zip(true_folds, rts, fmoduli):
                     np.floor(np.divide(values, mk, out=rt), out=rt)
                     np.copyto(f, rt, casting="unsafe")
                     rt *= mk
                     np.subtract(values, rt, out=rt)
-            else:
-                values.fill(float(fixed))
-                for f, rt, mk in zip(true_folds, rts, fmoduli):
-                    np.copyto(f, np.floor_divide(values, mk, out=rt), casting="unsafe")
-                    np.remainder(values, mk, out=rt)
             ws.out_of_range.fill(False)
             for rt, mk in zip(rts, fmoduli):
-                rt += _sample_errors(rng, tau, size, config.error_mode)
+                rt += _sample_errors(rng, tau, config.error_mode, ws.q)
                 ws.out_of_range |= np.less(rt, 0.0, out=ws.flag)
                 ws.out_of_range |= np.greater_equal(rt, mk, out=ws.flag)
                 if config.range_mode == "clamp":

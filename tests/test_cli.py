@@ -1,9 +1,11 @@
 import hashlib
 import json
+import platform
 import shlex
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from robustrns.cli import EXIT_OK, EXIT_ORACLE, EXIT_USAGE, _parse_span, _sweep_csv, fmt, main
@@ -280,6 +282,8 @@ class TestSimulate:
         assert manifest["seed"] == 7
         assert manifest["config"]["m1"] == 234
         assert manifest["outputs"] == [str(out_path)]
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
 
     def test_probe_boundary(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--m1", "234", "--m2", "377",
@@ -329,6 +333,16 @@ class TestSimulate:
         assert code == EXIT_USAGE
         assert out == ""
         assert "more than 64 bits" in err and "out of bounds" not in err
+
+    @pytest.mark.parametrize("tau, error_mode", [("1e308", "real"), ("1e300", "integer")])
+    def test_tau_past_the_generator_is_a_usage_error(self, capsys, tau, error_mode):
+        code, out, err = run_cli(capsys, "simulate", "--m1", "234", "--m2", "377", "--tau", tau,
+                                 "--error-mode", error_mode, "--trials", "10")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"error: TrialConfig: tau {float(tau)} is too large for "
+                              f"{error_mode} errors")
+        assert "Traceback" not in err and "bounds" not in err
 
     def test_probe_past_int64_is_a_usage_error(self, capsys):
         big = 20_000_000_000_000_000_000

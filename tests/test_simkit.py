@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -331,6 +332,24 @@ class TestConfigValidation:
     def test_non_finite_taus_and_empty_sweeps_are_refused(self, system, taus):
         with pytest.raises(ValueError, match="tau values"):
             TrialConfig(system=system, tau_values=taus)
+
+    @pytest.mark.parametrize("error_mode, tau, limit", [
+        ("real", 1e308, "2 tau must be finite"),
+        ("real", sys.float_info.max, "2 tau must be finite"),
+        ("integer", 2.0**63, "floor(tau) must be below 2^63"),
+        ("integer", 1e300, "floor(tau) must be below 2^63"),
+    ])
+    def test_taus_the_generator_cannot_draw_are_refused(self, system, error_mode, tau, limit):
+        with pytest.raises(ValueError, match=f"tau {re.escape(str(tau))} is too large for "
+                                             f"{error_mode} errors; {re.escape(limit)}"):
+            TrialConfig(system=system, tau_values=(1.0, tau), error_mode=error_mode)
+
+    @pytest.mark.parametrize("error_mode, tau", [("real", sys.float_info.max / 2),
+                                                 ("integer", math.nextafter(2.0**63, 0.0))])
+    def test_the_largest_drawable_taus_are_drawn(self, system, error_mode, tau):
+        assert TrialConfig(system=system, tau_values=(tau,), error_mode=error_mode)
+        errors = simkit._sample_errors(np.random.default_rng(0), tau, error_mode, np.empty(1000))
+        assert np.isfinite(errors).all() and np.abs(errors).max() <= tau
 
     def test_real_system_needs_real_values(self):
         real = TwoModSystem.real(2.5, 18, 29)

@@ -1,12 +1,14 @@
-"""The sweep workspace: chunks reuse one set of buffers, and kernels called
-without a workspace still return fresh arrays.
+"""The sweep workspace: chunks reuse one set of buffers, kernels called
+without a workspace still return fresh arrays, and the int32 and int64 true
+folds give the same rows.
 
-A sweep allocates its workspace once; after that a chunk should allocate
-only what the generator draws (values and one error array at a time) and
-the few gathers the accumulator needs when a value is below 1.  The
-allocation test reads ``tracemalloc`` at each chunk start (``_rng`` is called
-once per chunk) and bounds every later chunk's peak above its starting level
-by three CHUNK-sized float64 arrays.
+A sweep allocates its workspace once and draws real values and errors into
+it; after that a chunk should allocate only its integer values (int32 or
+int64; a probe draws none), an integer error array at a time, and the gather
+the accumulator needs when a value is below 1.  The allocation test reads
+``tracemalloc`` at each chunk start (``_rng`` is called once per chunk) and
+bounds every later chunk's peak above its starting level by 1.25
+CHUNK-sized float64 arrays.
 """
 
 import tracemalloc
@@ -16,7 +18,8 @@ import pytest
 
 from robustrns import simkit
 from robustrns.multi_mod import cascade_spec
-from robustrns.simkit import CHUNK, CascadeKernel, LevelKernel, TrialConfig, run_tau_sweep
+from robustrns.simkit import (CHUNK, CascadeKernel, LevelKernel, TrialConfig, run_comparison,
+                              run_tau_sweep)
 from robustrns.two_mod import TwoModSystem
 
 SYSTEM = TwoModSystem.from_moduli(234, 377)
@@ -49,11 +52,11 @@ def chunk_peaks(monkeypatch, config):
                 trials_per_point=2 * CHUNK, seed=2, value_mode="real"),
     TrialConfig(system=SYSTEM, level=1, probe=(466, 467), trials_per_point=2 * CHUNK, seed=3),
 ], ids=["integer", "real", "probe"])
-def test_chunks_after_the_first_allocate_at_most_three_arrays(monkeypatch, config):
+def test_chunks_after_the_first_allocate_at_most_one_and_a_quarter_arrays(monkeypatch, config):
     peaks = chunk_peaks(monkeypatch, config)
     assert len(peaks) == 4
     arrays = [peak / (CHUNK * 8) for peak in peaks[1:]]
-    assert max(arrays) <= 3, arrays
+    assert max(arrays) <= 1.25, arrays
 
 
 def remainders(kernel, size, seed):
@@ -122,3 +125,64 @@ def test_accumulator_relative_error_sums_the_gathered_array(rng, low):
     err = np.abs(estimates - values)
     assert acc.rel_sum == float((err[pos] / values[pos]).sum())
     assert acc.rel_n == int(pos.sum()) and acc.abs_sum == float(err.sum())
+
+
+def rows_and_fold_dtype(monkeypatch, config, run=run_tau_sweep):
+    """The rows of ``config``'s sweep and the dtype its true folds were held in."""
+    dtypes = []
+    init = simkit._Workspace.__init__
+
+    def spied(self, *args):
+        init(self, *args)
+        dtypes.append(self.rem.dtype)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simkit._Workspace, "__init__", spied)
+        result = run(config)
+    (dtype,) = dtypes
+    return result, dtype
+
+
+def wide_rows(monkeypatch, config, run=run_tau_sweep):
+    """The rows of ``config``'s sweep with every true fold held in int64."""
+    with monkeypatch.context() as patch:
+        patch.setattr(simkit, "INT32_LIMIT", 0)
+        result, dtype = rows_and_fold_dtype(monkeypatch, config, run)
+    assert dtype == np.int64
+    return result
+
+
+# m * (4, 7) at level 1 covers [0, 8 m): with m = 2^28 exactly int32's range
+EDGE, PAST_EDGE = TwoModSystem(2**28, 4, 7), TwoModSystem(2**28 + 1, 4, 7)
+
+
+@pytest.mark.parametrize("config, narrow", [
+    (TrialConfig(system=SYSTEM, level=3, tau_values=tuple(np.arange(0.0, 13.25, 0.5)),
+                 trials_per_point=3000, seed=42), True),
+    (TrialConfig(system=SYSTEM, level=1, probe=tuple(range(465, 471)), trials_per_point=3000,
+                 seed=42), True),
+    (TrialConfig(system=SYSTEM, level=1, tau_values=(0.0, 12.0, 40.0), trials_per_point=70000,
+                 seed=42, error_mode="integer", range_mode="clamp"), True),
+    (TrialConfig(system=SYSTEM, level=3, tau_values=(1e9,), trials_per_point=5000, seed=5), True),
+    (TrialConfig(system=EDGE, level=1, probe=(2**31 - 1,), trials_per_point=3000, seed=6), True),
+    (TrialConfig(system=EDGE, level=1, tau_values=(1.0, 2.0**26), trials_per_point=3000,
+                 seed=6), True),
+    (TrialConfig(system=PAST_EDGE, level=1, probe=(2**31 + 7,), trials_per_point=3000, seed=6),
+     False),
+    (TrialConfig(system=PAST_EDGE, level=1, tau_values=(1.0, 2.0**26), trials_per_point=3000,
+                 seed=6), False),
+], ids=["readme_tau_sweep", "boundary_probe", "integer_clamp_multi_chunk", "tau_1e9",
+        "range_2_31_probe", "range_2_31_sweep", "range_past_2_31_probe", "range_past_2_31_sweep"])
+def test_int32_and_int64_true_folds_give_the_same_rows(monkeypatch, config, narrow):
+    result, dtype = rows_and_fold_dtype(monkeypatch, config)
+    assert dtype == (np.int32 if narrow else np.int64)
+    assert result == wide_rows(monkeypatch, config)
+
+
+def test_cascades_and_real_values_keep_int64_true_folds(monkeypatch):
+    spec = cascade_spec([120, 300], [210, 490], 2)
+    cascade = TrialConfig(cascade=spec, tau_values=(5.0,), trials_per_point=500, seed=1)
+    real = TrialConfig(system=TwoModSystem.real(2.5, 18, 29), level=3, tau_values=(0.5,),
+                       trials_per_point=500, seed=2, value_mode="real")
+    for config, run in ((cascade, run_tau_sweep), (cascade, run_comparison), (real, run_tau_sweep)):
+        assert rows_and_fold_dtype(monkeypatch, config, run)[1] == np.int64
