@@ -17,7 +17,7 @@ ladder 2 on positive ``q``, rung 0 shared.  The rung in the window is the
 nearest rung, so ``q`` maps to both folds through thresholds at the midpoints
 between rungs, each holding its tie rule in its float value; a floor, four
 gathers and a compare find it, with no masking and no fallback search.  The
-group and general kernels share one Garner step loop that takes int64
+group and general kernels share one Garner step loop that takes integer
 remainders by floor division (``_mod``), not by ``%``.
 
 A sweep allocates one ``_Workspace`` of ``min(CHUNK, trials_per_point)``
@@ -26,9 +26,18 @@ chunk writes its values, true folds, remainders (exact, then noisy in place),
 ``LevelKernel``'s scratch and folds, the fail flags and the accumulator's
 errors into it; real values and errors are drawn into it as ``range * u`` and
 ``-tau + (2 tau) u`` from ``Generator.random``, rounded twice as ``uniform``
-rounds them.  Two-modulus integer sweeps below ``INT32_LIMIT`` draw int32
-values (the int64 draw's values and generator state) and hold true folds and
-exact remainders in int32.  In-place steps keep the bytes of the expressions
+rounds them.
+
+Every integer of a sweep has one dtype, the workspace's: int32 where
+``_trial_rows`` proves that every integer the sweep computes stays below
+``INT32_LIMIT``, int64 otherwise.  The proof is each kernel's ``reach``: from
+the moduli, the step constants and how far the noisy remainders reach (the
+values, the largest tau or the clamp), it bounds every fold, Garner
+intermediate, cross-stage fold and fallback rounding.  An int32 sweep draws
+int32 values (the int64 draw's values and generator state) and holds its true
+folds, exact remainders, Garner steps, fold tables and cross-stage folds in
+int32, so no operation mixes int32 with int64.  Kernels called without a
+workspace work in int64.  In-place steps keep the bytes of the expressions
 they replace: the same operations in the same order (``r + err`` equals
 ``err + r``), and a sum over the same array in the same order.
 """
@@ -38,6 +47,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +58,8 @@ CHUNK = 1 << 16
 # Signed rungs a LevelKernel may tabulate: about 90 bytes each while it
 # builds, so 2^22 rungs peak near 420 MB and take about a second.
 MAX_RUNGS = 1 << 22
-# int32 floor division by a scalar takes about a third of int64's time
+# int32 floor division by a scalar takes about a third of int64's time; a
+# sweep whose integers all stay below this bound runs in int32
 INT32_LIMIT = 1 << 31
 
 _MODES = {"value_mode": ("integer", "real"), "error_mode": ("real", "integer"),
@@ -96,8 +107,13 @@ class TrialConfig:
         if self.probe and not self.tau_values:
             bound = _level_row(self.system, self.level).robustness_bound
             object.__setattr__(self, "tau_values", (float(bound),))
-        if not all(math.isfinite(t) and t >= 0 for t in self.tau_values):
-            raise ValueError("TrialConfig: tau values must be finite and nonnegative")
+        try:
+            finite = all(math.isfinite(t) and t >= 0 for t in self.tau_values)
+        except OverflowError:  # an int past the float range
+            finite = False
+        if not finite:
+            raise ValueError("TrialConfig: tau values must be finite, nonnegative and "
+                             "within the float range")
         for tau in self.tau_values:  # what the generator can draw
             if self.error_mode == "real" and not math.isfinite(tau - -tau):
                 raise ValueError(f"TrialConfig: tau {tau} is too large for real errors; "
@@ -133,17 +149,23 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
 
 
 class _Workspace:
-    """A sweep's buffers: per modulus the true folds (of dtype ``ints``) and
-    remainders, and scratch.  ``LevelKernel`` returns its folds in ``c`` and
-    ``a`` and its estimate in ``f``; called without a workspace, fresh arrays."""
+    """A sweep's buffers: per modulus the true folds and remainders, and
+    scratch; its integers are of dtype ``ints``.  ``LevelKernel`` returns its
+    folds in ``c`` and ``a`` (``rem`` for int32) and its estimate in ``f``;
+    called without a workspace, fresh int64 and float64 arrays."""
 
     def __init__(self, shape, moduli: int = 0, ints=np.int64):
         self.values, self.q, self.f = (np.empty(shape) for _ in range(3))
-        self.a, self.b, self.c = (np.empty(shape, np.intp) for _ in range(3))
+        self.a, self.b = (np.empty(shape, np.intp) for _ in range(2))
         self.flag, self.fail, self.out_of_range = (np.empty(shape, bool) for _ in range(3))
         self.folds = [np.empty(shape, ints) for _ in range(moduli)]
-        self.rem = np.empty(shape, ints)
+        self.c, self.rem = (np.empty(shape, ints) for _ in range(2))
         self.rts = [np.empty(shape) for _ in range(moduli)]
+
+    @property
+    def ints(self) -> np.dtype:
+        """The dtype of every integer the sweep computes."""
+        return self.rem.dtype
 
     def head(self, size: int) -> _Workspace:
         """Views of every buffer's first ``size`` elements (a chunk's tail)."""
@@ -215,6 +237,7 @@ class LevelKernel:
         rungs = np.concatenate((-s1[::-1], [0], s2))
         self.n1 = np.concatenate((f1[::-1], [0], (f2 * g2 - s2) // g1)).astype(np.int64)
         self.n2 = np.concatenate((((f1 * g1 - s1) // g2)[::-1], [0], f2)).astype(np.int64)
+        self.table_reach = int(max(np.abs(self.n1).max(), np.abs(self.n2).max()))
         twice = rungs[1:] + rungs[:-1]
         threshold = twice.astype(np.float64) * 0.5
         tie_down = (rungs[:-1] >= 0) & (rungs[1:] - rungs[:-1] != sigma)
@@ -233,6 +256,17 @@ class LevelKernel:
         else:
             self.q_lo, self.q_hi = -sigma / 2, np.nextafter(sigma / 2, -np.inf)
 
+    @cached_property
+    def _int32_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.n1.astype(np.int32), self.n2.astype(np.int32)
+
+    def reach(self, spans) -> int:
+        """The largest magnitude a fold of ``solve`` takes on remainders within
+        ``spans`` of 0: a table fold, or a rounding past the end rungs."""
+        n, r = self.table_reach, sum(spans)
+        m1, m2 = self.system.m1, self.system.m2
+        return max(n, (n * m2 + r) // m1 + 2, (n * m1 + r) // m2 + 2)
+
     def _folds(self, q: np.ndarray, ws=None) -> tuple[np.ndarray, np.ndarray]:
         """Both folds of the rung ``q`` falls to, from the tables."""
         ws = _Workspace(q.shape) if ws is None else ws
@@ -242,7 +276,9 @@ class LevelKernel:
         k = np.subtract(b, self.first, out=ws.a, casting="unsafe")
         i = np.take(self.after, k, out=ws.b, mode="clip")
         i += np.greater_equal(q, np.take(self.threshold, k, out=ws.f, mode="clip"), out=ws.flag)
-        return np.take(self.n1, i, out=ws.c, mode="clip"), np.take(self.n2, i, out=ws.a, mode="clip")
+        n1, n2 = self._int32_tables if ws.ints == np.int32 else (self.n1, self.n2)
+        out2 = ws.a if ws.a.dtype == ws.ints else ws.rem  # over the spent index if it can
+        return np.take(n1, i, out=ws.c, mode="clip"), np.take(n2, i, out=out2, mode="clip")
 
     def solve(self, r1t: np.ndarray, r2t: np.ndarray, ws=None) -> tuple[np.ndarray, np.ndarray]:
         """Both folds of every remainder pair.  A direct call (no workspace)
@@ -257,11 +293,11 @@ class LevelKernel:
         hi = np.flatnonzero(np.greater(q, self.q_hi, out=ws.flag))
         if hi.size:
             nn1 = np.floor((n2[hi] * self.m2 + r2t[hi] - r1t[hi]) / self.m1 + 0.5)
-            n1[hi] = nn1.astype(np.int64)
+            n1[hi] = nn1.astype(n1.dtype)
         lo = np.flatnonzero(np.less(q, self.q_lo, out=ws.flag))
         if lo.size:
             nn2 = np.floor((n1[lo] * self.m1 + r1t[lo] - r2t[lo]) / self.m2 + 0.5)
-            n2[lo] = nn2.astype(np.int64)
+            n2[lo] = nn2.astype(n2.dtype)
         return n1, n2
 
     def estimate(self, n1, n2, r1t, r2t, ws=None):
@@ -279,24 +315,25 @@ class LevelKernel:
 
 
 def _mod(a: np.ndarray, d: int) -> np.ndarray:
-    """``a % d`` for int64 ``a`` and ``d > 0``: numpy's ``//`` by a scalar
+    """``a % d`` for integer ``a`` and ``d > 0``: numpy's ``//`` by a scalar
     multiplies, its ``%`` divides.  Exact even where ``(a // d) * d`` wraps."""
     q = a // d
     q *= d
     return np.subtract(a, q, out=q)
 
 
-def _garner_folds(rts: list[np.ndarray], m: float, gammas: tuple[int, ...], steps):
-    """``multi_mod._garner_folds`` elementwise, over the moduli ``m * gammas``
-    with ``steps = _general_steps(gammas)``: the folds, and flags that are
-    cleared where a divisibility test fails (never on coprime cofactors).
-    Each step updates its arrays in place, so a chunk allocates few of them."""
+def _garner_folds(rts: list[np.ndarray], m: float, gammas: tuple[int, ...], steps, ints=np.int64):
+    """``multi_mod._garner_folds`` elementwise in dtype ``ints``, over the
+    moduli ``m * gammas`` with ``steps = _general_steps(gammas)``: the folds,
+    and flags that are cleared where a divisibility test fails (never on
+    coprime cofactors).  Each step updates its arrays in place, so a chunk
+    allocates few of them."""
     xis = []
     for rt in rts[1:]:
         x = rt - rts[0]
         x /= m
         x += 0.5
-        xis.append(np.floor(x, out=x).astype(np.int64))
+        xis.append(np.floor(x, out=x).astype(ints))
     n1 = None  # zero until the first step sets it
     consistent = np.ones(rts[0].shape, dtype=bool)
     for xi, (g, qk, inv1, gq, step, inv_q, q) in zip(xis, steps):
@@ -320,7 +357,7 @@ def _garner_folds(rts: list[np.ndarray], m: float, gammas: tuple[int, ...], step
             t *= q
             n1 += t
     if n1 is None:
-        n1 = np.zeros(rts[0].shape, dtype=np.int64)
+        n1 = np.zeros(rts[0].shape, dtype=ints)
     folds = [n1]
     for xi, gk in zip(xis, gammas[1:]):
         f = n1 * gammas[0]
@@ -328,6 +365,28 @@ def _garner_folds(rts: list[np.ndarray], m: float, gammas: tuple[int, ...], step
         f //= gk
         folds.append(f)
     return folds, consistent
+
+
+def _garner_reach(m: int, gammas: tuple[int, ...], steps, spans) -> tuple[int, list[int]]:
+    """The largest magnitude an integer of ``_garner_folds`` (constants
+    included) takes on remainders within ``spans`` of 0, and a bound on each
+    fold's magnitude.  It follows the step loop: ``n1`` stays in ``[0, q)``,
+    ``(a // d) * d`` within ``|a| + d`` and a quotient within ``|a| // d + 1``."""
+    xis = [(s + spans[0]) // m + 2 for s in spans[1:]]  # float rounding, and 1 to spare
+    seen = [*gammas, *xis]
+    top = 1  # n1 < top
+    for xi, (g, qk, inv1, gq, step, inv_q, q) in zip(xis, steps):
+        seen.append(xi + g)
+        if qk == 1:
+            continue
+        product = (xi // g + 1) * inv1
+        diff = max(qk, q)  # |product mod qk - n1|
+        product_q = (diff // gq + 1) * inv_q
+        top = q * step
+        seen += [product + qk, diff + gq, product_q + step, top]
+    folds = [top, *((top * gammas[0] + xi) // gk + 1 for xi, gk in zip(xis, gammas[1:]))]
+    seen += [top * gammas[0] + xi for xi in xis]
+    return max(seen + folds), folds
 
 
 def _estimate(*groups) -> np.ndarray:
@@ -346,7 +405,8 @@ def _estimate(*groups) -> np.ndarray:
 
 
 class GeneralKernel:
-    """Vectorized single-stage solver for arbitrary moduli (lcm-wide range)."""
+    """Vectorized single-stage solver for arbitrary moduli (lcm-wide range).
+    ``solve`` takes the dtype of its folds from the workspace."""
 
     def __init__(self, moduli):
         ms = tuple(moduli)
@@ -356,8 +416,18 @@ class GeneralKernel:
         self.gammas = tuple(mk // m for mk in ms)
         self.steps = _general_steps(self.gammas)
 
-    def solve(self, rts: list[np.ndarray]):
-        folds, consistent = _garner_folds(rts, self.m, self.gammas, self.steps)
+    def bounds(self, spans) -> tuple[int, int]:
+        """The largest magnitude an integer of ``solve`` takes on remainders
+        within ``spans`` of 0, and a bound on the estimate's magnitude."""
+        reach, folds = _garner_reach(int(self.m), self.gammas, self.steps, spans)
+        return reach, max(f * mk + s for f, mk, s in zip(folds, self.moduli, spans)) + 1
+
+    def reach(self, spans) -> int:
+        return self.bounds(spans)[0]
+
+    def solve(self, rts: list[np.ndarray], ws=None):
+        ints = np.int64 if ws is None else ws.ints
+        folds, consistent = _garner_folds(rts, self.m, self.gammas, self.steps, ints)
         for f in folds:
             f *= consistent
         return folds, _estimate((folds, self.moduli, rts)), consistent
@@ -370,8 +440,9 @@ class GroupKernel(GeneralKernel):
         super().__init__(group.moduli)
         self.group = group
 
-    def solve(self, rts: list[np.ndarray]):
-        folds, _ = _garner_folds(rts, self.m, self.gammas, self.steps)
+    def solve(self, rts: list[np.ndarray], ws=None):
+        ints = np.int64 if ws is None else ws.ints
+        folds, _ = _garner_folds(rts, self.m, self.gammas, self.steps, ints)
         return folds, _estimate((folds, self.moduli, rts))
 
 
@@ -386,8 +457,19 @@ class CascadeKernel:
         self.cross = LevelKernel(spec.cross, self.level)
         self.dynamic_range = self.cross.dynamic_range
 
-    def solve(self, rts1: list[np.ndarray], rts2: list[np.ndarray]):
-        return self._cross_stage(self.k1.solve(rts1), self.k2.solve(rts2), rts1, rts2)
+    def reach(self, spans) -> int:
+        """The largest magnitude an integer of ``solve`` takes on remainders
+        within ``spans`` of 0: the group stages', the cross stage's on their
+        estimates, and the assembled folds ``l * (eta // m_k) + h``."""
+        split = len(self.k1.moduli)
+        (h1, est1), (h2, est2) = self.k1.bounds(spans[:split]), self.k2.bounds(spans[split:])
+        h, l = max(h1, h2), self.cross.reach((est1, est2))  # its remainders, in either order
+        groups = self.spec.group1, self.spec.group2
+        return max(h, l, *(l * (g.eta // mk) + h for g in groups for mk in g.moduli))
+
+    def solve(self, rts1: list[np.ndarray], rts2: list[np.ndarray], ws=None):
+        stages = self.k1.solve(rts1, ws), self.k2.solve(rts2, ws)
+        return self._cross_stage(*stages, rts1, rts2, ws)
 
     def _cross_stage(self, stage1, stage2, rts1, rts2, ws=None):
         """The cross stage and the assembly, given both group stages'
@@ -480,7 +562,7 @@ def _cascade_series(*kernels: CascadeKernel):
 
     def estimate(rts, true_folds, ws):
         rts1, rts2 = rts[:split], rts[split:]
-        stage1, stage2 = k1.solve(rts1), k2.solve(rts2)
+        stage1, stage2 = k1.solve(rts1, ws), k2.solve(rts2, ws)
         for kernel in kernels:
             folds1, folds2, est = kernel._cross_stage(stage1, stage2, rts1, rts2, ws)
             fail = _misfolds(folds1 + folds2, true_folds, ws)
@@ -491,32 +573,60 @@ def _cascade_series(*kernels: CascadeKernel):
 
 def _general_series(kernel: GeneralKernel):
     def estimate(rts, true_folds, ws):
-        folds, est, consistent = kernel.solve(rts)
+        folds, est, consistent = kernel.solve(rts, ws)
         yield est, ~consistent | _misfolds(folds, true_folds, ws)
     return estimate
 
 
-def _trial_rows(config: TrialConfig, value_range, estimators, series: int) -> list[list[SweepRow]]:
+def _remainder_spans(moduli, tau: float, range_mode: str) -> list[int]:
+    """How far from 0 a noisy remainder of each modulus can reach: the
+    modulus under clamp, else the modulus plus tau, rounded up, and 1 to spare."""
+    if range_mode == "clamp":
+        return list(moduli)
+    return [mk + math.ceil(tau) + 1 for mk in moduli]
+
+
+def _real_fold_top(points, value_range, fmoduli) -> float:
+    """The largest fold magnitude real values reach, as a float: ``floor``
+    and the division round monotonically, so no fold passes the bound's."""
+    try:
+        top = max(float(value_range) if fixed is None else abs(float(fixed)) for _, fixed in points)
+    except OverflowError:  # a probed int past the float range
+        return math.inf
+    return top / min(fmoduli)
+
+
+def _trial_rows(config: TrialConfig, value_range, estimators, series: int,
+                kernels) -> list[list[SweepRow]]:
     """The trial loop behind every sweep: one list of rows per series.
 
     Each point draws errors on ``[-tau, tau]``; its values are a probed value
     or uniform on ``[0, value_range)``.  Every estimator maps the same noisy
     remainders and the true folds to ``(estimates, failures)`` of one or more
     series, which are accumulated as they are yielded, ``series`` in all.
-    Integer values are held as int64 (or int32), so values past 2^63 are
-    refused here with a message of their own instead of numpy's."""
+    Integer values and every fold are held as int64 (or int32), so values or
+    real folds past 2^63 are refused here with a message of their own instead
+    of numpy's.  The sweep runs in int32 where its values and moduli, and
+    every integer the ``kernels`` reach on its remainders, stay below
+    ``INT32_LIMIT``."""
     spec, system = config.cascade, config.system
     moduli = (system.m1, system.m2) if spec is None else spec.group1.moduli + spec.group2.moduli
     points = ([(float(config.tau_values[0]), int(value)) for value in config.probe]
               if config.probe else [(float(tau), None) for tau in config.tau_values])
     integer = config.value_mode == "integer"
+    fmoduli = [float(mk) for mk in moduli]
     lo = min(0 if fixed is None else fixed for _, fixed in points)
     hi = max(int(value_range) if fixed is None else fixed + 1 for _, fixed in points)
     if integer and (lo < -2**63 or hi > 2**63):
         raise ValueError(f"integer values in [{lo}, {hi}) need more than 64 bits; "
                          "int64 holds values in [-2^63, 2^63)")
-    narrow = integer and spec is None and -INT32_LIMIT <= lo and max(hi - 1, *moduli) < INT32_LIMIT
-    fmoduli = [float(mk) for mk in moduli]
+    if not integer and not _real_fold_top(points, value_range, fmoduli) < 2**63:
+        raise ValueError(f"real values in [{lo}, {hi}) have folds past int64 modulo "
+                         f"{min(fmoduli)}; int64 holds folds in [-2^63, 2^63)")
+    narrow = integer and -INT32_LIMIT <= lo and max(hi - 1, *moduli) < INT32_LIMIT
+    if narrow:
+        spans = _remainder_spans(moduli, max(t for t, _ in points), config.range_mode)
+        narrow = max(kernel.reach(spans) for kernel in kernels) < INT32_LIMIT
     rows = [[] for _ in range(series)]
     workspace = _Workspace(min(CHUNK, config.trials_per_point), len(moduli),
                            np.int32 if narrow else np.int64)
@@ -572,7 +682,7 @@ def run_tau_sweep(config: TrialConfig) -> SweepResult:
         kernel = LevelKernel(config.system, config.level)
         kind = "probe_level" if config.probe else "level"
         estimator, series = _level_series(kernel), f"{kind}{config.level}"
-    (rows,) = _trial_rows(config, kernel.dynamic_range, [estimator], 1)
+    (rows,) = _trial_rows(config, kernel.dynamic_range, [estimator], 1, [kernel])
     return SweepResult(tuple(rows), series=series)
 
 
@@ -584,10 +694,9 @@ def run_comparison(config: TrialConfig) -> tuple[SweepResult, ...]:
     spec = config.cascade
     if spec is None:
         raise ValueError("run_comparison: needs a cascade config")
-    cascade_top = CascadeKernel(spec, level=sigma_chain(spec.cross).levels)
-    cascade_cfg = CascadeKernel(spec)
+    kernels = (GeneralKernel(spec.group1.moduli + spec.group2.moduli),
+               CascadeKernel(spec, level=sigma_chain(spec.cross).levels), CascadeKernel(spec))
     series = ("single_stage", "two_stage", f"cascade_level{spec.level}")
-    estimators = [_general_series(GeneralKernel(spec.group1.moduli + spec.group2.moduli)),
-                  _cascade_series(cascade_top, cascade_cfg)]
-    rows = _trial_rows(config, cascade_cfg.dynamic_range, estimators, len(series))
+    estimators = [_general_series(kernels[0]), _cascade_series(*kernels[1:])]
+    rows = _trial_rows(config, kernels[2].dynamic_range, estimators, len(series), kernels)
     return tuple(SweepResult(tuple(r), series=name) for name, r in zip(series, rows))

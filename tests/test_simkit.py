@@ -333,6 +333,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="tau values"):
             TrialConfig(system=system, tau_values=taus)
 
+    @pytest.mark.parametrize("taus", [(10**400,), (1.0, 10**400), (-10**400,)],
+                             ids=["past_float", "second_past_float", "negative_past_float"])
+    def test_int_taus_past_the_float_range_are_refused(self, system, taus):
+        with pytest.raises(ValueError, match="^TrialConfig: tau values must be finite, "
+                                             "nonnegative and within the float range$"):
+            TrialConfig(system=system, tau_values=taus)
+
     @pytest.mark.parametrize("error_mode, tau, limit", [
         ("real", 1e308, "2 tau must be finite"),
         ("real", sys.float_info.max, "2 tau must be finite"),
@@ -378,3 +385,14 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="more than 64 bits"):
                 run_tau_sweep(TrialConfig(system=system, level=1, probe=(0, value),
                                           trials_per_point=10))
+
+    def test_real_folds_past_int64_are_refused(self):
+        real = TwoModSystem.real(2.5, 18, 29)  # smallest modulus 45
+        edge = TrialConfig(system=real, level=3, probe=(4 * 10**20,), trials_per_point=10,
+                           value_mode="real")
+        assert run_tau_sweep(edge).rows[0].trials == 10  # folds near 8.9e18 still fit
+        for value in (10**21, -10**21, 10**400):
+            with pytest.raises(ValueError, match=r"^real values in \[.*\) have folds past int64 "
+                                                 r"modulo 45\.0; int64 holds folds"):
+                run_tau_sweep(TrialConfig(system=real, level=3, probe=(value,),
+                                          trials_per_point=10, value_mode="real"))

@@ -1,6 +1,6 @@
 """The sweep workspace: chunks reuse one set of buffers, kernels called
-without a workspace still return fresh arrays, and the int32 and int64 true
-folds give the same rows.
+without a workspace still return fresh arrays, and sweeps run in int32 where
+the kernels' bounds admit it, with the rows of the int64 run.
 
 A sweep allocates its workspace once and draws real values and errors into
 it; after that a chunk should allocate only its integer values (int32 or
@@ -18,9 +18,10 @@ import pytest
 
 from robustrns import simkit
 from robustrns.multi_mod import cascade_spec
-from robustrns.simkit import (CHUNK, CascadeKernel, LevelKernel, TrialConfig, run_comparison,
-                              run_tau_sweep)
-from robustrns.two_mod import TwoModSystem
+from robustrns.simkit import (CHUNK, CascadeKernel, GeneralKernel, LevelKernel, TrialConfig,
+                              run_comparison, run_tau_sweep)
+from robustrns.two_mod import TwoModSystem, sigma_chain
+from tests_util import int32_tau_limit
 
 SYSTEM = TwoModSystem.from_moduli(234, 377)
 
@@ -179,10 +180,49 @@ def test_int32_and_int64_true_folds_give_the_same_rows(monkeypatch, config, narr
     assert result == wide_rows(monkeypatch, config)
 
 
-def test_cascades_and_real_values_keep_int64_true_folds(monkeypatch):
-    spec = cascade_spec([120, 300], [210, 490], 2)
-    cascade = TrialConfig(cascade=spec, tau_values=(5.0,), trials_per_point=500, seed=1)
-    real = TrialConfig(system=TwoModSystem.real(2.5, 18, 29), level=3, tau_values=(0.5,),
-                       trials_per_point=500, seed=2, value_mode="real")
-    for config, run in ((cascade, run_tau_sweep), (cascade, run_comparison), (real, run_tau_sweep)):
-        assert rows_and_fold_dtype(monkeypatch, config, run)[1] == np.int64
+SPEC = cascade_spec([120, 300], [210, 490], 2)
+MODULI = SPEC.group1.moduli + SPEC.group2.moduli
+# the largest taus whose sweeps the kernels' bounds admit in int32
+SWEEP_LIMIT = int32_tau_limit([CascadeKernel(SPEC)], MODULI)
+COMPARE_LIMIT = int32_tau_limit([GeneralKernel(MODULI), CascadeKernel(SPEC, 3),
+                                 CascadeKernel(SPEC)], MODULI)
+
+
+def cascade(taus, **kwargs):
+    return TrialConfig(cascade=SPEC, tau_values=tuple(map(float, taus)), trials_per_point=3000,
+                       seed=7, **kwargs)
+
+
+@pytest.mark.parametrize("config, run", [
+    (cascade([5]), run_tau_sweep),
+    (cascade(range(25)), run_comparison),
+    (cascade([0, 12, 40], error_mode="integer", range_mode="clamp"), run_comparison),
+    (cascade([1e9]), run_tau_sweep),  # far past the guarantee, but every integer fits
+    (cascade([SWEEP_LIMIT - 1000, SWEEP_LIMIT]), run_tau_sweep),
+    (cascade([COMPARE_LIMIT - 1000, COMPARE_LIMIT]), run_comparison),
+    (cascade([COMPARE_LIMIT], error_mode="integer"), run_comparison),
+], ids=["sweep", "compare", "compare_integer_clamp", "sweep_tau_1e9", "sweep_at_limit",
+        "compare_at_limit", "compare_integer_at_limit"])
+def test_cascades_pick_int32_below_the_bound(monkeypatch, config, run):
+    assert SPEC.level == 2 and sigma_chain(SPEC.cross).levels == 3
+    assert 2**27 < COMPARE_LIMIT < SWEEP_LIMIT < 2**40
+    result, dtype = rows_and_fold_dtype(monkeypatch, config, run)
+    assert dtype == np.int32
+    assert result == wide_rows(monkeypatch, config, run)
+
+
+@pytest.mark.parametrize("config, run", [
+    (cascade([SWEEP_LIMIT + 1]), run_tau_sweep),
+    (cascade([0, COMPARE_LIMIT + 1]), run_comparison),
+    # the float-to-int cast of the differences already yields garbage in int64
+    pytest.param(cascade([1e300]), run_tau_sweep, marks=pytest.mark.filterwarnings(
+        "ignore:invalid value encountered in cast:RuntimeWarning")),
+    (cascade([1e9]), run_comparison),
+    (TrialConfig(system=TwoModSystem.real(2.5, 18, 29), level=3, tau_values=(0.5,),
+                 trials_per_point=500, seed=2, value_mode="real"), run_tau_sweep),
+], ids=["sweep_past_limit", "compare_past_limit", "sweep_tau_1e300", "compare_tau_1e9",
+        "real_values"])
+def test_cascades_past_the_bound_and_real_values_pick_int64(monkeypatch, config, run):
+    result, dtype = rows_and_fold_dtype(monkeypatch, config, run)
+    assert dtype == np.int64
+    assert result == wide_rows(monkeypatch, config, run)
