@@ -604,11 +604,11 @@ def _trial_rows(config: TrialConfig, value_range, estimators, series: int,
     or uniform on ``[0, value_range)``.  Every estimator maps the same noisy
     remainders and the true folds to ``(estimates, failures)`` of one or more
     series, which are accumulated as they are yielded, ``series`` in all.
-    Integer values and every fold are held as int64 (or int32), so values or
-    real folds past 2^63 are refused here with a message of their own instead
-    of numpy's.  The sweep runs in int32 where its values and moduli, and
-    every integer the ``kernels`` reach on its remainders, stay below
-    ``INT32_LIMIT``."""
+    Integer values and every fold are held as int64 (or int32), so values,
+    real folds or integers the ``kernels`` reach past 2^63 are refused here
+    with a message of their own instead of numpy's.  The sweep runs in int32
+    where its values and moduli, and every integer the ``kernels`` reach on
+    its remainders, stay below ``INT32_LIMIT``."""
     spec, system = config.cascade, config.system
     moduli = (system.m1, system.m2) if spec is None else spec.group1.moduli + spec.group2.moduli
     points = ([(float(config.tau_values[0]), int(value)) for value in config.probe]
@@ -623,10 +623,13 @@ def _trial_rows(config: TrialConfig, value_range, estimators, series: int,
     if not integer and not _real_fold_top(points, value_range, fmoduli) < 2**63:
         raise ValueError(f"real values in [{lo}, {hi}) have folds past int64 modulo "
                          f"{min(fmoduli)}; int64 holds folds in [-2^63, 2^63)")
-    narrow = integer and -INT32_LIMIT <= lo and max(hi - 1, *moduli) < INT32_LIMIT
-    if narrow:
-        spans = _remainder_spans(moduli, max(t for t, _ in points), config.range_mode)
-        narrow = max(kernel.reach(spans) for kernel in kernels) < INT32_LIMIT
+    tau = max(t for t, _ in points)
+    reach = max(kernel.reach(_remainder_spans(moduli, tau, config.range_mode))
+                for kernel in kernels) if integer else 0
+    if reach >= 2**63:
+        raise ValueError(f"integer values with errors up to tau {tau} take folds past "
+                         "int64; int64 holds folds in [-2^63, 2^63)")
+    narrow = integer and -INT32_LIMIT <= lo and max(hi - 1, *moduli, reach) < INT32_LIMIT
     rows = [[] for _ in range(series)]
     workspace = _Workspace(min(CHUNK, config.trials_per_point), len(moduli),
                            np.int32 if narrow else np.int64)

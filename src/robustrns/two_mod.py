@@ -304,27 +304,27 @@ def level_table(system: TwoModSystem) -> tuple[RobustnessLevel, ...]:
 LADDER_TABLE_MAX = 1 << 10
 
 
-def _first_multiple(base: int, mod: int, lo: int, hi: int) -> int:
-    """The smallest ``t >= 0`` with ``lo <= t * base % mod <= hi``, for
-    ``0 <= lo <= hi < mod`` and coprime ``base``, ``mod``.
+def _least(n: int, mod: int, a: int, b: int) -> int:
+    """``min((a * t + b) % mod for t in range(n))`` for ``n, mod >= 1`` and
+    any integers ``a``, ``b``, in O(log mod) steps.
 
-    If ``[lo, hi]`` holds no multiple of ``a = base % mod``, the answer's
-    ``k = t * a // mod`` is the smallest ``k`` with ``k * mod % a`` in
-    ``[-hi % a, -lo % a]``: the same question on ``(mod % a, a)``, so the
-    frames follow Euclid's algorithm and unwind by ``t = ceil((k * mod +
-    lo) / a)``."""
-    a, frames = base % mod, []
-    while lo:
-        t = -(-lo // a)
-        if t * a <= hi:
-            break
-        frames.append((a, mod, lo))
-        a, mod, lo, hi = mod % a, a, -hi % a, -lo % a
-    else:
-        t = 0
-    for a, mod, lo in reversed(frames):
-        t = -(-(t * mod + lo) // a)
-    return t
+    With ``2 a <= mod`` the walk climbs by ``a``, so its least value is ``b``
+    or one just after a wrap; the ``k``-th of those is ``(b - k mod) % a``:
+    the same question on ``(-mod % a, a)``.  With ``2 a > mod`` the walk
+    climbs by ``mod - a`` when read backwards from ``t = n - 1``."""
+    least, last = mod, n - 1
+    while True:
+        a %= mod
+        if 2 * a > mod:
+            a, b = mod - a, (a * last + b) % mod
+        else:
+            b %= mod
+        if b < least:
+            least = b
+        wraps = (a * last + b) // mod
+        if not wraps:
+            return least
+        last, mod, a, b = wraps - 1, a, -mod, b - mod
 
 
 def _floor_sum(n: int, mod: int, a: int, b: int) -> int:
@@ -350,8 +350,10 @@ class Ladder:
     """The rungs ``|t * base|_mod``, ``t = 0..depth``, and each rung's fold
     ``t``, held as those four numbers.  ``build`` tabulates a ladder at full
     depth or up to ``LADDER_TABLE_MAX`` rungs (``TableLadder``); a deeper one
-    answers every query by Euclid-style search, in O(log mod) integer steps
-    and O(1) memory at any size.  Rungs are distinct since ``depth < mod``.
+    answers every query with Euclid-style recursions, in O(log mod) integer
+    steps and O(1) memory at any size: a rank is a floor sum, and the rung
+    nearest an edge on either side the least value of one walk over ``t``
+    (``_least``).  Rungs are distinct since ``depth < mod``.
     ``len`` is ``depth + 1``, which overflows past 2^63 rungs, so the solvers
     never take it."""
 
@@ -388,52 +390,34 @@ class Ladder:
         n, base, mod = self.depth + 1, self.base, self.mod
         return n - _floor_sum(n, mod, base, mod - edge) + _floor_sum(n, mod, base, 0)
 
-    def _first(self, lo: int, hi: int) -> int | None:
-        """The fold of the rung in ``[lo, hi]`` (clipped to ``[0, mod)``)
-        with the smallest ``t``; None if the ladder has none there."""
-        lo, hi = max(lo, 0), min(hi, self.mod - 1)
-        if lo > hi:
-            return None
-        t = _first_multiple(self.base, self.mod, lo, hi)
-        return t if t <= self.depth else None
-
-    def _reach(self, edge: int, up: bool) -> int | None:
-        """The first rung at or above ``edge`` (``up``) or the last at or
-        below it, by doubling, then halving, the width of the window that
-        ends at ``edge``; None if there is none."""
-        def hit(w):
-            return self._first(edge, edge + w) if up else self._first(edge - w, edge)
-        room = self.mod - 1 - edge if up else edge
-        miss, w = -1, 0
-        while hit(w) is None:
-            if w >= room:
-                return None
-            miss, w = w, min(2 * w + 1, room)
-        while w - miss > 1:
-            mid = (miss + w) // 2
-            miss, w = (miss, mid) if hit(mid) is not None else (mid, w)
-        return edge + w if up else edge - w
+    def _above(self, edge: int) -> int:
+        """The first rung at or above ``edge >= 0``, or a number of at least
+        ``mod`` if every rung lies below it."""
+        return edge + _least(self.depth + 1, self.mod, self.base, -edge)
 
     def neighbours(self, edge: int) -> tuple[int, int]:
         """``(lo, hi)``: the last rung below the integer ``edge`` and the
-        first at or above it, each clipped to the ladder's ends."""
+        first at or above it, each clipped to the ladder's ends.  Each is one
+        walk: rungs at or above ``edge`` wrap past every rung below it."""
         if edge <= 0:
             return 0, 0
-        lo = self._reach(edge - 1, up=False)  # rung 0 is below edge
-        hi = self._reach(edge, up=True)
-        return lo, lo if hi is None else hi
+        edge = min(edge, self.mod)
+        lo = edge - 1 - _least(self.depth + 1, self.mod, -self.base, edge - 1)  # rung 0 is below
+        hi = self._above(edge)
+        return lo, hi if hi < self.mod else lo
 
     def nearest(self, num: int, scale: int, sigma: int, left_open: bool) -> int:
         """The fold of the rung nearest ``target = num / scale`` (``scale >
         0``), for a ladder whose rungs are at least ``sigma`` apart.  A rung
-        less than ``sigma / 2`` from the target is the only one there, and
-        the search of that window returns its fold; otherwise the target's
-        neighbours and ``TableLadder.nearest``'s tie rule pick it."""
+        less than ``sigma / 2`` from the target is the only one there, so the
+        first rung at or above that window's low edge is it if it lies in
+        the window; otherwise the target's neighbours and
+        ``TableLadder.nearest``'s tie rule pick it."""
         # the window: integers x with |2 x scale - 2 num| < sigma scale
         twice, reach = 2 * num, sigma * scale
-        t = self._first((twice - reach) // (2 * scale) + 1, -((-twice - reach) // (2 * scale)) - 1)
-        if t is not None:
-            return t
+        rung = self._above(max((twice - reach) // (2 * scale) + 1, 0))
+        if rung < self.mod and 2 * rung * scale < twice + reach:
+            return self.fold(rung)
         lo, hi = self.neighbours(-(-num // scale))
         side = 2 * num - (lo + hi) * scale
         return self.fold(hi if side > 0 or side == 0 and left_open and hi - lo == sigma else lo)

@@ -6,6 +6,12 @@ a sorted tuple otherwise) and ranked by ``bisect``, whatever its size.
 ladders above ``two_mod.LADDER_TABLE_MAX`` rungs were searched, and its
 ``rank``, ``neighbours`` and ``nearest`` the bisect versions.  ``rungs``
 lists the sorted rungs of any ``two_mod.Ladder`` through this copy.
+
+``SearchedLadder`` is the searched ladder as it stood before one walk
+answered its queries: ``first_multiple`` finds the first rung in a window,
+and ``neighbours`` doubles, then halves, a window's width on top of it.  It
+needs no table, so it is the reference at sizes no table or brute force
+reaches.
 """
 
 from __future__ import annotations
@@ -56,3 +62,69 @@ def build(base: int, mod: int, depth: int) -> Ladder:
 def rungs(ladder) -> Sequence[int]:
     """The sorted rungs of a ``two_mod.Ladder``, tabulated or searched."""
     return build(ladder.base, ladder.mod, ladder.depth).rungs
+
+
+def first_multiple(base: int, mod: int, lo: int, hi: int) -> int:
+    """The smallest ``t >= 0`` with ``lo <= t * base % mod <= hi``, for
+    ``0 <= lo <= hi < mod`` and coprime ``base``, ``mod``: the question on
+    ``(mod % a, a)`` when ``[lo, hi]`` holds no multiple of ``a = base % mod``."""
+    a, frames = base % mod, []
+    while lo:
+        t = -(-lo // a)
+        if t * a <= hi:
+            break
+        frames.append((a, mod, lo))
+        a, mod, lo, hi = mod % a, a, -hi % a, -lo % a
+    else:
+        t = 0
+    for a, mod, lo in reversed(frames):
+        t = -(-(t * mod + lo) // a)
+    return t
+
+
+@dataclass(frozen=True)
+class SearchedLadder:
+    base: int
+    mod: int
+    depth: int
+    inverse: int
+
+    def fold(self, rung):
+        return rung * self.inverse % self.mod
+
+    def _first(self, lo: int, hi: int) -> int | None:
+        lo, hi = max(lo, 0), min(hi, self.mod - 1)
+        if lo > hi:
+            return None
+        t = first_multiple(self.base, self.mod, lo, hi)
+        return t if t <= self.depth else None
+
+    def _reach(self, edge: int, up: bool) -> int | None:
+        def hit(w):
+            return self._first(edge, edge + w) if up else self._first(edge - w, edge)
+        room = self.mod - 1 - edge if up else edge
+        miss, w = -1, 0
+        while hit(w) is None:
+            if w >= room:
+                return None
+            miss, w = w, min(2 * w + 1, room)
+        while w - miss > 1:
+            mid = (miss + w) // 2
+            miss, w = (miss, mid) if hit(mid) is not None else (mid, w)
+        return edge + w if up else edge - w
+
+    def neighbours(self, edge: int) -> tuple[int, int]:
+        if edge <= 0:
+            return 0, 0
+        lo = self._reach(edge - 1, up=False)
+        hi = self._reach(edge, up=True)
+        return lo, lo if hi is None else hi
+
+    def nearest(self, num: int, scale: int, sigma: int, left_open: bool) -> int:
+        twice, reach = 2 * num, sigma * scale
+        t = self._first((twice - reach) // (2 * scale) + 1, -((-twice - reach) // (2 * scale)) - 1)
+        if t is not None:
+            return t
+        lo, hi = self.neighbours(-(-num // scale))
+        side = 2 * num - (lo + hi) * scale
+        return self.fold(hi if side > 0 or side == 0 and left_open and hi - lo == sigma else lo)

@@ -254,6 +254,15 @@ _REAL = {"value_mode": "real", "m": 2.5, "gammas": [18, 29], "tau": [1.0], "tria
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("system", [["--m1", "234", "--m2", "377", "--level", "3"],
+                                        ["--groups", "120,300|210,490", "--level", "2"],
+                                        ["--groups", "120,300|210,490", "--compare"]],
+                             ids=["two_modulus", "cascade", "compare"])
+    def test_sweeps_past_int64_are_a_usage_error(self, capsys, system):
+        code, out, err = run_cli(capsys, "simulate", *system, "--tau", "1e300", "--trials", "10")
+        assert code == EXIT_USAGE and out == ""
+        assert "take folds past int64" in err and "Traceback" not in err
+
     def test_row_count_and_header(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--m1", "234", "--m2", "377",
                                "--level", "3", "--tau", "0:13:0.5",

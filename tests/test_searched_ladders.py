@@ -4,15 +4,18 @@ and answers ``rank``, ``neighbours`` and ``nearest`` by Euclid-style search.
 
 ``ladder_reference`` keeps the tabulated ladder with bisect.  With the cap
 patched to 1 every ladder short of full depth searches, and each query must
-give what the reference gives; solves, falsifiers and ``LevelKernel``'s
-tables must not change when the cap is raised so that every ladder is a
-table again.  Lower levels of cofactors near 2^40 and 2^64, whose tables
-would not fit in memory, must solve under a 1 GB address-space limit.
+give what the reference gives; near 2^40 and 2^64 the reference is its old
+window search, which needs no table.  Solves, falsifiers and
+``LevelKernel``'s tables must not change when the cap is raised so that
+every ladder is a table again.  Lower levels of cofactors near 2^40 and
+2^64, whose tables would not fit in memory, must solve under a 1 GB
+address-space limit.
 """
 
 import contextlib
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -22,7 +25,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import ladder_reference as ladders
 from robustrns import two_mod
@@ -34,7 +37,7 @@ from robustrns.two_mod import (
     RemainderObservation,
     TableLadder,
     TwoModSystem,
-    _first_multiple,
+    _least,
     ladder_depths,
     level_context,
     sigma_chain,
@@ -111,16 +114,51 @@ def test_every_depth_of_small_ladders(mod):
                 assert_matches_reference(searched(base, mod, depth), base, mod, depth, sigmas)
 
 
-@settings(max_examples=300, deadline=None)
-@given(coprime_ladders(mod_max=10**6), st.data())
-def test_first_multiple_is_the_first(ladder, data):
-    base, mod, _ = ladder
-    lo = data.draw(st.integers(0, mod - 1))
-    hi = data.draw(st.integers(lo, min(mod - 1, lo + data.draw(st.sampled_from((0, 3, mod))))))
-    t = _first_multiple(base, mod, lo, hi)
-    assert lo <= t * base % mod <= hi
-    if t < 5000:
-        assert all(not lo <= s * base % mod <= hi for s in range(t))
+@st.composite
+def walks(draw):
+    """``(n, mod, a, b)``: walks longer than ``mod``, steps that are
+    multiples of it, and steps and starts past ``[0, mod)`` either way, as
+    ``neighbours`` passes in."""
+    mod = draw(st.integers(1, 400))
+    n = draw(st.integers(1, 3 * mod + 2))
+    a = draw(st.one_of(st.integers(-3, 3).map(lambda k: k * mod), st.integers(-3 * mod, 3 * mod)))
+    return n, mod, a, draw(st.integers(-3 * mod, 3 * mod))
+
+
+@settings(max_examples=400, deadline=None)
+@given(walks())
+@example((1, 1, 0, 0)).via("one value")
+@example((7, 5, 10, 12)).via("a multiple of mod as a, b past mod")
+@example((12, 5, -2, -7)).via("n past mod, negative a and b")
+@example((9, 10, 7, 3)).via("2 a > mod: the walk read backwards")
+def test_least_is_the_least_of_the_walk(walk):
+    n, mod, a, b = walk
+    assert _least(n, mod, a, b) == min((a * t + b) % mod for t in range(n))
+
+
+# levels 1-2 of each: gaps of 2 and of 2^40 (level 2 of the first is full
+# depth, which the walk also serves when built as a plain Ladder)
+BIG_SYSTEMS = [TwoModSystem(1, 2**40 + 1, 2**40 + 3), TwoModSystem(1, 2**64 + 1, 2**64 + 3 + 2**40)]
+
+
+@pytest.mark.parametrize("system", BIG_SYSTEMS, ids=["2_40", "2_64"])
+@pytest.mark.parametrize("j", [1, 2])
+def test_searched_ladders_match_the_window_search_at_size(system, j):
+    ctx = level_context(system, j)
+    rnd = random.Random(j)
+    for s in (ctx.s1, ctx.s2):
+        ladder = searched(s.base, s.mod, s.depth)
+        ref = ladders.SearchedLadder(s.base, s.mod, s.depth, s.inverse)
+        for _ in range(100):
+            rung = rnd.randrange(s.depth + 1) * s.base % s.mod
+            for edge in (rung + rnd.randint(-2, 2), rnd.randrange(-2, s.mod + 3)):
+                assert ladder.neighbours(edge) == ref.neighbours(edge), edge
+            # half-integer targets near a rung, ties included, and anywhere
+            for num in (2 * rung + rnd.choice((-1, 1)) * rnd.randrange(ctx.sigma + 2),
+                        rnd.randrange(-4, 2 * s.mod + 4)):
+                left_open = rnd.random() < 0.5
+                assert (ladder.nearest(num, 2, ctx.sigma, left_open)
+                        == ref.nearest(num, 2, ctx.sigma, left_open)), (num, left_open)
 
 
 def test_table_cap():
@@ -191,6 +229,18 @@ def test_deep_level_builds_in_constant_memory():
     finally:
         tracemalloc.stop()
     assert elapsed < 0.01 and peak < 1 << 20, (elapsed, peak)
+
+
+def test_neighbours_at_gaps_near_2_40_take_microseconds():
+    # gaps near 2^40: a neighbour costs one walk, however far it lies
+    ladder = level_context(BIG_SYSTEMS[1], 1).s1
+    rnd = random.Random(23)
+    edges = [rnd.randrange(ladder.mod) for _ in range(200)]
+    start = time.perf_counter()
+    for edge in edges:
+        ladder.neighbours(edge)
+    elapsed = time.perf_counter() - start
+    assert type(ladder) is Ladder and elapsed < 0.05, elapsed
 
 
 def test_lower_levels_near_2_40_and_2_64_solve_in_bounded_memory():

@@ -12,6 +12,7 @@ CHUNK-sized float64 arrays.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -214,15 +215,26 @@ def test_cascades_pick_int32_below_the_bound(monkeypatch, config, run):
 @pytest.mark.parametrize("config, run", [
     (cascade([SWEEP_LIMIT + 1]), run_tau_sweep),
     (cascade([0, COMPARE_LIMIT + 1]), run_comparison),
-    # the float-to-int cast of the differences already yields garbage in int64
-    pytest.param(cascade([1e300]), run_tau_sweep, marks=pytest.mark.filterwarnings(
-        "ignore:invalid value encountered in cast:RuntimeWarning")),
     (cascade([1e9]), run_comparison),
     (TrialConfig(system=TwoModSystem.real(2.5, 18, 29), level=3, tau_values=(0.5,),
                  trials_per_point=500, seed=2, value_mode="real"), run_tau_sweep),
-], ids=["sweep_past_limit", "compare_past_limit", "sweep_tau_1e300", "compare_tau_1e9",
-        "real_values"])
+], ids=["sweep_past_limit", "compare_past_limit", "compare_tau_1e9", "real_values"])
 def test_cascades_past_the_bound_and_real_values_pick_int64(monkeypatch, config, run):
     result, dtype = rows_and_fold_dtype(monkeypatch, config, run)
     assert dtype == np.int64
     assert result == wide_rows(monkeypatch, config, run)
+
+
+@pytest.mark.parametrize("config, run", [
+    (cascade([5, 1e300]), run_tau_sweep),
+    (cascade([1e300]), run_comparison),
+    (TrialConfig(system=SYSTEM, level=3, tau_values=(1e300,), trials_per_point=10),
+     run_tau_sweep),
+], ids=["cascade_sweep", "compare", "two_modulus_sweep"])
+def test_sweeps_whose_kernels_pass_int64_are_refused(config, run):
+    # in int64 the float-to-int casts of such folds yielded garbage rows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^integer values with errors up to tau 1e\+300 "
+                                             r"take folds past int64; int64 holds folds"):
+            run(config)
