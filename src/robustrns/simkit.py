@@ -26,7 +26,14 @@ chunk writes its values, true folds, remainders (exact, then noisy in place),
 ``LevelKernel``'s scratch and folds, the fail flags and the accumulator's
 errors into it; real values and errors are drawn into it as ``range * u`` and
 ``-tau + (2 tau) u`` from ``Generator.random``, rounded twice as ``uniform``
-rounds them.
+rounds them.  The cascade kernels ``take`` the rest from it in the first
+chunk, each buffer sized to what is live at once: each group stage's folds
+and estimate (read by both cross stages), the assembled folds (which the
+single-stage kernel's folds share), one Garner scratch, a second partial sum
+and the consistency flags (the single-stage kernel's only).  So a chunk
+allocates only its integer draws and the accumulator's gather; it must
+allocate none of its chunk-sized temporaries, since the first allocation
+after a freed one pays for glibc trimming and re-faulting the heap top.
 
 Every integer of a sweep has one dtype, the workspace's: int32 where
 ``_trial_rows`` proves that every integer the sweep computes stays below
@@ -152,7 +159,8 @@ class _Workspace:
     """A sweep's buffers: per modulus the true folds and remainders, and
     scratch; its integers are of dtype ``ints``.  ``LevelKernel`` returns its
     folds in ``c`` and ``a`` (``rem`` for int32) and its estimate in ``f``;
-    called without a workspace, fresh int64 and float64 arrays."""
+    the cascade kernels keep theirs in buffers they ``take``.  Called without
+    a workspace, a kernel builds a throwaway one, so its results are fresh."""
 
     def __init__(self, shape, moduli: int = 0, ints=np.int64):
         self.values, self.q, self.f = (np.empty(shape) for _ in range(3))
@@ -161,17 +169,31 @@ class _Workspace:
         self.folds = [np.empty(shape, ints) for _ in range(moduli)]
         self.c, self.rem = (np.empty(shape, ints) for _ in range(2))
         self.rts = [np.empty(shape) for _ in range(moduli)]
+        self._shape, self._head, self._taken = shape, slice(None), {}
 
     @property
     def ints(self) -> np.dtype:
         """The dtype of every integer the sweep computes."""
         return self.rem.dtype
 
+    def take(self, key, *dtypes) -> list[np.ndarray]:
+        """Buffers of ``dtypes`` held under ``key`` for the whole sweep: made
+        at the first call, the same ones at every later call from any view."""
+        bufs = self._taken.get((key, dtypes))
+        if bufs is None:
+            bufs = self._taken[key, dtypes] = [np.empty(self._shape, d) for d in dtypes]
+        return [b[self._head] for b in bufs]
+
     def head(self, size: int) -> _Workspace:
         """Views of every buffer's first ``size`` elements (a chunk's tail)."""
         view = object.__new__(_Workspace)
         for name, buf in vars(self).items():
-            setattr(view, name, [b[:size] for b in buf] if isinstance(buf, list) else buf[:size])
+            if isinstance(buf, list):
+                buf = [b[:size] for b in buf]
+            elif isinstance(buf, np.ndarray):
+                buf = buf[:size]
+            setattr(view, name, buf)
+        view._head = slice(size)
         return view
 
 
@@ -282,7 +304,9 @@ class LevelKernel:
 
     def solve(self, r1t: np.ndarray, r2t: np.ndarray, ws=None) -> tuple[np.ndarray, np.ndarray]:
         """Both folds of every remainder pair.  A direct call (no workspace)
-        refuses non-finite remainders; a sweep's draws are finite."""
+        refuses non-finite remainders; a sweep's draws are finite.  Past the
+        end rungs (masks in ``ws.flag`` and ``ws.fail``) the companion fold is
+        rounded in the spent ``ws.q``, masked, so no element is gathered."""
         if ws is None:
             if not (np.isfinite(r1t).all() and np.isfinite(r2t).all()):
                 raise ValueError("LevelKernel: a remainder is NaN or infinite")
@@ -290,14 +314,10 @@ class LevelKernel:
         q = np.subtract(r1t, r2t, out=ws.q)
         q /= self.m
         n1, n2 = self._folds(q, ws)
-        hi = np.flatnonzero(np.greater(q, self.q_hi, out=ws.flag))
-        if hi.size:
-            nn1 = np.floor((n2[hi] * self.m2 + r2t[hi] - r1t[hi]) / self.m1 + 0.5)
-            n1[hi] = nn1.astype(n1.dtype)
-        lo = np.flatnonzero(np.less(q, self.q_lo, out=ws.flag))
-        if lo.size:
-            nn2 = np.floor((n1[lo] * self.m1 + r1t[lo] - r2t[lo]) / self.m2 + 0.5)
-            n2[lo] = nn2.astype(n2.dtype)
+        hi = np.greater(q, self.q_hi, out=ws.flag)
+        lo = np.less(q, self.q_lo, out=ws.fail)
+        _round_past(hi, n1, n2, self.m2, r2t, r1t, self.m1, q)
+        _round_past(lo, n2, n1, self.m1, r1t, r2t, self.m2, q)
         return n1, n2
 
     def estimate(self, n1, n2, r1t, r2t, ws=None):
@@ -314,57 +334,73 @@ class LevelKernel:
         return np.floor(mean, out=mean)
 
 
-def _mod(a: np.ndarray, d: int) -> np.ndarray:
-    """``a % d`` for integer ``a`` and ``d > 0``: numpy's ``//`` by a scalar
-    multiplies, its ``%`` divides.  Exact even where ``(a // d) * d`` wraps."""
-    q = a // d
+def _round_past(mask, out, fold, m_fold, r_fold, r_out, m_out, x) -> None:
+    """``out = floor((fold * m_fold + r_fold - r_out) / m_out + 0.5)`` where
+    ``mask`` holds, through the float scratch ``x``."""
+    if mask.any():
+        np.multiply(fold, m_fold, out=x, where=mask)
+        for op, arg in ((np.add, r_fold), (np.subtract, r_out), (np.divide, m_out), (np.add, 0.5)):
+            op(x, arg, out=x, where=mask)
+        np.floor(x, out=x, where=mask)
+        np.copyto(out, x, casting="unsafe", where=mask)
+
+
+def _mod(a: np.ndarray, d: int, out=None) -> np.ndarray:
+    """``a % d`` for integer ``a`` and ``d > 0``, into ``out`` (not ``a``):
+    numpy's ``//`` by a scalar multiplies, its ``%`` divides.  Exact even
+    where ``(a // d) * d`` wraps."""
+    q = np.floor_divide(a, d, out=out)
     q *= d
     return np.subtract(a, q, out=q)
 
 
-def _garner_folds(rts: list[np.ndarray], m: float, gammas: tuple[int, ...], steps, ints=np.int64):
-    """``multi_mod._garner_folds`` elementwise in dtype ``ints``, over the
-    moduli ``m * gammas`` with ``steps = _general_steps(gammas)``: the folds,
-    and flags that are cleared where a divisibility test fails (never on
-    coprime cofactors).  Each step updates its arrays in place, so a chunk
-    allocates few of them."""
-    xis = []
-    for rt in rts[1:]:
-        x = rt - rts[0]
+def _garner_folds(rts: list[np.ndarray], m: float, gammas: tuple[int, ...], steps, ws, folds,
+                  consistent=None) -> None:
+    """``multi_mod._garner_folds`` elementwise into ``folds`` (of dtype
+    ``ws.ints``), over the moduli ``m * gammas`` with ``steps =
+    _general_steps(gammas)``; ``consistent``, when given, is cleared where a
+    divisibility test fails (never on coprime cofactors).  The rounded
+    differences go into the tail folds, which are then solved in place; the
+    steps run in ``ws.c`` and ``ws.rem``, the float differences in ``ws.q``."""
+    for rt, xi in zip(rts[1:], folds[1:]):
+        x = np.subtract(rt, rts[0], out=ws.q)
         x /= m
         x += 0.5
-        xis.append(np.floor(x, out=x).astype(ints))
-    n1 = None  # zero until the first step sets it
-    consistent = np.ones(rts[0].shape, dtype=bool)
-    for xi, (g, qk, inv1, gq, step, inv_q, q) in zip(xis, steps):
+        np.copyto(xi, np.floor(x, out=x), casting="unsafe")
+    n1, s, t = folds[0], ws.c, ws.rem
+    if consistent is not None:
+        consistent.fill(True)
+        (product,) = ws.take("garner", ws.ints)
+    started = False  # n1 is zero until the first step sets it
+    for xi, (g, qk, inv1, gq, step, inv_q, q) in zip(folds[1:], steps):
         if g > 1:
-            reduced = xi // g
-            consistent &= reduced * g == xi
+            reduced = np.floor_divide(xi, g, out=s)
+            if consistent is not None:
+                consistent &= np.equal(np.multiply(reduced, g, out=product), xi, out=ws.flag)
             xi = reduced
         if qk == 1:
             continue
-        diff = _mod(xi * inv1, qk)
-        if n1 is None:  # the first step has q = 1, gq = 1 and inv_q = 1
-            n1 = diff
+        a = np.multiply(xi, inv1, out=t)
+        if not started:  # the first step has q = 1, gq = 1 and inv_q = 1
+            _mod(a, qk, n1)
+            started = True
             continue
+        diff = _mod(a, qk, s)
         diff -= n1
         if gq > 1:
-            reduced = diff // gq
-            consistent &= reduced * gq == diff
+            reduced = np.floor_divide(diff, gq, out=t)
+            if consistent is not None:
+                consistent &= np.equal(np.multiply(reduced, gq, out=product), diff, out=ws.flag)
             diff = reduced
         if step > 1:
-            t = _mod(diff * inv_q, step)
-            t *= q
-            n1 += t
-    if n1 is None:
-        n1 = np.zeros(rts[0].shape, dtype=ints)
-    folds = [n1]
-    for xi, gk in zip(xis, gammas[1:]):
-        f = n1 * gammas[0]
-        f -= xi
-        f //= gk
-        folds.append(f)
-    return folds, consistent
+            shift = _mod(np.multiply(diff, inv_q, out=s), step, t)
+            shift *= q
+            n1 += shift
+    if not started:
+        n1.fill(0)
+    for xi, gk in zip(folds[1:], gammas[1:]):
+        np.subtract(np.multiply(n1, gammas[0], out=s), xi, out=xi)
+        xi //= gk
 
 
 def _garner_reach(m: int, gammas: tuple[int, ...], steps, spans) -> tuple[int, list[int]]:
@@ -389,24 +425,30 @@ def _garner_reach(m: int, gammas: tuple[int, ...], steps, spans) -> tuple[int, l
     return max(seen + folds), folds
 
 
-def _estimate(*groups) -> np.ndarray:
+def _estimate(out: np.ndarray, ws, *groups) -> np.ndarray:
     """Rounded mean of ``f * m_k + r_k`` over every ``(folds, moduli, rts)``
-    group; each group is summed in place, in the order ``sum`` would take."""
-    total = None
-    for folds, moduli, rts in groups:
-        part = folds[0] * float(moduli[0])
+    group, into ``out``; each group is summed in place, in the order ``sum``
+    would take, the first in ``out``, its terms in ``ws.q``."""
+    term = ws.q
+    for i, (folds, moduli, rts) in enumerate(groups):
+        part = ws.take("part", np.float64)[0] if i else out
+        np.multiply(folds[0], float(moduli[0]), out=part)
         part += rts[0]
         for f, mk, rt in zip(folds[1:], moduli[1:], rts[1:]):
-            term = f * float(mk)
+            np.multiply(f, float(mk), out=term)
             term += rt
             part += term
-        total = part if total is None else np.add(total, part, out=total)
-    return np.floor(total / sum(len(rts) for *_, rts in groups) + 0.5)
+        if i:
+            out += part
+    out /= sum(len(rts) for *_, rts in groups)
+    out += 0.5
+    return np.floor(out, out=out)
 
 
 class GeneralKernel:
     """Vectorized single-stage solver for arbitrary moduli (lcm-wide range).
-    ``solve`` takes the dtype of its folds from the workspace."""
+    ``solve`` takes the dtype of its folds from the workspace, and returns
+    them in the buffers the cascade assembles its folds in."""
 
     def __init__(self, moduli):
         ms = tuple(moduli)
@@ -426,24 +468,29 @@ class GeneralKernel:
         return self.bounds(spans)[0]
 
     def solve(self, rts: list[np.ndarray], ws=None):
-        ints = np.int64 if ws is None else ws.ints
-        folds, consistent = _garner_folds(rts, self.m, self.gammas, self.steps, ints)
+        ws = _Workspace(rts[0].shape) if ws is None else ws
+        folds = ws.take("assembly", *(ws.ints,) * len(rts))
+        (consistent,) = ws.take("consistent", bool)
+        _garner_folds(rts, self.m, self.gammas, self.steps, ws, folds, consistent)
         for f in folds:
             f *= consistent
-        return folds, _estimate((folds, self.moduli, rts)), consistent
+        return folds, _estimate(ws.f, ws, (folds, self.moduli, rts)), consistent
 
 
 class GroupKernel(GeneralKernel):
-    """Vectorized within-group solver (pairwise-coprime cofactors)."""
+    """Vectorized within-group solver (pairwise-coprime cofactors).  Its folds
+    and estimate stay in buffers of its own until the next chunk, so both
+    cross stages of a comparison read them."""
 
     def __init__(self, group):
         super().__init__(group.moduli)
         self.group = group
 
     def solve(self, rts: list[np.ndarray], ws=None):
-        ints = np.int64 if ws is None else ws.ints
-        folds, _ = _garner_folds(rts, self.m, self.gammas, self.steps, ints)
-        return folds, _estimate((folds, self.moduli, rts))
+        ws = _Workspace(rts[0].shape) if ws is None else ws
+        *folds, est = ws.take(self, *(ws.ints,) * len(rts), np.float64)
+        _garner_folds(rts, self.m, self.gammas, self.steps, ws, folds)
+        return folds, _estimate(est, ws, (folds, self.moduli, rts))
 
 
 class CascadeKernel:
@@ -476,16 +523,18 @@ class CascadeKernel:
         ``(folds, estimate)``; cascades of one spec can share those."""
         (f1, est1), (f2, est2) = stage1, stage2
         if self.spec.low_is_group1:
-            l_lo, l_hi = self.cross.solve(est1, est2, ws)
-            l1, l2 = l_lo, l_hi
+            l1, l2 = self.cross.solve(est1, est2, ws)
         else:
-            l_lo, l_hi = self.cross.solve(est2, est1, ws)
-            l1, l2 = l_hi, l_lo
-        folds1 = [l1 * (self.spec.group1.eta // mk) + h
-                  for mk, h in zip(self.spec.group1.moduli, f1)]
-        folds2 = [l2 * (self.spec.group2.eta // mk) + h
-                  for mk, h in zip(self.spec.group2.moduli, f2)]
-        estimate = _estimate((folds1, self.spec.group1.moduli, rts1),
+            l2, l1 = self.cross.solve(est2, est1, ws)
+        ws = _Workspace(est1.shape) if ws is None else ws
+        folds = ws.take("assembly", *(ws.ints,) * (len(f1) + len(f2)))
+        folds1, folds2 = folds[:len(f1)], folds[len(f1):]
+        for l, group, hs, out in ((l1, self.spec.group1, f1, folds1),
+                                  (l2, self.spec.group2, f2, folds2)):
+            for fold, mk, h in zip(out, group.moduli, hs):
+                np.multiply(l, group.eta // mk, out=fold)
+                fold += h
+        estimate = _estimate(ws.f, ws, (folds1, self.spec.group1.moduli, rts1),
                              (folds2, self.spec.group2.moduli, rts2))
         return folds1, folds2, estimate
 
@@ -565,16 +614,16 @@ def _cascade_series(*kernels: CascadeKernel):
         stage1, stage2 = k1.solve(rts1, ws), k2.solve(rts2, ws)
         for kernel in kernels:
             folds1, folds2, est = kernel._cross_stage(stage1, stage2, rts1, rts2, ws)
-            fail = _misfolds(folds1 + folds2, true_folds, ws)
-            del folds1, folds2  # free them before the next series runs
-            yield est, fail
+            yield est, _misfolds(folds1 + folds2, true_folds, ws)
     return estimate
 
 
 def _general_series(kernel: GeneralKernel):
     def estimate(rts, true_folds, ws):
         folds, est, consistent = kernel.solve(rts, ws)
-        yield est, ~consistent | _misfolds(folds, true_folds, ws)
+        fail = _misfolds(folds, true_folds, ws)
+        fail |= np.invert(consistent, out=consistent)
+        yield est, fail
     return estimate
 
 
@@ -625,10 +674,10 @@ def _trial_rows(config: TrialConfig, value_range, estimators, series: int,
                          f"{min(fmoduli)}; int64 holds folds in [-2^63, 2^63)")
     tau = max(t for t, _ in points)
     reach = max(kernel.reach(_remainder_spans(moduli, tau, config.range_mode))
-                for kernel in kernels) if integer else 0
+                for kernel in kernels)
     if reach >= 2**63:
-        raise ValueError(f"integer values with errors up to tau {tau} take folds past "
-                         "int64; int64 holds folds in [-2^63, 2^63)")
+        raise ValueError(f"{config.value_mode} values with errors up to tau {tau} take folds "
+                         "past int64; int64 holds folds in [-2^63, 2^63)")
     narrow = integer and -INT32_LIMIT <= lo and max(hi - 1, *moduli, reach) < INT32_LIMIT
     rows = [[] for _ in range(series)]
     workspace = _Workspace(min(CHUNK, config.trials_per_point), len(moduli),

@@ -263,6 +263,14 @@ class TestSimulate:
         assert code == EXIT_USAGE and out == ""
         assert "take folds past int64" in err and "Traceback" not in err
 
+    def test_real_config_past_int64_is_a_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "real.json"
+        cfg.write_text(json.dumps({**_REAL, "level": 3, "tau": [1e300]}))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == EXIT_USAGE and out == ""
+        assert "real values with errors up to tau 1e+300 take folds past int64" in err
+        assert "Traceback" not in err
+
     def test_row_count_and_header(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--m1", "234", "--m2", "377",
                                "--level", "3", "--tau", "0:13:0.5",

@@ -3,12 +3,13 @@ without a workspace still return fresh arrays, and sweeps run in int32 where
 the kernels' bounds admit it, with the rows of the int64 run.
 
 A sweep allocates its workspace once and draws real values and errors into
-it; after that a chunk should allocate only its integer values (int32 or
-int64; a probe draws none), an integer error array at a time, and the gather
-the accumulator needs when a value is below 1.  The allocation test reads
-``tracemalloc`` at each chunk start (``_rng`` is called once per chunk) and
-bounds every later chunk's peak above its starting level by 1.25
-CHUNK-sized float64 arrays.
+it; the cascade kernels take the rest of their buffers from it in the first
+chunk.  After that a chunk should allocate only its integer values (int32 or
+int64; a probe draws none), an integer error array at a time, numpy's cast
+buffers, and the gather the accumulator needs when a value is below 1.  The
+allocation test reads ``tracemalloc`` at each chunk start (``_rng`` is called
+once per chunk) and bounds every later chunk's peak above its starting level
+by 1.25 CHUNK-sized float64 arrays.
 """
 
 import tracemalloc
@@ -19,15 +20,18 @@ import pytest
 
 from robustrns import simkit
 from robustrns.multi_mod import cascade_spec
-from robustrns.simkit import (CHUNK, CascadeKernel, GeneralKernel, LevelKernel, TrialConfig,
-                              run_comparison, run_tau_sweep)
+from robustrns.simkit import (CHUNK, CascadeKernel, GeneralKernel, GroupKernel, LevelKernel,
+                              TrialConfig, run_comparison, run_tau_sweep)
 from robustrns.two_mod import TwoModSystem, sigma_chain
 from tests_util import int32_tau_limit
 
 SYSTEM = TwoModSystem.from_moduli(234, 377)
+REAL = TwoModSystem.real(2.5, 18, 29)
+SPEC = cascade_spec([120, 300], [210, 490], 2)
+MODULI = SPEC.group1.moduli + SPEC.group2.moduli
 
 
-def chunk_peaks(monkeypatch, config):
+def chunk_peaks(monkeypatch, config, run=run_tau_sweep):
     """Each chunk's peak traced memory above its level at the chunk's start."""
     marks = []
     rng = simkit._rng
@@ -40,22 +44,31 @@ def chunk_peaks(monkeypatch, config):
     monkeypatch.setattr(simkit, "_rng", marked_rng)
     tracemalloc.start()
     try:
-        run_tau_sweep(config)
+        run(config)
         marks.append(tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
     return [peak - start for (start, _), (_, peak) in zip(marks, marks[1:])]
 
 
-@pytest.mark.parametrize("config", [
-    TrialConfig(system=SYSTEM, level=3, tau_values=(5.0, 40.0), trials_per_point=2 * CHUNK,
-                seed=1),
-    TrialConfig(system=TwoModSystem.real(2.5, 18, 29), level=3, tau_values=(0.5, 4.0),
-                trials_per_point=2 * CHUNK, seed=2, value_mode="real"),
-    TrialConfig(system=SYSTEM, level=1, probe=(466, 467), trials_per_point=2 * CHUNK, seed=3),
-], ids=["integer", "real", "probe"])
-def test_chunks_after_the_first_allocate_at_most_one_and_a_quarter_arrays(monkeypatch, config):
-    peaks = chunk_peaks(monkeypatch, config)
+@pytest.mark.parametrize("config, run", [
+    (TrialConfig(system=SYSTEM, level=3, tau_values=(5.0, 40.0), trials_per_point=2 * CHUNK,
+                 seed=1), run_tau_sweep),
+    (TrialConfig(system=TwoModSystem.real(2.5, 18, 29), level=3, tau_values=(0.5, 4.0),
+                 trials_per_point=2 * CHUNK, seed=2, value_mode="real"), run_tau_sweep),
+    (TrialConfig(system=SYSTEM, level=1, probe=(466, 467), trials_per_point=2 * CHUNK, seed=3),
+     run_tau_sweep),
+    (TrialConfig(cascade=SPEC, tau_values=(5.0, 40.0), trials_per_point=2 * CHUNK, seed=4),
+     run_tau_sweep),
+    (TrialConfig(cascade=SPEC, tau_values=(5.0, 20.0), trials_per_point=2 * CHUNK, seed=5),
+     run_comparison),
+    # int64, and nearly every cross stage rounds past its end rungs
+    (TrialConfig(cascade=SPEC, tau_values=(1e9, 2e9), trials_per_point=2 * CHUNK, seed=6),
+     run_comparison),
+], ids=["integer", "real", "probe", "cascade", "compare", "compare_int64_tau_1e9"])
+def test_chunks_after_the_first_allocate_at_most_one_and_a_quarter_arrays(monkeypatch, config,
+                                                                           run):
+    peaks = chunk_peaks(monkeypatch, config, run)
     assert len(peaks) == 4
     arrays = [peak / (CHUNK * 8) for peak in peaks[1:]]
     assert max(arrays) <= 1.25, arrays
@@ -72,19 +85,47 @@ def remainders(kernel, size, seed):
     return r1t, r2t
 
 
-@pytest.mark.parametrize("system", [SYSTEM, TwoModSystem.real(2.5, 18, 29)], ids=str)
-def test_kernel_results_without_a_workspace_are_fresh(system):
-    kernel = LevelKernel(system, 2)
-    first_in = remainders(kernel, 3000, 1)
-    first = kernel.solve(*first_in)
-    first_est = kernel.estimate(*first, *first_in)
-    kept = [a.copy() for a in (*first, first_est)]
-    second_in = remainders(kernel, 3000, 2)
-    second = kernel.solve(*second_in)
-    second_est = kernel.estimate(*second, *second_in)
-    for a, b in zip((*first, first_est), (*second, second_est)):
-        assert not np.shares_memory(a, b)
-    for a, b in zip((*first, first_est), kept):
+def flat(result):
+    """The arrays of a kernel's result, nested lists and tuples flattened."""
+    if isinstance(result, np.ndarray):
+        return [result]
+    return [a for item in result for a in flat(item)]
+
+
+def cascade_remainders(seed, size=3000):
+    """Noisy remainders of the cascade's moduli, some far enough out that
+    the cross stage rounds past its end rungs."""
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 13230, size)
+    tau = np.where(rng.random(size) < 0.1, 5000.0, 20.0)
+    return [values % m + rng.uniform(-tau, tau) for m in MODULI]
+
+
+def level_solve(kernel, seed):
+    rts = remainders(kernel, 3000, seed)
+    n1, n2 = kernel.solve(*rts)
+    return n1, n2, kernel.estimate(n1, n2, *rts)
+
+
+def cascade_solve(kernel, seed):
+    rts = cascade_remainders(seed)
+    return kernel.solve(rts[:2], rts[2:])
+
+
+@pytest.mark.parametrize("kernel, solve", [
+    (LevelKernel(SYSTEM, 2), level_solve),
+    (LevelKernel(REAL, 2), level_solve),
+    (GroupKernel(SPEC.group2), lambda kernel, seed: kernel.solve(cascade_remainders(seed)[2:])),
+    (GeneralKernel(MODULI), lambda kernel, seed: kernel.solve(cascade_remainders(seed))),
+    (CascadeKernel(SPEC), cascade_solve),
+], ids=[str(SYSTEM), str(REAL), "group", "general", "cascade"])
+def test_kernel_results_without_a_workspace_are_fresh(kernel, solve):
+    first = flat(solve(kernel, 1))
+    kept = [a.copy() for a in first]
+    second = flat(solve(kernel, 2))
+    for a in first:
+        assert not any(np.shares_memory(a, b) for b in second)
+    for a, b in zip(first, kept, strict=True):
         np.testing.assert_array_equal(a, b)
 
 
@@ -181,8 +222,6 @@ def test_int32_and_int64_true_folds_give_the_same_rows(monkeypatch, config, narr
     assert result == wide_rows(monkeypatch, config)
 
 
-SPEC = cascade_spec([120, 300], [210, 490], 2)
-MODULI = SPEC.group1.moduli + SPEC.group2.moduli
 # the largest taus whose sweeps the kernels' bounds admit in int32
 SWEEP_LIMIT = int32_tau_limit([CascadeKernel(SPEC)], MODULI)
 COMPARE_LIMIT = int32_tau_limit([GeneralKernel(MODULI), CascadeKernel(SPEC, 3),
@@ -225,16 +264,21 @@ def test_cascades_past_the_bound_and_real_values_pick_int64(monkeypatch, config,
     assert result == wide_rows(monkeypatch, config, run)
 
 
-@pytest.mark.parametrize("config, run", [
-    (cascade([5, 1e300]), run_tau_sweep),
-    (cascade([1e300]), run_comparison),
+@pytest.mark.parametrize("config, run, kind", [
+    (cascade([5, 1e300]), run_tau_sweep, "integer"),
+    (cascade([1e300]), run_comparison, "integer"),
     (TrialConfig(system=SYSTEM, level=3, tau_values=(1e300,), trials_per_point=10),
-     run_tau_sweep),
-], ids=["cascade_sweep", "compare", "two_modulus_sweep"])
-def test_sweeps_whose_kernels_pass_int64_are_refused(config, run):
+     run_tau_sweep, "integer"),
+    (TrialConfig(system=SYSTEM, level=3, tau_values=(1e300,), trials_per_point=10,
+                 value_mode="real"), run_tau_sweep, "real"),
+    (TrialConfig(system=REAL, level=3, tau_values=(1e300,), trials_per_point=10,
+                 value_mode="real"), run_tau_sweep, "real"),
+], ids=["cascade_sweep", "compare", "two_modulus_sweep", "real_values", "real_system"])
+def test_sweeps_whose_kernels_pass_int64_are_refused(config, run, kind):
     # in int64 the float-to-int casts of such folds yielded garbage rows
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"^integer values with errors up to tau 1e\+300 "
+        with pytest.raises(ValueError, match=rf"^{kind} values with errors up to tau 1e\+300 "
                                              r"take folds past int64; int64 holds folds"):
             run(config)
+
