@@ -76,6 +76,8 @@ def crt_scan(remainders, moduli) -> int:
 
 # Candidates per block of the fold search: 2^16 int64 values are 512 KB.
 _SCAN_BLOCK = 1 << 16
+# Candidates the fold search scans at most: 2^24 take about 0.2 s.
+_FOLD_SEARCH_MAX = 1 << 24
 _INT64_SAFE = 1 << 62
 
 
@@ -88,7 +90,8 @@ class FoldSearchResult:
 
 
 def exhaustive_fold_search(system: TwoModSystem, obs: RemainderObservation, search_bound: int) -> FoldSearchResult:
-    """Scan every candidate value below the bound for the best remainder fit.
+    """Scan every candidate value below the bound for the best remainder fit;
+    a bound past ``_FOLD_SEARCH_MAX`` candidates is refused.
 
     Minimizes ``max(|r1~ - r1|, |r2~ - r2|)``; ties go to the smallest value.
     The candidates are scanned in numpy blocks of at most ``_SCAN_BLOCK``
@@ -112,6 +115,9 @@ def exhaustive_fold_search(system: TwoModSystem, obs: RemainderObservation, sear
         raise ValueError(f"exhaustive_fold_search: search bound {search_bound} must be at least 1")
     if search_bound > system.lcm:
         raise ValueError("exhaustive_fold_search: bound exceeds the lcm")
+    if search_bound > _FOLD_SEARCH_MAX:
+        raise ValueError(f"exhaustive_fold_search: search bound {search_bound} is past the "
+                         f"search's limit of {_FOLD_SEARCH_MAX} candidates")
     m1, m2 = system.m1, system.m2
     try:
         exact = [Fraction(r) for r in (obs.r1, obs.r2)]
@@ -166,12 +172,23 @@ def _side_deviations(a, den: int, mod: int, bound: int, dtype):
             yield abs(a - den * k)
 
 
+# Rungs the definitional depths insert at most, both ladders together.
+_DEFINITIONAL_RUNGS_MAX = 1 << 18
+
+
 def ladder_depths_definitional(system: TwoModSystem, j: int) -> tuple[int, int]:
     """Ladder depths straight from the definition: grow each ladder until its
-    minimum gap drops below sigma_j, and return the last depth that held."""
+    minimum gap drops below sigma_j, and return the last depth that held.
+    The two ladders take at most ``(gamma1 - 1) + (gamma2 - 1)`` insertions,
+    each a list insert; past ``_DEFINITIONAL_RUNGS_MAX`` the system is
+    refused."""
     chain = sigma_chain(system)
     if not 1 <= j <= chain.levels:
         raise ValueError(f"ladder_depths_definitional: level {j} out of range")
+    rungs = system.gamma1 + system.gamma2 - 2
+    if rungs > _DEFINITIONAL_RUNGS_MAX:
+        raise ValueError(f"ladder_depths_definitional: up to {rungs} rungs to insert is past "
+                         f"the limit of {_DEFINITIONAL_RUNGS_MAX}")
     target = chain.sigma(j)
 
     def grow(base: int, mod: int) -> int:
@@ -266,6 +283,11 @@ class ExactnessScan:
         return self.fold_failures == 0 and self.estimate_failures == 0
 
 
+# Observations (m1 * m2 table cells) the exactness scan tabulates at most:
+# at up to 28 bytes each, 2^20 of them take about 30 MB.
+_EXACTNESS_CELLS_MAX = 1 << 20
+
+
 def level_exactness_scan(system: TwoModSystem, j: int) -> ExactnessScan:
     """Try every value below the level's range and every in-range integer error
     pair whose scaled difference stays in the guarantee window; the solver must
@@ -284,12 +306,17 @@ def level_exactness_scan(system: TwoModSystem, j: int) -> ExactnessScan:
     The tables take 24 bytes per observation, the diagonal of each position
     1 to 4 more, and everything else is O(``m1 + m2 + _CASE_BLOCK``).  Every
     value, fold and estimate stays below ``2 * lcm``, so the int64 arithmetic
-    is exact; a larger system is refused.
+    is exact; a larger system is refused, and so is one with more than
+    ``_EXACTNESS_CELLS_MAX`` observations, before any table is allocated.
     """
     if system.is_real:
         raise ValueError("level_exactness_scan: integer systems only")
     if 2 * system.lcm >= 1 << 63:
         raise ValueError(f"level_exactness_scan: lcm {system.lcm} is past the scan's int64 range")
+    cells = system.m1 * system.m2
+    if cells > _EXACTNESS_CELLS_MAX:
+        raise ValueError(f"level_exactness_scan: {cells} table cells (m1 * m2) are past the "
+                         f"scan's limit of {_EXACTNESS_CELLS_MAX}")
     ctx = level_context(system, j)
     m1, m2 = system.m1, system.m2
     window = system.m * ctx.sigma  # error differences allowed in [-window/2, window/2)

@@ -327,33 +327,16 @@ def _least(n: int, mod: int, a: int, b: int) -> int:
         last, mod, a, b = wraps - 1, a, -mod, b - mod
 
 
-def _floor_sum(n: int, mod: int, a: int, b: int) -> int:
-    """``sum(floor((a * i + b) / mod) for i in range(n))`` for ``n, mod >= 1``
-    and ``a, b >= 0``, in O(log mod) steps."""
-    total = 0
-    while True:
-        if a >= mod:
-            total += n * (n - 1) // 2 * (a // mod)
-            a %= mod
-        if b >= mod:
-            total += n * (b // mod)
-            b %= mod
-        top = a * n + b
-        if top < mod:
-            return total
-        n, b = divmod(top, mod)
-        mod, a = a, mod
-
-
 @dataclass(frozen=True)
 class Ladder:
     """The rungs ``|t * base|_mod``, ``t = 0..depth``, and each rung's fold
-    ``t``, held as those four numbers.  ``build`` tabulates a ladder at full
-    depth or up to ``LADDER_TABLE_MAX`` rungs (``TableLadder``); a deeper one
-    answers every query with Euclid-style recursions, in O(log mod) integer
-    steps and O(1) memory at any size: a rank is a floor sum, and the rung
-    nearest an edge on either side the least value of one walk over ``t``
-    (``_least``).  Rungs are distinct since ``depth < mod``.
+    ``t``, held as those four numbers.  Every ladder answers ``neighbours``
+    with Euclid-style walks, in O(log mod) integer steps and O(1) memory at
+    any size: the rung nearest an edge on either side is the least value of
+    one walk over ``t`` (``_least``).  ``build`` tabulates a ladder at full
+    depth or up to ``LADDER_TABLE_MAX`` rungs (``TableLadder``), which reads
+    ``nearest`` off its rungs; a deeper one answers ``nearest`` by the walks
+    too.  Rungs are distinct since ``depth < mod``.
     ``len`` is ``depth + 1``, which overflows past 2^63 rungs, so the solvers
     never take it."""
 
@@ -378,17 +361,6 @@ class Ladder:
     def fold(self, rung):
         """The ``t`` of a rung; elementwise on an integer numpy array."""
         return rung * self.inverse % self.mod
-
-    def rank(self, edge: int) -> int:
-        """The number of rungs below the integer ``edge``: the rungs at or
-        above it are counted as ``sum(floor((t base + mod - edge) / mod) -
-        floor(t base / mod))``."""
-        if edge <= 0:
-            return 0
-        if edge >= self.mod:
-            return self.depth + 1
-        n, base, mod = self.depth + 1, self.base, self.mod
-        return n - _floor_sum(n, mod, base, mod - edge) + _floor_sum(n, mod, base, 0)
 
     def _above(self, edge: int) -> int:
         """The first rung at or above ``edge >= 0``, or a number of at least
@@ -426,19 +398,11 @@ class Ladder:
 @dataclass(frozen=True)
 class TableLadder(Ladder):
     """A ladder with its sorted ``rungs``: every residue at full depth, so
-    ``range(mod)``, built in O(1) and ranked by arithmetic; otherwise a
-    sorted tuple, ranked by ``bisect``."""
+    ``range(mod)``, built in O(1); otherwise a sorted tuple.  Only
+    ``nearest`` reads them, by arithmetic on a range and by ``bisect`` on a
+    tuple; ``neighbours`` is ``Ladder``'s walk."""
 
     rungs: Sequence[int]
-
-    def rank(self, edge: int) -> int:
-        if type(self.rungs) is range:
-            return min(max(edge, 0), self.mod)
-        return bisect.bisect_left(self.rungs, edge)
-
-    def neighbours(self, edge: int) -> tuple[int, int]:
-        i = self.rank(edge)
-        return self.rungs[max(i - 1, 0)], self.rungs[min(i, self.depth)]
 
     def nearest(self, num: int, scale: int, sigma: int, left_open: bool) -> int:
         """The fold of the rung nearest ``target = num / scale`` (``scale >
@@ -448,7 +412,7 @@ class TableLadder(Ladder):
         holds no rung but this one.  An exact tie goes up only on a left-open
         window ``(t - sigma/2, t + sigma/2]`` with the two rungs ``sigma``
         apart, and down otherwise: ``LevelKernel``'s threshold rule.  This is
-        the scalar solvers' hot path, so it ranks and folds inline, one call
+        the scalar solvers' hot path, so it bisects and folds inline, one call
         per pick."""
         rungs = self.rungs
         edge = -(-num // scale)

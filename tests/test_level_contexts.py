@@ -116,7 +116,7 @@ def test_remainders_5_900_past_2_64_and_the_falsifier():
 
 @settings(max_examples=60, deadline=None)
 @given(coprime_systems(gamma_max=10**4), st.data())
-def test_range_ranks_match_tuple_ladders(system, data):
+def test_range_ladders_match_tuple_ladders(system, data):
     """Integer, rational and float observations at the top level, with the
     ladders as ranges and as tuples; remainders run from ``-2 m_i`` to
     ``3 m_i``, so windows hit, miss and clip at both ends."""
@@ -136,8 +136,6 @@ def test_range_ranks_match_tuple_ladders(system, data):
     for ladder, rungs in ((ctx.s1, as_tuples.s1), (ctx.s2, as_tuples.s2)):
         top = ladder.rungs[-1]
         edges = (-3, top // 2, top - 1, top + 2)
-        for e in (-3, -1, 0, 1, 2, top // 2, top - 1, top, top + 1, top + 3):
-            assert ladder.rank(e) == rungs.rank(e)
         for target in (Fraction(e * 4 + t, 4) for e in edges for t in range(-6, 7)):
             assert _nearest(ladder, target) == _nearest(rungs, target)
         # the midpoints num / 2 of a full ladder are ties, at edges -3 .. top + 3

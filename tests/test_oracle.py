@@ -1,8 +1,12 @@
 import contextlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -504,3 +508,70 @@ class TestExactnessScanReference:
             assert max(calls.values()) == 1
             assert sum(calls.values()) <= min(s.m1 * s.m2, scan.checked)
             assert all(0 <= a < s.m1 and 0 <= b < s.m2 for a, b in calls)
+
+
+class TestOracleLimits:
+    """Each oracle sizes its work from its arguments and refuses past a
+    module constant, naming itself, the work and the limit, before it
+    starts; the CLI exits 2 on the refusal."""
+
+    def test_fold_search_refuses_past_its_candidates(self):
+        obs = RemainderObservation(69, 240)
+        with mock.patch.object(oracle, "_FOLD_SEARCH_MAX", 1000):
+            assert exhaustive_fold_search(TABLE_SYSTEM, obs, 1000) == reference_fold_search(
+                TABLE_SYSTEM, obs, 1000)
+            with pytest.raises(ValueError, match="^exhaustive_fold_search: search bound 1001 is "
+                                                 "past the search's limit of 1000 candidates$"):
+                exhaustive_fold_search(TABLE_SYSTEM, obs, 1001)
+
+    def test_definitional_depths_refuse_past_their_rungs(self):
+        s = TwoModSystem(13, 18, 29)  # 17 + 28 rungs at most
+        with mock.patch.object(oracle, "_DEFINITIONAL_RUNGS_MAX", 45):
+            assert ladder_depths_definitional(s, 3) == (4, 3)
+        with mock.patch.object(oracle, "_DEFINITIONAL_RUNGS_MAX", 44):
+            with pytest.raises(ValueError, match="^ladder_depths_definitional: up to 45 rungs to "
+                                                 "insert is past the limit of 44$"):
+                ladder_depths_definitional(s, 3)
+
+    def test_exactness_scan_refuses_past_its_cells(self):
+        s = TwoModSystem.from_moduli(12, 18)  # 216 cells
+        with mock.patch.object(oracle, "_EXACTNESS_CELLS_MAX", 216):
+            assert level_exactness_scan(s, 1).ok
+        with mock.patch.object(oracle, "_EXACTNESS_CELLS_MAX", 215):
+            with pytest.raises(ValueError, match=r"^level_exactness_scan: 216 table cells \(m1 \* m2\) "
+                                                 "are past the scan's limit of 215$"):
+                level_exactness_scan(s, 1)
+
+    @pytest.mark.parametrize("argv, refusal", [
+        pytest.param(["reconstruct", "--moduli", "1099511627777,1099511627779", "--remainders", "5,7",
+                      "--level", "1", "--oracle"],
+                     "exhaustive_fold_search: search bound 604462909808963854794753 is past the "
+                     "search's limit of 16777216 candidates", id="reconstruct-oracle-2^40"),
+        pytest.param(["verify", "--m1", "1099511627777", "--m2", "1099511627779"],
+                     "ladder_depths_definitional: up to 2199023255554 rungs to insert is past the "
+                     "limit of 262144", id="verify-2^40"),
+        pytest.param(["verify", "--m1", "100003", "--m2", "200003", "--exhaustive"],
+                     "ladder_depths_definitional: up to 300004 rungs to insert is past the limit "
+                     "of 262144", id="verify-exhaustive-1e5"),
+        pytest.param(["verify", "--m1", "200000", "--m2", "300000", "--exhaustive"],
+                     "level_exactness_scan: 60000000000 table cells (m1 * m2) are past the scan's "
+                     "limit of 1048576", id="verify-exhaustive-m-1e5"),
+    ])
+    def test_commands_refuse_in_bounded_memory_and_time(self, argv, refusal):
+        # In a child under a 1 GB address-space limit and a 5 s wall clock:
+        # these commands once hung, or died allocating 149 GiB with exit 1.
+        child = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from robustrns.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        try:
+            done = subprocess.run([sys.executable, "-c", child, *argv], env=env, capture_output=True,
+                                  text=True, timeout=5)
+        except subprocess.TimeoutExpired:
+            pytest.fail(f"{' '.join(argv)} did not finish within 5 s")
+        assert (done.returncode, done.stderr) == (2, f"error: {refusal}\n")

@@ -1,15 +1,17 @@
 """Searched ladders: a ladder below the full-lcm level with more than
 ``two_mod.LADDER_TABLE_MAX`` rungs keeps only ``base, mod, depth, inverse``
-and answers ``rank``, ``neighbours`` and ``nearest`` by Euclid-style search.
+and answers ``neighbours`` and ``nearest`` by Euclid-style walks.  A table
+ladder, a sorted tuple or a full-depth ``range``, answers ``nearest`` from
+its rungs and ``neighbours`` by the same walks.
 
 ``ladder_reference`` keeps the tabulated ladder with bisect.  With the cap
-patched to 1 every ladder short of full depth searches, and each query must
-give what the reference gives; near 2^40 and 2^64 the reference is its old
-window search, which needs no table.  Solves, falsifiers and
-``LevelKernel``'s tables must not change when the cap is raised so that
-every ladder is a table again.  Lower levels of cofactors near 2^40 and
-2^64, whose tables would not fit in memory, must solve under a 1 GB
-address-space limit.
+patched to 1 every ladder short of full depth searches, and each query of a
+searched or a table ladder must give what the reference gives; near 2^40
+and 2^64 the reference is its old window search, which needs no table.
+Solves, falsifiers and ``LevelKernel``'s tables must not change when the
+cap is raised so that every ladder is a table again.  Lower levels of
+cofactors near 2^40 and 2^64, whose tables would not fit in memory, must
+solve under a 1 GB address-space limit.
 """
 
 import contextlib
@@ -62,13 +64,12 @@ def least_gap(base, mod, depth):
 
 
 def assert_matches_reference(ladder, base, mod, depth, sigmas):
-    """Every rank and neighbour pair at edges ``-1 .. mod + 1``, and the
+    """Every neighbour pair at edges ``-1 .. mod + 1``, and the
     nearest rung of every integer and half-integer target from ``-1`` to
     ``mod + 1`` under both tie rules and each ``sigma`` (at most the least
     gap; at the least gap, ties go up)."""
     ref = ladders.build(base, mod, depth)
     for edge in range(-1, mod + 2):
-        assert ladder.rank(edge) == ref.rank(edge), edge
         assert ladder.neighbours(edge) == ref.neighbours(edge), edge
     for num in range(-2, 2 * mod + 3):
         for sigma in sigmas:
@@ -103,15 +104,20 @@ def test_searched_ladders_match_the_reference(ladder, data):
     assert len(built) == depth + 1
     sigma = data.draw(st.sampled_from((1, least_gap(base, mod, depth))))
     assert_matches_reference(searched(base, mod, depth), base, mod, depth, (sigma,))
+    # at the default cap: a tuple up to 2^10 rungs, a range at full depth
+    assert_matches_reference(Ladder.build(base, mod, depth), base, mod, depth, (sigma,))
 
 
+@pytest.mark.parametrize("table", [False, True], ids=["searched", "table"])
 @pytest.mark.parametrize("mod", [2, 3, 7, 30, 53])
-def test_every_depth_of_small_ladders(mod):
+def test_every_depth_of_small_ladders(table, mod):
     for base in sorted({1, 2, mod - 1, mod + 1, 2 * mod + 3, 5 * mod // 3}):
         if math.gcd(base, mod) == 1:
             for depth in range(mod):
+                ladder = Ladder.build(base, mod, depth) if table else searched(base, mod, depth)
+                assert isinstance(ladder, TableLadder) == table
                 sigmas = {1, least_gap(base, mod, depth)}
-                assert_matches_reference(searched(base, mod, depth), base, mod, depth, sigmas)
+                assert_matches_reference(ladder, base, mod, depth, sigmas)
 
 
 @st.composite
