@@ -298,7 +298,8 @@ _NUMBER = (lambda v: _is_int(v) or isinstance(v, float), "a number")
 _KINDS = {"level": _INTEGER, "trials": _INTEGER, "seed": _INTEGER, "m": _NUMBER,
           "gammas": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
                      "two integers"),
-          "compare": (lambda v: isinstance(v, bool), "true or false")}
+          "compare": (lambda v: isinstance(v, bool), "true or false"),
+          "value_mode": (lambda v: v in ("integer", "real"), '"integer" or "real"')}
 
 
 def _parse_span(text, what: str, integer: bool = False) -> list:
@@ -345,8 +346,9 @@ def _load_config(args) -> dict:
     from . import simkit
     defaults = {f.name: f.default for f in fields(simkit.TrialConfig)}
     cfg.setdefault("trials", defaults["trials_per_point"])
-    for key in ("seed", "value_mode", "error_mode", "range_mode"):
+    for key in ("seed", "error_mode", "range_mode"):
         cfg.setdefault(key, defaults[key])
+    cfg.setdefault("value_mode", "integer")  # it picks the keys that build the system
     if "groups" in cfg:  # a cascade's error bounds; a two-modulus sweep names its own
         cfg.setdefault("tau", "0:25:1" if cfg.get("compare") else "0:10:1")
     modulus = _NUMBER if cfg["value_mode"] == "real" else _INTEGER
@@ -423,7 +425,7 @@ def _system(cfg: dict) -> TwoModSystem | None:
 
 def _trial_config(cfg: dict):
     """The sweep of ``cfg``; ``TrialConfig`` refuses what it cannot run, such
-    as a system next to groups, or a probe or real values on a cascade."""
+    as a system next to groups, or a probe on a cascade."""
     groups = _parse_groups(cfg["groups"]) if "groups" in cfg else None
     cascade = groups and cascade_spec(*groups, cfg.get("level", 1))
     taus = _parse_span(cfg["tau"], "tau") if "tau" in cfg else []
@@ -432,8 +434,7 @@ def _trial_config(cfg: dict):
     return simkit.TrialConfig(
         system=_system(cfg), cascade=cascade, level=cfg.get("level"),
         tau_values=tuple(taus), probe=tuple(probe), trials_per_point=cfg["trials"],
-        seed=cfg["seed"], value_mode=cfg["value_mode"], error_mode=cfg["error_mode"],
-        range_mode=cfg["range_mode"])
+        seed=cfg["seed"], error_mode=cfg["error_mode"], range_mode=cfg["range_mode"])
 
 
 # ---------------------------------------------------------------- verify
@@ -454,14 +455,6 @@ def _depth_pairs(system: TwoModSystem) -> list[tuple[tuple[int, int], tuple[int,
 
 
 def cmd_verify(args) -> int:
-    failures = 0
-
-    def report(ok: bool, text: str):
-        nonlocal failures
-        print(("PASS: " if ok else "FAIL: ") + text)
-        if not ok:
-            failures += 1
-
     if (args.m1 is None) != (args.m2 is None):
         raise UsageError("verify: give both --m1 and --m2")
     if args.m1 is None and not args.random_systems:
@@ -472,31 +465,35 @@ def cmd_verify(args) -> int:
         raise UsageError("verify: --gamma-max must be at least 3 (cofactors 2 and 3) and below "
                          "2^63 (the int64 limit of the cofactor draws)")
     from . import oracle
+    checks = []  # (ok, text), printed once every check has run, so a refusal prints nothing
     if args.m1 is not None:
         system = TwoModSystem.from_moduli(args.m1, args.m2)
         levels = sigma_chain(system).levels
         for j, (closed, definitional) in enumerate(_depth_pairs(system), 1):
-            report(closed == definitional,
-                   f"ladder depths at level {j}: closed form {closed} vs definition {definitional}")
+            checks.append((closed == definitional, f"ladder depths at level {j}: closed form "
+                           f"{closed} vs definition {definitional}"))
         if args.exhaustive:
             for j in range(1, levels + 1):
                 scan = oracle.level_exactness_scan(system, j)
-                report(scan.ok,
-                       f"exhaustive level {j}: {scan.checked} cases, "
-                       f"{scan.fold_failures} fold failures, {scan.estimate_failures} estimate failures")
+                checks.append((scan.ok, f"exhaustive level {j}: {scan.checked} cases, "
+                               f"{scan.fold_failures} fold failures, "
+                               f"{scan.estimate_failures} estimate failures"))
         if args.falsify:
             for j in range(1, levels + 1):
                 rep = oracle.falsifier_report(system, j)
                 inst = oracle.range_falsifier(system, j)
-                report(rep.agrees, f"tightness at level {j}: value {inst.value} misfolds as required")
+                checks.append((rep.agrees,
+                               f"tightness at level {j}: value {inst.value} misfolds as required"))
     if args.random_systems:
         import numpy as np
         rng = np.random.default_rng(args.seed or 0)
         for _ in range(args.random_systems):
             g1, g2 = _random_coprime_pair(rng, args.gamma_max)
             ok = all(closed == definitional for closed, definitional in _depth_pairs(TwoModSystem(1, g1, g2)))
-            report(ok, f"ladder depths agree for cofactors ({g1}, {g2})")
-    return EXIT_OK if failures == 0 else EXIT_VERIFY
+            checks.append((ok, f"ladder depths agree for cofactors ({g1}, {g2})"))
+    for ok, text in checks:
+        print(("PASS: " if ok else "FAIL: ") + text)
+    return EXIT_OK if all(ok for ok, _ in checks) else EXIT_VERIFY
 
 
 # ---------------------------------------------------------------- plane

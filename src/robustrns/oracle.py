@@ -286,6 +286,8 @@ class ExactnessScan:
 # Observations (m1 * m2 table cells) the exactness scan tabulates at most:
 # at up to 28 bytes each, 2^20 of them take about 30 MB.
 _EXACTNESS_CELLS_MAX = 1 << 20
+# Cases the exactness scan checks at most: 2^23 take about half a second.
+_EXACTNESS_CASES_MAX = 1 << 23
 
 
 def level_exactness_scan(system: TwoModSystem, j: int) -> ExactnessScan:
@@ -307,7 +309,9 @@ def level_exactness_scan(system: TwoModSystem, j: int) -> ExactnessScan:
     1 to 4 more, and everything else is O(``m1 + m2 + _CASE_BLOCK``).  Every
     value, fold and estimate stays below ``2 * lcm``, so the int64 arithmetic
     is exact; a larger system is refused, and so is one with more than
-    ``_EXACTNESS_CELLS_MAX`` observations, before any table is allocated.
+    ``_EXACTNESS_CELLS_MAX`` observations, before any table is allocated, or
+    a level with more than ``_EXACTNESS_CASES_MAX`` cases, counted before
+    any solve.
     """
     if system.is_real:
         raise ValueError("level_exactness_scan: integer systems only")
@@ -321,8 +325,13 @@ def level_exactness_scan(system: TwoModSystem, j: int) -> ExactnessScan:
     m1, m2 = system.m1, system.m2
     window = system.m * ctx.sigma  # error differences allowed in [-window/2, window/2)
     lo_diff, hi_diff = -(window // 2), (window - 1) // 2
-    reach = _reached_diagonals(m1, m2, ctx.dynamic_range, lo_diff, hi_diff)
     first, low = _diagonal_layout(m1, m2)
+    cases = sum(int(count.sum()) for *_, count in
+                _value_cases(m1, m2, ctx.dynamic_range, lo_diff, hi_diff, first))
+    if cases > _EXACTNESS_CASES_MAX:
+        raise ValueError(f"level_exactness_scan: {cases} cases at level {j} are past the "
+                         f"scan's limit of {_EXACTNESS_CASES_MAX}")
+    reach = _reached_diagonals(m1, m2, ctx.dynamic_range, lo_diff, hi_diff)
     n1, n2, est = (np.zeros(m1 * m2, dtype=np.int64) for _ in range(3))
     for d in np.flatnonzero(reach).tolist():
         a0, p0, p1 = int(low[d]), int(first[d]), int(first[d + 1])
@@ -362,6 +371,16 @@ def _diagonal_layout(m1: int, m2: int) -> tuple[np.ndarray, np.ndarray]:
     return first, low
 
 
+def _value_cases(m1: int, m2: int, limit: int, lo_diff: int, hi_diff: int, first: np.ndarray):
+    """``(v, v % m1, v % m2, start, count)`` over ``[0, limit)`` in blocks: a
+    value's cases are the ``count`` cells from position ``start`` of ``first``."""
+    width = m1 + m2 - 1
+    for v, r1, r2 in _value_blocks(m1, m2, limit):
+        own = r1 - r2 + (m2 - 1)
+        start = first[np.clip(own + lo_diff, 0, width)]
+        yield v, r1, r2, start, first[np.clip(own + hi_diff + 1, 0, width)] - start
+
+
 def _reached_diagonals(m1: int, m2: int, limit: int, lo_diff: int, hi_diff: int) -> np.ndarray:
     """Which diagonals ``a - b`` (index ``a - b + m2 - 1``) hold a case of some
     value below ``limit``: those within ``[lo_diff, hi_diff]`` of a value's own
@@ -384,13 +403,10 @@ def _count_cases(m1, m2, limit, lo_diff, hi_diff, first, low, n1, n2, est) -> tu
     # the diagonal of each position, in the smallest unsigned type that holds it
     diag_of = np.repeat(np.arange(width, dtype=np.min_scalar_type(width - 1)), np.diff(first))
     checked = fold_fail = est_fail = 0
-    for v, r1, r2 in _value_blocks(m1, m2, limit):
-        own = r1 - r2 + (m2 - 1)
-        lo = first[np.clip(own + lo_diff, 0, width)]
-        count = first[np.clip(own + hi_diff + 1, 0, width)] - lo
+    for v, r1, r2, start, count in _value_cases(m1, m2, limit, lo_diff, hi_diff, first):
         end = np.cumsum(count)
         begin = end - count
-        shift = lo - begin  # case position in the block -> cell position
+        shift = start - begin  # case position in the block -> cell position
         q1, q2 = v // m1, v // m2
         total = int(end[-1])
         checked += total

@@ -37,10 +37,10 @@ after a freed one pays for glibc trimming and re-faulting the heap top.
 
 Every integer of a sweep has one dtype, the workspace's: int32 where
 ``_trial_rows`` proves that every integer the sweep computes stays below
-``INT32_LIMIT``, int64 otherwise.  The proof is each kernel's ``reach``: from
-the moduli, the step constants and how far the noisy remainders reach (the
-values, the largest tau or the clamp), it bounds every fold, Garner
-intermediate, cross-stage fold and fallback rounding.  An int32 sweep draws
+``INT32_LIMIT``, int64 otherwise, refusing past int64.  The proof is one reach
+of the values, the moduli and each kernel's ``reach``, which bounds every fold,
+Garner intermediate, cross-stage fold and fallback rounding from the moduli,
+the step constants and the largest tau or the clamp.  An int32 sweep draws
 int32 values (the int64 draw's values and generator state) and holds its true
 folds, exact remainders, Garner steps, fold tables and cross-stage folds in
 int32, so no operation mixes int32 with int64.  Kernels called without a
@@ -54,6 +54,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -69,8 +70,7 @@ MAX_RUNGS = 1 << 22
 # sweep whose integers all stay below this bound runs in int32
 INT32_LIMIT = 1 << 31
 
-_MODES = {"value_mode": ("integer", "real"), "error_mode": ("real", "integer"),
-          "range_mode": ("allow", "clamp")}
+_MODES = {"error_mode": ("real", "integer"), "range_mode": ("allow", "clamp")}
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,6 @@ class TrialConfig:
     probe: tuple[int, ...] = ()
     trials_per_point: int = 100_000
     seed: int = 0
-    value_mode: str = "integer"
     error_mode: str = "real"
     range_mode: str = "allow"
 
@@ -102,13 +101,11 @@ class TrialConfig:
             if getattr(self, name) not in modes:
                 raise ValueError(f"TrialConfig: unknown {name} {getattr(self, name)!r}")
         if self.cascade is not None:
-            if self.value_mode == "real" or self.probe:
-                raise ValueError("TrialConfig: cascade sweeps are integer-valued, with no probe")
+            if self.probe:
+                raise ValueError("TrialConfig: cascade sweeps run with no probe")
             if self.level not in (None, self.cascade.level):
                 raise ValueError(f"TrialConfig: level {self.level} is not the cascade's level")
             object.__setattr__(self, "level", self.cascade.level)
-        elif self.system.is_real and self.value_mode == "integer":
-            raise ValueError("TrialConfig: a real-valued system needs value_mode='real'")
         elif self.level is None:
             object.__setattr__(self, "level", sigma_chain(self.system).levels)
         if self.probe and not self.tau_values:
@@ -635,50 +632,38 @@ def _remainder_spans(moduli, tau: float, range_mode: str) -> list[int]:
     return [mk + math.ceil(tau) + 1 for mk in moduli]
 
 
-def _real_fold_top(points, value_range, fmoduli) -> float:
-    """The largest fold magnitude real values reach, as a float: ``floor``
-    and the division round monotonically, so no fold passes the bound's."""
-    try:
-        top = max(float(value_range) if fixed is None else abs(float(fixed)) for _, fixed in points)
-    except OverflowError:  # a probed int past the float range
-        return math.inf
-    return top / min(fmoduli)
-
-
 def _trial_rows(config: TrialConfig, value_range, estimators, series: int,
                 kernels) -> list[list[SweepRow]]:
     """The trial loop behind every sweep: one list of rows per series.
 
     Each point draws errors on ``[-tau, tau]``; its values are a probed value
-    or uniform on ``[0, value_range)``.  Every estimator maps the same noisy
-    remainders and the true folds to ``(estimates, failures)`` of one or more
-    series, which are accumulated as they are yielded, ``series`` in all.
-    Integer values and every fold are held as int64 (or int32), so values,
-    real folds or integers the ``kernels`` reach past 2^63 are refused here
-    with a message of their own instead of numpy's.  The sweep runs in int32
-    where its values and moduli, and every integer the ``kernels`` reach on
-    its remainders, stay below ``INT32_LIMIT``."""
+    or uniform on ``[0, value_range)``, real where the system is.  Every
+    estimator maps the same noisy remainders and the true folds to
+    ``(estimates, failures)`` of one or more series, which are accumulated as
+    they are yielded, ``series`` in all.  One reach bounds every integer: the
+    integer values and moduli or the real folds, and the ``kernels``' reach.
+    Past int64 it is refused with a message of its own instead of numpy's;
+    below ``INT32_LIMIT`` an integer sweep runs in int32."""
     spec, system = config.cascade, config.system
     moduli = (system.m1, system.m2) if spec is None else spec.group1.moduli + spec.group2.moduli
     points = ([(float(config.tau_values[0]), int(value)) for value in config.probe]
               if config.probe else [(float(tau), None) for tau in config.tau_values])
-    integer = config.value_mode == "integer"
+    integer = system is None or not system.is_real
     fmoduli = [float(mk) for mk in moduli]
     lo = min(0 if fixed is None else fixed for _, fixed in points)
-    hi = max(int(value_range) if fixed is None else fixed + 1 for _, fixed in points)
-    if integer and (lo < -2**63 or hi > 2**63):
-        raise ValueError(f"integer values in [{lo}, {hi}) need more than 64 bits; "
-                         "int64 holds values in [-2^63, 2^63)")
-    if not integer and not _real_fold_top(points, value_range, fmoduli) < 2**63:
-        raise ValueError(f"real values in [{lo}, {hi}) have folds past int64 modulo "
-                         f"{min(fmoduli)}; int64 holds folds in [-2^63, 2^63)")
+    hi = max(value_range if fixed is None else fixed + 1 for _, fixed in points)
+    # int64 holds [-2^63, 2^63), so an integer value v < 0 reaches ~v; a real sweep holds
+    # only folds, and one floored after two float roundings stays below top * (1 + 2^-51)
+    top = Fraction(max(-lo, hi)) / Fraction(min(moduli))
+    reach = max(hi - 1, ~lo, *moduli) if integer else math.ceil(top + top / 2**50)
     tau = max(t for t, _ in points)
-    reach = max(kernel.reach(_remainder_spans(moduli, tau, config.range_mode))
-                for kernel in kernels)
+    spans = _remainder_spans(moduli, tau, config.range_mode)
+    reach = max(reach, *(kernel.reach(spans) for kernel in kernels))
     if reach >= 2**63:
-        raise ValueError(f"{config.value_mode} values with errors up to tau {tau} take folds "
-                         "past int64; int64 holds folds in [-2^63, 2^63)")
-    narrow = integer and -INT32_LIMIT <= lo and max(hi - 1, *moduli, reach) < INT32_LIMIT
+        raise ValueError(f"{'integer' if integer else 'real'} values in [{lo}, {hi}) with errors "
+                         f"up to tau {tau} reach integers of 2^{int(reach).bit_length() - 1} or "
+                         "more; a sweep holds its integers in int64, within [-2^63, 2^63)")
+    narrow = integer and reach < INT32_LIMIT
     rows = [[] for _ in range(series)]
     workspace = _Workspace(min(CHUNK, config.trials_per_point), len(moduli),
                            np.int32 if narrow else np.int64)

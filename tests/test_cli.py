@@ -261,14 +261,18 @@ class TestSimulate:
     def test_sweeps_past_int64_are_a_usage_error(self, capsys, system):
         code, out, err = run_cli(capsys, "simulate", *system, "--tau", "1e300", "--trials", "10")
         assert code == EXIT_USAGE and out == ""
-        assert "take folds past int64" in err and "Traceback" not in err
+        assert err.startswith("error: integer values in [0, ")
+        assert " with errors up to tau 1e+300 reach integers of 2^" in err
+        assert "a sweep holds its integers in int64" in err and "Traceback" not in err
 
     def test_real_config_past_int64_is_a_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "real.json"
         cfg.write_text(json.dumps({**_REAL, "level": 3, "tau": [1e300]}))
         code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
         assert code == EXIT_USAGE and out == ""
-        assert "real values with errors up to tau 1e+300 take folds past int64" in err
+        assert err.startswith("error: real values in [0, ")
+        assert " with errors up to tau 1e+300 reach integers of 2^" in err
+        assert "a sweep holds its integers in int64" in err
         assert "Traceback" not in err
 
     def test_row_count_and_header(self, capsys):
@@ -349,7 +353,10 @@ class TestSimulate:
                                  "--tau", "0", "--trials", "1000", "--seed", "0")
         assert code == EXIT_USAGE
         assert out == ""
-        assert "more than 64 bits" in err and "out of bounds" not in err
+        assert err.startswith("error: integer values in [0, 1127025806749466624000) with errors up "
+                              "to tau 0.0 reach integers of 2^69 or more; a sweep holds its "
+                              "integers in int64")
+        assert "out of bounds" not in err
 
     @pytest.mark.parametrize("tau, error_mode", [("1e308", "real"), ("1e300", "integer")])
     def test_tau_past_the_generator_is_a_usage_error(self, capsys, tau, error_mode):
@@ -367,7 +374,9 @@ class TestSimulate:
                                  "--probe-boundary", f"{big}:{big + 1}", "--trials", "10")
         assert code == EXIT_USAGE
         assert out == ""
-        assert "more than 64 bits" in err and "Traceback" not in err
+        assert err.startswith(f"error: integer values in [{big}, {big + 2}) with errors up to tau "
+                              "35.75 reach integers of 2^64 or more")
+        assert "Traceback" not in err
 
     def test_real_config_needs_only_m_and_gammas(self, capsys, tmp_path):
         real = {"value_mode": "real", "m": 2.5, "gammas": [18, 29], "level": 3,
@@ -429,6 +438,7 @@ class TestSimulate:
         ({**_CASCADE, "compare": "no"}, "compare"),
         ({**_REAL, "gammas": [18, 29.0]}, "gammas"),
         ({**_REAL, "m": "2.5"}, "m"),
+        ({**_INTEGER, "value_mode": "decimal"}, "value_mode"),
     ])
     def test_config_values_of_the_wrong_type_are_refused(self, capsys, tmp_path, raw, name):
         cfg = tmp_path / "cfg.json"

@@ -542,6 +542,19 @@ class TestOracleLimits:
                                                  "are past the scan's limit of 215$"):
                 level_exactness_scan(s, 1)
 
+    def test_exactness_scan_refuses_past_its_cases(self):
+        s = TwoModSystem.from_moduli(12, 18)  # 2,052 cases at level 1
+        with mock.patch.object(oracle, "_EXACTNESS_CASES_MAX", 2052):
+            assert level_exactness_scan(s, 1).checked == 2052
+
+        def solve(ctx, obs):
+            raise AssertionError("a refused scan solves nothing")
+
+        with mock.patch.object(oracle, "_EXACTNESS_CASES_MAX", 2051), _patched_solver(solve):
+            with pytest.raises(ValueError, match="^level_exactness_scan: 2052 cases at level 1 are "
+                                                 "past the scan's limit of 2051$"):
+                level_exactness_scan(s, 1)
+
     @pytest.mark.parametrize("argv, refusal", [
         pytest.param(["reconstruct", "--moduli", "1099511627777,1099511627779", "--remainders", "5,7",
                       "--level", "1", "--oracle"],
@@ -556,6 +569,15 @@ class TestOracleLimits:
         pytest.param(["verify", "--m1", "200000", "--m2", "300000", "--exhaustive"],
                      "level_exactness_scan: 60000000000 table cells (m1 * m2) are past the scan's "
                      "limit of 1048576", id="verify-exhaustive-m-1e5"),
+        # under the cell limit, but 667,667,000 cases took 32-40 s
+        pytest.param(["verify", "--m1", "1000", "--m2", "1001", "--exhaustive"],
+                     "level_exactness_scan: 667667000 cases at level 1 are past the scan's limit "
+                     "of 8388608", id="verify-exhaustive-1e3"),
+        # the checks on (1000, 1001) pass; a random system past the rung limit refuses
+        pytest.param(["verify", "--m1", "1000", "--m2", "1001", "--falsify", "--random-systems", "2",
+                      "--gamma-max", "400000", "--seed", "1"],
+                     "ladder_depths_definitional: up to 697214 rungs to insert is past the limit "
+                     "of 262144", id="verify-falsify-random-4e5"),
     ])
     def test_commands_refuse_in_bounded_memory_and_time(self, argv, refusal):
         # In a child under a 1 GB address-space limit and a 5 s wall clock:
@@ -574,4 +596,4 @@ class TestOracleLimits:
                                   text=True, timeout=5)
         except subprocess.TimeoutExpired:
             pytest.fail(f"{' '.join(argv)} did not finish within 5 s")
-        assert (done.returncode, done.stderr) == (2, f"error: {refusal}\n")
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {refusal}\n")

@@ -26,6 +26,10 @@ from robustrns.two_mod import (
     solve_level,
 )
 
+# the refusal of a sweep whose integers reach past int64, by value kind and tau
+PAST_INT64 = (r"^{kind} values in \[.+, .+\) with errors up to tau {tau} reach integers of "
+              r"2\^\d+ or more; a sweep holds its integers in int64, within \[-2\^63, 2\^63\)$")
+
 
 @pytest.fixture(scope="module")
 def system():
@@ -217,7 +221,7 @@ class TestSweeps:
     def test_real_value_mode(self):
         system = TwoModSystem.real(2.5, 18, 29)
         cfg = TrialConfig(system=system, level=3, tau_values=(2.0,),
-                          trials_per_point=20_000, seed=21, value_mode="real")
+                          trials_per_point=20_000, seed=21)
         row = run_tau_sweep(cfg).rows[0]
         assert row.failure_rate == 0.0
         assert row.mean_abs_error <= 2.0
@@ -296,7 +300,7 @@ class TestComparison:
 class TestConfigValidation:
     def test_bad_modes(self, system):
         with pytest.raises(ValueError):
-            TrialConfig(system=system, tau_values=(1.0,), value_mode="decimal")
+            TrialConfig(system=system, tau_values=(1.0,), error_mode="decimal")
         with pytest.raises(ValueError):
             TrialConfig(system=system, tau_values=(-1.0,))
         with pytest.raises(ValueError):
@@ -360,39 +364,38 @@ class TestConfigValidation:
 
     def test_real_system_needs_real_values(self):
         real = TwoModSystem.real(2.5, 18, 29)
-        with pytest.raises(ValueError, match="value_mode='real'"):
-            TrialConfig(system=real, level=3, tau_values=(0.0,))
-        cfg = TrialConfig(system=real, level=3, tau_values=(0.0,), trials_per_point=5000,
-                          value_mode="real")
+        cfg = TrialConfig(system=real, level=3, tau_values=(0.0,), trials_per_point=5000)
         assert run_tau_sweep(cfg).rows[0].mean_abs_error < 1e-9
 
     def test_integer_ranges_past_int64_are_refused(self):
         wide = TwoModSystem(2**50, 1000, 1001)
         LevelKernel(TwoModSystem(2**40 + 7, 1000, 1001), 1)  # a 60-bit lcm still builds
-        with pytest.raises(ValueError, match="more than 64 bits"):
+        with pytest.raises(ValueError, match=PAST_INT64.format(kind="integer", tau=r"0\.0")):
             run_tau_sweep(TrialConfig(system=wide, level=1, tau_values=(0.0,), trials_per_point=10))
         m = 2**58
         spec = cascade_spec([2 * m, 5 * m], [3 * m, 7 * m], 1)
-        with pytest.raises(ValueError, match="more than 64 bits"):
+        with pytest.raises(ValueError, match=PAST_INT64.format(kind="integer", tau=r"0\.0")):
             run_tau_sweep(TrialConfig(cascade=spec, level=1, tau_values=(0.0,), trials_per_point=10))
-        with pytest.raises(ValueError, match="more than 64 bits"):
+        with pytest.raises(ValueError, match=PAST_INT64.format(kind="integer", tau=r"0\.0")):
             run_comparison(TrialConfig(cascade=spec, tau_values=(0.0,), trials_per_point=10))
 
     def test_probe_values_past_int64_are_refused(self, system):
         edge = TrialConfig(system=system, level=1, probe=(2**63 - 1,), trials_per_point=10)
         assert run_tau_sweep(edge).rows[0].trials == 10
         for value in (2**63, 20_000_000_000_000_000_000, -2**63 - 1):
-            with pytest.raises(ValueError, match="more than 64 bits"):
+            with pytest.raises(ValueError, match=PAST_INT64.format(kind="integer", tau=".*")):
                 run_tau_sweep(TrialConfig(system=system, level=1, probe=(0, value),
                                           trials_per_point=10))
 
     def test_real_folds_past_int64_are_refused(self):
         real = TwoModSystem.real(2.5, 18, 29)  # smallest modulus 45
-        edge = TrialConfig(system=real, level=3, probe=(4 * 10**20,), trials_per_point=10,
-                           value_mode="real")
+        edge = TrialConfig(system=real, level=3, probe=(4 * 10**20,), trials_per_point=10)
         assert run_tau_sweep(edge).rows[0].trials == 10  # folds near 8.9e18 still fit
+        wide = TwoModSystem.real(1e300, 18, 29)  # moduli past int64, but folds below 29
+        row = run_tau_sweep(TrialConfig(system=wide, level=3, tau_values=(1.0,),
+                                        trials_per_point=10)).rows[0]
+        assert row.failure_rate == 0.0
         for value in (10**21, -10**21, 10**400):
-            with pytest.raises(ValueError, match=r"^real values in \[.*\) have folds past int64 "
-                                                 r"modulo 45\.0; int64 holds folds"):
+            with pytest.raises(ValueError, match=PAST_INT64.format(kind="real", tau=".*")):
                 run_tau_sweep(TrialConfig(system=real, level=3, probe=(value,),
-                                          trials_per_point=10, value_mode="real"))
+                                          trials_per_point=10))

@@ -55,7 +55,7 @@ def chunk_peaks(monkeypatch, config, run=run_tau_sweep):
     (TrialConfig(system=SYSTEM, level=3, tau_values=(5.0, 40.0), trials_per_point=2 * CHUNK,
                  seed=1), run_tau_sweep),
     (TrialConfig(system=TwoModSystem.real(2.5, 18, 29), level=3, tau_values=(0.5, 4.0),
-                 trials_per_point=2 * CHUNK, seed=2, value_mode="real"), run_tau_sweep),
+                 trials_per_point=2 * CHUNK, seed=2), run_tau_sweep),
     (TrialConfig(system=SYSTEM, level=1, probe=(466, 467), trials_per_point=2 * CHUNK, seed=3),
      run_tau_sweep),
     (TrialConfig(cascade=SPEC, tau_values=(5.0, 40.0), trials_per_point=2 * CHUNK, seed=4),
@@ -256,7 +256,7 @@ def test_cascades_pick_int32_below_the_bound(monkeypatch, config, run):
     (cascade([0, COMPARE_LIMIT + 1]), run_comparison),
     (cascade([1e9]), run_comparison),
     (TrialConfig(system=TwoModSystem.real(2.5, 18, 29), level=3, tau_values=(0.5,),
-                 trials_per_point=500, seed=2, value_mode="real"), run_tau_sweep),
+                 trials_per_point=500, seed=2), run_tau_sweep),
 ], ids=["sweep_past_limit", "compare_past_limit", "compare_tau_1e9", "real_values"])
 def test_cascades_past_the_bound_and_real_values_pick_int64(monkeypatch, config, run):
     result, dtype = rows_and_fold_dtype(monkeypatch, config, run)
@@ -269,16 +269,15 @@ def test_cascades_past_the_bound_and_real_values_pick_int64(monkeypatch, config,
     (cascade([1e300]), run_comparison, "integer"),
     (TrialConfig(system=SYSTEM, level=3, tau_values=(1e300,), trials_per_point=10),
      run_tau_sweep, "integer"),
-    (TrialConfig(system=SYSTEM, level=3, tau_values=(1e300,), trials_per_point=10,
-                 value_mode="real"), run_tau_sweep, "real"),
-    (TrialConfig(system=REAL, level=3, tau_values=(1e300,), trials_per_point=10,
-                 value_mode="real"), run_tau_sweep, "real"),
-], ids=["cascade_sweep", "compare", "two_modulus_sweep", "real_values", "real_system"])
+    (TrialConfig(system=REAL, level=3, tau_values=(1e300,), trials_per_point=10),
+     run_tau_sweep, "real"),
+], ids=["cascade_sweep", "compare", "two_modulus_sweep", "real_system"])
 def test_sweeps_whose_kernels_pass_int64_are_refused(config, run, kind):
     # in int64 the float-to-int casts of such folds yielded garbage rows
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=rf"^{kind} values with errors up to tau 1e\+300 "
-                                             r"take folds past int64; int64 holds folds"):
+        with pytest.raises(ValueError, match=rf"^{kind} values in \[0, .*\) with errors up to "
+                                             r"tau 1e\+300 reach integers of 2\^\d+ or more; "
+                                             r"a sweep holds its integers in int64"):
             run(config)
 

@@ -20,8 +20,10 @@ def random_system(rng, gamma_max=120, m_max=20) -> TwoModSystem:
 
 def int32_tau_limit(kernels, moduli, range_mode="allow", top=2**50):
     """The largest integer tau at which every kernel's ``reach`` stays below
-    ``simkit.INT32_LIMIT``, as ``simkit._trial_rows`` bounds a sweep (``top``
-    when even that tau fits, -1 when none does)."""
+    ``simkit.INT32_LIMIT`` (``top`` when even that tau fits, -1 when none
+    does).  ``simkit._trial_rows`` joins these reaches with the values' and
+    the moduli's into one reach, so an integer sweep at this tau runs in
+    int32 where its values and moduli stay below the limit too."""
     from robustrns import simkit
 
     def fits(tau):
