@@ -6,10 +6,13 @@ from __future__ import annotations
 import math
 from dataclasses import fields
 from fractions import Fraction
+from operator import itemgetter
 
 # Per-system caches (ladder contexts, chains, CRT steps) are bounded so a
 # long-lived process does not grow without limit over many systems.
 _CACHE_SIZE = 256
+# common_denominator's all-int and all-float tests, and a ratio's denominator
+_INT, _FLOAT, _DEN = frozenset([int]), frozenset([float]), itemgetter(1)
 
 
 def mod_inverse(a: int, n: int) -> int:
@@ -58,10 +61,20 @@ def common_denominator(values, caller: str) -> tuple[tuple[int, ...], int]:
     own ratio; a float gives its exact binary value ``p / 2^k``
     (``float.as_integer_ratio``), so every input is taken at the value it
     holds.  A NaN or an infinity raises ``ValueError``, and so does anything
-    else, with a message that names ``caller``.
+    else, with a message that names ``caller``.  All ints are their own
+    numerators over 1; all floats have powers of two for denominators, so
+    their common denominator is the largest of them.
     """
-    if all(type(v) is int for v in values):
+    if _INT.issuperset(map(type, values)):
         return tuple(values), 1
+    if _FLOAT.issuperset(map(type, values)):
+        try:
+            ratios = list(map(float.as_integer_ratio, values))
+        except (ValueError, OverflowError):
+            pass  # the loop below names the NaN or infinity
+        else:
+            den = max(map(_DEN, ratios))
+            return tuple([n * (den // d) for n, d in ratios]), den
     ratios = []
     for v in values:
         try:
@@ -101,21 +114,12 @@ def _set_state(record, state: dict) -> None:
 
 
 def _solver_record(cls):
-    """Class decorator for a frozen dataclass with a ``mean`` field that
-    ``_record`` may defer: installs ``_ExactMean`` and pickles (and copies)
-    exactly the public fields, with the mean resolved."""
+    """Class decorator for a frozen dataclass with a ``mean`` field that a
+    solver may defer: installs ``_ExactMean`` and pickles (and copies)
+    exactly the public fields, with the mean resolved.  A solver fills an
+    ``object.__new__(cls)``'s ``__dict__`` in place, in field order, with a
+    float ``mean`` or the unreduced exact ratio ``(num, den)`` as ``_mean_ratio``."""
     cls.mean = _ExactMean()
     cls.__getstate__ = _public_state
     cls.__setstate__ = _set_state
     return cls
-
-
-def _record(cls, values: dict, mean):
-    """A ``_solver_record`` instance holding ``values`` and ``mean``, built in
-    one step instead of one frozen ``__setattr__`` per field.  ``mean`` is a
-    float, kept as is, or the exact ratio ``(num, den)``, left unreduced until
-    something reads it."""
-    values["_mean_ratio" if type(mean) is tuple else "mean"] = mean
-    record = object.__new__(cls)
-    object.__setattr__(record, "__dict__", values)
-    return record

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import mul
 
-from .modmath import (_CACHE_SIZE, _checked_moduli, _record, _solver_record, common_denominator,
-                      mod_inverse, round_div)
+from .modmath import _CACHE_SIZE, _checked_moduli, _solver_record, common_denominator, mod_inverse
 from .two_mod import TwoModSystem, _exact_folds, level_context, sigma_chain
 
 
@@ -94,14 +94,15 @@ def _garner_folds(xis, gammas) -> tuple[int, ...] | None:
         return None
     g1 = gammas[0]
     # exact divisions: n1 * g1 == xi (mod g_k) by construction
-    return (n1, *((n1 * g1 - xi) // gk for xi, gk in zip(xis, gammas[1:])))
+    return (n1, *[(n1 * g1 - xi) // gk for xi, gk in zip(xis, gammas[1:])])
 
 
 def _xis(m, scaled) -> list[int]:
     """Rounded scaled differences ``xi_k = [(r_k - r_1) / m]`` of the remainders
     in their common-denominator form ``scaled``."""
     nums, den = scaled
-    return [round_div(a - nums[0], m * den) for a in nums[1:]]
+    shift, step = m * den - 2 * nums[0], 2 * m * den
+    return [(2 * a + shift) // step for a in nums[1:]]
 
 
 def _average(groups, scaled):
@@ -111,11 +112,12 @@ def _average(groups, scaled):
     when any remainder is a float, and the unreduced ratio ``(num, den)``
     otherwise."""
     nums, den = scaled
-    total = sum(n * mk for folds, moduli, _ in groups for n, mk in zip(folds, moduli)) * den
-    total += sum(nums)
+    total = sum(nums)
+    for folds, moduli, _ in groups:
+        total += sum(map(mul, folds, moduli)) * den
     den *= len(nums)
-    as_float = any(isinstance(r, float) for _, _, rs in groups for r in rs)
-    return round_div(total, den), total / den if as_float else (total, den)
+    as_float = any([isinstance(r, float) for _, _, rs in groups for r in rs])
+    return (2 * total + den) // (2 * den), total / den if as_float else (total, den)
 
 
 def single_stage_robust_crt(group: ModuliGroup, remainders) -> tuple[tuple[int, ...], int, Fraction | float]:
@@ -177,10 +179,13 @@ def general_robust_crt(moduli, remainders) -> GeneralCrtSolution:
     if len(ms) < 2 or len(rs) != len(ms):
         raise ValueError("general_robust_crt: need matching moduli/remainders, at least two")
     m = math.gcd(*_checked_moduli("general_robust_crt", ms))
-    folds, estimate, mean, consistent = _single_stage(ms, m, tuple(mi // m for mi in ms), rs,
+    folds, estimate, mean, consistent = _single_stage(ms, m, tuple([mi // m for mi in ms]), rs,
                                                     "general_robust_crt")
-    return _record(GeneralCrtSolution,
-                   {"folds": folds, "estimate": estimate, "consistent": consistent}, mean)
+    record = object.__new__(GeneralCrtSolution)  # filled in place, as _solver_record says
+    state = record.__dict__
+    state.update(folds=folds, estimate=estimate, consistent=consistent)
+    state["_mean_ratio" if type(mean) is tuple else "mean"] = mean
+    return record
 
 
 @dataclass(frozen=True)
@@ -248,16 +253,17 @@ def cascade_reconstruct(spec: CascadeSpec, remainders1, remainders2) -> CascadeS
         l1, l2 = _exact_folds(ctx, est1 - est2, spec.cross.m)
     else:
         l2, l1 = _exact_folds(ctx, est2 - est1, spec.cross.m)
-    foldings1 = tuple(l1 * (spec.group1.eta // mk) + hk for mk, hk in zip(spec.group1.moduli, h1))
-    foldings2 = tuple(l2 * (spec.group2.eta // mk) + hk for mk, hk in zip(spec.group2.moduli, h2))
-    estimate, mean = _average(
-        [(foldings1, spec.group1.moduli, rs1), (foldings2, spec.group2.moduli, rs2)],
-        common_denominator(rs1 + rs2, "cascade_reconstruct"),
-    )
-    return _record(CascadeSolution, {
-        "h1": h1, "h2": h2, "l1": l1, "l2": l2, "group_estimates": (est1, est2),
-        "foldings1": foldings1, "foldings2": foldings2, "estimate": estimate,
-    }, mean)
+    group1, group2 = spec.group1, spec.group2
+    foldings1 = tuple([l1 * (group1.eta // mk) + hk for mk, hk in zip(group1.moduli, h1)])
+    foldings2 = tuple([l2 * (group2.eta // mk) + hk for mk, hk in zip(group2.moduli, h2)])
+    estimate, mean = _average([(foldings1, group1.moduli, rs1), (foldings2, group2.moduli, rs2)],
+                              common_denominator(rs1 + rs2, "cascade_reconstruct"))
+    record = object.__new__(CascadeSolution)  # filled in place, as _solver_record says
+    state = record.__dict__
+    state.update(h1=h1, h2=h2, l1=l1, l2=l2, group_estimates=(est1, est2),
+                 foldings1=foldings1, foldings2=foldings2, estimate=estimate)
+    state["_mean_ratio" if type(mean) is tuple else "mean"] = mean
+    return record
 
 
 def cascade_bounds(spec: CascadeSpec) -> tuple[int, Fraction]:

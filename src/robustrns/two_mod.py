@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .modmath import (_CACHE_SIZE, _checked_moduli, _record, _solver_record, common_denominator,
+from .modmath import (_CACHE_SIZE, _checked_moduli, _solver_record, common_denominator,
                       mod_inverse, round_div)
 
 
@@ -100,10 +100,14 @@ class TwoModSystem:
 
     def _times(self, k: int) -> int | float:
         """``m * k`` for an integer ``k``; in real-scalar mode the exact
-        product of ``m``'s binary value and ``k``, rounded to a float once."""
+        product of ``m``'s binary value and ``k``, rounded to a float once;
+        a product past the float range is refused with a ``ValueError``."""
         if self.is_real:
             p, q = self.m.as_integer_ratio()
-            return p * k / q
+            try:
+                return p * k / q
+            except OverflowError:
+                raise ValueError(f"{self!r}: m * {k} is past the float range") from None
         return self.m * k
 
     @property
@@ -457,16 +461,20 @@ def _exact_parts(system: TwoModSystem, obs: RemainderObservation, caller: str):
     return a1, a2, mn, den, system.is_real or isinstance(r1, float) or isinstance(r2, float)
 
 
-def _solution(system: TwoModSystem, n1: int, n2: int, obs: RemainderObservation, exact) -> FoldingSolution:
+def _solution(system: TwoModSystem, n1: int, n2: int, exact) -> FoldingSolution:
     """Folds plus the averaged reconstruction ``(n1 m1 + r1 + n2 m2 + r2) / 2``,
     exact from ``exact``, what ``_exact_parts`` returns.  A real system or a
     float remainder gets the exact mean rounded to a float, which is also the
     estimate in real mode; otherwise the mean stays the exact ratio."""
     a1, a2, mn, den, as_float = exact
     total = (n1 * system.gamma1 + n2 * system.gamma2) * mn + a1 + a2
+    record = object.__new__(FoldingSolution)  # filled in place, as _solver_record says
+    state = record.__dict__
     mean = total / (2 * den) if as_float else (total, 2 * den)
-    estimate = mean if as_float and system.is_real else round_div(total, 2 * den)
-    return _record(FoldingSolution, {"n1": n1, "n2": n2, "estimate": estimate}, mean)
+    state["n1"], state["n2"] = n1, n2
+    state["estimate"] = mean if as_float and system.is_real else (total + den) // (2 * den)
+    state["mean" if as_float else "_mean_ratio"] = mean
+    return record
 
 
 def solve_basic(system: TwoModSystem, obs: RemainderObservation) -> FoldingSolution:
@@ -490,7 +498,7 @@ def solve_basic(system: TwoModSystem, obs: RemainderObservation) -> FoldingSolut
         if beta * scale <= 2 * wrap < (2 * top - beta) * scale:
             n2 = round_div(wrap, beta * scale)
     n1 = round_div(n2 * system.gamma2 * scale - num, g1 * scale)
-    return _solution(system, n1, n2, obs, exact)
+    return _solution(system, n1, n2, exact)
 
 
 def solve_level(system: TwoModSystem, obs: RemainderObservation, j: int) -> FoldingSolution:
@@ -506,10 +514,21 @@ def solve_level(system: TwoModSystem, obs: RemainderObservation, j: int) -> Fold
 
 def solve_with_context(ctx: LevelContext, obs: RemainderObservation,
                        _caller: str = "solve_with_context") -> FoldingSolution:
-    exact = _exact_parts(ctx.system, obs, _caller)
-    a1, a2, scale, _, _ = exact
-    n1, n2 = _exact_folds(ctx, a1 - a2, scale)
-    return _solution(ctx.system, n1, n2, obs, exact)
+    """``solve_level`` on a built context.  Int remainders on an integer
+    system, the hot case, skip ``_exact_parts`` and ``_solution``."""
+    system = ctx.system
+    r1, r2, m = obs.r1, obs.r2, system.m
+    if type(r1) is int and type(r2) is int and type(m) is int:
+        n1, n2 = _exact_folds(ctx, r1 - r2, m)
+        total = (n1 * system.gamma1 + n2 * system.gamma2) * m + r1 + r2
+        record = object.__new__(FoldingSolution)
+        state = record.__dict__
+        state["n1"], state["n2"], state["estimate"] = n1, n2, (total + 1) // 2
+        state["_mean_ratio"] = (total, 2)
+        return record
+    exact = _exact_parts(system, obs, _caller)
+    n1, n2 = _exact_folds(ctx, exact[0] - exact[1], exact[2])
+    return _solution(system, n1, n2, exact)
 
 
 def _exact_folds(ctx: LevelContext, num: int, scale: int) -> tuple[int, int]:
@@ -517,11 +536,11 @@ def _exact_folds(ctx: LevelContext, num: int, scale: int) -> tuple[int, int]:
     ``q = (r1 - r2) / m = num / scale`` (``scale > 0``)."""
     system, sigma = ctx.system, ctx.sigma
     if 2 * num >= sigma * scale:
-        n2 = ctx.s2.nearest(num, scale, sigma, left_open=True)
-        return round_div(n2 * system.gamma2 * scale - num, system.gamma1 * scale), n2
+        n2, den = ctx.s2.nearest(num, scale, sigma, True), system.gamma1 * scale
+        return (2 * (n2 * system.gamma2 * scale - num) + den) // (2 * den), n2
     if 2 * num < -sigma * scale:
-        n1 = ctx.s1.nearest(-num, scale, sigma, left_open=False)
-        return n1, round_div(n1 * system.gamma1 * scale + num, system.gamma2 * scale)
+        n1, den = ctx.s1.nearest(-num, scale, sigma, False), system.gamma2 * scale
+        return n1, (2 * (n1 * system.gamma1 * scale + num) + den) // (2 * den)
     return 0, 0
 
 

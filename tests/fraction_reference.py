@@ -7,7 +7,8 @@ comparison is made on rationals.  The property tests in
 results field by field.  Ladders and levels come from the package's
 ``level_context``, whose data the rewrite did not touch, and their sorted
 rungs from ``ladder_reference``; the rung-to-fold inverses and the rounding
-are computed here.
+are computed here.  A ladder too deep to list (``LISTED_DEPTH_MAX``) picks
+its rung by ``ladder_reference.SearchedLadder``, the old window search.
 """
 
 from __future__ import annotations
@@ -78,17 +79,29 @@ def _window_pick(elements, target, half, left_open: bool) -> int:
     return lo if target - lo <= hi - target else hi
 
 
+LISTED_DEPTH_MAX = 1 << 20
+
+
+def _picked_fold(ladder, target, sigma, left_open: bool) -> int:
+    """The fold of the rung the window of width ``sigma`` around ``target``
+    picks, or the nearest rung's when the window holds none."""
+    if ladder.depth > LISTED_DEPTH_MAX:
+        target = Fraction(target)
+        searched = ladders.SearchedLadder(ladder.base, ladder.mod, ladder.depth, ladder.inverse)
+        return searched.nearest(target.numerator, target.denominator, sigma, left_open)
+    rung = _window_pick(ladders.rungs(ladder), target, Fraction(sigma, 2), left_open)
+    return rung * pow(ladder.base, -1, ladder.mod) % ladder.mod
+
+
 def solve_with_context(ctx, obs) -> FoldingSolution:
     system = ctx.system
     q = _q21(system, obs)
     half = Fraction(ctx.sigma, 2)
     if q >= half:
-        s2 = _window_pick(ladders.rungs(ctx.s2), q, half, left_open=True)
-        n2 = s2 * pow(system.gamma2, -1, system.gamma1) % system.gamma1
+        n2 = _picked_fold(ctx.s2, q, ctx.sigma, left_open=True)
         n1 = round_half_up(as_exact_ratio(n2 * system.m2 + obs.r2 - obs.r1, system.m1))
     elif q < -half:
-        s1 = _window_pick(ladders.rungs(ctx.s1), -q, half, left_open=False)
-        n1 = s1 * pow(system.gamma1, -1, system.gamma2) % system.gamma2
+        n1 = _picked_fold(ctx.s1, -q, ctx.sigma, left_open=False)
         n2 = round_half_up(as_exact_ratio(n1 * system.m1 + obs.r1 - obs.r2, system.m2))
     else:
         n1 = n2 = 0

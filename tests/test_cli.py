@@ -8,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from robustrns import cli
 from robustrns.cli import EXIT_OK, EXIT_ORACLE, EXIT_USAGE, _parse_span, _sweep_csv, fmt, main
 from robustrns.simkit import TrialConfig, run_tau_sweep
 from robustrns.two_mod import TwoModSystem, level_table
+from tests_util import run_cli_bounded
 
 
 def run_cli(capsys, *argv):
@@ -274,6 +276,15 @@ class TestSimulate:
         assert " with errors up to tau 1e+300 reach integers of 2^" in err
         assert "a sweep holds its integers in int64" in err
         assert "Traceback" not in err
+
+    def test_real_config_past_the_float_range_is_a_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "real.json"
+        cfg.write_text(json.dumps({"value_mode": "real", "m": 1e307, "gammas": [18, 29],
+                                   "level": 3, "tau": [1.0]}))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == ("error: TwoModSystem(m=1e+307, gamma1=18, gamma2=29): m * 90 is past "
+                       "the float range\n")
 
     def test_row_count_and_header(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--m1", "234", "--m2", "377",
@@ -667,6 +678,18 @@ class TestPlane:
     def test_max_validation(self, capsys):
         assert run_cli(capsys, "plane", "--m1", "24", "--m2", "38",
                        "--max", "457")[0] == EXIT_USAGE
+
+    def test_rows_past_the_limit_are_refused_before_any_is_built(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_PLANE_ROWS_MAX", 76)
+        assert run_cli(capsys, "plane", "--m1", "24", "--m2", "38", "--max", "76")[0] == EXIT_OK
+        assert run_cli(capsys, "plane", "--m1", "24", "--m2", "38", "--max", "77") == (
+            EXIT_USAGE, "", "error: plane: --max 77 rows are past the limit of 76\n")
+
+    def test_2_40_moduli_refuse_in_bounded_memory_and_time(self):
+        # 10^11 rows once died with a MemoryError under a 1 GB address space
+        argv = ["plane", "--m1", "1099511627777", "--m2", "1099511627779", "--max", "100000000000"]
+        assert run_cli_bounded(argv) == (
+            EXIT_USAGE, "", "error: plane: --max 100000000000 rows are past the limit of 1048576\n")
 
 
 _RECONSTRUCT = ["reconstruct", "--moduli", "234,377", "--remainders", "69,240", "--level", "3"]

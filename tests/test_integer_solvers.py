@@ -12,6 +12,7 @@ reference mean rounded to a float.
 
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -28,11 +29,13 @@ from robustrns.multi_mod import (
     single_stage_robust_crt,
 )
 from robustrns.two_mod import (
+    Ladder,
     RemainderObservation,
     TwoModSystem,
     level_context,
     sigma_chain,
     solve_basic,
+    solve_level,
     solve_level_real,
     solve_with_context,
 )
@@ -376,3 +379,116 @@ def test_real_mode_mean_is_the_correctly_rounded_exact_mean():
         exact = (Fraction(r1) + Fraction(r2) + (sol.n1 * system.gamma1 + sol.n2 * system.gamma2) * m) / 2
         misses += type(sol.mean) is not float or sol.mean != float(exact) or sol.estimate != sol.mean
     assert misses == 0
+
+
+def same_record(new, old, float_mean=False):
+    """Every field of ``new`` equal to ``old``'s, the estimate and the mean
+    of ``old``'s types, and ``vars(new)`` in field order with the mean last,
+    under ``_mean_ratio`` while an exact mean is unread.  With ``float_mean``
+    the reference ran on exact values and the mean must be its mean rounded
+    to a float."""
+    names = [f.name for f in dataclasses.fields(old)]
+    assert list(vars(new)) in (names, [*names[:-1], "_mean_ratio"])
+    assert [getattr(new, name) for name in names[:-1]] == [getattr(old, name) for name in names[:-1]]
+    assert type(new.estimate) is type(old.estimate)
+    want = float(old.mean) if float_mean else old.mean
+    assert new.mean == want and type(new.mean) is type(want)
+    assert [key for key in vars(new) if key != "_mean_ratio"] == names
+
+
+# int-valued remainders of other types: each leaves the int shortcut of
+# solve_with_context for the general exact path, with the same answer
+INT_LIKE = {"int64": np.int64, "Fraction": lambda k: Fraction(k, 1), "float": float}
+
+
+@SETTINGS
+@given(level_cases(), st.sampled_from(sorted(INT_LIKE)), st.booleans())
+def test_int_valued_remainders_of_other_types_match_reference(case, kind, both):
+    ctx, obs = case
+    assume(type(obs.r1) is int)
+    convert = INT_LIKE[kind]
+    r1, r2 = convert(obs.r1) if both else obs.r1, convert(obs.r2)
+    new = solve_level(ctx.system, RemainderObservation(r1, r2), ctx.j)
+    old = ref.solve_with_context(ctx, RemainderObservation(Fraction(obs.r1), Fraction(obs.r2)))
+    same_record(new, old, float_mean=kind == "float")
+    same_record(solve_level(ctx.system, obs, ctx.j), old)
+
+
+def test_bool_remainders_match_reference():
+    ctx = level_context(TwoModSystem.from_moduli(234, 377), 3)
+    for r1 in (False, True, 0, 1, 200):
+        for r2 in (False, True, 0, 1, 300):
+            obs = RemainderObservation(r1, r2)
+            old = ref.solve_with_context(ctx, RemainderObservation(int(r1), int(r2)))
+            same_record(solve_with_context(ctx, obs), old)
+
+
+@SETTINGS
+@given(st.data())
+def test_int_remainders_on_real_systems_match_reference(data):
+    g = data.draw(coprime_systems())
+    system = TwoModSystem.real(data.draw(st.floats(0.1, 50.0)), g.gamma1, g.gamma2)
+    j = data.draw(st.integers(1, sigma_chain(system).levels))
+    bound = int(system.m2) + 1
+    r1, r2 = data.draw(st.integers(-bound, 2 * bound)), data.draw(st.integers(-bound, 2 * bound))
+    if data.draw(st.booleans()):
+        r2 = data.draw(st.floats(-bound, 2 * bound))
+    new = solve_level_real(system, RemainderObservation(r1, r2), j)
+    # the integer system (p, gamma1, gamma2) on every input scaled by q, as above
+    p, q = system.m.as_integer_ratio()
+    old = ref.solve_with_context(level_context(TwoModSystem(p, g.gamma1, g.gamma2), j),
+                                 RemainderObservation(Fraction(r1) * q, Fraction(r2) * q))
+    assert (new.n1, new.n2) == (old.n1, old.n2)
+    want = float(old.mean / q)
+    assert type(new.estimate) is float and type(new.mean) is float
+    assert repr(new.estimate) == repr(want) and repr(new.mean) == repr(want)
+    assert list(vars(new)) == ["n1", "n2", "estimate", "mean"]
+
+
+# every level below the top of these searches its ladders
+SEARCHED_SYSTEMS = [(2**64 + 1, 2**64 + 3 + 2**40), (2**100 + 1, 2**100 + 3 + 2**60)]
+
+
+@st.composite
+def searched_cases(draw):
+    g1, g2 = draw(st.sampled_from(SEARCHED_SYSTEMS))
+    system = TwoModSystem(draw(st.sampled_from([1, 3, 1024])), g1, g2)
+    ctx = level_context(system, draw(st.integers(1, sigma_chain(system).levels - 1)))
+    assert type(ctx.s1) is type(ctx.s2) is Ladder
+    inside = draw(st.booleans())
+    err = max(1, system.m * ctx.sigma // 4 - 1) if inside else system.m2
+    bound = ctx.dynamic_range if inside else system.lcm
+    return ctx, draw(observations(system, bound, err))
+
+
+@SETTINGS
+@given(searched_cases())
+def test_cofactors_near_2_64_and_2_100_match_reference(case):
+    ctx, obs = case
+    new = solve_with_context(ctx, obs)
+    float_mean = isinstance(obs.r1, float) or isinstance(obs.r2, float)
+    same_record(new, ref.solve_with_context(ctx, _exact(obs)), float_mean)
+    if type(obs.r1) is int:
+        same_record(solve_level(ctx.system, obs, ctx.j), ref.solve_with_context(ctx, obs))
+
+
+_TABLE = TwoModSystem.from_moduli(234, 377)
+_SPEC = cascade_spec((120, 300), (210, 490), 2)
+
+
+@pytest.mark.parametrize("caller, solve, bad", [
+    ("solve_level", lambda bad: solve_level(_TABLE, RemainderObservation(bad, 240), 3), "5"),
+    ("solve_level", lambda bad: solve_level(_TABLE, RemainderObservation(69, bad), 3), None),
+    ("solve_level_real",
+     lambda bad: solve_level_real(TwoModSystem.real(2.5, 18, 29), RemainderObservation(7, bad), 3),
+     "7"),
+    ("solve_with_context",
+     lambda bad: solve_with_context(level_context(_TABLE, 3), RemainderObservation(bad, 240)), 1j),
+    ("cascade_reconstruct", lambda bad: cascade_reconstruct(_SPEC, (40, bad), (160, 370)), "100"),
+    ("cascade_reconstruct", lambda bad: cascade_reconstruct(_SPEC, (40, 100), (bad, 370)), None),
+    ("general_robust_crt", lambda bad: general_robust_crt((120, 300, 210), (40, 100, bad)), "160"),
+])
+def test_a_remainder_that_is_not_a_number_is_refused_in_the_callers_name(caller, solve, bad):
+    message = f"^{caller}: {re.escape(repr(bad))} is not an int, a rational or a float$"
+    with pytest.raises(ValueError, match=message):
+        solve(bad)

@@ -1,12 +1,8 @@
 import contextlib
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -37,7 +33,7 @@ from robustrns.two_mod import (
     solve_with_context,
     true_folds,
 )
-from tests_util import random_coprime_pair
+from tests_util import random_coprime_pair, run_cli_bounded
 
 
 class TestCrtScan:
@@ -582,18 +578,4 @@ class TestOracleLimits:
     def test_commands_refuse_in_bounded_memory_and_time(self, argv, refusal):
         # In a child under a 1 GB address-space limit and a 5 s wall clock:
         # these commands once hung, or died allocating 149 GiB with exit 1.
-        child = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-            "from robustrns.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n"
-        )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        try:
-            done = subprocess.run([sys.executable, "-c", child, *argv], env=env, capture_output=True,
-                                  text=True, timeout=5)
-        except subprocess.TimeoutExpired:
-            pytest.fail(f"{' '.join(argv)} did not finish within 5 s")
-        assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {refusal}\n")
+        assert run_cli_bounded(argv) == (2, "", f"error: {refusal}\n")

@@ -336,6 +336,15 @@ class TestRealMode:
         # m2 * (1 + depth2) in floats is 14.500000000000002
         assert level_table(TwoModSystem.real(0.1, 18, 29))[3].dynamic_range == 14.5
 
+    def test_products_past_the_float_range_are_refused_by_name(self):
+        s = TwoModSystem.real(1e307, 18, 29)
+        refusal = r"^TwoModSystem\(m=1e\+307, gamma1=18, gamma2=29\): m \* 36 is past the float range$"
+        with pytest.raises(ValueError, match=refusal):
+            level_table(s)
+        with pytest.raises(ValueError, match=r"m \* 522 is past the float range$"):
+            s.lcm
+        assert TwoModSystem.real(1e305, 18, 29).lcm == float(Fraction(1e305) * 522)
+
     def test_unit_m_matches_integer_mode(self, rng):
         si = TwoModSystem(1, 18, 29)
         sr = TwoModSystem.real(1.0, 18, 29)

@@ -1,6 +1,12 @@
-"""Shared helpers for randomized tests."""
+"""Shared helpers for randomized tests and bounded CLI runs."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from robustrns.two_mod import TwoModSystem
 
@@ -39,3 +45,24 @@ def int32_tau_limit(kernels, moduli, range_mode="allow", top=2**50):
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if fits(mid) else (lo, mid)
     return lo
+
+
+def run_cli_bounded(argv, seconds=5):
+    """``robustrns.cli.main(argv)`` in a child process under a 1 GB
+    address-space limit, as ``(exit code, stdout, stderr)``; the test fails
+    if the child takes more than ``seconds`` of wall clock."""
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from robustrns.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    try:
+        done = subprocess.run([sys.executable, "-c", child, *argv], env=env, capture_output=True,
+                              text=True, timeout=seconds)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{' '.join(argv)} did not finish within {seconds} s")
+    return done.returncode, done.stdout, done.stderr
