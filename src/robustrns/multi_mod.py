@@ -1,10 +1,12 @@
 """Robust reconstruction for many moduli: per-group recovery plus a two-group cascade.
 
 A group of moduli ``m_k = m * gamma_k`` with pairwise-coprime cofactors is
-solved in closed form through the rounded pairwise remainder differences.  Two
-such groups combine into a cascade: each group's estimate becomes an erroneous
-remainder of the value modulo the group lcm, and the two-modulus level solver
-finishes the job.
+solved in closed form through the rounded pairwise remainder differences, by
+one stage function, ``_garner_folds``.  Two such groups combine into a
+cascade: each group's estimate becomes an erroneous remainder of the value
+modulo the group lcm, and the two-modulus level solver finishes the job.
+Every solve scales all its remainders to integers over one common
+denominator once, and each of its stages reads its numerators over it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from functools import lru_cache
 from itertools import combinations
 from operator import mul
 
-from .modmath import _CACHE_SIZE, _checked_moduli, _solver_record, common_denominator, mod_inverse
+from .modmath import (_CACHE_SIZE, _checked_moduli, _solver_record, common_denominator,
+                      mod_inverse, round_div)
 from .two_mod import TwoModSystem, _exact_folds, level_context, sigma_chain
 
 
@@ -86,9 +89,13 @@ def _garner_n1(xis, gammas) -> int | None:
     return n1
 
 
-def _garner_folds(xis, gammas) -> tuple[int, ...] | None:
-    """Folds solving ``n_1 * g_1 = xi_k (mod g_k)`` and ``n_1 * g_1 - n_k * g_k
-    = xi_k``: ``_garner_n1`` and the rest from it; None where it is None."""
+def _garner_folds(m: int, gammas: tuple, nums, den: int) -> tuple[int, ...] | None:
+    """The folds over the moduli ``m * gammas`` of the remainders ``nums /
+    den``: ``xi_k = [(r_k - r_1) / m]`` estimates ``n_1 * g_1 - n_k * g_k``,
+    exactly under the window condition, ``_garner_n1`` solves the congruences
+    for ``n_1`` and the rest follow from it; None where ``_garner_n1`` is None."""
+    shift, step = m * den - 2 * nums[0], 2 * m * den
+    xis = [(2 * a + shift) // step for a in nums[1:]]
     n1 = _garner_n1(xis, gammas)
     if n1 is None:
         return None
@@ -97,27 +104,15 @@ def _garner_folds(xis, gammas) -> tuple[int, ...] | None:
     return (n1, *[(n1 * g1 - xi) // gk for xi, gk in zip(xis, gammas[1:])])
 
 
-def _xis(m, scaled) -> list[int]:
-    """Rounded scaled differences ``xi_k = [(r_k - r_1) / m]`` of the remainders
-    in their common-denominator form ``scaled``."""
-    nums, den = scaled
-    shift, step = m * den - 2 * nums[0], 2 * m * den
-    return [(2 * a + shift) // step for a in nums[1:]]
-
-
-def _average(groups, scaled):
-    """``(estimate, mean)`` of the reconstructions ``n_k * m_k + r_k`` over every
-    ``(folds, moduli, remainders)`` group; ``scaled`` is the common-denominator
-    form of all the remainders.  The mean is the exact mean rounded to a float
+def _average(folds, moduli, rs, nums, den):
+    """``(estimate, mean)`` of the reconstructions ``n_k * m_k + r_k``, with
+    ``rs[k] == nums[k] / den``.  The mean is the exact mean rounded to a float
     when any remainder is a float, and the unreduced ratio ``(num, den)``
     otherwise."""
-    nums, den = scaled
-    total = sum(nums)
-    for folds, moduli, _ in groups:
-        total += sum(map(mul, folds, moduli)) * den
+    total = sum(nums) + sum(map(mul, folds, moduli)) * den
     den *= len(nums)
-    as_float = any([isinstance(r, float) for _, _, rs in groups for r in rs])
-    return (2 * total + den) // (2 * den), total / den if as_float else (total, den)
+    as_float = any([isinstance(r, float) for r in rs])
+    return round_div(total, den), total / den if as_float else (total, den)
 
 
 def single_stage_robust_crt(group: ModuliGroup, remainders) -> tuple[tuple[int, ...], int, Fraction | float]:
@@ -127,31 +122,13 @@ def single_stage_robust_crt(group: ModuliGroup, remainders) -> tuple[tuple[int, 
     scaled error difference ``(dr_k - dr_1) / gcd`` lies in ``[-1/2, 1/2)``;
     error bound below ``gcd / 4`` is sufficient.
     """
-    folds, estimate, mean = _group_stage(group, tuple(remainders), "single_stage_robust_crt")
-    return folds, estimate, Fraction(*mean) if type(mean) is tuple else mean
-
-
-def _group_stage(group: ModuliGroup, rs: tuple, caller: str):
-    """``single_stage_robust_crt`` with the mean as ``_average`` returns it,
-    refusing bad remainders in ``caller``'s name."""
+    rs = tuple(remainders)
     if len(rs) != len(group.moduli):
-        raise ValueError(f"{caller}: remainder/modulus count mismatch")
-    return _single_stage(group.moduli, group.gcd, group.cofactors, rs, caller)[:3]
-
-
-def _single_stage(moduli: tuple, m: int, gammas: tuple, rs: tuple, caller: str):
-    """``(folds, estimate, mean, consistent)`` over the moduli ``m * gammas``:
-    ``xi_k`` estimates ``(r_k - r_1) / m = n_1 * g_1 - n_k * g_k``, exactly
-    under the window condition, and the Garner steps solve for the folds,
-    which are all zero when the congruences have no solution.  A remainder
-    that is not a number is refused in ``caller``'s name."""
-    scaled = common_denominator(rs, caller)
-    folds = _garner_folds(_xis(m, scaled), gammas)
-    consistent = folds is not None
-    if not consistent:
-        folds = (0,) * len(moduli)
-    estimate, mean = _average([(folds, moduli, rs)], scaled)
-    return folds, estimate, mean, consistent
+        raise ValueError("single_stage_robust_crt: remainder/modulus count mismatch")
+    nums, den = common_denominator(rs, "single_stage_robust_crt")
+    folds = _garner_folds(group.gcd, group.cofactors, nums, den) or (0,) * len(rs)
+    estimate, mean = _average(folds, group.moduli, rs, nums, den)
+    return folds, estimate, Fraction(*mean) if type(mean) is tuple else mean
 
 
 @_solver_record
@@ -179,8 +156,11 @@ def general_robust_crt(moduli, remainders) -> GeneralCrtSolution:
     if len(ms) < 2 or len(rs) != len(ms):
         raise ValueError("general_robust_crt: need matching moduli/remainders, at least two")
     m = math.gcd(*_checked_moduli("general_robust_crt", ms))
-    folds, estimate, mean, consistent = _single_stage(ms, m, tuple([mi // m for mi in ms]), rs,
-                                                    "general_robust_crt")
+    nums, den = common_denominator(rs, "general_robust_crt")
+    folds = _garner_folds(m, tuple([mi // m for mi in ms]), nums, den)
+    consistent = folds is not None
+    folds = folds or (0,) * len(ms)
+    estimate, mean = _average(folds, ms, rs, nums, den)
     record = object.__new__(GeneralCrtSolution)  # filled in place, as _solver_record says
     state = record.__dict__
     state.update(folds=folds, estimate=estimate, consistent=consistent)
@@ -242,10 +222,16 @@ class CascadeSolution:
 
 def cascade_reconstruct(spec: CascadeSpec, remainders1, remainders2) -> CascadeSolution:
     """Run both group stages, then the cross stage, and assemble total folds."""
-    rs1 = tuple(remainders1)
-    rs2 = tuple(remainders2)
-    h1, est1, _ = _group_stage(spec.group1, rs1, "cascade_reconstruct")
-    h2, est2, _ = _group_stage(spec.group2, rs2, "cascade_reconstruct")
+    rs1, rs2 = tuple(remainders1), tuple(remainders2)
+    group1, group2 = spec.group1, spec.group2
+    if len(rs1) != len(group1.moduli) or len(rs2) != len(group2.moduli):
+        raise ValueError("cascade_reconstruct: remainder/modulus count mismatch")
+    nums, den = common_denominator(rs1 + rs2, "cascade_reconstruct")
+    stages = []  # each group's folds and rounded estimate, from its slice of the numerators
+    for group, part in ((group1, nums[:len(rs1)]), (group2, nums[len(rs1):])):
+        h = _garner_folds(group.gcd, group.cofactors, part, den) or (0,) * len(part)
+        stages += h, round_div(sum(part) + sum(map(mul, h, group.moduli)) * den, den * len(part))
+    h1, est1, h2, est2 = stages
     # The group estimates are integer remainders modulo the group lcms, so the
     # cross stage is the integer branch of ``solve_with_context``.
     ctx = level_context(spec.cross, spec.level)
@@ -253,11 +239,10 @@ def cascade_reconstruct(spec: CascadeSpec, remainders1, remainders2) -> CascadeS
         l1, l2 = _exact_folds(ctx, est1 - est2, spec.cross.m)
     else:
         l2, l1 = _exact_folds(ctx, est2 - est1, spec.cross.m)
-    group1, group2 = spec.group1, spec.group2
     foldings1 = tuple([l1 * (group1.eta // mk) + hk for mk, hk in zip(group1.moduli, h1)])
     foldings2 = tuple([l2 * (group2.eta // mk) + hk for mk, hk in zip(group2.moduli, h2)])
-    estimate, mean = _average([(foldings1, group1.moduli, rs1), (foldings2, group2.moduli, rs2)],
-                              common_denominator(rs1 + rs2, "cascade_reconstruct"))
+    estimate, mean = _average(foldings1 + foldings2, group1.moduli + group2.moduli, rs1 + rs2,
+                              nums, den)
     record = object.__new__(CascadeSolution)  # filled in place, as _solver_record says
     state = record.__dict__
     state.update(h1=h1, h2=h2, l1=l1, l2=l2, group_estimates=(est1, est2),

@@ -454,11 +454,9 @@ def _exact_parts(system: TwoModSystem, obs: RemainderObservation, caller: str):
     and whether the mean is reported as a float (a real system or a float
     remainder).  A remainder that is not a number is refused in ``caller``'s
     name."""
-    r1, r2 = obs.r1, obs.r2
-    if type(r1) is int and type(r2) is int and type(system.m) is int:
-        return r1, r2, system.m, 1, False
-    (a1, a2, mn), den = common_denominator((r1, r2, system.m), caller)
-    return a1, a2, mn, den, system.is_real or isinstance(r1, float) or isinstance(r2, float)
+    r1, r2, m = obs.r1, obs.r2, system.m
+    (a1, a2, mn), den = common_denominator((r1, r2, m), caller)
+    return a1, a2, mn, den, isinstance(m, float) or isinstance(r1, float) or isinstance(r2, float)
 
 
 def _solution(system: TwoModSystem, n1: int, n2: int, exact) -> FoldingSolution:
@@ -472,7 +470,7 @@ def _solution(system: TwoModSystem, n1: int, n2: int, exact) -> FoldingSolution:
     state = record.__dict__
     mean = total / (2 * den) if as_float else (total, 2 * den)
     state["n1"], state["n2"] = n1, n2
-    state["estimate"] = mean if as_float and system.is_real else (total + den) // (2 * den)
+    state["estimate"] = mean if as_float and isinstance(system.m, float) else (total + den) // (2 * den)
     state["mean" if as_float else "_mean_ratio"] = mean
     return record
 

@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import fraction_reference as ref
 import ladder_reference as ladders
+from robustrns import multi_mod
 from robustrns.multi_mod import (
     ModuliGroup,
     cascade_reconstruct,
@@ -273,6 +274,9 @@ def test_general_matches_reference(data):
 @SETTINGS
 @given(st.data())
 def test_cascade_matches_reference(data):
+    """Each group's errors are of a kind drawn for that group (int, ``Fraction``
+    or float), so the one common denominator of a solve also spans groups of
+    different kinds."""
     g1, g2 = data.draw(cross_groups())
     spec = cascade_spec(g1.moduli, g2.moduli, 1)
     level = data.draw(st.integers(1, sigma_chain(spec.cross).levels))
@@ -280,9 +284,12 @@ def test_cascade_matches_reference(data):
     inside = data.draw(st.booleans())
     bound = level_context(spec.cross, level).dynamic_range if inside else spec.cross.lcm
     err = max(1, min(g1.gcd, g2.gcd) // 4) if inside else max(g1.moduli + g2.moduli)
-    rs = data.draw(group_remainders(g1.moduli + g2.moduli, bound, err))
-    split = len(g1.moduli)
-    same_as_reference(cascade_reconstruct, ref.cascade_reconstruct, spec, rs[:split], rs[split:])
+    value = data.draw(st.integers(0, bound - 1))
+    rs1, rs2 = [[value % mk + data.draw(errors(err, kind)) for mk in group.moduli]
+                for group, kind in ((g1, data.draw(KINDS)), (g2, data.draw(KINDS)))]
+    float_mean = any(isinstance(r, float) for r in rs1 + rs2)
+    same_record(cascade_reconstruct(spec, rs1, rs2),
+                ref.cascade_reconstruct(spec, _exact(rs1), _exact(rs2)), float_mean)
 
 
 @st.composite
@@ -492,3 +499,27 @@ def test_a_remainder_that_is_not_a_number_is_refused_in_the_callers_name(caller,
     message = f"^{caller}: {re.escape(repr(bad))} is not an int, a rational or a float$"
     with pytest.raises(ValueError, match=message):
         solve(bad)
+
+
+@pytest.mark.parametrize("caller, solve", [
+    ("cascade_reconstruct", lambda: cascade_reconstruct(_SPEC, (40, 100, "x"), (160,))),
+    ("cascade_reconstruct", lambda: cascade_reconstruct(_SPEC, (40,), (160, 370, "x"))),
+    ("cascade_reconstruct", lambda: cascade_reconstruct(_SPEC, (40,), (160, 370))),
+    ("cascade_reconstruct", lambda: cascade_reconstruct(_SPEC, (40, 100), (160,))),
+    ("single_stage_robust_crt", lambda: single_stage_robust_crt(_SPEC.group1, (40, 100, "x"))),
+    ("single_stage_robust_crt", lambda: single_stage_robust_crt(_SPEC.group1, (40,))),
+])
+def test_a_count_mismatch_is_refused_in_the_callers_name_before_any_scaling(caller, solve):
+    """3 + 1 remainders on 2 + 2 moduli, or one group short by one: the count
+    refusal comes first, also over a non-number in the over-long group."""
+    message = f"^{caller}: remainder/modulus count mismatch$"
+    with pytest.raises(ValueError, match=message):
+        solve()
+
+    def scaled(values, _caller):
+        raise AssertionError(f"{_caller} scaled {values!r} before it checked the counts")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(multi_mod, "common_denominator", scaled)
+        with pytest.raises(ValueError, match=message):
+            solve()
