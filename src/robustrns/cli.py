@@ -302,11 +302,16 @@ _KINDS = {"level": _INTEGER, "trials": _INTEGER, "seed": _INTEGER, "m": _NUMBER,
           "value_mode": (lambda v: v in ("integer", "real"), '"integer" or "real"')}
 
 
+# Points a start:stop[:step] span expands to at most, counted before any is built.
+_SPAN_POINTS_MAX = 1 << 20
+
+
 def _parse_span(text, what: str, integer: bool = False) -> list:
     """Either a comma list or an inclusive start:stop[:step] span; integer
     lists and spans are parsed with ``int``, so they stay exact past 2^53.
     A config may also give a JSON list of values, or a bare value, which is
-    the one-value list.  A list or span without values is refused."""
+    the one-value list.  A list or span without values is refused, and so is
+    a span past ``_SPAN_POINTS_MAX`` points."""
     parse = int if integer else float
     is_kind, kind = _INTEGER if integer else _NUMBER
     if is_kind(text):
@@ -325,11 +330,13 @@ def _parse_span(text, what: str, integer: bool = False) -> list:
     if len(parts) != 3:
         raise UsageError(f"could not parse {what} span {text!r}")
     start, stop, step = (parse(p) for p in parts)
-    if not (step > 0 and stop >= start and (integer or math.isfinite(stop - start))):
-        raise UsageError(f"{what}: span {text!r} needs finite ends, start <= stop and step > 0")
-    if integer:
-        return list(range(start, stop + 1, step))
-    count = int((stop - start) / step + 1e-9) + 1
+    if not (step > 0 and stop >= start and (integer or math.isfinite((stop - start) / step))):
+        raise UsageError(f"{what}: span {text!r} needs finite ends and step count, start <= "
+                         "stop and step > 0")
+    count = (stop - start) // step + 1 if integer else int((stop - start) / step + 1e-9) + 1
+    if count > _SPAN_POINTS_MAX:
+        raise UsageError(f"{what}: span {text!r} has {count} points, past the limit of "
+                         f"{_SPAN_POINTS_MAX}")
     return [start + i * step for i in range(count)]
 
 

@@ -1,26 +1,21 @@
 """Independent brute-force references for the closed forms.
 
 Nothing here shares a code path with the solvers it validates or with
-``simkit``: the fold search scans every candidate value in numpy blocks,
-exact for int, rational and float remainders (a float taken at its exact
-binary value) on integer tables; each side's deviation depends
-on the candidate's residue only, so it is computed once per residue into a
-table that a block reads as one contiguous window, and a side never holds
-more than about two blocks of values.  The CRT scan is a plain loop; ladder
+``simkit``.  The fold search scans every candidate value in numpy blocks,
+exact for int, rational and float remainders, reading each side's deviation
+from a table computed once per residue; the CRT scan is a plain loop; ladder
 depths are grown element by element; and the adversarial instances follow
 the tightness constructions directly.
 
-The exactness scan runs in two phases.  It first calls the scalar solver
-once on each distinct observation that some case of the level produces and
-keeps the folds and estimates in int64 tables; it then counts every case,
-each value with each in-window error pair, against those tables in numpy
-blocks.  The solver is a pure function, so one solve per observation checks
-what a solve per case would.
+The exactness scan solves each observation once and counts its cases in
+closed form, from a histogram of the values and the interval of values with
+given true folds; ``tests/oracle_reference.py`` keeps the per-case loop.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -283,11 +278,12 @@ class ExactnessScan:
         return self.fold_failures == 0 and self.estimate_failures == 0
 
 
-# Observations (m1 * m2 table cells) the exactness scan tabulates at most:
-# at up to 28 bytes each, 2^20 of them take about 30 MB.
+# Observations (m1 * m2) the exactness scan solves at most, each once, and
+# cases it counts at most; values per histogram block, observations per chunk.
 _EXACTNESS_CELLS_MAX = 1 << 20
-# Cases the exactness scan checks at most: 2^23 take about half a second.
 _EXACTNESS_CASES_MAX = 1 << 23
+_VALUE_BLOCK = 1 << 12
+_OBS_CHUNK = 1 << 10
 
 
 def level_exactness_scan(system: TwoModSystem, j: int) -> ExactnessScan:
@@ -295,134 +291,68 @@ def level_exactness_scan(system: TwoModSystem, j: int) -> ExactnessScan:
     pair whose scaled difference stays in the guarantee window; the solver must
     recover the exact folds and keep the estimate within the largest error.
 
-    A case is a value ``v`` and an observation ``(a, b)`` in
-    ``[0, m1) x [0, m2)`` whose errors ``d1 = a - v % m1``, ``d2 = b - v % m2``
-    have ``d1 - d2`` in the window ``[-w/2, w/2)``, ``w = m * sigma_j``.  As
-    ``d1 - d2 = (a - b) - (v % m1 - v % m2)``, the cases of one value are the
-    observations on a run of diagonals ``a - b``.  The scan solves each
-    observation on a diagonal that some value reaches once, straight into
-    int64 tables of folds and estimates laid out in diagonal order (see
-    ``_diagonal_layout``); it then walks the values in blocks, and their
-    cases, a contiguous slice of the tables per value, in chunks of at most
-    ``_CASE_BLOCK``, and recovers each case's observation from its position.
-    The tables take 24 bytes per observation, the diagonal of each position
-    1 to 4 more, and everything else is O(``m1 + m2 + _CASE_BLOCK``).  Every
-    value, fold and estimate stays below ``2 * lcm``, so the int64 arithmetic
-    is exact; a larger system is refused, and so is one with more than
-    ``_EXACTNESS_CELLS_MAX`` observations, before any table is allocated, or
-    a level with more than ``_EXACTNESS_CASES_MAX`` cases, counted before
-    any solve.
+    A case is a value ``v`` and an observation ``(a, b)`` in ``[0, m1) x [0, m2)``
+    whose errors ``d1 = a - v % m1``, ``d2 = b - v % m2`` have ``d1 - d2`` in
+    ``[-w/2, w/2)``, ``w = m * sigma_j``.  Each observation that is a case of
+    some value is solved once, in chunks of ``_OBS_CHUNK``, and its cases are
+    counted in closed form from three facts about true folds:
+
+    * ``d1 - d2 = (a - b) - (v % m1 - v % m2)``, so the observation's cases
+      are a prefix sum over a histogram of the values by ``v % m1 - v % m2``;
+    * the values with folds ``(n1, n2)`` are ``[max(n1*m1, n2*m2, 0),
+      min((n1+1)*m1, (n2+1)*m2, range))`` and share ``v % m1 - v % m2 =
+      n2*m2 - n1*m1``: the observation is a case of all of them or of none;
+    * for those, with ``p <= q`` the reconstructions ``a + n1*m1`` and
+      ``b + n2*m2``, the estimate misses when ``est > q`` and ``2v < est + p``,
+      or ``est < p`` and ``2v > est + q``.
+
+    Memory is O(``_OBS_CHUNK + _VALUE_BLOCK + m1 + m2``).  The scan refuses
+    a system past int64 (values, folds and estimates stay below ``2 * lcm``)
+    or ``_EXACTNESS_CELLS_MAX`` observations, and a level past
+    ``_EXACTNESS_CASES_MAX`` cases, counted before any solve.  The per-case
+    loop of ``tests/oracle_reference.py`` is the brute-force check.
     """
     if system.is_real:
         raise ValueError("level_exactness_scan: integer systems only")
     if 2 * system.lcm >= 1 << 63:
         raise ValueError(f"level_exactness_scan: lcm {system.lcm} is past the scan's int64 range")
-    cells = system.m1 * system.m2
-    if cells > _EXACTNESS_CELLS_MAX:
-        raise ValueError(f"level_exactness_scan: {cells} table cells (m1 * m2) are past the "
+    m1, m2 = system.m1, system.m2
+    if m1 * m2 > _EXACTNESS_CELLS_MAX:
+        raise ValueError(f"level_exactness_scan: {m1 * m2} table cells (m1 * m2) are past the "
                          f"scan's limit of {_EXACTNESS_CELLS_MAX}")
     ctx = level_context(system, j)
-    m1, m2 = system.m1, system.m2
+    limit = ctx.dynamic_range
     window = system.m * ctx.sigma  # error differences allowed in [-window/2, window/2)
     lo_diff, hi_diff = -(window // 2), (window - 1) // 2
-    first, low = _diagonal_layout(m1, m2)
-    cases = sum(int(count.sum()) for *_, count in
-                _value_cases(m1, m2, ctx.dynamic_range, lo_diff, hi_diff, first))
+    width = m1 + m2 - 1  # diagonals k: a - b + m2 - 1, or v % m1 - v % m2 + m2 - 1
+    below = np.zeros(width + 1, dtype=np.int64)  # values on the diagonals below each index
+    for start in range(0, limit, _VALUE_BLOCK):
+        v = np.arange(start, min(start + _VALUE_BLOCK, limit), dtype=np.int64)
+        below[1:] += np.bincount(v % m1 - v % m2 + (m2 - 1), minlength=width)
+    np.cumsum(below, out=below)
+    k = np.arange(width)
+    per_obs = below[np.clip(k - lo_diff + 1, 0, width)] - below[np.clip(k - hi_diff, 0, width)]
+    cases = int(per_obs @ (np.minimum(k, m1 - 1) - np.maximum(k - (m2 - 1), 0) + 1))
     if cases > _EXACTNESS_CASES_MAX:
         raise ValueError(f"level_exactness_scan: {cases} cases at level {j} are past the "
                          f"scan's limit of {_EXACTNESS_CASES_MAX}")
-    reach = _reached_diagonals(m1, m2, ctx.dynamic_range, lo_diff, hi_diff)
-    n1, n2, est = (np.zeros(m1 * m2, dtype=np.int64) for _ in range(3))
-    for d in np.flatnonzero(reach).tolist():
-        a0, p0, p1 = int(low[d]), int(first[d]), int(first[d + 1])
-        c = d - (m2 - 1)  # a - b on this diagonal
-        sols = [solve_with_context(ctx, RemainderObservation(a, a - c)) for a in range(a0, a0 + p1 - p0)]
-        n1[p0:p1] = [sol.n1 for sol in sols]
-        n2[p0:p1] = [sol.n2 for sol in sols]
-        est[p0:p1] = [sol.estimate for sol in sols]
-    counts = _count_cases(m1, m2, ctx.dynamic_range, lo_diff, hi_diff, first, low, n1, n2, est)
-    return ExactnessScan(j, *counts)
-
-
-# Values, and gathered cases, per block of the exactness scan.
-_CASE_BLOCK = 1 << 12
-
-
-def _value_blocks(m1: int, m2: int, limit: int):
-    """``(v, v % m1, v % m2)`` over ``[0, limit)`` in int64 blocks."""
-    for start in range(0, limit, _CASE_BLOCK):
-        v = np.arange(start, min(start + _CASE_BLOCK, limit), dtype=np.int64)
-        yield v, v % m1, v % m2
-
-
-def _diagonal_layout(m1: int, m2: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal order of the observations ``(a, b)`` in ``[0, m1) x [0, m2)``:
-    by diagonal index ``d = a - b + m2 - 1``, then by ``a``.
-
-    Returns ``first``, the position of each diagonal's first cell (with the
-    total ``m1 * m2`` appended), and ``low``, each diagonal's smallest ``a``;
-    the cell at position ``p`` on diagonal ``d`` is ``a = low[d] + p - first[d]``
-    and ``b = a - d + m2 - 1``.
-    """
-    d = np.arange(m1 + m2 - 1, dtype=np.int64)
-    low = np.maximum(d - (m2 - 1), 0)
-    first = np.zeros(m1 + m2, dtype=np.int64)
-    np.cumsum(np.minimum(d, m1 - 1) - low + 1, out=first[1:])
-    return first, low
-
-
-def _value_cases(m1: int, m2: int, limit: int, lo_diff: int, hi_diff: int, first: np.ndarray):
-    """``(v, v % m1, v % m2, start, count)`` over ``[0, limit)`` in blocks: a
-    value's cases are the ``count`` cells from position ``start`` of ``first``."""
-    width = m1 + m2 - 1
-    for v, r1, r2 in _value_blocks(m1, m2, limit):
-        own = r1 - r2 + (m2 - 1)
-        start = first[np.clip(own + lo_diff, 0, width)]
-        yield v, r1, r2, start, first[np.clip(own + hi_diff + 1, 0, width)] - start
-
-
-def _reached_diagonals(m1: int, m2: int, limit: int, lo_diff: int, hi_diff: int) -> np.ndarray:
-    """Which diagonals ``a - b`` (index ``a - b + m2 - 1``) hold a case of some
-    value below ``limit``: those within ``[lo_diff, hi_diff]`` of a value's own
-    ``v % m1 - v % m2``."""
-    width = m1 + m2 - 1
-    own = np.zeros(width, dtype=bool)
-    for _, r1, r2 in _value_blocks(m1, m2, limit):
-        own[r1 - r2 + (m2 - 1)] = True
-    below = np.concatenate(([0], np.cumsum(own)))  # own diagonals below each index
-    k = np.arange(width)
-    return below[np.clip(k - lo_diff + 1, 0, width)] > below[np.clip(k - hi_diff, 0, width)]
-
-
-def _count_cases(m1, m2, limit, lo_diff, hi_diff, first, low, n1, n2, est) -> tuple[int, int, int]:
-    """``(checked, fold_failures, estimate_failures)`` over every case of every
-    value below ``limit``, against the tables solved in diagonal order."""
-    width = m1 + m2 - 1
-    to_a = low - first[:-1]  # a = position + to_a[d] on diagonal d
-    to_b = to_a - np.arange(width) + (m2 - 1)  # b = a - (d - (m2 - 1))
-    # the diagonal of each position, in the smallest unsigned type that holds it
-    diag_of = np.repeat(np.arange(width, dtype=np.min_scalar_type(width - 1)), np.diff(first))
-    checked = fold_fail = est_fail = 0
-    for v, r1, r2, start, count in _value_cases(m1, m2, limit, lo_diff, hi_diff, first):
-        end = np.cumsum(count)
-        begin = end - count
-        shift = start - begin  # case position in the block -> cell position
-        q1, q2 = v // m1, v // m2
-        total = int(end[-1])
-        checked += total
-        for p0 in range(0, total, _CASE_BLOCK):
-            p1 = min(p0 + _CASE_BLOCK, total)
-            o0, o1 = np.searchsorted(end, (p0, p1 - 1), side="right")
-            runs = np.minimum(end[o0:o1 + 1], p1) - np.maximum(begin[o0:o1 + 1], p0)
-            who = np.repeat(np.arange(o0, o1 + 1), runs)
-            cell = np.arange(p0, p1) + shift[who]
-            diag = diag_of[cell]
-            a, b = cell + to_a[diag], cell + to_b[diag]
-            folds_ok = (n1[cell] == q1[who]) & (n2[cell] == q2[who])
-            err = np.maximum(np.abs(a - r1[who]), np.abs(b - r2[who]))
-            fold_fail += p1 - p0 - int(np.count_nonzero(folds_ok))
-            est_fail += int(np.count_nonzero(folds_ok & (np.abs(est[cell] - v[who]) > err)))
-    return checked, fold_fail, est_fail
+    reached = ((a, a - c) for c in map(int, np.flatnonzero(per_obs) - (m2 - 1))
+               for a in range(max(c, 0), min(m1, c + m2)))
+    fold_fail = est_fail = 0
+    while chunk := list(itertools.islice(reached, _OBS_CHUNK)):
+        sols = (solve_with_context(ctx, RemainderObservation(a, b)) for a, b in chunk)
+        n1, n2, est = np.array([(s.n1, s.n2, s.estimate) for s in sols], dtype=np.int64).T
+        a, b = np.array(chunk, dtype=np.int64).T
+        low = np.maximum(np.maximum(n1 * m1, n2 * m2), 0)
+        size = np.maximum(np.minimum(np.minimum(n1 * m1 + m1, n2 * m2 + m2), limit) - low, 0)
+        lag = (a - b) - (n2 * m2 - n1 * m1)  # d1 - d2 of the values with these folds
+        size[(lag < lo_diff) | (lag > hi_diff)] = 0
+        fold_fail += int(per_obs[a - b + (m2 - 1)].sum() - size.sum())
+        p, q = np.minimum(a + n1 * m1, b + n2 * m2), np.maximum(a + n1 * m1, b + n2 * m2)
+        over = np.clip((est + p + 1) // 2 - low, 0, size)  # values with 2v < est + p
+        under = np.clip(low + size - (est + q) // 2 - 1, 0, size)  # values with 2v > est + q
+        est_fail += int(over[est > q].sum() + under[est < p].sum())
+    return ExactnessScan(j, cases, fold_fail, est_fail)
 
 
 def falsifier_report(system: TwoModSystem, j: int) -> OracleReport:

@@ -57,6 +57,31 @@ class TestParseSpan:
         assert _parse_span("0.5,2", "tau") == [0.5, 2.0]
         assert _parse_span("0:13:0.5", "tau") == [0.5 * i for i in range(27)]
 
+    @pytest.mark.parametrize("flag, span, key, count", [
+        ("--tau", "0:1e9:1", "tau", 1_000_000_001),
+        ("--probe-boundary", "0:100000000", "neighbors", 100_000_001),
+    ])
+    def test_huge_spans_refuse_in_bounded_memory_and_time(self, flag, span, key, count):
+        # both once died with a MemoryError and exit 1 under a 1 GB address space
+        argv = ["simulate", "--m1", "234", "--m2", "377", flag, span, "--trials", "1"]
+        assert run_cli_bounded(argv) == (
+            EXIT_USAGE, "", f"error: {key}: span {span!r} has {count} points, past the limit "
+                            "of 1048576\n")
+
+    def test_span_points_past_the_limit_are_refused_before_any_is_built(self, capsys, tmp_path,
+                                                                        monkeypatch):
+        monkeypatch.setattr(cli, "_SPAN_POINTS_MAX", 5)
+        assert _parse_span("0:1:0.25", "tau") == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert _parse_span("465:469", "neighbors", integer=True) == list(range(465, 470))
+        assert _parse_span("0,1,2,3,4,5", "tau") == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]  # lists are given
+        assert run_cli(capsys, "simulate", "--m1", "234", "--m2", "377", "--level", "1",
+                       "--trials", "10", "--probe-boundary", "465:470") == (
+            EXIT_USAGE, "", "error: neighbors: span '465:470' has 6 points, past the limit of 5\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"m1": 234, "m2": 377, "tau": "0:1.25:0.25", "trials": 10}))
+        assert run_cli(capsys, "simulate", "--config", str(cfg)) == (
+            EXIT_USAGE, "", "error: tau: span '0:1.25:0.25' has 6 points, past the limit of 5\n")
+
     def test_non_integer_neighbors_are_a_usage_error(self, capsys):
         for text in ("465.5", "465:470:0.5"):
             code, out, err = run_cli(capsys, "simulate", "--m1", "234", "--m2", "377",
@@ -468,7 +493,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("argv", [
         ["--tau", "nan"], ["--tau", "inf"], ["--tau", "1,-inf"], ["--tau", "0:inf:1"],
-        ["--tau", "5:0:1"], ["--probe-boundary", "470:465"],
+        ["--tau", "0:1:1e-309"], ["--tau", "5:0:1"], ["--probe-boundary", "470:465"],
         ["--probe-boundary", "467", "--tau", "1,2"],
     ])
     def test_empty_and_non_finite_sweeps_are_refused(self, capsys, argv):

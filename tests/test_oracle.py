@@ -383,8 +383,9 @@ class TestExactnessScan:
             level_exactness_scan(s, 1)
 
     def test_peak_memory_per_observation(self):
-        # 60,200 observations: the int64 tables of folds and estimates take 24
-        # bytes each, and reordered copies of them would not fit under 45
+        # 60,200 observations: the scan holds a chunk of solved observations
+        # and O(m1 + m2) histogram arrays; tables of folds and estimates, at
+        # 24 bytes an observation, with reordered copies would not fit under 45
         s = TwoModSystem.from_moduli(200, 301)
         level_context(s, 1)  # cached, so not part of the scan's peak
         tracemalloc.start()
@@ -395,6 +396,28 @@ class TestExactnessScan:
             tracemalloc.stop()
         assert scan.ok and scan.checked == 5_805_202
         assert peak <= 45 * s.m1 * s.m2
+
+    @pytest.mark.parametrize("moduli,cases", [((200, 301), 5_805_202), ((25, 24088), 7_827_919)],
+                             ids=["200x301", "25x24088"])
+    def test_peak_memory_does_not_grow_with_the_observations(self, moduli, cases):
+        # (25, 24088) has 602,200 observations, 10x those of (200, 301), and
+        # level 1 stays under both limits; the same 1.5 MB holds on both, and
+        # int64 tables of folds and estimates would take 17 MB on the larger.
+        # A constant record stands in for the solver, whose records the test
+        # above covers, so that the 313,000 traced solves take seconds.
+        s = TwoModSystem.from_moduli(*moduli)
+        level_context(s, 1)
+        record = SimpleNamespace(n1=0, n2=0, estimate=0)
+        with _patched_solver(lambda ctx, obs: record):
+            level_exactness_scan(TwoModSystem.from_moduli(12, 18), 1)  # numpy's first-call allocations
+            tracemalloc.start()
+            try:
+                scan = level_exactness_scan(s, 1)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert s.m1 * s.m2 <= oracle._EXACTNESS_CELLS_MAX and scan.checked == cases
+        assert peak <= 1_500_000
 
 
 # Coprime cofactor pairs of the equivalence property.  Both moduli stay at most
@@ -426,24 +449,48 @@ def _both_scans(system, j, fake=solve_with_context):
 
 def _corrupting(targets):
     """A solver that returns wrong folds or a far estimate on chosen observations:
-    ``targets`` maps ``(r1, r2)`` to ``"folds"``, ``"estimate"`` or ``"nudge"``
-    (an estimate one off, which fails only the cases whose largest error it
-    crosses)."""
+    ``targets`` maps ``(r1, r2)`` to a fault:
+
+    * ``"folds"``: n1 one too high;
+    * ``"estimate"``: the estimate ``m2`` too high;
+    * ``"nudge"``: the estimate one too high, which fails only the cases whose
+      largest error it crosses;
+    * ``"below"``: the estimate one below both reconstructions
+      ``r1 + n1 * m1`` and ``r2 + n2 * m2``, which fails only the cases past
+      their midpoint;
+    * ``"n2+2"``: n2 two too high, folds that no value near the truth has;
+    * ``"wrap_down"``, ``"wrap_up"``: the folds of the value one lcm lower or
+      higher, whose values have the right residues but lie below 0 or past
+      the level's range.
+    """
     def fake(ctx, obs):
         sol = solve_with_context(ctx, obs)
-        fault = targets.get((obs.r1, obs.r2))
+        s, fault = ctx.system, targets.get((obs.r1, obs.r2))
+        n1, n2, estimate = sol.n1, sol.n2, sol.estimate
         if fault == "folds":
-            return SimpleNamespace(n1=sol.n1 + 1, n2=sol.n2, estimate=sol.estimate)
-        if fault == "estimate":
-            return SimpleNamespace(n1=sol.n1, n2=sol.n2, estimate=sol.estimate + ctx.system.m2)
-        if fault == "nudge":
-            return SimpleNamespace(n1=sol.n1, n2=sol.n2, estimate=sol.estimate + 1)
-        return sol
+            n1 += 1
+        elif fault == "estimate":
+            estimate += s.m2
+        elif fault == "nudge":
+            estimate += 1
+        elif fault == "below":
+            estimate = min(obs.r1 + n1 * s.m1, obs.r2 + n2 * s.m2) - 1
+        elif fault == "n2+2":
+            n2 += 2
+        elif fault in ("wrap_down", "wrap_up"):
+            sign = 1 if fault == "wrap_up" else -1
+            n1, n2 = n1 + sign * s.gamma2, n2 + sign * s.gamma1
+        else:
+            return sol
+        return SimpleNamespace(n1=n1, n2=n2, estimate=estimate)
     return fake
 
 
+_FAULT_LEVELS = [((12, 18), 1), ((24, 38), 2), ((24, 38), 4)]
+
+
 class TestExactnessScanReference:
-    """The two-phase scan against the per-case loop in ``oracle_reference``."""
+    """The closed-form scan against the per-case loop in ``oracle_reference``."""
 
     @pytest.mark.parametrize("moduli", [(24, 38), (12, 18)])
     def test_every_level_matches(self, moduli):
@@ -460,31 +507,52 @@ class TestExactnessScanReference:
             scan, reference = _both_scans(system, j)
             assert scan == reference
 
-    @pytest.mark.parametrize("moduli,j", [((12, 18), 1), ((24, 38), 2), ((24, 38), 4)])
+    @pytest.mark.parametrize("moduli,j", _FAULT_LEVELS)
     def test_wrong_folds_on_one_observation(self, moduli, j):
         s = TwoModSystem.from_moduli(*moduli)
         scan, reference = _both_scans(s, j, _corrupting({(5 % s.m1, 5 % s.m2): "folds"}))
         assert scan == reference
         assert scan.fold_failures > 0 and scan.estimate_failures == 0
 
-    @pytest.mark.parametrize("moduli,j", [((12, 18), 1), ((24, 38), 2), ((24, 38), 4)])
+    @pytest.mark.parametrize("moduli,j", _FAULT_LEVELS)
     def test_estimate_outside_the_error(self, moduli, j):
         s = TwoModSystem.from_moduli(*moduli)
         scan, reference = _both_scans(s, j, _corrupting({(5 % s.m1, 5 % s.m2): "estimate"}))
         assert scan == reference
         assert scan.estimate_failures > 0 and scan.fold_failures == 0
 
+    @pytest.mark.parametrize("moduli,j", _FAULT_LEVELS)
+    def test_estimate_below_both_reconstructions(self, moduli, j):
+        s = TwoModSystem.from_moduli(*moduli)
+        every = {(a, b): "below" for a in range(s.m1) for b in range(s.m2)}
+        scan, reference = _both_scans(s, j, _corrupting(every))
+        assert scan == reference
+        assert 0 < scan.estimate_failures < scan.checked and scan.fold_failures == 0
+
+    @pytest.mark.parametrize("fault", ["n2+2", "wrap_down", "wrap_up"])
+    @pytest.mark.parametrize("moduli,j", _FAULT_LEVELS)
+    def test_folds_outside_the_values(self, moduli, j, fault):
+        """Every case folds wrong under folds that no value in the window
+        has: n2 two too high, or the folds one lcm away, whose values have
+        the observation in their window but lie below 0 or past the range."""
+        s = TwoModSystem.from_moduli(*moduli)
+        every = {(a, b): fault for a in range(s.m1) for b in range(s.m2)}
+        scan, reference = _both_scans(s, j, _corrupting(every))
+        assert scan == reference
+        assert scan.fold_failures == scan.checked > 0 and scan.estimate_failures == 0
+
     @pytest.mark.parametrize("block,moduli,j", [(1, (12, 18), 1), (7, (24, 38), 4), (100, (24, 38), 3)])
     def test_block_edges(self, block, moduli, j):
-        """Blocks far smaller than a level split values and their cases at
-        every kind of edge; faults on many observations make every count
-        depend on which cell each case reads."""
+        """Value blocks and observation chunks far smaller than a level split
+        the histogram and the solved observations at every kind of edge;
+        faults on many observations make every count depend on which
+        observation each chunk entry holds."""
         s = TwoModSystem.from_moduli(*moduli)
         cells = [(a, b) for a in range(s.m1) for b in range(s.m2)]
         targets = {cell: "folds" for cell in cells[::11]}
         targets.update({cell: "estimate" for cell in cells[3::7]})
         targets.update({cell: "nudge" for cell in cells[5::13]})
-        with mock.patch.object(oracle, "_CASE_BLOCK", block):
+        with mock.patch.object(oracle, "_VALUE_BLOCK", block), mock.patch.object(oracle, "_OBS_CHUNK", block):
             scan, reference = _both_scans(s, j, _corrupting(targets))
         assert scan == reference
         assert scan.fold_failures > 0 and scan.estimate_failures > 0
