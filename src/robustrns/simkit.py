@@ -60,11 +60,12 @@ from functools import cached_property
 import numpy as np
 
 from .multi_mod import CascadeSpec, _general_steps
-from .two_mod import TwoModSystem, _level_row, ladder_depths, level_context, sigma_chain
+from .two_mod import TwoModSystem, _level_row, sigma_chain
 
 CHUNK = 1 << 16
-# Signed rungs a LevelKernel may tabulate: about 90 bytes each while it
-# builds, so 2^22 rungs peak near 420 MB and take about a second.
+# Signed rungs a LevelKernel may tabulate.  Its build peaks at 73-79 bytes
+# each (tracemalloc), so 2^22 rungs peak near 310 MB and build in about 0.4 s
+# on a Xeon core; a simulate run at the cap peaks at 334 MB RSS.
 MAX_RUNGS = 1 << 22
 # int32 floor division by a scalar takes about a third of int64's time; a
 # sweep whose integers all stay below this bound runs in int32
@@ -199,19 +200,6 @@ def _chunks(total: int):
         yield index, min(CHUNK, total - start)
 
 
-def _sorted_rungs(ladder, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """A ladder's rungs above 0 in ascending order, and their folds: the
-    residues ``t * base % mod`` for ``t = 1..depth``, sorted, and their
-    ``t``."""
-    if ladder.depth == ladder.mod - 1:  # every residue once, so no sort
-        rungs = np.arange(1, ladder.mod, dtype=np.int64).astype(dtype)
-        return rungs, ladder.fold(rungs)
-    t = np.arange(1, ladder.depth + 1, dtype=np.int64).astype(dtype)
-    rungs = t * ladder.base % ladder.mod
-    order = np.argsort(rungs)
-    return rungs[order], t[order]
-
-
 class LevelKernel:
     """Vectorized ladder-window solver for one (system, level) pair.
 
@@ -237,25 +225,31 @@ class LevelKernel:
     """
 
     def __init__(self, system: TwoModSystem, level: int):
-        depth1, depth2 = ladder_depths(system, level)
+        row = _level_row(system, level)
+        depth1, depth2, sigma = row.depth1, row.depth2, row.sigma
         if depth1 + depth2 + 1 > MAX_RUNGS:
             raise ValueError(f"LevelKernel: level {level} has {depth1 + depth2 + 1} signed rungs; "
                              f"the kernel's tables hold at most {MAX_RUNGS}")
-        ctx = level_context(system, level)
         self.system = system
-        self.level = level
         self.m = float(system.m)
         self.m1 = float(system.m1)
         self.m2 = float(system.m2)
-        self.dynamic_range = ctx.dynamic_range
-        self.robustness_bound = float(ctx.robustness_bound)
-        g1, g2, sigma = system.gamma1, system.gamma2, ctx.sigma
-        dtype = np.int64 if g2 < 2**31 else object  # rung * inverse, fold * gamma < g2**2
-        s1, f1 = _sorted_rungs(ctx.s1, dtype)  # n1 of the rung s1: n1 * g1 = n2 * g2 + s1
-        s2, f2 = _sorted_rungs(ctx.s2, dtype)  # n2 of the rung s2: n2 * g2 = n1 * g1 + s2
-        rungs = np.concatenate((-s1[::-1], [0], s2))
-        self.n1 = np.concatenate((f1[::-1], [0], (f2 * g2 - s2) // g1)).astype(np.int64)
-        self.n2 = np.concatenate((((f1 * g1 - s1) // g2)[::-1], [0], f2)).astype(np.int64)
+        self.dynamic_range = row.dynamic_range
+        self.robustness_bound = float(row.robustness_bound)
+        g1, g2 = system.gamma1, system.gamma2
+        dtype = np.int64 if g2 < 2**31 else object  # t * gamma < g1 * g2
+        # the fold pairs: ladder 2's side n2 = t (t = 0 is rung 0), ladder 1's n1 = t
+        t2 = np.arange(depth2 + 1, dtype=np.int64).astype(dtype)
+        t1 = np.arange(1, depth1 + 1, dtype=np.int64).astype(dtype)
+        n1 = np.concatenate((t2 * g2 // g1, t1))
+        n2 = np.concatenate((t2, t1 * g1 // g2))
+        del t1, t2  # spent arrays go at once: the threshold pass below sets the peak
+        rungs = n2 * g2 - n1 * g1
+        order = np.argsort(rungs, kind="stable")
+        rungs = rungs[order]
+        self.n1 = n1[order].astype(np.int64, copy=False)
+        self.n2 = n2[order].astype(np.int64, copy=False)
+        del n1, n2, order
         self.table_reach = int(max(np.abs(self.n1).max(), np.abs(self.n2).max()))
         twice = rungs[1:] + rungs[:-1]
         threshold = twice.astype(np.float64) * 0.5

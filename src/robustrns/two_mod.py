@@ -249,34 +249,17 @@ def delta_baseline(system: TwoModSystem) -> list[tuple[int, int, Fraction, int, 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _depth_tables(gamma1: int, gamma2: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Ladder depths for j = 1..k+1, by the closed-form recurrences."""
+    """Ladder depths for j = 1..k+1: the closed-form recurrences in
+    ``q_j = sigma_{j-1} // sigma_j`` for j = 1..k, seeded with
+    ``d1[-1] = 0``, ``d1[0] = gamma2 // gamma1`` and ``d2[-1] = d2[0] = 0``,
+    then the full depths ``(gamma2 - 1, gamma1 - 1)`` at j = k+1."""
     values, k = _sigma_values(gamma1, gamma2)
-
-    def sig(i):
-        return values[i + 1]
-
-    if k == 0:
-        return (gamma2 - 1,), (gamma1 - 1,)
-    d1 = {1: (gamma2 // gamma1) * (gamma1 // sig(1))}
-    d2 = {1: gamma1 // sig(1)}
-    if k >= 2:
-        q1, q2 = gamma2 // gamma1, sig(1) // sig(2)
-        d1[2] = q1 * d2[1] * q2 + q2 + q1
-        d2[2] = d2[1] * q2
-    for j in range(3, k + 1):
-        q = sig(j - 1) // sig(j)
-        if j % 2 == 1:
-            d2[j] = q * (d2[j - 1] + 1) + d2[j - 2]
-            d1[j] = q * d1[j - 1] + d1[j - 2]
-        else:
-            d2[j] = q * d2[j - 1] + d2[j - 2]
-            d1[j] = q * (d1[j - 1] + 1) + d1[j - 2]
-    d1[k + 1] = gamma2 - 1
-    d2[k + 1] = gamma1 - 1
-    return (
-        tuple(d1[j] for j in range(1, k + 2)),
-        tuple(d2[j] for j in range(1, k + 2)),
-    )
+    d1, d2 = [0, gamma2 // gamma1], [0, 0]
+    for j in range(1, k + 1):  # sigma_j is values[j + 1]
+        q, odd = values[j] // values[j + 1], j % 2
+        d1.append(q * (d1[-1] + 1 - odd) + d1[-2])  # the + 1 at even j
+        d2.append(q * (d2[-1] + odd) + d2[-2])  # and at odd j
+    return (*d1[2:], gamma2 - 1), (*d2[2:], gamma1 - 1)
 
 
 def ladder_depths(system: TwoModSystem, j: int) -> tuple[int, int]:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import platform
@@ -10,7 +11,7 @@ import pytest
 
 from robustrns import cli
 from robustrns.cli import EXIT_OK, EXIT_ORACLE, EXIT_USAGE, _parse_span, _sweep_csv, fmt, main
-from robustrns.simkit import TrialConfig, run_tau_sweep
+from robustrns.simkit import SweepRow, TrialConfig, run_tau_sweep
 from robustrns.two_mod import TwoModSystem, level_table
 from tests_util import run_cli_bounded
 
@@ -265,13 +266,23 @@ class TestReconstruct:
         assert err.startswith("error: value (a fraction with a ")
         assert err.endswith("-digit numerator) is past the float range\n")
 
-    def test_bad_input(self, capsys):
-        assert run_cli(capsys, "reconstruct", "--moduli", "234,377",
-                       "--remainders", "69")[0] == EXIT_USAGE
-        assert run_cli(capsys, "reconstruct", "--moduli", "234,377",
-                       "--remainders", "500,240")[0] == EXIT_USAGE
-        assert run_cli(capsys, "reconstruct", "--moduli", "234,377,40",
-                       "--remainders", "1,2,3")[0] == EXIT_USAGE
+    @pytest.mark.parametrize("argv, refusal", [
+        (["--moduli", "234,377", "--remainders", "69"], "reconstruct: exactly two remainders"),
+        (["--moduli", "234,377", "--remainders", "500,240"], "remainder 500 out of range [0, 234)"),
+        (["--moduli", "234,377,40", "--remainders", "1,2,3"], "reconstruct: exactly two moduli"),
+        (["--remainders", "69,240"], "reconstruct: need --moduli or --groups"),
+        *[(["--real", "--m", m, "--moduli", "45,72.5", "--remainders", "19.7,55.2"],
+           f"reconstruct: --m {m!r} is not one positive decimal") for m in ("0", "1,2")],
+        (["--real", "--m", "2.5", "--moduli", "45,72.4", "--remainders", "19.7,55.2"],
+         "modulus 72.4 is not an integer multiple of m=2.5"),
+        (["--real", "--m", "2.5", "--moduli", "45,72.5", "--remainders", "19.7,55.2", "--oracle"],
+         "reconstruct: --oracle needs an integer system"),
+        (["--groups", "120,300|210,490", "--remainders", "40,100,160"],
+         "reconstruct: expected 4 remainders, got 3"),
+    ], ids=["one-remainder", "remainder-out-of-range", "three-moduli", "no-moduli", "real-m-0",
+            "real-two-m", "real-modulus-not-a-multiple", "real-oracle", "groups-three-remainders"])
+    def test_bad_input(self, capsys, argv, refusal):
+        assert run_cli(capsys, "reconstruct", *argv) == (EXIT_USAGE, "", f"error: {refusal}\n")
 
 
 # well-formed configs of each kind, for the type refusals to spoil one field of
@@ -491,16 +502,21 @@ class TestSimulate:
             assert code == EXIT_USAGE and out == ""
             assert "integer systems take only m1 and m2" in err
 
-    @pytest.mark.parametrize("argv", [
-        ["--tau", "nan"], ["--tau", "inf"], ["--tau", "1,-inf"], ["--tau", "0:inf:1"],
-        ["--tau", "0:1:1e-309"], ["--tau", "5:0:1"], ["--probe-boundary", "470:465"],
-        ["--probe-boundary", "467", "--tau", "1,2"],
+    @pytest.mark.parametrize("argv, refusal", [
+        *[(["--tau", tau], "TrialConfig: tau values must be finite, nonnegative and within the "
+                           "float range") for tau in ("nan", "inf", "1,-inf")],
+        *[(["--tau", span], f"tau: span {span!r} needs finite ends and step count, start <= "
+                            "stop and step > 0") for span in ("0:inf:1", "0:1:1e-309", "5:0:1")],
+        (["--probe-boundary", "470:465"], "neighbors: span '470:465' needs finite ends and step "
+                                          "count, start <= stop and step > 0"),
+        (["--probe-boundary", "467", "--tau", "1,2"],
+         "TrialConfig: a sweep needs tau values, a probe at most one"),
+        (["--tau", "1:2:3:4"], "could not parse tau span '1:2:3:4'"),
     ])
-    def test_empty_and_non_finite_sweeps_are_refused(self, capsys, argv):
+    def test_empty_and_non_finite_sweeps_are_refused(self, capsys, argv, refusal):
         code, out, err = run_cli(capsys, "simulate", "--m1", "234", "--m2", "377",
                                  "--level", "1", "--trials", "10", *argv)
-        assert code == EXIT_USAGE and out == ""
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {refusal}\n")
 
     @pytest.mark.parametrize("raw, name", [
         ({**_INTEGER, "tau": [10**400]}, "tau"),
@@ -597,6 +613,34 @@ class TestSimulateGolden:
         assert code == EXIT_OK, err
         assert out == out_path.read_text()
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+    @pytest.mark.parametrize("case", ["tau_sweep", "boundary_probe", "compare"])
+    def test_json_holds_the_csv(self, capsys, tmp_path, case):
+        """``--format json`` lists the CSV's series in its order, each row with
+        every ``SweepRow`` field, and ``fmt`` of its fields gives the CSV."""
+        argv, _ = golden_case(tmp_path, case)
+        code, csv_out, err = run_cli(capsys, "simulate", *argv, "--seed", "42")
+        assert code == EXIT_OK, err
+        code, json_out, err = run_cli(capsys, "simulate", *argv, "--seed", "42", "--format", "json")
+        assert code == EXIT_OK, err
+        payload = json.loads(json_out)
+        header, *lines = csv_out.splitlines()
+        multi = header.startswith("series,")
+        if multi:
+            assert [res["series"] for res in payload] == list(dict.fromkeys(
+                line.split(",")[0] for line in lines))
+        else:
+            assert len(payload) == 1
+        trials = int(argv[argv.index("--trials") + 1])
+        cells = []
+        for res in payload:
+            for row in res["rows"]:
+                assert set(row) == {f.name for f in dataclasses.fields(SweepRow)}
+                assert row["trials"] == trials
+                cells.append([res["series"]] * multi + [fmt(row[name]) for name in header.split(",")
+                                                        if name != "series"])
+        assert cells == [line.split(",") for line in lines]
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -700,6 +744,16 @@ class TestPlane:
         assert lines[1] == "0,0,0"
         assert lines[49] == "48,0,10"
 
+    def test_json_gives_the_csv_rows(self, capsys):
+        argv = ["plane", "--m1", "24", "--m2", "38", "--max", "76"]
+        code, csv_out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        code, json_out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == EXIT_OK
+        header, *lines = csv_out.splitlines()
+        rows = [dict(zip(header.split(","), map(int, line.split(",")))) for line in lines]
+        assert json.loads(json_out) == rows and len(rows) == 76
+
     def test_max_validation(self, capsys):
         assert run_cli(capsys, "plane", "--m1", "24", "--m2", "38",
                        "--max", "457")[0] == EXIT_USAGE
@@ -764,12 +818,15 @@ class TestUsage:
         (["plane", "--m1", "4", "--m2", "6", "--max", "-3"], "--max"),
         (["simulate", "--m1", "234", "--m2", "377", "--tau", "1", "--trials", "10", "--seed", "-1"],
          "--seed"),
+        (["simulate", "--m1", "234", "--m2", "377", "--tau", "1", "--trials", "10", "--seed", "abc"],
+         "--seed"),
         ([*_VERIFY, "--seed", "-1"], "--seed"),
     ])
     def test_negative_counts_and_seeds_are_refused(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE and out == ""
-        assert f"argument {flag}: need a nonnegative integer, got '-" in err, err
+        assert err.endswith(f": error: argument {flag}: need a nonnegative integer, "
+                            f"got {argv[-1]!r}\n"), err
 
     def test_unknown_command(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == EXIT_USAGE

@@ -95,6 +95,11 @@ def test_reconstruct_rejects_float_remainders():
         crt_reconstruct([True, 2], crt_system([3, 5]))
 
 
+def test_reconstruct_rejects_a_remainder_too_few():
+    with pytest.raises(ValueError, match="^crt_reconstruct: remainder/modulus count mismatch$"):
+        crt_reconstruct([1], crt_system([3, 5]))
+
+
 def test_remainders_of_rejects_non_int_values():
     for value in (7.5, 7.0, True):
         with pytest.raises(ValueError, match="remainders_of"):

@@ -22,6 +22,7 @@ from robustrns.oracle import (
     ladder_depths_definitional,
     level_exactness_scan,
     range_falsifier,
+    range_falsifier_basic,
 )
 from robustrns.two_mod import (
     RemainderObservation,
@@ -572,6 +573,28 @@ class TestExactnessScanReference:
             assert max(calls.values()) == 1
             assert sum(calls.values()) <= min(s.m1 * s.m2, scan.checked)
             assert all(0 <= a < s.m1 and 0 <= b < s.m2 for a, b in calls)
+
+
+_REAL = TwoModSystem.real(2.5, 18, 29)
+
+
+@pytest.mark.parametrize("call, refusal", [
+    (lambda: exhaustive_fold_search(_REAL, RemainderObservation(19.7, 55.2), 100),
+     "exhaustive_fold_search: integer systems only"),
+    (lambda: range_falsifier(_REAL, 3), "range_falsifier: integer systems only"),
+    (lambda: range_falsifier_basic(_REAL), "range_falsifier_basic: integer systems only"),
+    (lambda: level_exactness_scan(_REAL, 3), "level_exactness_scan: integer systems only"),
+    (lambda: range_falsifier_basic(TwoModSystem(1, 2, 3)),
+     "range_falsifier_basic: range already spans the lcm"),
+    (lambda: ladder_depths_definitional(TwoModSystem(13, 18, 29), 0),
+     "ladder_depths_definitional: level 0 out of range"),
+    (lambda: ladder_depths_definitional(TwoModSystem(13, 18, 29), 6),  # 5 levels
+     "ladder_depths_definitional: level 6 out of range"),
+], ids=["fold-search-real", "falsifier-real", "falsifier-basic-real", "exactness-scan-real",
+        "falsifier-basic-one-level", "definitional-level-0", "definitional-past-the-top"])
+def test_oracles_refuse_what_they_cannot_answer(call, refusal):
+    with pytest.raises(ValueError, match=f"^{refusal}$"):
+        call()
 
 
 class TestOracleLimits:

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,19 @@ class TestLevelKernelSize:
         monkeypatch.setattr(simkit, "MAX_RUNGS", depth1 + depth2)
         with pytest.raises(ValueError, match=f"level 3 has {depth1 + depth2 + 1} signed rungs"):
             LevelKernel(system, 3)
+
+    @pytest.mark.parametrize("moduli, level", [((131071, 131073), 2), ((100003, 300017), 3)],
+                             ids=["full-level", "level-3"])
+    def test_build_peaks_under_85_bytes_per_signed_rung(self, moduli, level):
+        system = TwoModSystem.from_moduli(*moduli)
+        depth1, depth2 = ladder_depths(system, level)
+        tracemalloc.start()
+        try:
+            LevelKernel(system, level)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 85 * (depth1 + depth2 + 1)
 
     def test_refused_before_allocating(self):
         # Top level of cofactors near 2^40: 2^41 + 3 rungs.  In a child under
@@ -307,6 +321,10 @@ class TestConfigValidation:
             TrialConfig(tau_values=(1.0,))
         with pytest.raises(ValueError):
             TrialConfig(system=system, cascade=cascade_spec([120, 300], [210, 490], 2))
+
+    def test_zero_trials_are_refused(self, system):
+        with pytest.raises(ValueError, match="^TrialConfig: trials_per_point must be at least 1$"):
+            TrialConfig(system=system, tau_values=(1.0,), trials_per_point=0)
 
     def test_negative_seed_is_refused(self, system):
         with pytest.raises(ValueError, match="seed must be nonnegative"):

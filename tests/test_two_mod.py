@@ -46,6 +46,8 @@ class TestSystemConstruction:
             TwoModSystem(13, 18, 18)
         with pytest.raises(ValueError):
             TwoModSystem(13, 6, 9)  # cofactors share a factor
+        with pytest.raises(ValueError, match="^TwoModSystem: cofactors must be integers$"):
+            TwoModSystem(1, 2.0, 3)
 
     def test_real_mode(self):
         s = TwoModSystem.real(2.5, 18, 29)
