@@ -278,10 +278,9 @@ class ExactnessScan:
         return self.fold_failures == 0 and self.estimate_failures == 0
 
 
-# Observations (m1 * m2) the exactness scan solves at most, each once, and
-# cases it counts at most; values per histogram block, observations per chunk.
+# Observations (m1 * m2) the exactness scan solves at most, each once;
+# values per histogram block, observations per chunk.
 _EXACTNESS_CELLS_MAX = 1 << 20
-_EXACTNESS_CASES_MAX = 1 << 23
 _VALUE_BLOCK = 1 << 12
 _OBS_CHUNK = 1 << 10
 
@@ -306,11 +305,12 @@ def level_exactness_scan(system: TwoModSystem, j: int) -> ExactnessScan:
       ``b + n2*m2``, the estimate misses when ``est > q`` and ``2v < est + p``,
       or ``est < p`` and ``2v > est + q``.
 
-    Memory is O(``_OBS_CHUNK + _VALUE_BLOCK + m1 + m2``).  The scan refuses
-    a system past int64 (values, folds and estimates stay below ``2 * lcm``)
-    or ``_EXACTNESS_CELLS_MAX`` observations, and a level past
-    ``_EXACTNESS_CASES_MAX`` cases, counted before any solve.  The per-case
-    loop of ``tests/oracle_reference.py`` is the brute-force check.
+    Memory is O(``_OBS_CHUNK + _VALUE_BLOCK + m1 + m2``), and time one solve
+    per reached observation plus one pass over the values, however many
+    cases they make.  The scan refuses a system past int64 (values, folds
+    and estimates stay below ``2 * lcm``) or ``_EXACTNESS_CELLS_MAX``
+    observations.  The per-case loop of ``tests/oracle_reference.py`` is the
+    brute-force check.
     """
     if system.is_real:
         raise ValueError("level_exactness_scan: integer systems only")
@@ -333,9 +333,6 @@ def level_exactness_scan(system: TwoModSystem, j: int) -> ExactnessScan:
     k = np.arange(width)
     per_obs = below[np.clip(k - lo_diff + 1, 0, width)] - below[np.clip(k - hi_diff, 0, width)]
     cases = int(per_obs @ (np.minimum(k, m1 - 1) - np.maximum(k - (m2 - 1), 0) + 1))
-    if cases > _EXACTNESS_CASES_MAX:
-        raise ValueError(f"level_exactness_scan: {cases} cases at level {j} are past the "
-                         f"scan's limit of {_EXACTNESS_CASES_MAX}")
     reached = ((a, a - c) for c in map(int, np.flatnonzero(per_obs) - (m2 - 1))
                for a in range(max(c, 0), min(m1, c + m2)))
     fold_fail = est_fail = 0

@@ -260,7 +260,9 @@ class LevelKernel:
         # bucket k lives at index k - first, so every index is nonnegative
         bucket = np.floor(threshold * self.scale).astype(np.intp)
         self.first, self.last = float(bucket[0]), float(bucket[-1])
-        self.after = np.searchsorted(bucket, np.arange(bucket[0], bucket[-1] + 1))
+        # each bucket's first threshold: the thresholds in the buckets below it
+        self.after = np.zeros(bucket[-1] - bucket[0] + 1, dtype=np.intp)
+        np.cumsum(np.bincount(bucket - bucket[0])[:-1], out=self.after[1:])
         self.threshold = np.full(self.after.size, np.inf)
         self.threshold[bucket - bucket[0]] = threshold
         if g1 * g2 < 2**40:

@@ -21,7 +21,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .modmath import (_CACHE_SIZE, _checked_moduli, _solver_record, common_denominator,
                       mod_inverse, round_div)
@@ -385,9 +385,10 @@ class Ladder:
 @dataclass(frozen=True)
 class TableLadder(Ladder):
     """A ladder with its sorted ``rungs``: every residue at full depth, so
-    ``range(mod)``, built in O(1); otherwise a sorted tuple.  Only
-    ``nearest`` reads them, by arithmetic on a range and by ``bisect`` on a
-    tuple; ``neighbours`` is ``Ladder``'s walk."""
+    ``range(mod)``, built in O(1); otherwise a sorted tuple.
+    ``LevelContext._table`` enumerates them, and ``nearest`` reads them by
+    arithmetic on a range and by ``bisect`` on a tuple; ``neighbours`` is
+    ``Ladder``'s walk."""
 
     rungs: Sequence[int]
 
@@ -398,9 +399,10 @@ class TableLadder(Ladder):
         apart, so a window of half-width ``sigma / 2`` around the target
         holds no rung but this one.  An exact tie goes up only on a left-open
         window ``(t - sigma/2, t + sigma/2]`` with the two rungs ``sigma``
-        apart, and down otherwise: ``LevelKernel``'s threshold rule.  This is
-        the scalar solvers' hot path, so it bisects and folds inline, one call
-        per pick."""
+        apart, and down otherwise: ``LevelKernel``'s threshold rule.  A
+        context with a ``_table`` never calls it; the solvers do only where
+        the other ladder searches, or at a full-depth level past
+        ``2 * LADDER_TABLE_MAX`` rungs, so it bisects and folds inline."""
         rungs = self.rungs
         edge = -(-num // scale)
         if rungs[-1] < edge:
@@ -416,11 +418,35 @@ class TableLadder(Ladder):
 class LevelContext(RobustnessLevel):
     """A level's row plus its two ladders, cached per (system, level) so hot
     loops never rebuild them; the picked rung's fold is ``n1`` on ``s1`` and
-    ``n2`` on ``s2``."""
+    ``n2`` on ``s2``.  When both ladders are ``TableLadder``s with at most
+    ``2 * LADDER_TABLE_MAX`` rungs between them, the first solve also builds
+    ``_table``, the signed ladder ``LevelKernel`` reads, from which
+    ``_exact_folds`` picks both folds with one bisect."""
 
     system: TwoModSystem
     s1: Ladder  # |t*gamma1|_gamma2, t = 0..depth1
     s2: Ladder  # |t*gamma2|_gamma1, t = 0..depth2
+
+    @cached_property
+    def _table(self) -> tuple[tuple[int, ...], int, tuple[int, ...], tuple[int, ...]] | None:
+        """``(keys, len(keys), n1, n2)`` over the signed rungs in ascending
+        order: ladder 1's rungs negated, rung 0 twice (ladder 1's copy, the
+        pick for ``q < 0``, then ladder 2's) and ladder 2's rungs, with each
+        rung's folds in ``n1`` and ``n2``.  Between neighbours ``lo < hi`` the
+        key ``2 (lo + hi) + b`` holds ``TableLadder.nearest``'s tie rule: ``b
+        = 1`` sends a target at the midpoint down, as on ladder 2's side where
+        the gap is not ``sigma``, and ``b = 0`` up.  None on other contexts."""
+        s1, s2, g1, g2 = self.s1, self.s2, self.system.gamma1, self.system.gamma2
+        if not (isinstance(s1, TableLadder) and isinstance(s2, TableLadder)
+                and s1.depth + s2.depth + 2 <= 2 * LADDER_TABLE_MAX):
+            return None
+        t1 = [s1.fold(rung) for rung in reversed(s1.rungs)]
+        t2 = [s2.fold(rung) for rung in s2.rungs]
+        rungs = [-rung for rung in reversed(s1.rungs)] + list(s2.rungs)
+        keys = tuple(2 * (lo + hi) + (hi > 0 and hi - lo != self.sigma)
+                     for lo, hi in zip(rungs, rungs[1:]))
+        return (keys, len(keys), (*t1, *(t * g2 // g1 for t in t2)),
+                (*(t * g1 // g2 for t in t1), *t2))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -514,15 +540,32 @@ def solve_with_context(ctx: LevelContext, obs: RemainderObservation,
 
 def _exact_folds(ctx: LevelContext, num: int, scale: int) -> tuple[int, int]:
     """The folds ``solve_with_context`` recovers from an observation with
-    ``q = (r1 - r2) / m = num / scale`` (``scale > 0``)."""
-    system, sigma = ctx.system, ctx.sigma
-    if 2 * num >= sigma * scale:
-        n2, den = ctx.s2.nearest(num, scale, sigma, True), system.gamma1 * scale
-        return (2 * (n2 * system.gamma2 * scale - num) + den) // (2 * den), n2
-    if 2 * num < -sigma * scale:
-        n1, den = ctx.s1.nearest(-num, scale, sigma, False), system.gamma2 * scale
-        return n1, (2 * (n1 * system.gamma1 * scale + num) + den) // (2 * den)
-    return 0, 0
+    ``q = (r1 - r2) / m = num / scale`` (``scale > 0``): those of the signed
+    rung nearest ``q``.  With a ``_table``, ``x = floor(2 q) + ceil(2 q)``
+    ranks ``q`` among its keys, and a rung between two thresholds gives both
+    folds.  Without one, the ladder on ``q``'s side answers ``nearest``.
+    Past an end rung, or from ``nearest``, the picked ladder's fold stays and
+    the other is rounded from it."""
+    table = ctx._table
+    if table is not None:
+        keys, top, n1s, n2s = table
+        twice = 2 * num
+        i = bisect.bisect_right(keys, twice // scale - (-twice // scale))
+        if 0 < i < top:
+            return n1s[i], n2s[i]
+        up, fold = (True, n2s[i]) if i else (False, n1s[0])
+    elif 2 * num >= ctx.sigma * scale:
+        up, fold = True, ctx.s2.nearest(num, scale, ctx.sigma, True)
+    elif 2 * num < -ctx.sigma * scale:
+        up, fold = False, ctx.s1.nearest(-num, scale, ctx.sigma, False)
+    else:
+        return 0, 0
+    system = ctx.system
+    if up:
+        den = system.gamma1 * scale
+        return (2 * (fold * system.gamma2 * scale - num) + den) // (2 * den), fold
+    den = system.gamma2 * scale
+    return fold, (2 * (fold * system.gamma1 * scale + num) + den) // (2 * den)
 
 
 def solve_level_real(system: TwoModSystem, obs: RemainderObservation, j: int) -> FoldingSolution:

@@ -629,18 +629,19 @@ class TestOracleLimits:
                                                  "are past the scan's limit of 215$"):
                 level_exactness_scan(s, 1)
 
-    def test_exactness_scan_refuses_past_its_cases(self):
-        s = TwoModSystem.from_moduli(12, 18)  # 2,052 cases at level 1
-        with mock.patch.object(oracle, "_EXACTNESS_CASES_MAX", 2052):
-            assert level_exactness_scan(s, 1).checked == 2052
+    def test_exactness_scan_counts_cases_without_a_limit(self):
+        # the scan's cost is its solves and one pass over the values, which
+        # the cell limit bounds; its case count only reports the work done
+        assert not hasattr(oracle, "_EXACTNESS_CASES_MAX")
+        assert level_exactness_scan(TwoModSystem.from_moduli(12, 18), 1).checked == 2052
 
-        def solve(ctx, obs):
-            raise AssertionError("a refused scan solves nothing")
-
-        with mock.patch.object(oracle, "_EXACTNESS_CASES_MAX", 2051), _patched_solver(solve):
-            with pytest.raises(ValueError, match="^level_exactness_scan: 2052 cases at level 1 are "
-                                                 "past the scan's limit of 2051$"):
-                level_exactness_scan(s, 1)
+    def test_exhaustive_verify_of_667_million_cases_answers_in_bounded_memory_and_time(self):
+        # 667,667,000 cases over 1,001,000 observations, each solved once, under 1 GB
+        code, out, err = run_cli_bounded(["verify", "--m1", "1000", "--m2", "1001", "--exhaustive"],
+                                         seconds=10)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == ("PASS: exhaustive level 1: 667667000 cases, 0 fold failures, "
+                                        "0 estimate failures")
 
     @pytest.mark.parametrize("argv, refusal", [
         pytest.param(["reconstruct", "--moduli", "1099511627777,1099511627779", "--remainders", "5,7",
@@ -656,10 +657,6 @@ class TestOracleLimits:
         pytest.param(["verify", "--m1", "200000", "--m2", "300000", "--exhaustive"],
                      "level_exactness_scan: 60000000000 table cells (m1 * m2) are past the scan's "
                      "limit of 1048576", id="verify-exhaustive-m-1e5"),
-        # under the cell limit, but 667,667,000 cases took 32-40 s
-        pytest.param(["verify", "--m1", "1000", "--m2", "1001", "--exhaustive"],
-                     "level_exactness_scan: 667667000 cases at level 1 are past the scan's limit "
-                     "of 8388608", id="verify-exhaustive-1e3"),
         # the checks on (1000, 1001) pass; a random system past the rung limit refuses
         pytest.param(["verify", "--m1", "1000", "--m2", "1001", "--falsify", "--random-systems", "2",
                       "--gamma-max", "400000", "--seed", "1"],
