@@ -7,15 +7,16 @@ from a table computed once per residue; the CRT scan is a plain loop; ladder
 depths are grown element by element; and the adversarial instances follow
 the tightness constructions directly.
 
-The exactness scan solves each observation once and counts its cases in
-closed form, from a histogram of the values and the interval of values with
-given true folds; ``tests/oracle_reference.py`` keeps the per-case loop.
+The exactness scan picks the solver's folds once per observation
+difference ``a - b``, computes each observation's rounded estimate in int64
+and counts its cases in closed form, from a histogram of the values and the
+interval of values with given true folds; ``tests/oracle_reference.py``
+keeps the per-case loop.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +28,7 @@ from .modmath import _checked_moduli
 from .two_mod import (
     RemainderObservation,
     TwoModSystem,
+    _exact_folds,
     level_context,
     sigma_chain,
     solve_with_context,
@@ -71,7 +73,11 @@ def crt_scan(remainders, moduli) -> int:
 
 # Candidates per block of the fold search: 2^16 int64 values are 512 KB.
 _SCAN_BLOCK = 1 << 16
-# Candidates the fold search scans at most: 2^24 take about 0.2 s.
+# Candidates the fold search scans at most.  A warm search of 2^24 candidates
+# (Xeon, 2 cores, Python 3.11, numpy 2.4; tracemalloc peak in brackets) takes
+# in int64 0.01-0.03 s [2.1 MB] on (4097, 4099), whose periods fit in a block,
+# and 0.27 s [2.5 MB] on (2^24 + 1, 2^24 + 3), whose periods do not; with a
+# remainder past 2^62, on Python integers, 0.36 s [2.3 MB] and 4.1 s [13 MB].
 _FOLD_SEARCH_MAX = 1 << 24
 _INT64_SAFE = 1 << 62
 
@@ -91,11 +97,12 @@ def exhaustive_fold_search(system: TwoModSystem, obs: RemainderObservation, sear
     Minimizes ``max(|r1~ - r1|, |r2~ - r2|)``; ties go to the smallest value.
     The candidates are scanned in numpy blocks of at most ``_SCAN_BLOCK``
     values, each block keeping its first minimum and the scan replacing its
-    best only on a strictly smaller deviation.  Each remainder is taken as
-    its exact ``Fraction`` (a float at its binary value; a NaN or an infinity
-    raises ``ValueError``), the two are scaled to integers over one common
-    denominator, and the scan compares ``|a_i - den * (n % m_i)|`` exactly:
-    in int64 while every magnitude stays below 2^62, in Python integers
+    best only on a strictly smaller deviation.  Two int remainders are their
+    own numerators over 1; any other remainder is taken as its exact
+    ``Fraction`` (a float at its binary value; a NaN or an infinity raises
+    ``ValueError``), and the two are scaled to integers over one common
+    denominator.  The scan compares ``|a_i - den * (n % m_i)|`` exactly: in
+    int64 while every magnitude stays below 2^62, in Python integers
     (``dtype=object``) beyond.  A side's deviation depends on ``n % m_i``
     only, so it is computed once per residue (see ``_side_deviations``) and
     each block is a max and an argmin over windows of those values.  The
@@ -113,58 +120,62 @@ def exhaustive_fold_search(system: TwoModSystem, obs: RemainderObservation, sear
     if search_bound > _FOLD_SEARCH_MAX:
         raise ValueError(f"exhaustive_fold_search: search bound {search_bound} is past the "
                          f"search's limit of {_FOLD_SEARCH_MAX} candidates")
-    m1, m2 = system.m1, system.m2
-    try:
-        exact = [Fraction(r) for r in (obs.r1, obs.r2)]
-    except (ValueError, OverflowError):
-        raise ValueError(f"exhaustive_fold_search: remainders must be finite, got {obs}") from None
-    den = math.lcm(*(f.denominator for f in exact))
-    a1, a2 = (f.numerator * (den // f.denominator) for f in exact)
-    fits = max(abs(a1), abs(a2), search_bound) + den * m2 < _INT64_SAFE
-    dtype = np.int64 if fits else object
+    m1, m2, r1, r2 = system.m1, system.m2, obs.r1, obs.r2
+    if type(r1) is int and type(r2) is int:
+        a1, a2, den = r1, r2, 1
+    else:
+        try:
+            f1, f2 = Fraction(r1), Fraction(r2)
+        except (ValueError, OverflowError):
+            raise ValueError(f"exhaustive_fold_search: remainders must be finite, got {obs}") from None
+        den = math.lcm(f1.denominator, f2.denominator)
+        a1, a2 = f1.numerator * (den // f1.denominator), f2.numerator * (den // f2.denominator)
+    dtype = np.int64 if max(abs(a1), abs(a2), search_bound) + den * m2 < _INT64_SAFE else object
+    size = min(_SCAN_BLOCK, search_bound)
+    side1 = _side_deviations(a1, den, m1, search_bound, size, dtype)
+    side2 = _side_deviations(a2, den, m2, search_bound, size, dtype)
     best_n, best_dev = 0, None
-    windows = zip(_side_deviations(a1, den, m1, search_bound, dtype),
-                  _side_deviations(a2, den, m2, search_bound, dtype))
-    for start, (d1, d2) in zip(range(0, search_bound, _SCAN_BLOCK), windows):
-        dev = np.maximum(d1, d2)
-        i = int(np.argmin(dev))
+    for start in range(0, search_bound, size):
+        dev = np.maximum(side1(start), side2(start))
+        i = int(dev.argmin())
         if best_dev is None or dev[i] < best_dev:
             best_n, best_dev = start + i, dev[i]
-    deviation = max(abs(obs.r1 - best_n % m1), abs(obs.r2 - best_n % m2))
+    deviation = max(abs(r1 - best_n % m1), abs(r2 - best_n % m2))
     return FoldSearchResult(best_n // m1, best_n // m2, best_n, deviation)
 
 
-def _side_deviations(a, den: int, mod: int, bound: int, dtype):
-    """``|a - den * (n % mod)|`` for the candidates ``n`` of each scan block.
+def _side_deviations(a, den: int, mod: int, bound: int, size: int, dtype):
+    """``|a - den * (n % mod)|`` for the candidates ``n < bound``, as a
+    function from the start of a scan block of ``size`` candidates to the
+    block's values.
 
     A period that fits in a block is tabulated once, ``min(mod, bound)``
     residues, and laid out periodically over at most ``mod - 1`` plus one
     block, so the block starting at ``start`` is the contiguous window at
-    ``start % mod``.
+    ``start % mod``; a single block is the whole layout.
     A longer period is never tabulated in full: each block computes its own
     residues, at most two increasing runs.  Either way a side holds
-    O(``_SCAN_BLOCK``) values.
+    O(``size``) values.
     """
-    size = min(_SCAN_BLOCK, bound)
     period = min(mod, bound)
     if period <= size:
         span = size if bound == size else period - 1 + size
         laid = np.empty(span, dtype=dtype)
-        laid[:period] = abs(a - den * np.arange(period, dtype=dtype))
+        laid[:period] = abs(np.arange(a, a - den * period, -den, dtype=dtype))
         done = period
         while done < span:  # copy the filled prefix after itself until the span is full
             step = min(done, span - done)
             laid[done:done + step] = laid[:step]
             done += step
-        for start in range(0, bound, size):
-            offset = start % mod
-            yield laid[offset:offset + min(size, bound - start)]
-    else:
-        for start in range(0, bound, size):
-            lead = start % mod
-            k = np.arange(lead, lead + min(size, bound - start), dtype=dtype)
-            k[mod - lead:] -= mod  # the run that wraps past the period
-            yield abs(a - den * k)
+        return lambda start: laid[start % mod:start % mod + min(size, bound - start)]
+
+    def window(start):
+        lead = start % mod
+        k = np.arange(lead, lead + min(size, bound - start), dtype=dtype)
+        k[mod - lead:] -= mod  # the run that wraps past the period
+        return abs(a - den * k)
+
+    return window
 
 
 # Rungs the definitional depths insert at most, both ladders together.
@@ -278,8 +289,8 @@ class ExactnessScan:
         return self.fold_failures == 0 and self.estimate_failures == 0
 
 
-# Observations (m1 * m2) the exactness scan solves at most, each once;
-# values per histogram block, observations per chunk.
+# Observations (m1 * m2) the exactness scan covers at most; values per
+# histogram block, observations per chunk.
 _EXACTNESS_CELLS_MAX = 1 << 20
 _VALUE_BLOCK = 1 << 12
 _OBS_CHUNK = 1 << 10
@@ -292,25 +303,31 @@ def level_exactness_scan(system: TwoModSystem, j: int) -> ExactnessScan:
 
     A case is a value ``v`` and an observation ``(a, b)`` in ``[0, m1) x [0, m2)``
     whose errors ``d1 = a - v % m1``, ``d2 = b - v % m2`` have ``d1 - d2`` in
-    ``[-w/2, w/2)``, ``w = m * sigma_j``.  Each observation that is a case of
-    some value is solved once, in chunks of ``_OBS_CHUNK``, and its cases are
-    counted in closed form from three facts about true folds:
+    ``[-w/2, w/2)``, ``w = m * sigma_j``.  An observation is reached when it
+    is a case of some value.  ``solve_with_context`` picks an int
+    observation's folds with ``two_mod._exact_folds(ctx, a - b, m)``, so
+    they depend on ``a - b`` only: the scan picks them once per reached
+    difference, and its estimate is the solver's rounded mean
+    ``(n1*m1 + n2*m2 + a + b + 1) // 2``, computed in int64 for every
+    reached observation in chunks of whole diagonals ``a - b``, at most
+    ``max(_OBS_CHUNK, m1)`` observations (a test pins the solver's estimate
+    to it).  The cases are counted in closed form from three facts about
+    true folds:
 
     * ``d1 - d2 = (a - b) - (v % m1 - v % m2)``, so the observation's cases
       are a prefix sum over a histogram of the values by ``v % m1 - v % m2``;
     * the values with folds ``(n1, n2)`` are ``[max(n1*m1, n2*m2, 0),
       min((n1+1)*m1, (n2+1)*m2, range))`` and share ``v % m1 - v % m2 =
       n2*m2 - n1*m1``: the observation is a case of all of them or of none;
-    * for those, with ``p <= q`` the reconstructions ``a + n1*m1`` and
-      ``b + n2*m2``, the estimate misses when ``est > q`` and ``2v < est + p``,
-      or ``est < p`` and ``2v > est + q``.
+    * for those, the estimate misses as ``_estimate_misses`` counts, which
+      is never while it is the rounded mean of the two reconstructions.
 
-    Memory is O(``_OBS_CHUNK + _VALUE_BLOCK + m1 + m2``), and time one solve
-    per reached observation plus one pass over the values, however many
-    cases they make.  The scan refuses a system past int64 (values, folds
-    and estimates stay below ``2 * lcm``) or ``_EXACTNESS_CELLS_MAX``
-    observations.  The per-case loop of ``tests/oracle_reference.py`` is the
-    brute-force check.
+    Memory is O(``_OBS_CHUNK + _VALUE_BLOCK + m1 + m2``), and time one fold
+    pick per reached difference, one pass over the values and int64 work
+    per reached observation, however many cases they make.  The scan
+    refuses a system past int64 (values, folds and estimates stay below
+    ``2 * lcm``) or ``_EXACTNESS_CELLS_MAX`` observations.  The per-case
+    loop of ``tests/oracle_reference.py`` is the brute-force check.
     """
     if system.is_real:
         raise ValueError("level_exactness_scan: integer systems only")
@@ -333,23 +350,38 @@ def level_exactness_scan(system: TwoModSystem, j: int) -> ExactnessScan:
     k = np.arange(width)
     per_obs = below[np.clip(k - lo_diff + 1, 0, width)] - below[np.clip(k - hi_diff, 0, width)]
     cases = int(per_obs @ (np.minimum(k, m1 - 1) - np.maximum(k - (m2 - 1), 0) + 1))
-    reached = ((a, a - c) for c in map(int, np.flatnonzero(per_obs) - (m2 - 1))
-               for a in range(max(c, 0), min(m1, c + m2)))
+    reached = np.flatnonzero(per_obs)
+    step = max(1, _OBS_CHUNK // m1)  # diagonals per chunk; a diagonal holds at most m1 observations
     fold_fail = est_fail = 0
-    while chunk := list(itertools.islice(reached, _OBS_CHUNK)):
-        sols = (solve_with_context(ctx, RemainderObservation(a, b)) for a, b in chunk)
-        n1, n2, est = np.array([(s.n1, s.n2, s.estimate) for s in sols], dtype=np.int64).T
-        a, b = np.array(chunk, dtype=np.int64).T
+    for start in range(0, len(reached), step):
+        diag = reached[start:start + step]
+        diff = diag - (m2 - 1)  # a - b
+        folds = (_exact_folds(ctx, c, system.m) for c in map(int, diff))
+        n1, n2 = np.fromiter(folds, dtype=(np.int64, 2), count=len(diff)).T
         low = np.maximum(np.maximum(n1 * m1, n2 * m2), 0)
         size = np.maximum(np.minimum(np.minimum(n1 * m1 + m1, n2 * m2 + m2), limit) - low, 0)
-        lag = (a - b) - (n2 * m2 - n1 * m1)  # d1 - d2 of the values with these folds
+        lag = diff - (n2 * m2 - n1 * m1)  # d1 - d2 of the values with these folds
         size[(lag < lo_diff) | (lag > hi_diff)] = 0
-        fold_fail += int(per_obs[a - b + (m2 - 1)].sum() - size.sum())
-        p, q = np.minimum(a + n1 * m1, b + n2 * m2), np.maximum(a + n1 * m1, b + n2 * m2)
-        over = np.clip((est + p + 1) // 2 - low, 0, size)  # values with 2v < est + p
-        under = np.clip(low + size - (est + q) // 2 - 1, 0, size)  # values with 2v > est + q
-        est_fail += int(over[est > q].sum() + under[est < p].sum())
+        first = np.maximum(diff, 0)
+        count = np.minimum(diff + m2, m1) - first  # observations a = first.., b = a - diff
+        fold_fail += int(count @ (per_obs[diag] - size))
+        d = np.repeat(np.arange(len(diag)), count)  # each observation's diagonal
+        a = np.arange(len(d)) + (first + count - np.cumsum(count))[d]
+        x1, x2 = a + n1[d] * m1, a - diff[d] + n2[d] * m2  # a + n1*m1 and b + n2*m2
+        est = (x1 + x2 + 1) // 2  # solve_with_context's rounded mean
+        est_fail += _estimate_misses(est, np.minimum(x1, x2), np.maximum(x1, x2), low[d], size[d])
     return ExactnessScan(j, cases, fold_fail, est_fail)
+
+
+def _estimate_misses(est, p, q, low, size) -> int:
+    """Values the estimates miss: entry ``i`` stands for the values
+    ``low[i] .. low[i] + size[i] - 1``, each reconstructed as ``p[i] <= q[i]``,
+    and ``est[i]`` misses a value ``v`` when it lies farther from ``v`` than
+    both reconstructions do: ``est > q`` and ``2v < est + p``, or ``est < p``
+    and ``2v > est + q``."""
+    over = np.clip((est + p + 1) // 2 - low, 0, size)  # values with 2v < est + p
+    under = np.clip(low + size - (est + q) // 2 - 1, 0, size)  # values with 2v > est + q
+    return int(over[est > q].sum() + under[est < p].sum())
 
 
 def falsifier_report(system: TwoModSystem, j: int) -> OracleReport:

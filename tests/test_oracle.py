@@ -1,4 +1,5 @@
 import contextlib
+import json
 import math
 import tracemalloc
 from collections import Counter
@@ -16,6 +17,7 @@ from oracle_reference import exhaustive_fold_search as reference_fold_search
 from robustrns import oracle
 from robustrns.crt_core import InconsistentRemainders
 from robustrns.oracle import (
+    _estimate_misses,
     crt_scan,
     exhaustive_fold_search,
     falsifier_report,
@@ -27,6 +29,7 @@ from robustrns.oracle import (
 from robustrns.two_mod import (
     RemainderObservation,
     TwoModSystem,
+    _exact_folds,
     ladder_depths,
     level_context,
     sigma_chain,
@@ -288,6 +291,21 @@ class TestFoldSearchResidueTables:
         assert peak < 512 * block
 
 
+class TestFoldSearchIntRemainders:
+    """Two int remainders are their own numerators over 1: the search builds
+    no ``Fraction`` for them, and still equals the reference loop."""
+
+    @pytest.mark.parametrize("bound", [1, 1170, 6786])
+    @pytest.mark.parametrize("obs", [obs for obs in TABLE_OBSERVATIONS
+                                     if type(obs.r1) is int and type(obs.r2) is int])
+    def test_ints_never_build_a_fraction(self, obs, bound):
+        def refuse(*args):
+            raise AssertionError(f"Fraction{args} built for int remainders")
+
+        with mock.patch.object(oracle, "Fraction", refuse):
+            assert_same_search(TABLE_SYSTEM, obs, bound)
+
+
 class TestFoldSearchEdgeSizes:
     """Small bounds at magnitudes past int64: these run on Python integers."""
 
@@ -384,9 +402,9 @@ class TestExactnessScan:
             level_exactness_scan(s, 1)
 
     def test_peak_memory_per_observation(self):
-        # 60,200 observations: the scan holds a chunk of solved observations
-        # and O(m1 + m2) histogram arrays; tables of folds and estimates, at
-        # 24 bytes an observation, with reordered copies would not fit under 45
+        # 60,200 observations: the scan holds a chunk of observations and
+        # O(m1 + m2) histogram and fold arrays; tables of folds and estimates,
+        # at 24 bytes an observation, with reordered copies would not fit under 45
         s = TwoModSystem.from_moduli(200, 301)
         level_context(s, 1)  # cached, so not part of the scan's peak
         tracemalloc.start()
@@ -404,21 +422,34 @@ class TestExactnessScan:
         # (25, 24088) has 602,200 observations, 10x those of (200, 301), and
         # level 1 stays under both limits; the same 1.5 MB holds on both, and
         # int64 tables of folds and estimates would take 17 MB on the larger.
-        # A constant record stands in for the solver, whose records the test
-        # above covers, so that the 313,000 traced solves take seconds.
         s = TwoModSystem.from_moduli(*moduli)
         level_context(s, 1)
-        record = SimpleNamespace(n1=0, n2=0, estimate=0)
-        with _patched_solver(lambda ctx, obs: record):
-            level_exactness_scan(TwoModSystem.from_moduli(12, 18), 1)  # numpy's first-call allocations
-            tracemalloc.start()
-            try:
-                scan = level_exactness_scan(s, 1)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+        level_exactness_scan(TwoModSystem.from_moduli(12, 18), 1)  # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            scan = level_exactness_scan(s, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert s.m1 * s.m2 <= oracle._EXACTNESS_CELLS_MAX and scan.checked == cases
         assert peak <= 1_500_000
+
+    @pytest.mark.parametrize("moduli", [(12, 18), (24, 38), (40, 136)])
+    def test_solver_estimate_is_the_rounded_mean(self, moduli):
+        """The scan computes each observation's estimate itself, as the rounded
+        mean ``((n1*g1 + n2*g2)*m + a + b + 1) // 2`` of the folds that
+        ``_exact_folds(ctx, a - b, m)`` picks; ``solve_with_context`` must
+        return those folds and that estimate on every observation of every
+        level."""
+        s = TwoModSystem.from_moduli(*moduli)
+        for j in range(1, sigma_chain(s).levels + 1):
+            ctx = level_context(s, j)
+            for a in range(s.m1):
+                for b in range(s.m2):
+                    n1, n2 = _exact_folds(ctx, a - b, s.m)
+                    sol = solve_with_context(ctx, RemainderObservation(a, b))
+                    rounded = ((n1 * s.gamma1 + n2 * s.gamma2) * s.m + a + b + 1) // 2
+                    assert (sol.n1, sol.n2, sol.estimate) == (n1, n2, rounded)
 
 
 # Coprime cofactor pairs of the equivalence property.  Both moduli stay at most
@@ -435,59 +466,67 @@ def scan_systems(draw):
 
 
 @contextlib.contextmanager
-def _patched_solver(fake):
-    """``fake`` stands in for ``solve_with_context`` in both exactness scans."""
-    with mock.patch.object(oracle, "solve_with_context", fake), \
-            mock.patch.object(oracle_reference, "solve_with_context", fake):
+def _faults(folds=None, estimate=None):
+    """Faults injected into both exactness scans.  ``folds(ctx, diff, n1, n2)``
+    replaces the folds picked for the observations with ``a - b = diff``, and
+    ``estimate(est, p, q)`` the rounded mean ``est`` of the reconstructions
+    ``p <= q`` (elementwise, on ints and on int64 arrays).  The package's scan
+    takes them through ``_exact_folds`` and ``_estimate_misses``, the
+    reference's through ``solve_with_context``."""
+    folds = folds or (lambda ctx, diff, n1, n2: (n1, n2))
+    estimate = estimate or (lambda est, p, q: est)
+
+    def pick(ctx, num, scale):
+        return folds(ctx, num, *_exact_folds(ctx, num, scale))
+
+    def misses(est, p, q, low, size):
+        return _estimate_misses(estimate(est, p, q), p, q, low, size)
+
+    def solver(ctx, obs):
+        s = ctx.system
+        n1, n2 = pick(ctx, obs.r1 - obs.r2, s.m)
+        x1, x2 = obs.r1 + n1 * s.m1, obs.r2 + n2 * s.m2
+        return SimpleNamespace(n1=n1, n2=n2, estimate=estimate((x1 + x2 + 1) // 2, min(x1, x2), max(x1, x2)))
+
+    with mock.patch.object(oracle, "_exact_folds", pick), \
+            mock.patch.object(oracle, "_estimate_misses", misses), \
+            mock.patch.object(oracle_reference, "solve_with_context", solver):
         yield
 
 
-def _both_scans(system, j, fake=solve_with_context):
-    """The package's and the reference's scan of one level."""
-    with _patched_solver(fake):
+def _both_scans(system, j, **faults):
+    """The package's and the reference's scan of one level, under ``_faults``."""
+    with _faults(**faults) if faults else contextlib.nullcontext():
         return level_exactness_scan(system, j), oracle_reference.level_exactness_scan(system, j)
 
 
-def _corrupting(targets):
-    """A solver that returns wrong folds or a far estimate on chosen observations:
-    ``targets`` maps ``(r1, r2)`` to a fault:
+def _wrong_folds(targets):
+    """A fold fault on chosen differences: ``targets`` maps ``a - b`` to
 
     * ``"folds"``: n1 one too high;
-    * ``"estimate"``: the estimate ``m2`` too high;
-    * ``"nudge"``: the estimate one too high, which fails only the cases whose
-      largest error it crosses;
-    * ``"below"``: the estimate one below both reconstructions
-      ``r1 + n1 * m1`` and ``r2 + n2 * m2``, which fails only the cases past
-      their midpoint;
     * ``"n2+2"``: n2 two too high, folds that no value near the truth has;
     * ``"wrap_down"``, ``"wrap_up"``: the folds of the value one lcm lower or
       higher, whose values have the right residues but lie below 0 or past
       the level's range.
     """
-    def fake(ctx, obs):
-        sol = solve_with_context(ctx, obs)
-        s, fault = ctx.system, targets.get((obs.r1, obs.r2))
-        n1, n2, estimate = sol.n1, sol.n2, sol.estimate
+    def folds(ctx, diff, n1, n2):
+        s, fault = ctx.system, targets.get(diff)
         if fault == "folds":
             n1 += 1
-        elif fault == "estimate":
-            estimate += s.m2
-        elif fault == "nudge":
-            estimate += 1
-        elif fault == "below":
-            estimate = min(obs.r1 + n1 * s.m1, obs.r2 + n2 * s.m2) - 1
         elif fault == "n2+2":
             n2 += 2
         elif fault in ("wrap_down", "wrap_up"):
             sign = 1 if fault == "wrap_up" else -1
             n1, n2 = n1 + sign * s.gamma2, n2 + sign * s.gamma1
-        else:
-            return sol
-        return SimpleNamespace(n1=n1, n2=n2, estimate=estimate)
-    return fake
+        return n1, n2
+    return folds
 
 
 _FAULT_LEVELS = [((12, 18), 1), ((24, 38), 2), ((24, 38), 4)]
+
+
+def _differences(s):
+    return range(1 - s.m2, s.m1)
 
 
 class TestExactnessScanReference:
@@ -509,24 +548,25 @@ class TestExactnessScanReference:
             assert scan == reference
 
     @pytest.mark.parametrize("moduli,j", _FAULT_LEVELS)
-    def test_wrong_folds_on_one_observation(self, moduli, j):
+    def test_wrong_folds_on_one_difference(self, moduli, j):
+        """The folds of one observation's difference ``a - b`` are wrong, and so
+        on every observation with that difference, which shares them."""
         s = TwoModSystem.from_moduli(*moduli)
-        scan, reference = _both_scans(s, j, _corrupting({(5 % s.m1, 5 % s.m2): "folds"}))
+        scan, reference = _both_scans(s, j, folds=_wrong_folds({5 % s.m1 - 5 % s.m2: "folds"}))
         assert scan == reference
         assert scan.fold_failures > 0 and scan.estimate_failures == 0
 
     @pytest.mark.parametrize("moduli,j", _FAULT_LEVELS)
     def test_estimate_outside_the_error(self, moduli, j):
         s = TwoModSystem.from_moduli(*moduli)
-        scan, reference = _both_scans(s, j, _corrupting({(5 % s.m1, 5 % s.m2): "estimate"}))
+        scan, reference = _both_scans(s, j, estimate=lambda est, p, q: est + s.m2 * ((p + q) % 5 == 2))
         assert scan == reference
         assert scan.estimate_failures > 0 and scan.fold_failures == 0
 
     @pytest.mark.parametrize("moduli,j", _FAULT_LEVELS)
     def test_estimate_below_both_reconstructions(self, moduli, j):
         s = TwoModSystem.from_moduli(*moduli)
-        every = {(a, b): "below" for a in range(s.m1) for b in range(s.m2)}
-        scan, reference = _both_scans(s, j, _corrupting(every))
+        scan, reference = _both_scans(s, j, estimate=lambda est, p, q: p - 1)
         assert scan == reference
         assert 0 < scan.estimate_failures < scan.checked and scan.fold_failures == 0
 
@@ -537,42 +577,63 @@ class TestExactnessScanReference:
         has: n2 two too high, or the folds one lcm away, whose values have
         the observation in their window but lie below 0 or past the range."""
         s = TwoModSystem.from_moduli(*moduli)
-        every = {(a, b): fault for a in range(s.m1) for b in range(s.m2)}
-        scan, reference = _both_scans(s, j, _corrupting(every))
+        every = {diff: fault for diff in _differences(s)}
+        scan, reference = _both_scans(s, j, folds=_wrong_folds(every))
         assert scan == reference
         assert scan.fold_failures == scan.checked > 0 and scan.estimate_failures == 0
 
     @pytest.mark.parametrize("block,moduli,j", [(1, (12, 18), 1), (7, (24, 38), 4), (100, (24, 38), 3)])
     def test_block_edges(self, block, moduli, j):
         """Value blocks and observation chunks far smaller than a level split
-        the histogram and the solved observations at every kind of edge;
-        faults on many observations make every count depend on which
+        the histogram and the observations at every kind of edge; faults on
+        many differences and estimates make every count depend on which
         observation each chunk entry holds."""
         s = TwoModSystem.from_moduli(*moduli)
-        cells = [(a, b) for a in range(s.m1) for b in range(s.m2)]
-        targets = {cell: "folds" for cell in cells[::11]}
-        targets.update({cell: "estimate" for cell in cells[3::7]})
-        targets.update({cell: "nudge" for cell in cells[5::13]})
+        targets = {diff: "folds" for diff in _differences(s)[::11]}
+
+        def estimate(est, p, q):
+            return est + s.m2 * ((p + 3 * q) % 7 == 3) + ((2 * p + q) % 13 == 5)
+
         with mock.patch.object(oracle, "_VALUE_BLOCK", block), mock.patch.object(oracle, "_OBS_CHUNK", block):
-            scan, reference = _both_scans(s, j, _corrupting(targets))
+            scan, reference = _both_scans(s, j, folds=_wrong_folds(targets), estimate=estimate)
         assert scan == reference
         assert scan.fold_failures > 0 and scan.estimate_failures > 0
 
     @pytest.mark.parametrize("moduli", [(24, 38), (12, 18), (40, 136)])
-    def test_each_observation_solved_once(self, moduli):
+    def test_each_difference_picked_once(self, moduli):
         s = TwoModSystem.from_moduli(*moduli)
         for j in range(1, sigma_chain(s).levels + 1):
             calls = Counter()
 
-            def counting(ctx, obs):
-                calls[obs.r1, obs.r2] += 1
-                return solve_with_context(ctx, obs)
+            def counting(ctx, num, scale):
+                calls[num] += 1
+                return _exact_folds(ctx, num, scale)
 
-            with _patched_solver(counting):
+            with mock.patch.object(oracle, "_exact_folds", counting):
                 scan = level_exactness_scan(s, j)
             assert max(calls.values()) == 1
-            assert sum(calls.values()) <= min(s.m1 * s.m2, scan.checked)
-            assert all(0 <= a < s.m1 and 0 <= b < s.m2 for a, b in calls)
+            assert sum(calls.values()) <= min(s.m1 + s.m2 - 1, scan.checked)
+            assert all(1 - s.m2 <= diff < s.m1 for diff in calls)
+
+
+class TestEstimateMisses:
+    def test_counts_the_values_the_estimate_misses(self):
+        """Every small estimate, reconstruction pair and run of values
+        against a count of the values ``v`` with ``|est - v|`` past both
+        ``|p - v|`` and ``|q - v|``."""
+        rows = [(est, p, q, low, size)
+                for p in range(-2, 4) for q in range(p, 6) for est in range(-5, 9)
+                for low in range(-3, 5) for size in range(4)]
+        est, p, q, low, size = (np.array(col, dtype=np.int64) for col in zip(*rows))
+        want = sum(abs(e - v) > max(abs(pp - v), abs(qq - v))
+                   for e, pp, qq, lo, n in rows for v in range(lo, lo + n))
+        assert want > 0
+        assert _estimate_misses(est, p, q, low, size) == want
+        for row in rows[::37]:
+            one = [np.array([x], dtype=np.int64) for x in row]
+            e, pp, qq, lo, n = row
+            assert _estimate_misses(*one) == sum(
+                abs(e - v) > max(abs(pp - v), abs(qq - v)) for v in range(lo, lo + n))
 
 
 _REAL = TwoModSystem.real(2.5, 18, 29)
@@ -610,6 +671,18 @@ class TestOracleLimits:
             with pytest.raises(ValueError, match="^exhaustive_fold_search: search bound 1001 is "
                                                  "past the search's limit of 1000 candidates$"):
                 exhaustive_fold_search(TABLE_SYSTEM, obs, 1001)
+
+    def test_fold_search_runs_at_its_limit_and_refuses_one_past_it(self):
+        # lcm(4097, 4099) = 16,793,603 lets the bound reach the limit of 2^24
+        argv = ["reconstruct", "--moduli", "4097,4099", "--remainders", "100,33", "--level", "2",
+                "--oracle", "--oracle-bound"]
+        code, out, err = run_cli_bounded([*argv, str(oracle._FOLD_SEARCH_MAX)], seconds=10)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["oracle"] == {"search_bound": 16777216, "folds": [2083, 2082],
+                                             "value": 8534151, "agrees": True}
+        refusal = ("error: exhaustive_fold_search: search bound 16777217 is past the search's "
+                   "limit of 16777216 candidates\n")
+        assert run_cli_bounded([*argv, "16777217"], seconds=0.5) == (2, "", refusal)
 
     def test_definitional_depths_refuse_past_their_rungs(self):
         s = TwoModSystem(13, 18, 29)  # 17 + 28 rungs at most
