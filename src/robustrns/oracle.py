@@ -1,17 +1,22 @@
-"""Independent brute-force references for the closed forms.
+"""Brute-force references for the closed forms.
 
-Nothing here shares a code path with the solvers it validates or with
+The fold search, the CRT scan, the definitional depths and the adversarial
+instances share no code path with the solvers they validate or with
 ``simkit``.  The fold search scans every candidate value in numpy blocks,
 exact for int, rational and float remainders, reading each side's deviation
 from a table computed once per residue; the CRT scan is a plain loop; ladder
 depths are grown element by element; and the adversarial instances follow
 the tightness constructions directly.
 
-The exactness scan picks the solver's folds once per observation
-difference ``a - b``, computes each observation's rounded estimate in int64
-and counts its cases in closed form, from a histogram of the values and the
-interval of values with given true folds; ``tests/oracle_reference.py``
-keeps the per-case loop.
+The exactness scan is not independent of the solver.  It picks the solver's
+folds through ``two_mod._exact_folds``, once per observation difference
+``a - b``, and checks them against true folds it finds on its own: it
+counts each observation's cases in closed form, from a histogram of the
+values and the interval of values with given true folds.  Its estimate
+check tests the scan's own rounded mean in int64, which lies between the
+two reconstructions and so can never miss; only
+``test_solver_estimate_is_the_rounded_mean`` ties that mean to the solver's
+estimate.  ``tests/oracle_reference.py`` keeps the per-case loop.
 """
 
 from __future__ import annotations
@@ -73,11 +78,14 @@ def crt_scan(remainders, moduli) -> int:
 
 # Candidates per block of the fold search: 2^16 int64 values are 512 KB.
 _SCAN_BLOCK = 1 << 16
-# Candidates the fold search scans at most.  A warm search of 2^24 candidates
-# (Xeon, 2 cores, Python 3.11, numpy 2.4; tracemalloc peak in brackets) takes
-# in int64 0.01-0.03 s [2.1 MB] on (4097, 4099), whose periods fit in a block,
-# and 0.27 s [2.5 MB] on (2^24 + 1, 2^24 + 3), whose periods do not; with a
-# remainder past 2^62, on Python integers, 0.36 s [2.3 MB] and 4.1 s [13 MB].
+# Candidates the fold search scans at most: 2^24 in int64, and 16 times
+# fewer on Python integers, where a candidate costs about 15 times as much.
+# Warm (Xeon, 2 cores, Python 3.11, numpy 2.4; tracemalloc peak in brackets),
+# 2^24 int64 candidates take 0.01-0.03 s [2.1 MB] on (4097, 4099), whose
+# periods fit in a block, and 0.18-0.27 s [2.5 MB] on (2^24 + 1, 2^24 + 3),
+# whose periods do not; 2^20 Python integers take 0.03 s [2.3 MB] on
+# (4097, 4099) with a remainder of 1/2^50, and 0.19 s [12.5 MB] on
+# (2^62 + 1, 2^62 + 3), 0.38 s cold through ``reconstruct --oracle``.
 _FOLD_SEARCH_MAX = 1 << 24
 _INT64_SAFE = 1 << 62
 
@@ -92,7 +100,8 @@ class FoldSearchResult:
 
 def exhaustive_fold_search(system: TwoModSystem, obs: RemainderObservation, search_bound: int) -> FoldSearchResult:
     """Scan every candidate value below the bound for the best remainder fit;
-    a bound past ``_FOLD_SEARCH_MAX`` candidates is refused.
+    a bound past ``_FOLD_SEARCH_MAX`` candidates is refused, and on Python
+    integers one past ``_FOLD_SEARCH_MAX >> 4``.
 
     Minimizes ``max(|r1~ - r1|, |r2~ - r2|)``; ties go to the smallest value.
     The candidates are scanned in numpy blocks of at most ``_SCAN_BLOCK``
@@ -117,9 +126,6 @@ def exhaustive_fold_search(system: TwoModSystem, obs: RemainderObservation, sear
         raise ValueError(f"exhaustive_fold_search: search bound {search_bound} must be at least 1")
     if search_bound > system.lcm:
         raise ValueError("exhaustive_fold_search: bound exceeds the lcm")
-    if search_bound > _FOLD_SEARCH_MAX:
-        raise ValueError(f"exhaustive_fold_search: search bound {search_bound} is past the "
-                         f"search's limit of {_FOLD_SEARCH_MAX} candidates")
     m1, m2, r1, r2 = system.m1, system.m2, obs.r1, obs.r2
     if type(r1) is int and type(r2) is int:
         a1, a2, den = r1, r2, 1
@@ -131,6 +137,11 @@ def exhaustive_fold_search(system: TwoModSystem, obs: RemainderObservation, sear
         den = math.lcm(f1.denominator, f2.denominator)
         a1, a2 = f1.numerator * (den // f1.denominator), f2.numerator * (den // f2.denominator)
     dtype = np.int64 if max(abs(a1), abs(a2), search_bound) + den * m2 < _INT64_SAFE else object
+    limit = _FOLD_SEARCH_MAX if dtype is np.int64 else _FOLD_SEARCH_MAX >> 4
+    if search_bound > limit:
+        path = "" if dtype is np.int64 else " on Python integers"
+        raise ValueError(f"exhaustive_fold_search: search bound {search_bound} is past the "
+                         f"search's limit of {limit} candidates{path}")
     size = min(_SCAN_BLOCK, search_bound)
     side1 = _side_deviations(a1, den, m1, search_bound, size, dtype)
     side2 = _side_deviations(a2, den, m2, search_bound, size, dtype)
@@ -178,7 +189,11 @@ def _side_deviations(a, den: int, mod: int, bound: int, size: int, dtype):
     return window
 
 
-# Rungs the definitional depths insert at most, both ladders together.
+# Rungs the definitional depths insert at most, both ladders together.  Each
+# insert shifts the list, so the cost grows as the square of the rungs: at
+# the limit, ``verify --m1 131071 --m2 131075`` answers in 4.1 s cold at
+# 46 MB max RSS, 3.4 s and a 5.1 MB tracemalloc peak of it for the full
+# level (Xeon, Python 3.11).
 _DEFINITIONAL_RUNGS_MAX = 1 << 18
 
 
@@ -307,11 +322,15 @@ def level_exactness_scan(system: TwoModSystem, j: int) -> ExactnessScan:
     is a case of some value.  ``solve_with_context`` picks an int
     observation's folds with ``two_mod._exact_folds(ctx, a - b, m)``, so
     they depend on ``a - b`` only: the scan picks them once per reached
-    difference, and its estimate is the solver's rounded mean
-    ``(n1*m1 + n2*m2 + a + b + 1) // 2``, computed in int64 for every
-    reached observation in chunks of whole diagonals ``a - b``, at most
-    ``max(_OBS_CHUNK, m1)`` observations (a test pins the solver's estimate
-    to it).  The cases are counted in closed form from three facts about
+    difference through that same function, so it shares the solver's fold
+    pick and checks it only against the true folds.  Its estimate is the
+    solver's rounded mean ``(n1*m1 + n2*m2 + a + b + 1) // 2``, computed in
+    int64 for every reached observation in chunks of whole diagonals
+    ``a - b``, at most ``max(_OBS_CHUNK, m1)`` observations; the scan never
+    calls the solver for it, and a rounded mean of two reconstructions lies
+    between them, so the estimate check cannot fail.  Only
+    ``test_solver_estimate_is_the_rounded_mean`` pins the solver's estimate
+    to it.  The cases are counted in closed form from three facts about
     true folds:
 
     * ``d1 - d2 = (a - b) - (v % m1 - v % m2)``, so the observation's cases

@@ -1,9 +1,10 @@
-"""Reference copy of the tabulated residue ladder, kept to test the searched
-one: every ladder is built as its sorted rungs (``range(mod)`` at full depth,
-a sorted tuple otherwise) and ranked by ``bisect``, whatever its size.
+"""Reference copy of the tabulated residue ladder, kept to test the walks of
+``two_mod.Ladder``: every ladder is built as its sorted rungs (``range(mod)``
+at full depth, a sorted tuple otherwise) and ranked by ``bisect``, whatever
+its size.
 
-``build(base, mod, depth)`` is the tuple ``Ladder.build`` as it stood before
-ladders above ``two_mod.LADDER_TABLE_MAX`` rungs were searched, and its
+``build(base, mod, depth)`` is the tabulated ladder as it stood before
+``two_mod`` kept only ``base, mod, depth, inverse`` per ladder, and its
 ``rank``, ``neighbours`` and ``nearest`` the bisect versions.  ``rungs``
 lists the sorted rungs of any ``two_mod.Ladder`` through this copy.
 

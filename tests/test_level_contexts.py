@@ -1,13 +1,12 @@
-"""Level contexts: a level's row plus its two ladders, full-lcm ladders as
-ranges, bounded caches, the cached hash, and a system's mode as part of the
-identity its context is cached under.
+"""Level contexts: a level's row plus its two ladders, full-depth ladders
+at any size, bounded caches, the cached hash, and a system's mode as part of
+the identity its context is cached under.
 
-At the full-lcm level a ladder's depth is ``gamma - 1``, so it holds every
-residue and its ``rungs`` are ``range(gamma)``; every other level keeps a
-sorted tuple up to ``LADDER_TABLE_MAX`` rungs and searches above it.  A
-table's rungs must equal the sorted definition, each rung's fold must be its
-multiplier, and ranking, picking and solving must give what the same ladder
-as a tuple gives.
+Every ladder is a plain ``Ladder(base, mod, depth, inverse)``.  Its sorted
+rungs, read through ``ladder_reference``, must equal the definition, each
+rung's fold must be its multiplier, and at the full-lcm level, where a
+ladder's depth is ``gamma - 1`` and it holds every residue, its walks and
+the solver must give what the tabulated reference gives.
 """
 
 import copy
@@ -28,8 +27,7 @@ from robustrns.two_mod import (
     FoldingSolution,
     RemainderObservation,
     RobustnessLevel,
-    LADDER_TABLE_MAX,
-    TableLadder,
+    Ladder,
     TwoModSystem,
     _depth_tables,
     _sigma_values,
@@ -62,17 +60,15 @@ def test_ladders_equal_their_definition_at_every_level(system):
         for ladder, depth, base, mod in ((ctx.s1, ctx.depth1, g1, g2), (ctx.s2, ctx.depth2, g2, g1)):
             rungs = ladders.rungs(ladder)
             assert list(rungs) == sorted(t * base % mod for t in range(depth + 1))
-            assert isinstance(ladder, TableLadder) == (depth == mod - 1 or depth < LADDER_TABLE_MAX)
-            if isinstance(ladder, TableLadder):
-                assert ladder.rungs == rungs and isinstance(rungs, range) == (depth == mod - 1)
+            assert ladder == Ladder(base, mod, depth, pow(base, -1, mod))
             assert len(ladder) == depth + 1
             assert [ladder.fold(t * base % mod) for t in range(depth + 1)] == list(range(depth + 1))
             assert ladder.fold(np.array(rungs, dtype=np.int64)).tolist() == [ladder.fold(r) for r in rungs]
 
 
-# Cofactors just past 2^60 and past 2^64: the sorted-tuple ladders of the top
-# level would hold 2^61 and 2^65 ints; as ranges the context builds at once,
-# and the solvers rank within them by arithmetic, never by ``len``.
+# Cofactors just past 2^60 and past 2^64: the top level's ladders would hold
+# 2^61 and 2^65 rungs; the context keeps four numbers per ladder and builds
+# at once, and the solvers walk them, never taking ``len``.
 HUGE = TwoModSystem(2**20, 2**60 + 1, 2**60 + 3)
 PAST_2_64 = TwoModSystem(1024, 2**64 + 1, 2**64 + 3)
 
@@ -82,7 +78,7 @@ def solve_top_level_draw(system, data):
     top level; the folds must be ``value // m_i``."""
     top = sigma_chain(system).levels
     ctx = level_context(system, top)
-    assert ctx.s1.rungs == range(system.gamma2) and ctx.s2.rungs == range(system.gamma1)
+    assert (ctx.s1.depth, ctx.s2.depth) == (system.gamma2 - 1, system.gamma1 - 1)
     assert ctx.dynamic_range == system.lcm
     value = data.draw(st.integers(0, system.lcm - 1))
     err = system.m * ctx.sigma // 4 - 1
@@ -116,14 +112,18 @@ def test_remainders_5_900_past_2_64_and_the_falsifier():
 
 @settings(max_examples=60, deadline=None)
 @given(coprime_systems(gamma_max=10**4), st.data())
-def test_range_ladders_match_tuple_ladders(system, data):
-    """Integer, rational and float observations at the top level, with the
-    ladders as ranges and as tuples; remainders run from ``-2 m_i`` to
-    ``3 m_i``, so windows hit, miss and clip at both ends."""
+def test_full_depth_walks_match_the_reference(system, data):
+    """Integer, rational and float observations at the top level, where
+    every residue is a rung; remainders run from ``-2 m_i`` to ``3 m_i``, so
+    windows hit, miss and clip at both ends.  The solver must give what it
+    gives with the tabulated reference ladders in place of the walks, and
+    each ladder's ``nearest`` the reference's at the midpoint ties near both
+    ends and along a drawn stretch."""
     top = sigma_chain(system).levels
     ctx = level_context(system, top)
-    as_tuples = dataclasses.replace(ctx, s1=dataclasses.replace(ctx.s1, rungs=tuple(ctx.s1.rungs)),
-                                    s2=dataclasses.replace(ctx.s2, rungs=tuple(ctx.s2.rungs)))
+    reference = dataclasses.replace(ctx, s1=ladders.build(ctx.s1.base, ctx.s1.mod, ctx.s1.depth),
+                                    s2=ladders.build(ctx.s2.base, ctx.s2.mod, ctx.s2.depth))
+    vars(reference)["_table"] = None  # every pick goes through the reference's nearest
     m1, m2 = system.m1, system.m2
     for _ in range(20):
         r1 = data.draw(st.integers(-2 * m1, 3 * m1))
@@ -132,11 +132,13 @@ def test_range_ladders_match_tuple_ladders(system, data):
         for obs in (RemainderObservation(r1, r2),
                     RemainderObservation(r1 + frac, Fraction(r2)),
                     RemainderObservation(float(r1 + frac), float(r2))):
-            assert solve_with_context(ctx, obs) == solve_with_context(as_tuples, obs)
-    for ladder, rungs in ((ctx.s1, as_tuples.s1), (ctx.s2, as_tuples.s2)):
-        top = ladder.rungs[-1]
-        # the midpoints num / 2 of a full ladder are ties, at edges -3 .. top + 3
-        nums = range(-7, 2 * top + 7, 2)
+            assert solve_with_context(ctx, obs) == solve_with_context(reference, obs)
+    for ladder, rungs in ((ctx.s1, reference.s1), (ctx.s2, reference.s2)):
+        # the midpoints num / 2 of a full ladder are ties: at edges -3 .. 4,
+        # mod - 4 .. mod + 2 and 64 edges from a drawn one
+        start = data.draw(st.integers(0, ladder.mod))
+        nums = sorted({*range(-7, 9, 2), *range(2 * ladder.mod - 9, 2 * ladder.mod + 5, 2),
+                       *range(2 * start - 1, 2 * start + 127, 2)})
         for left_open in (False, True):
             assert ([ladder.nearest(num, 2, ctx.sigma, left_open) for num in nums]
                     == [rungs.nearest(num, 2, ctx.sigma, left_open) for num in nums])

@@ -672,6 +672,19 @@ class TestOracleLimits:
                                                  "past the search's limit of 1000 candidates$"):
                 exhaustive_fold_search(TABLE_SYSTEM, obs, 1001)
 
+    def test_fold_search_on_python_integers_refuses_past_a_sixteenth(self):
+        # a denominator of 2^60 puts the same search on Python integers
+        obs, exact = RemainderObservation(Fraction(1, 2**60), 240), RemainderObservation(69, 240)
+        with mock.patch.object(oracle, "_FOLD_SEARCH_MAX", 1600):
+            assert exhaustive_fold_search(TABLE_SYSTEM, obs, 100) == reference_fold_search(
+                TABLE_SYSTEM, obs, 100)
+            with pytest.raises(ValueError, match="^exhaustive_fold_search: search bound 101 is past "
+                                                 "the search's limit of 100 candidates on Python "
+                                                 "integers$"):
+                exhaustive_fold_search(TABLE_SYSTEM, obs, 101)
+            assert exhaustive_fold_search(TABLE_SYSTEM, exact, 1600) == reference_fold_search(
+                TABLE_SYSTEM, exact, 1600)
+
     def test_fold_search_runs_at_its_limit_and_refuses_one_past_it(self):
         # lcm(4097, 4099) = 16,793,603 lets the bound reach the limit of 2^24
         argv = ["reconstruct", "--moduli", "4097,4099", "--remainders", "100,33", "--level", "2",
@@ -684,6 +697,17 @@ class TestOracleLimits:
                    "limit of 16777216 candidates\n")
         assert run_cli_bounded([*argv, "16777217"], seconds=0.5) == (2, "", refusal)
 
+    def test_fold_search_on_python_integers_runs_at_its_limit_and_refuses_one_past_it(self):
+        # moduli near 2^62 put the search on Python integers, limited to 2^20 candidates
+        argv = ["reconstruct", "--moduli", "4611686018427387905,4611686018427387907",
+                "--remainders", "5,900", "--level", "1", "--oracle", "--oracle-bound"]
+        code, out, err = run_cli_bounded([*argv, "1048576"], seconds=10)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["oracle"]["search_bound"] == 1048576
+        refusal = ("error: exhaustive_fold_search: search bound 1048577 is past the search's "
+                   "limit of 1048576 candidates on Python integers\n")
+        assert run_cli_bounded([*argv, "1048577"], seconds=0.5) == (2, "", refusal)
+
     def test_definitional_depths_refuse_past_their_rungs(self):
         s = TwoModSystem(13, 18, 29)  # 17 + 28 rungs at most
         with mock.patch.object(oracle, "_DEFINITIONAL_RUNGS_MAX", 45):
@@ -692,6 +716,14 @@ class TestOracleLimits:
             with pytest.raises(ValueError, match="^ladder_depths_definitional: up to 45 rungs to "
                                                  "insert is past the limit of 44$"):
                 ladder_depths_definitional(s, 3)
+
+    def test_definitional_depths_refuse_one_rung_past_their_limit(self):
+        # (131071, 131075) inserts exactly 2^18 rungs and answers in about 4 s
+        # (CI runs it); (131071, 131077) inserts two more
+        refusal = ("error: ladder_depths_definitional: up to 262146 rungs to insert is past "
+                   "the limit of 262144\n")
+        assert run_cli_bounded(["verify", "--m1", "131071", "--m2", "131077"],
+                               seconds=0.5) == (2, "", refusal)
 
     def test_exactness_scan_refuses_past_its_cells(self):
         s = TwoModSystem.from_moduli(12, 18)  # 216 cells
@@ -720,7 +752,8 @@ class TestOracleLimits:
         pytest.param(["reconstruct", "--moduli", "1099511627777,1099511627779", "--remainders", "5,7",
                       "--level", "1", "--oracle"],
                      "exhaustive_fold_search: search bound 604462909808963854794753 is past the "
-                     "search's limit of 16777216 candidates", id="reconstruct-oracle-2^40"),
+                     "search's limit of 1048576 candidates on Python integers",
+                     id="reconstruct-oracle-2^40"),
         pytest.param(["verify", "--m1", "1099511627777", "--m2", "1099511627779"],
                      "ladder_depths_definitional: up to 2199023255554 rungs to insert is past the "
                      "limit of 262144", id="verify-2^40"),

@@ -1,17 +1,16 @@
-"""Searched ladders: a ladder below the full-lcm level with more than
-``two_mod.LADDER_TABLE_MAX`` rungs keeps only ``base, mod, depth, inverse``
-and answers ``neighbours`` and ``nearest`` by Euclid-style walks.  A table
-ladder, a sorted tuple or a full-depth ``range``, answers ``nearest`` from
-its rungs and ``neighbours`` by the same walks.
+"""Ladder walks: every ladder keeps only ``base, mod, depth, inverse`` and
+answers ``neighbours`` and ``nearest`` by Euclid-style walks; at full depth,
+where every residue is a rung, the first rung at or above an edge is the
+edge itself.
 
-``ladder_reference`` keeps the tabulated ladder with bisect.  With the cap
-patched to 1 every ladder short of full depth searches, and each query of a
-searched or a table ladder must give what the reference gives; near 2^40
-and 2^64 the reference is its old window search, which needs no table.
-Solves, falsifiers and ``LevelKernel``'s tables must not change when the
-cap is raised so that every ladder is a table again.  Lower levels of
-cofactors near 2^40 and 2^64, whose tables would not fit in memory, must
-solve under a 1 GB address-space limit.
+``ladder_reference`` keeps the tabulated ladder with bisect.  Each query of
+a walked ladder, at every depth of small ladders and on random ones, must
+give what the reference gives; near 2^40 and 2^64 the reference is its old
+window search, which needs no table.  Solves and falsifiers must not change
+when ``SIGNED_TABLE_MAX`` is raised so that every level picks its folds from
+a signed table instead of the walks.  Lower levels of cofactors near 2^40
+and 2^64, whose tables would not fit in memory, must solve under a 1 GB
+address-space limit.
 """
 
 import contextlib
@@ -34,10 +33,9 @@ from robustrns import two_mod
 from robustrns.oracle import range_falsifier
 from robustrns.simkit import LevelKernel
 from robustrns.two_mod import (
-    LADDER_TABLE_MAX,
+    SIGNED_TABLE_MAX,
     Ladder,
     RemainderObservation,
-    TableLadder,
     TwoModSystem,
     _least,
     ladder_depths,
@@ -49,8 +47,8 @@ from robustrns.two_mod import (
 
 @contextlib.contextmanager
 def table_cap(cap):
-    """``Ladder.build`` with ``LADDER_TABLE_MAX = cap``, on fresh contexts."""
-    with mock.patch.object(two_mod, "LADDER_TABLE_MAX", cap):
+    """Fresh contexts with ``SIGNED_TABLE_MAX = cap``."""
+    with mock.patch.object(two_mod, "SIGNED_TABLE_MAX", cap):
         level_context.cache_clear()
         try:
             yield
@@ -78,7 +76,7 @@ def assert_matches_reference(ladder, base, mod, depth, sigmas):
                         == ref.nearest(num, 2, sigma, left_open)), (num, sigma, left_open)
 
 
-def searched(base, mod, depth):
+def ladder_of(base, mod, depth):
     return Ladder(base, mod, depth, pow(base, -1, mod))
 
 
@@ -91,33 +89,21 @@ def coprime_ladders(draw, mod_max):
 
 @settings(max_examples=40, deadline=None)
 @given(coprime_ladders(mod_max=2000), st.data())
-def test_searched_ladders_match_the_reference(ladder, data):
+def test_walks_match_the_reference(ladder, data):
     base, mod, depth = ladder
-    with table_cap(1):
-        built = Ladder.build(base, mod, depth)
-    if depth == mod - 1:
-        assert isinstance(built, TableLadder) and built.rungs == range(mod)
-    elif depth == 0:  # one rung, at the cap
-        assert isinstance(built, TableLadder) and built.rungs == (0,)
-    else:
-        assert type(built) is Ladder and built == searched(base, mod, depth)
-    assert len(built) == depth + 1
+    walked = ladder_of(base, mod, depth)
+    assert len(walked) == depth + 1
     sigma = data.draw(st.sampled_from((1, least_gap(base, mod, depth))))
-    assert_matches_reference(searched(base, mod, depth), base, mod, depth, (sigma,))
-    # at the default cap: a tuple up to 2^10 rungs, a range at full depth
-    assert_matches_reference(Ladder.build(base, mod, depth), base, mod, depth, (sigma,))
+    assert_matches_reference(walked, base, mod, depth, (sigma,))
 
 
-@pytest.mark.parametrize("table", [False, True], ids=["searched", "table"])
 @pytest.mark.parametrize("mod", [2, 3, 7, 30, 53])
-def test_every_depth_of_small_ladders(table, mod):
+def test_every_depth_of_small_ladders(mod):
     for base in sorted({1, 2, mod - 1, mod + 1, 2 * mod + 3, 5 * mod // 3}):
         if math.gcd(base, mod) == 1:
             for depth in range(mod):
-                ladder = Ladder.build(base, mod, depth) if table else searched(base, mod, depth)
-                assert isinstance(ladder, TableLadder) == table
                 sigmas = {1, least_gap(base, mod, depth)}
-                assert_matches_reference(ladder, base, mod, depth, sigmas)
+                assert_matches_reference(ladder_of(base, mod, depth), base, mod, depth, sigmas)
 
 
 @st.composite
@@ -143,7 +129,7 @@ def test_least_is_the_least_of_the_walk(walk):
 
 
 # levels 1-2 of each: gaps of 2 and of 2^40 (level 2 of the first is full
-# depth, which the walk also serves when built as a plain Ladder)
+# depth, where every residue is a rung)
 BIG_SYSTEMS = [TwoModSystem(1, 2**40 + 1, 2**40 + 3), TwoModSystem(1, 2**64 + 1, 2**64 + 3 + 2**40)]
 
 
@@ -152,34 +138,35 @@ BIG_SYSTEMS = [TwoModSystem(1, 2**40 + 1, 2**40 + 3), TwoModSystem(1, 2**64 + 1,
 def test_searched_ladders_match_the_window_search_at_size(system, j):
     ctx = level_context(system, j)
     rnd = random.Random(j)
-    for s in (ctx.s1, ctx.s2):
-        ladder = searched(s.base, s.mod, s.depth)
-        ref = ladders.SearchedLadder(s.base, s.mod, s.depth, s.inverse)
+    for ladder in (ctx.s1, ctx.s2):
+        ref = ladders.SearchedLadder(ladder.base, ladder.mod, ladder.depth, ladder.inverse)
         for _ in range(100):
-            rung = rnd.randrange(s.depth + 1) * s.base % s.mod
-            for edge in (rung + rnd.randint(-2, 2), rnd.randrange(-2, s.mod + 3)):
+            rung = rnd.randrange(ladder.depth + 1) * ladder.base % ladder.mod
+            for edge in (rung + rnd.randint(-2, 2), rnd.randrange(-2, ladder.mod + 3)):
                 assert ladder.neighbours(edge) == ref.neighbours(edge), edge
             # half-integer targets near a rung, ties included, and anywhere
             for num in (2 * rung + rnd.choice((-1, 1)) * rnd.randrange(ctx.sigma + 2),
-                        rnd.randrange(-4, 2 * s.mod + 4)):
+                        rnd.randrange(-4, 2 * ladder.mod + 4)):
                 left_open = rnd.random() < 0.5
                 assert (ladder.nearest(num, 2, ctx.sigma, left_open)
                         == ref.nearest(num, 2, ctx.sigma, left_open)), (num, left_open)
 
 
-def test_table_cap():
-    # a tuple up to the cap, a search above it, a range at full depth at any size
-    assert LADDER_TABLE_MAX == 1024
-    assert type(Ladder.build(3, 5000, LADDER_TABLE_MAX - 1).rungs) is tuple
-    assert type(Ladder.build(3, 5000, LADDER_TABLE_MAX)) is Ladder
-    assert Ladder.build(3, 2**70, 2**70 - 1).rungs == range(2**70)
+def test_full_depth_ladders_at_any_size():
+    # every residue is a rung: neighbours and nearest need no table at 2^70
+    ladder = ladder_of(3, 2**70, 2**70 - 1)
+    assert ladder.neighbours(2**69 + 1) == (2**69, 2**69 + 1)
+    assert ladder.neighbours(2**70 + 5) == (2**70 - 1, 2**70 - 1)
+    assert ladder.nearest(2**70 + 1, 2, 1, False) == ladder.fold(2**69)
+    assert ladder.nearest(2**70 + 1, 2, 1, True) == ladder.fold(2**69 + 1)
+    assert ladder.nearest(2**72, 1, 1, True) == ladder.fold(2**70 - 1)
 
 
 @st.composite
 def deep_systems(draw):
-    """Systems whose lower-level ladders exceed the table cap: ``gamma2 =
-    q gamma1 + s`` with a small ``s`` keeps ``sigma_1`` small, so level 1
-    is deep; or any coprime pair up to 3e4 with a level that is."""
+    """Systems with a level below the full one past ``SIGNED_TABLE_MAX``:
+    ``gamma2 = q gamma1 + s`` with a small ``s`` keeps ``sigma_1`` small, so
+    level 1 is deep; or any coprime pair up to 3e4 with a level that is."""
     g1 = draw(st.integers(9000, 29999))
     if draw(st.booleans()):
         s = draw(st.integers(2, 8).filter(lambda s: math.gcd(g1, s) == 1))
@@ -187,7 +174,7 @@ def deep_systems(draw):
     else:
         g2 = draw(st.integers(g1 + 1, 30000).filter(lambda g: math.gcd(g1, g) == 1))
     system = TwoModSystem(draw(st.integers(1, 7)), g1, g2)
-    assume(any(max(ladder_depths(system, j)) >= LADDER_TABLE_MAX
+    assume(any(sum(ladder_depths(system, j)) + 2 > SIGNED_TABLE_MAX
                for j in range(1, sigma_chain(system).levels)))
     return system
 
@@ -204,7 +191,7 @@ def cap_dependent_answers(system, observations):
 
 @settings(max_examples=12, deadline=None)
 @given(deep_systems(), st.data())
-def test_searched_and_tabled_contexts_agree(system, data):
+def test_walked_and_tabled_contexts_agree(system, data):
     levels = sigma_chain(system).levels
     m1, m2 = system.m1, system.m2
     observations = []
@@ -213,11 +200,11 @@ def test_searched_and_tabled_contexts_agree(system, data):
         observations.append(RemainderObservation(r1, r2))
         observations.append(RemainderObservation(r1 + Fraction(data.draw(st.integers(1, 5)), 6), r2))
     level_context.cache_clear()
-    searched_answers = cap_dependent_answers(system, observations)
+    walked_answers = cap_dependent_answers(system, observations)
     with table_cap(2**40):
-        assert all(isinstance(level_context(system, j).s1, TableLadder) for j in range(1, levels + 1))
+        assert all(level_context(system, j)._table is not None for j in range(1, levels + 1))
         tabled_answers = cap_dependent_answers(system, observations)
-    assert searched_answers == tabled_answers
+    assert walked_answers == tabled_answers
 
 
 def test_deep_level_builds_in_constant_memory():

@@ -1,14 +1,15 @@
 """The signed threshold tables of the scalar solver and of ``LevelKernel``.
 
-A ``LevelContext`` whose two ladders are ``TableLadder``s with at most
-``2 * LADDER_TABLE_MAX`` rungs between them builds ``_table`` on its first
-solve, and ``_exact_folds`` picks both folds from one bisect over its keys.
+A ``LevelContext`` of at most ``SIGNED_TABLE_MAX`` signed rungs, rung 0
+counted on both sides, builds ``_table`` on its first solve, and
+``_exact_folds`` picks both folds from one bisect over its keys.
 The reference pick is ``ladder_reference``'s ``nearest`` on the ladder of
 ``q``'s side, with ``_exact_folds``' rounding of the companion fold.  The two
 must agree at every integer numerator within 2 of every threshold and up to
 3 rungs past both ends, at scales m, 3m and 7m, on every level of random
-systems and on the largest table of (7249571, 7935450).  The table's fold
-pairs are ``LevelKernel``'s, rung for rung; a tabulated context never calls
+systems and on the largest table of (7249571, 7935450).  On levels past the
+cap and one within it, the walks must pick what a table built for the test
+picks.  The table's fold pairs are ``LevelKernel``'s, rung for rung; a tabulated context never calls
 ``nearest``; and the table holds at most 128 bytes per signed rung.
 ``LevelKernel``'s first threshold per bucket, counted with ``bincount``,
 must be the ``np.searchsorted`` index byte for byte."""
@@ -20,13 +21,15 @@ from fractions import Fraction
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import ladder_reference as ladders
+from robustrns import two_mod
 from robustrns.multi_mod import cascade_reconstruct, cascade_spec
 from robustrns.simkit import LevelKernel
 from robustrns.two_mod import (
-    LADDER_TABLE_MAX, Ladder, RemainderObservation, TableLadder, TwoModSystem, _exact_folds,
+    SIGNED_TABLE_MAX, Ladder, RemainderObservation, TwoModSystem, _exact_folds,
     level_context, sigma_chain, solve_with_context,
 )
 
@@ -155,17 +158,37 @@ def test_fold_pairs_are_the_level_kernels_property(g1, data):
 
 
 def test_which_contexts_have_a_table():
-    # full depth: gamma1 + gamma2 signed rungs, at most 2 * LADDER_TABLE_MAX
-    assert LADDER_TABLE_MAX == 1024
-    assert level_context(TwoModSystem(1, 1023, 1025), 2)._table is not None
-    assert level_context(TwoModSystem(1, 1024, 1025), 1)._table is None
-    # searched sides: level 1 of (9001, 18005) has depths (6000, 3000)
+    # a table holds depth1 + depth2 + 2 entries, at most SIGNED_TABLE_MAX
+    assert SIGNED_TABLE_MAX == 2048
+    assert level_context(TwoModSystem(1, 1023, 1025), 2)._table is not None  # full depth, 2048
+    assert level_context(TwoModSystem(1, 1024, 1025), 1)._table is None  # full depth, 2049
+    # deep sides: level 1 of (9001, 18005) has depths (6000, 3000)
     ctx = level_context(TwoModSystem(1, 9001, 18005), 1)
     assert (ctx.depth1, ctx.depth2, type(ctx.s1), type(ctx.s2)) == (6000, 3000, Ladder, Ladder)
     assert ctx._table is None
-    # below the full level, ladders of up to LADDER_TABLE_MAX rungs each are tables
+    # one side past 2^10 rungs, the two within the cap
+    ctx = level_context(TwoModSystem.from_moduli(349523, 1592382), 5)
+    assert (ctx.depth1, ctx.depth2) == (1589, 349) and ctx._table is not None
+    ctx = level_context(TwoModSystem.from_moduli(345713, 747830), 6)
+    assert ctx.depth1 + ctx.depth2 + 2 > SIGNED_TABLE_MAX and ctx._table is None
     assert all(isinstance(level_context(LARGEST, j)._table, tuple) for j in range(1, 7))
     assert all(level_context(LARGEST, j)._table is None for j in range(7, 14))
+
+
+@pytest.mark.parametrize("moduli, j", [((349523, 1592382), 5), ((345713, 747830), 6), ((1024, 1025), 1)],
+                         ids=["tabulated", "past-the-cap", "full-depth-past-the-cap"])
+def test_walks_pick_what_the_table_picks(moduli, j):
+    """The walks on every context without ``_table``, and a table built
+    past the cap, pick alike at every probe of the table's thresholds."""
+    system = TwoModSystem.from_moduli(*moduli)
+    walked = level_context.__wrapped__(system, j)
+    vars(walked)["_table"] = None
+    with mock.patch.object(two_mod, "SIGNED_TABLE_MAX", 1 << 20):
+        tabled = level_context.__wrapped__(system, j)
+        assert tabled._table is not None
+    for scale in (system.m, 3 * system.m):
+        for num in probe_nums(tabled, scale):
+            assert _exact_folds(walked, num, scale) == _exact_folds(tabled, num, scale), (num, scale)
 
 
 def test_a_tabulated_context_never_calls_nearest():
@@ -175,7 +198,7 @@ def test_a_tabulated_context_never_calls_nearest():
     rnd = random.Random(11)
     systems = [TwoModSystem(13, 18, 29), TwoModSystem.real(2.5, 18, 29), LARGEST]
     spec = cascade_spec((120, 300), (210, 490), 2)
-    with mock.patch.object(TableLadder, "nearest", refuse), mock.patch.object(Ladder, "nearest", refuse):
+    with mock.patch.object(Ladder, "nearest", refuse):
         for system in systems:
             for ctx in tabulated_levels(system):
                 m1, m2 = int(system.m1), int(system.m2)
@@ -192,8 +215,7 @@ def test_a_tabulated_context_never_calls_nearest():
 
 def test_contexts_without_a_table_still_use_nearest():
     ctx = level_context(TwoModSystem(1, 1024, 1025), 1)
-    with mock.patch.object(TableLadder, "nearest", side_effect=TableLadder.nearest,
-                           autospec=True) as nearest:
+    with mock.patch.object(Ladder, "nearest", side_effect=Ladder.nearest, autospec=True) as nearest:
         solve_with_context(ctx, RemainderObservation(900, 5))
     assert nearest.call_count == 1
 

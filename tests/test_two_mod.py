@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ladder_reference as ladders
 from robustrns.oracle import range_falsifier, range_falsifier_basic
 from robustrns.two_mod import (
     RemainderObservation,
@@ -127,12 +128,12 @@ class TestResidueLadder:
 
     def test_examples(self):
         s = TwoModSystem(13, 18, 29)
-        assert tuple(level_context(s, 3).s1.rungs) == (0, 7, 14, 18, 25)  # depth1 = 4
-        assert self.min_gap(level_context(s, 3).s1.rungs) == 4
-        assert tuple(level_context(s, 1).s2.rungs) == (0, 11)  # depth2 = 1
-        assert self.min_gap(level_context(s, 1).s2.rungs) == 11
-        assert tuple(level_context(s, 3).s2.rungs) == (0, 4, 11, 15)  # depth2 = 3
-        assert self.min_gap(level_context(s, 3).s2.rungs) == 4
+        assert tuple(ladders.rungs(level_context(s, 3).s1)) == (0, 7, 14, 18, 25)  # depth1 = 4
+        assert self.min_gap(ladders.rungs(level_context(s, 3).s1)) == 4
+        assert tuple(ladders.rungs(level_context(s, 1).s2)) == (0, 11)  # depth2 = 1
+        assert self.min_gap(ladders.rungs(level_context(s, 1).s2)) == 11
+        assert tuple(ladders.rungs(level_context(s, 3).s2)) == (0, 4, 11, 15)  # depth2 = 3
+        assert self.min_gap(ladders.rungs(level_context(s, 3).s2)) == 4
 
     @given(coprime_pairs)
     @settings(max_examples=150)
@@ -143,7 +144,7 @@ class TestResidueLadder:
             ctx = level_context(system, j)
             for ladder, base, mod, depth in ((ctx.s1, g1, g2, ctx.depth1),
                                              (ctx.s2, g2, g1, ctx.depth2)):
-                rungs = list(ladder.rungs)
+                rungs = list(ladders.rungs(ladder))
                 assert len(ladder) == depth + 1
                 assert rungs == sorted(t * base % mod for t in range(depth + 1))
                 assert len(set(rungs)) == depth + 1
