@@ -5,8 +5,9 @@ instances share no code path with the solvers they validate or with
 ``simkit``.  The fold search scans every candidate value in numpy blocks,
 exact for int, rational and float remainders, reading each side's deviation
 from a table computed once per residue; the CRT scan is a plain loop; ladder
-depths are grown element by element; and the adversarial instances follow
-the tightness constructions directly.
+depths are grown rung by rung, each rung checked against the cells of width
+sigma_j around it; and the adversarial instances follow the tightness
+constructions directly.
 
 The exactness scan is not independent of the solver.  It picks the solver's
 folds through ``two_mod._exact_folds``, once per observation difference
@@ -21,7 +22,6 @@ estimate.  ``tests/oracle_reference.py`` keeps the per-case loop.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -189,20 +189,23 @@ def _side_deviations(a, den: int, mod: int, bound: int, size: int, dtype):
     return window
 
 
-# Rungs the definitional depths insert at most, both ladders together.  Each
-# insert shifts the list, so the cost grows as the square of the rungs: at
-# the limit, ``verify --m1 131071 --m2 131075`` answers in 4.1 s cold at
-# 46 MB max RSS, 3.4 s and a 5.1 MB tracemalloc peak of it for the full
-# level (Xeon, Python 3.11).
-_DEFINITIONAL_RUNGS_MAX = 1 << 18
+# Rungs the definitional depths place at most, both ladders together, each in
+# O(1): at the limit, ``verify --m1 2097151 --m2 2097155`` places exactly 2^22
+# and answers in 1.7-2.0 s cold at 114 MB max RSS (Xeon, 2 cores, Python 3.11).
+_DEFINITIONAL_RUNGS_MAX = 1 << 22
 
 
 def ladder_depths_definitional(system: TwoModSystem, j: int) -> tuple[int, int]:
     """Ladder depths straight from the definition: grow each ladder until its
     minimum gap drops below sigma_j, and return the last depth that held.
-    The two ladders take at most ``(gamma1 - 1) + (gamma2 - 1)`` insertions,
-    each a list insert; past ``_DEFINITIONAL_RUNGS_MAX`` the system is
-    refused."""
+
+    While every gap is at least sigma_j, a cell of width sigma_j holds at most
+    one rung, so a new rung has a neighbour closer than sigma_j exactly when
+    one sits in its own cell or in a cell next to it.  Rung ``x`` lives in
+    slot ``x // sigma_j + 1``; an empty slot holds ``3 * mod``, farther than
+    sigma_j from every rung.  The two ladders place at most
+    ``(gamma1 - 1) + (gamma2 - 1)`` rungs, each in O(1); past
+    ``_DEFINITIONAL_RUNGS_MAX`` the system is refused."""
     chain = sigma_chain(system)
     if not 1 <= j <= chain.levels:
         raise ValueError(f"ladder_depths_definitional: level {j} out of range")
@@ -213,18 +216,14 @@ def ladder_depths_definitional(system: TwoModSystem, j: int) -> tuple[int, int]:
     target = chain.sigma(j)
 
     def grow(base: int, mod: int) -> int:
-        elems = [0]
+        slots = [3 * mod] * (mod // target + 3)
+        slots[1] = 0
         for t in range(1, mod):
             x = t * base % mod
-            i = bisect.bisect_left(elems, x)
-            elems.insert(i, x)
-            worst = mod
-            if i + 1 < len(elems):
-                worst = min(worst, elems[i + 1] - x)
-            if i > 0:
-                worst = min(worst, x - elems[i - 1])
-            if worst < target:
+            k = x // target + 1
+            if abs(slots[k - 1] - x) < target or abs(slots[k] - x) < target or abs(slots[k + 1] - x) < target:
                 return t - 1
+            slots[k] = x
         return mod - 1
 
     return grow(system.gamma1, system.gamma2), grow(system.gamma2, system.gamma1)

@@ -10,12 +10,25 @@ results with a deviation of the same type.
 before it solved each observation once and counted cases in numpy: one
 ``solve_with_context`` call per case.  ``test_oracle.py`` requires the
 package's scan to return an equal ``ExactnessScan``.
+
+``ladder_depths_definitional`` is ``oracle.ladder_depths_definitional`` as it
+stood before it placed rungs in cells of width sigma_j: each ladder grows as a
+sorted list, one ``bisect`` and one ``list.insert`` per rung.
+``test_oracle.py`` requires the package's depths to be equal.
 """
 
 from __future__ import annotations
 
+import bisect
+
 from robustrns.oracle import ExactnessScan, FoldSearchResult
-from robustrns.two_mod import RemainderObservation, TwoModSystem, level_context, solve_with_context
+from robustrns.two_mod import (
+    RemainderObservation,
+    TwoModSystem,
+    level_context,
+    sigma_chain,
+    solve_with_context,
+)
 
 
 def exhaustive_fold_search(system: TwoModSystem, obs: RemainderObservation, search_bound: int) -> FoldSearchResult:
@@ -62,3 +75,29 @@ def level_exactness_scan(system: TwoModSystem, j: int) -> ExactnessScan:
                 elif abs(sol.estimate - value) > max(abs(d1), abs(d2)):
                     est_fail += 1
     return ExactnessScan(j, checked, fold_fail, est_fail)
+
+
+def ladder_depths_definitional(system: TwoModSystem, j: int) -> tuple[int, int]:
+    """Ladder depths straight from the definition: grow each ladder until its
+    minimum gap drops below sigma_j, and return the last depth that held."""
+    chain = sigma_chain(system)
+    if not 1 <= j <= chain.levels:
+        raise ValueError(f"ladder_depths_definitional: level {j} out of range")
+    target = chain.sigma(j)
+
+    def grow(base: int, mod: int) -> int:
+        elems = [0]
+        for t in range(1, mod):
+            x = t * base % mod
+            i = bisect.bisect_left(elems, x)
+            elems.insert(i, x)
+            worst = mod
+            if i + 1 < len(elems):
+                worst = min(worst, elems[i + 1] - x)
+            if i > 0:
+                worst = min(worst, x - elems[i - 1])
+            if worst < target:
+                return t - 1
+        return mod - 1
+
+    return grow(system.gamma1, system.gamma2), grow(system.gamma2, system.gamma1)

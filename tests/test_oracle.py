@@ -349,6 +349,33 @@ class TestDefinitionalDepths:
                 assert ladder_depths(s, j) == ladder_depths_definitional(s, j)
 
 
+class TestDefinitionalDepthsMatchReference:
+    """The cells of width sigma_j give the depths of the sorted-list growth in
+    ``oracle_reference``."""
+
+    def test_every_level_of_every_small_pair(self):
+        for g2 in range(3, 151):
+            for g1 in range(2, g2):
+                if math.gcd(g1, g2) == 1:
+                    s = TwoModSystem(1, g1, g2)
+                    for j in range(1, sigma_chain(s).levels + 1):
+                        assert ladder_depths_definitional(s, j) == \
+                            oracle_reference.ladder_depths_definitional(s, j), (g1, g2, j)
+
+    def test_random_large_pairs(self, rng):
+        # The reference's inserts cost the square of the rungs, and the top
+        # two levels grow the ladders nearly in full (about 95% of its time on
+        # these pairs), so those two levels are checked against the closed form.
+        for _ in range(20):
+            g1, g2 = random_coprime_pair(rng, lo=2**12, hi=2**16)
+            s = TwoModSystem(1, g1, g2)
+            top = sigma_chain(s).levels
+            for j in range(1, top + 1):
+                expected = (oracle_reference.ladder_depths_definitional(s, j) if j < top - 1
+                            else ladder_depths(s, j))
+                assert ladder_depths_definitional(s, j) == expected, (g1, g2, j)
+
+
 class TestFalsifier:
     def test_defeats_solver_everywhere(self):
         s = TwoModSystem.from_moduli(234, 377)
@@ -718,11 +745,11 @@ class TestOracleLimits:
                 ladder_depths_definitional(s, 3)
 
     def test_definitional_depths_refuse_one_rung_past_their_limit(self):
-        # (131071, 131075) inserts exactly 2^18 rungs and answers in about 4 s
-        # (CI runs it); (131071, 131077) inserts two more
-        refusal = ("error: ladder_depths_definitional: up to 262146 rungs to insert is past "
-                   "the limit of 262144\n")
-        assert run_cli_bounded(["verify", "--m1", "131071", "--m2", "131077"],
+        # (2097151, 2097155) places exactly 2^22 rungs and answers in about 2 s
+        # (CI runs it); (2097151, 2097157) places two more
+        refusal = ("error: ladder_depths_definitional: up to 4194306 rungs to insert is past "
+                   "the limit of 4194304\n")
+        assert run_cli_bounded(["verify", "--m1", "2097151", "--m2", "2097157"],
                                seconds=0.5) == (2, "", refusal)
 
     def test_exactness_scan_refuses_past_its_cells(self):
@@ -756,18 +783,19 @@ class TestOracleLimits:
                      id="reconstruct-oracle-2^40"),
         pytest.param(["verify", "--m1", "1099511627777", "--m2", "1099511627779"],
                      "ladder_depths_definitional: up to 2199023255554 rungs to insert is past the "
-                     "limit of 262144", id="verify-2^40"),
+                     "limit of 4194304", id="verify-2^40"),
+        # the depth checks on (100003, 200003) pass; the scan refuses
         pytest.param(["verify", "--m1", "100003", "--m2", "200003", "--exhaustive"],
-                     "ladder_depths_definitional: up to 300004 rungs to insert is past the limit "
-                     "of 262144", id="verify-exhaustive-1e5"),
+                     "level_exactness_scan: 20000900009 table cells (m1 * m2) are past the scan's "
+                     "limit of 1048576", id="verify-exhaustive-1e5"),
         pytest.param(["verify", "--m1", "200000", "--m2", "300000", "--exhaustive"],
                      "level_exactness_scan: 60000000000 table cells (m1 * m2) are past the scan's "
                      "limit of 1048576", id="verify-exhaustive-m-1e5"),
-        # the checks on (1000, 1001) pass; a random system past the rung limit refuses
+        # the checks on (1000, 1001) pass; the first random system is past the rung limit
         pytest.param(["verify", "--m1", "1000", "--m2", "1001", "--falsify", "--random-systems", "2",
-                      "--gamma-max", "400000", "--seed", "1"],
-                     "ladder_depths_definitional: up to 697214 rungs to insert is past the limit "
-                     "of 262144", id="verify-falsify-random-4e5"),
+                      "--gamma-max", "4000000", "--seed", "1"],
+                     "ladder_depths_definitional: up to 4864042 rungs to insert is past the limit "
+                     "of 4194304", id="verify-falsify-random-4e6"),
     ])
     def test_commands_refuse_in_bounded_memory_and_time(self, argv, refusal):
         # In a child under a 1 GB address-space limit and a 5 s wall clock:
