@@ -28,6 +28,7 @@ import sys
 from dataclasses import asdict, fields
 from decimal import Context, Decimal, InvalidOperation, ROUND_HALF_UP
 from fractions import Fraction
+from functools import partial
 from importlib import import_module
 from pathlib import Path
 
@@ -454,11 +455,30 @@ def _random_coprime_pair(rng, gamma_max: int) -> tuple[int, int]:
             return g1, g2
 
 
-def _depth_pairs(system: TwoModSystem) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """Closed-form and definitional ladder depths at every level."""
+def _depth_pair(system: TwoModSystem, j: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Closed-form and definitional ladder depths at level ``j``."""
     from . import oracle
-    return [(ladder_depths(system, j), oracle.ladder_depths_definitional(system, j))
-            for j in range(1, sigma_chain(system).levels + 1)]
+    return ladder_depths(system, j), oracle.ladder_depths_definitional(system, j)
+
+
+def _falsified(system: TwoModSystem, j: int):
+    """The falsifier's report and its adversarial instance at level ``j``."""
+    from . import oracle
+    return oracle.falsifier_report(system, j), oracle.range_falsifier(system, j)
+
+
+def _level_major(tasks: list[list]) -> list[list]:
+    """Each task's results, one per call; level 1 of every task runs before
+    level 2 of any.  Each oracle sizes its work when called and refuses past
+    its limit, so a task that would refuse does so at its first call, before
+    the other tasks' deeper levels, and the first refusal is the one the
+    tasks' order gives."""
+    results = [[] for _ in tasks]
+    for j in range(max(map(len, tasks), default=0)):
+        for calls, done in zip(tasks, results):
+            if j < len(calls):
+                done.append(calls[j]())
+    return results
 
 
 def cmd_verify(args) -> int:
@@ -472,32 +492,42 @@ def cmd_verify(args) -> int:
         raise UsageError("verify: --gamma-max must be at least 3 (cofactors 2 and 3) and below "
                          "2^63 (the int64 limit of the cofactor draws)")
     from . import oracle
-    checks = []  # (ok, text), printed once every check has run, so a refusal prints nothing
+    drawn = []
+    if args.random_systems:
+        import numpy as np
+        rng = np.random.default_rng(args.seed or 0)
+        drawn = [TwoModSystem(1, *_random_coprime_pair(rng, args.gamma_max))
+                 for _ in range(args.random_systems)]
+
+    tasks = []  # one call per level: depths, scans, falsifiers, then each drawn system's depths
     if args.m1 is not None:
         system = TwoModSystem.from_moduli(args.m1, args.m2)
-        levels = sigma_chain(system).levels
-        for j, (closed, definitional) in enumerate(_depth_pairs(system), 1):
+        levels = range(1, sigma_chain(system).levels + 1)
+        tasks.append([partial(_depth_pair, system, j) for j in levels])
+        if args.exhaustive:
+            tasks.append([partial(oracle.level_exactness_scan, system, j) for j in levels])
+        if args.falsify:
+            tasks.append([partial(_falsified, system, j) for j in levels])
+    for s in drawn:
+        tasks.append([partial(_depth_pair, s, j) for j in range(1, sigma_chain(s).levels + 1)])
+    results = iter(_level_major(tasks))
+    checks = []  # (ok, text), printed once every check has run, so a refusal prints nothing
+    if args.m1 is not None:
+        for j, (closed, definitional) in enumerate(next(results), 1):
             checks.append((closed == definitional, f"ladder depths at level {j}: closed form "
                            f"{closed} vs definition {definitional}"))
         if args.exhaustive:
-            for j in range(1, levels + 1):
-                scan = oracle.level_exactness_scan(system, j)
+            for j, scan in enumerate(next(results), 1):
                 checks.append((scan.ok, f"exhaustive level {j}: {scan.checked} cases, "
                                f"{scan.fold_failures} fold failures, "
                                f"{scan.estimate_failures} estimate failures"))
         if args.falsify:
-            for j in range(1, levels + 1):
-                rep = oracle.falsifier_report(system, j)
-                inst = oracle.range_falsifier(system, j)
+            for j, (rep, inst) in enumerate(next(results), 1):
                 checks.append((rep.agrees,
                                f"tightness at level {j}: value {inst.value} misfolds as required"))
-    if args.random_systems:
-        import numpy as np
-        rng = np.random.default_rng(args.seed or 0)
-        for _ in range(args.random_systems):
-            g1, g2 = _random_coprime_pair(rng, args.gamma_max)
-            ok = all(closed == definitional for closed, definitional in _depth_pairs(TwoModSystem(1, g1, g2)))
-            checks.append((ok, f"ladder depths agree for cofactors ({g1}, {g2})"))
+    for s, pairs in zip(drawn, results):
+        checks.append((all(closed == definitional for closed, definitional in pairs),
+                       f"ladder depths agree for cofactors ({s.gamma1}, {s.gamma2})"))
     for ok, text in checks:
         print(("PASS: " if ok else "FAIL: ") + text)
     return EXIT_OK if all(ok for ok, _ in checks) else EXIT_VERIFY

@@ -2,20 +2,24 @@
 
 The fold search, the CRT scan, the definitional depths and the adversarial
 instances share no code path with the solvers they validate or with
-``simkit``.  The fold search scans every candidate value in numpy blocks,
-exact for int, rational and float remainders, reading each side's deviation
-from a table computed once per residue; the CRT scan is a plain loop; ladder
-depths are grown rung by rung, each rung checked against the cells of width
-sigma_j around it; and the adversarial instances follow the tightness
-constructions directly.
+``simkit``.  The fold search scans every candidate value in numpy blocks
+shaped as rows of the first modulus' period, exact for int, rational and
+float remainders, reading each side's deviation from a table computed once
+per residue; the CRT scan is a plain loop; ladder depths are grown rung by
+rung, each rung tested against the cells of width sigma_j around it, an
+empty cell holding ``-mod``; and the adversarial instances follow the
+tightness constructions directly.
 
 The exactness scan is not independent of the solver.  It picks the solver's
 folds through ``two_mod._exact_folds``, once per observation difference
 ``a - b``, and checks them against true folds it finds on its own: it
 counts each observation's cases in closed form, from a histogram of the
 values and the interval of values with given true folds.  Its estimate
-check tests the scan's own rounded mean in int64, which lies between the
-two reconstructions and so can never miss; only
+check tests the scan's own rounded mean once per diagonal ``a - b``: there
+the two reconstructions differ by a fixed lag, so the mean sits a fixed
+offset above the lower one, and only a diagonal whose offset falls outside
+the two reconstructions is expanded into its observations.  No diagonal's
+offset does, so the check cannot fail; only
 ``test_solver_estimate_is_the_rounded_mean`` ties that mean to the solver's
 estimate.  ``tests/oracle_reference.py`` keeps the per-case loop.
 """
@@ -34,8 +38,8 @@ from .two_mod import (
     RemainderObservation,
     TwoModSystem,
     _exact_folds,
+    _sigma_values,
     level_context,
-    sigma_chain,
     solve_with_context,
     true_folds,
 )
@@ -81,11 +85,11 @@ _SCAN_BLOCK = 1 << 16
 # Candidates the fold search scans at most: 2^24 in int64, and 16 times
 # fewer on Python integers, where a candidate costs about 15 times as much.
 # Warm (Xeon, 2 cores, Python 3.11, numpy 2.4; tracemalloc peak in brackets),
-# 2^24 int64 candidates take 0.01-0.03 s [2.1 MB] on (4097, 4099), whose
-# periods fit in a block, and 0.18-0.27 s [2.5 MB] on (2^24 + 1, 2^24 + 3),
-# whose periods do not; 2^20 Python integers take 0.03 s [2.3 MB] on
-# (4097, 4099) with a remainder of 1/2^50, and 0.19 s [12.5 MB] on
-# (2^62 + 1, 2^62 + 3), 0.38 s cold through ``reconstruct --oracle``.
+# 2^24 int64 candidates take 0.02 s [1.5 MB] on (4097, 4099), whose periods
+# fit in a block, and 0.17 s [2.6 MB] on (2^24 + 1, 2^24 + 3), whose periods
+# do not; 2^20 Python integers take 0.02 s [1.8 MB] on (4097, 4099) with a
+# remainder of 1/2^50, and 0.18 s [13.1 MB] on (2^62 + 1, 2^62 + 3), 0.4 s
+# cold through ``reconstruct --oracle``.
 _FOLD_SEARCH_MAX = 1 << 24
 _INT64_SAFE = 1 << 62
 
@@ -106,7 +110,11 @@ def exhaustive_fold_search(system: TwoModSystem, obs: RemainderObservation, sear
     Minimizes ``max(|r1~ - r1|, |r2~ - r2|)``; ties go to the smallest value.
     The candidates are scanned in numpy blocks of at most ``_SCAN_BLOCK``
     values, each block keeping its first minimum and the scan replacing its
-    best only on a strictly smaller deviation.  Two int remainders are their
+    best only on a strictly smaller deviation.  A block is rows of
+    ``cols = min(m1, bound, _SCAN_BLOCK)`` candidates and starts at a
+    multiple of ``cols``, so while m1 fits in a block, side 1's deviations
+    are one row broadcast along every block; the last block's candidates
+    from the bound on are cut off.  Two int remainders are their
     own numerators over 1; any other remainder is taken as its exact
     ``Fraction`` (a float at its binary value; a NaN or an infinity raises
     ``ValueError``), and the two are scaled to integers over one common
@@ -114,9 +122,9 @@ def exhaustive_fold_search(system: TwoModSystem, obs: RemainderObservation, sear
     int64 while every magnitude stays below 2^62, in Python integers
     (``dtype=object``) beyond.  A side's deviation depends on ``n % m_i``
     only, so it is computed once per residue (see ``_side_deviations``) and
-    each block is a max and an argmin over windows of those values.  The
-    reported deviation is the scalar expression at the chosen value, so its
-    type follows the remainders.
+    each block is a max and an argmin over a row and a window of those
+    values.  The reported deviation is the scalar expression at the chosen
+    value, so its type follows the remainders.
     """
     if system.is_real:
         raise ValueError("exhaustive_fold_search: integer systems only")
@@ -142,12 +150,14 @@ def exhaustive_fold_search(system: TwoModSystem, obs: RemainderObservation, sear
         path = "" if dtype is np.int64 else " on Python integers"
         raise ValueError(f"exhaustive_fold_search: search bound {search_bound} is past the "
                          f"search's limit of {limit} candidates{path}")
-    size = min(_SCAN_BLOCK, search_bound)
-    side1 = _side_deviations(a1, den, m1, search_bound, size, dtype)
+    cols = min(m1, search_bound, _SCAN_BLOCK)  # a block is rows of side 1's period
+    size = cols * min(_SCAN_BLOCK // cols, -(-search_bound // cols))
+    side1 = _side_deviations(a1, den, m1, search_bound, cols, dtype)
     side2 = _side_deviations(a2, den, m2, search_bound, size, dtype)
     best_n, best_dev = 0, None
     for start in range(0, search_bound, size):
-        dev = np.maximum(side1(start), side2(start))
+        dev = np.maximum(side2(start).reshape(-1, cols), side1(start)).ravel()
+        dev = dev[:search_bound - start]  # the last block runs past the bound
         i = int(dev.argmin())
         if best_dev is None or dev[i] < best_dev:
             best_n, best_dev = start + i, dev[i]
@@ -157,32 +167,30 @@ def exhaustive_fold_search(system: TwoModSystem, obs: RemainderObservation, sear
 
 def _side_deviations(a, den: int, mod: int, bound: int, size: int, dtype):
     """``|a - den * (n % mod)|`` for the candidates ``n < bound``, as a
-    function from the start of a scan block of ``size`` candidates to the
-    block's values.
+    function from the start of a scan block, a multiple of ``size``, to the
+    block's ``size`` values; those from ``bound`` on are not candidates.
 
     A period that fits in a block is tabulated once, ``min(mod, bound)``
-    residues, and laid out periodically over at most ``mod - 1`` plus one
-    block, so the block starting at ``start`` is the contiguous window at
-    ``start % mod``; a single block is the whole layout.
+    residues, and laid out periodically, whole periods filled by one
+    broadcast, so the block starting at ``start`` is the contiguous window
+    at ``start % mod``.  The layout covers one block when that window always
+    starts at 0, for a single block or a block of whole periods (side 1's
+    row), and ``mod - 1`` plus one block otherwise.
     A longer period is never tabulated in full: each block computes its own
     residues, at most two increasing runs.  Either way a side holds
     O(``size``) values.
     """
     period = min(mod, bound)
     if period <= size:
-        span = size if bound == size else period - 1 + size
-        laid = np.empty(span, dtype=dtype)
-        laid[:period] = abs(np.arange(a, a - den * period, -den, dtype=dtype))
-        done = period
-        while done < span:  # copy the filled prefix after itself until the span is full
-            step = min(done, span - done)
-            laid[done:done + step] = laid[:step]
-            done += step
-        return lambda start: laid[start % mod:start % mod + min(size, bound - start)]
+        span = size if bound <= size or size % mod == 0 else period - 1 + size
+        laid = np.empty((-(-span // period), period), dtype=dtype)  # whole periods
+        laid[:] = abs(np.arange(a, a - den * period, -den, dtype=dtype))
+        laid = laid.ravel()
+        return lambda start: laid[start % mod:start % mod + size]
 
     def window(start):
         lead = start % mod
-        k = np.arange(lead, lead + min(size, bound - start), dtype=dtype)
+        k = np.arange(lead, lead + size, dtype=dtype)
         k[mod - lead:] -= mod  # the run that wraps past the period
         return abs(a - den * k)
 
@@ -191,7 +199,7 @@ def _side_deviations(a, den: int, mod: int, bound: int, size: int, dtype):
 
 # Rungs the definitional depths place at most, both ladders together, each in
 # O(1): at the limit, ``verify --m1 2097151 --m2 2097155`` places exactly 2^22
-# and answers in 1.7-2.0 s cold at 114 MB max RSS (Xeon, 2 cores, Python 3.11).
+# and answers in 1.5-2.0 s cold at 114 MB max RSS (Xeon, 2 cores, Python 3.11).
 _DEFINITIONAL_RUNGS_MAX = 1 << 22
 
 
@@ -202,28 +210,30 @@ def ladder_depths_definitional(system: TwoModSystem, j: int) -> tuple[int, int]:
     While every gap is at least sigma_j, a cell of width sigma_j holds at most
     one rung, so a new rung has a neighbour closer than sigma_j exactly when
     one sits in its own cell or in a cell next to it.  Rung ``x`` lives in
-    slot ``x // sigma_j + 1``; an empty slot holds ``3 * mod``, farther than
-    sigma_j from every rung.  The two ladders place at most
-    ``(gamma1 - 1) + (gamma2 - 1)`` rungs, each in O(1); past
+    cell ``x // sigma_j + 1``; an empty cell holds ``-mod``, below every
+    rung, so a rung tests its own cell by sign and each neighbour with one
+    subtraction: the left one holds a rung below ``x`` or is ``mod`` or more
+    away, the right one a rung above ``x`` or lies below it.  The two ladders
+    place at most ``(gamma1 - 1) + (gamma2 - 1)`` rungs, each in O(1); past
     ``_DEFINITIONAL_RUNGS_MAX`` the system is refused."""
-    chain = sigma_chain(system)
-    if not 1 <= j <= chain.levels:
+    sigmas, top = _sigma_values(system.gamma1, system.gamma2)  # levels 1..top + 1
+    if not 1 <= j <= top + 1:
         raise ValueError(f"ladder_depths_definitional: level {j} out of range")
     rungs = system.gamma1 + system.gamma2 - 2
     if rungs > _DEFINITIONAL_RUNGS_MAX:
         raise ValueError(f"ladder_depths_definitional: up to {rungs} rungs to insert is past "
                          f"the limit of {_DEFINITIONAL_RUNGS_MAX}")
-    target = chain.sigma(j)
+    target = sigmas[j + 1]  # sigma_j
 
     def grow(base: int, mod: int) -> int:
-        slots = [3 * mod] * (mod // target + 3)
-        slots[1] = 0
+        cells = [-mod] * (mod // target + 3)
+        cells[1] = 0
         for t in range(1, mod):
             x = t * base % mod
             k = x // target + 1
-            if abs(slots[k - 1] - x) < target or abs(slots[k] - x) < target or abs(slots[k + 1] - x) < target:
+            if cells[k] >= 0 or x - cells[k - 1] < target or 0 < cells[k + 1] - x < target:
                 return t - 1
-            slots[k] = x
+            cells[k] = x
         return mod - 1
 
     return grow(system.gamma1, system.gamma2), grow(system.gamma2, system.gamma1)
@@ -303,8 +313,14 @@ class ExactnessScan:
         return self.fold_failures == 0 and self.estimate_failures == 0
 
 
-# Observations (m1 * m2) the exactness scan covers at most; values per
-# histogram block, observations per chunk.
+# Table cells (m1 * m2 observations) the exactness scan covers at most; they
+# bound both what it spends per level, one pass over the values below the
+# range (at most the lcm, so at most the cells) and one fold pick per reached
+# diagonal (m1 + m2 - 1), and its memory, O(m1 + m2).  At the limit, cold
+# (Xeon, 2 cores, Python 3.11, numpy 2.4), ``verify --m1 1023 --m2 1025
+# --exhaustive`` (1,048,575 cells, two levels) answers in 0.33-0.36 s at
+# 30 MB max RSS, most of it the interpreter and numpy starting up.  Values
+# per histogram block; diagonals per chunk, and observations per expansion.
 _EXACTNESS_CELLS_MAX = 1 << 20
 _VALUE_BLOCK = 1 << 12
 _OBS_CHUNK = 1 << 10
@@ -323,14 +339,19 @@ def level_exactness_scan(system: TwoModSystem, j: int) -> ExactnessScan:
     they depend on ``a - b`` only: the scan picks them once per reached
     difference through that same function, so it shares the solver's fold
     pick and checks it only against the true folds.  Its estimate is the
-    solver's rounded mean ``(n1*m1 + n2*m2 + a + b + 1) // 2``, computed in
-    int64 for every reached observation in chunks of whole diagonals
-    ``a - b``, at most ``max(_OBS_CHUNK, m1)`` observations; the scan never
-    calls the solver for it, and a rounded mean of two reconstructions lies
-    between them, so the estimate check cannot fail.  Only
+    solver's rounded mean ``(x1 + x2 + 1) // 2`` of the reconstructions
+    ``x1 = a + n1*m1``, ``x2 = b + n2*m2``; the scan never calls the solver
+    for it.  On a diagonal ``a - b`` the folds are fixed, so ``x1 - x2 =
+    lag`` is too, and the mean sits ``_mean_offset(lag) = (|lag| + 1) // 2``
+    above ``p = min(x1, x2)``: the scan checks that offset once per
+    diagonal, and builds a diagonal's observations and counts their misses
+    with ``_estimate_misses`` only when it falls outside ``[0, |lag|]``, at
+    most ``max(_OBS_CHUNK, m1)`` observations at a time.  A rounded mean of
+    two reconstructions lies between them, so no diagonal is expanded and
+    the estimate check cannot fail.  Only
     ``test_solver_estimate_is_the_rounded_mean`` pins the solver's estimate
-    to it.  The cases are counted in closed form from three facts about
-    true folds:
+    to it.  The cases are counted in closed form from three facts about true
+    folds:
 
     * ``d1 - d2 = (a - b) - (v % m1 - v % m2)``, so the observation's cases
       are a prefix sum over a histogram of the values by ``v % m1 - v % m2``;
@@ -340,12 +361,13 @@ def level_exactness_scan(system: TwoModSystem, j: int) -> ExactnessScan:
     * for those, the estimate misses as ``_estimate_misses`` counts, which
       is never while it is the rounded mean of the two reconstructions.
 
-    Memory is O(``_OBS_CHUNK + _VALUE_BLOCK + m1 + m2``), and time one fold
-    pick per reached difference, one pass over the values and int64 work
-    per reached observation, however many cases they make.  The scan
-    refuses a system past int64 (values, folds and estimates stay below
-    ``2 * lcm``) or ``_EXACTNESS_CELLS_MAX`` observations.  The per-case
-    loop of ``tests/oracle_reference.py`` is the brute-force check.
+    The reached diagonals go in chunks of ``_OBS_CHUNK``.  Memory is
+    O(``_OBS_CHUNK + _VALUE_BLOCK + m1 + m2``), and time one fold pick and
+    int64 work per reached difference and one pass over the values, however
+    many cases they make.  The scan refuses a system past int64 (values,
+    folds and estimates stay below ``2 * lcm``) or ``_EXACTNESS_CELLS_MAX``
+    observations.  The per-case loop of ``tests/oracle_reference.py`` is the
+    brute-force check.
     """
     if system.is_real:
         raise ValueError("level_exactness_scan: integer systems only")
@@ -369,10 +391,10 @@ def level_exactness_scan(system: TwoModSystem, j: int) -> ExactnessScan:
     per_obs = below[np.clip(k - lo_diff + 1, 0, width)] - below[np.clip(k - hi_diff, 0, width)]
     cases = int(per_obs @ (np.minimum(k, m1 - 1) - np.maximum(k - (m2 - 1), 0) + 1))
     reached = np.flatnonzero(per_obs)
-    step = max(1, _OBS_CHUNK // m1)  # diagonals per chunk; a diagonal holds at most m1 observations
+    group = max(1, _OBS_CHUNK // m1)  # diagonals expanded at once, at most m1 observations each
     fold_fail = est_fail = 0
-    for start in range(0, len(reached), step):
-        diag = reached[start:start + step]
+    for start in range(0, len(reached), _OBS_CHUNK):
+        diag = reached[start:start + _OBS_CHUNK]
         diff = diag - (m2 - 1)  # a - b
         folds = (_exact_folds(ctx, c, system.m) for c in map(int, diff))
         n1, n2 = np.fromiter(folds, dtype=(np.int64, 2), count=len(diff)).T
@@ -383,12 +405,24 @@ def level_exactness_scan(system: TwoModSystem, j: int) -> ExactnessScan:
         first = np.maximum(diff, 0)
         count = np.minimum(diff + m2, m1) - first  # observations a = first.., b = a - diff
         fold_fail += int(count @ (per_obs[diag] - size))
-        d = np.repeat(np.arange(len(diag)), count)  # each observation's diagonal
-        a = np.arange(len(d)) + (first + count - np.cumsum(count))[d]
-        x1, x2 = a + n1[d] * m1, a - diff[d] + n2[d] * m2  # a + n1*m1 and b + n2*m2
-        est = (x1 + x2 + 1) // 2  # solve_with_context's rounded mean
-        est_fail += _estimate_misses(est, np.minimum(x1, x2), np.maximum(x1, x2), low[d], size[d])
+        off = _mean_offset(lag)  # est - p on the whole diagonal, as x1 - x2 = lag
+        # est outside [p, q]: never while est is the rounded mean
+        out = np.flatnonzero((off < 0) | (off > abs(lag)))
+        for at in range(0, len(out), group):  # only those diagonals are expanded into observations
+            i = out[at:at + group]
+            r = np.repeat(np.arange(len(i)), count[i])  # each observation's diagonal, in i
+            a = np.arange(len(r)) + (first[i] + count[i] - np.cumsum(count[i]))[r]
+            d = i[r]
+            x1, x2 = a + n1[d] * m1, a - diff[d] + n2[d] * m2  # a + n1*m1 and b + n2*m2
+            p = np.minimum(x1, x2)
+            est_fail += _estimate_misses(p + off[d], p, np.maximum(x1, x2), low[d], size[d])
     return ExactnessScan(j, cases, fold_fail, est_fail)
+
+
+def _mean_offset(lag):
+    """How far ``solve_with_context``'s rounded mean ``(x1 + x2 + 1) // 2``
+    lies above ``min(x1, x2)`` when ``x1 - x2 = lag``."""
+    return (abs(lag) + 1) // 2
 
 
 def _estimate_misses(est, p, q, low, size) -> int:

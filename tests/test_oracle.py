@@ -18,6 +18,7 @@ from robustrns import oracle
 from robustrns.crt_core import InconsistentRemainders
 from robustrns.oracle import (
     _estimate_misses,
+    _mean_offset,
     crt_scan,
     exhaustive_fold_search,
     falsifier_report,
@@ -291,6 +292,65 @@ class TestFoldSearchResidueTables:
         assert peak < 512 * block
 
 
+# Remainders of every kind: int64, Python integers (a magnitude past 2^62)
+# and Fractions.
+ROW_OBSERVATIONS = [
+    pytest.param(RemainderObservation(69, 240), id="int64"),
+    pytest.param(RemainderObservation(2**70 + 5, 240), id="python-int"),
+    pytest.param(RemainderObservation(Fraction(139, 2), Fraction(-7, 3)), id="fraction"),
+]
+
+
+class TestFoldSearchBlockRows:
+    """A scan block is ``rows`` rows of ``cols = min(m1, bound, _SCAN_BLOCK)``
+    candidates, blocks starting at multiples of ``cols``: side 1 is one row
+    broadcast along the block while m1 fits in a block, and both sides are
+    computed per block once it does not.  On (234, 377) a block of 1000 holds
+    4 rows of m1, one of 300 a single row with m2 computed per block, and one
+    of 100 rows of 100 with both sides computed per block."""
+
+    @pytest.mark.parametrize("block", [
+        pytest.param(1000, id="rows-of-m1"),
+        pytest.param(300, id="m2-longer-than-a-block"),
+        pytest.param(100, id="m1-longer-than-a-block"),
+    ])
+    @pytest.mark.parametrize("bound", [
+        pytest.param(936, id="4m1"),
+        pytest.param(6786, id="lcm-29m1"),
+        pytest.param(234, id="m1"),
+        pytest.param(937, id="4m1+1"),
+        pytest.param(2339, id="10m1-1"),
+        pytest.param(150, id="below-m1"),
+    ])
+    @pytest.mark.parametrize("obs", ROW_OBSERVATIONS)
+    def test_bounds_against_rows(self, block, bound, obs):
+        with mock.patch.object(oracle, "_SCAN_BLOCK", block):
+            assert_same_search(TABLE_SYSTEM, obs, bound)
+
+    @pytest.mark.parametrize("block", [1000, 300, 100])
+    @pytest.mark.parametrize("obs", [
+        # side 2 binds: every n with n % 377 == 0 ties, except where side 1
+        # is farther; the ties fall in several rows and blocks
+        pytest.param(RemainderObservation(150, -100), id="int64"),
+        pytest.param(RemainderObservation(150, -(2**63)), id="python-int"),
+        pytest.param(RemainderObservation(Fraction(301, 2), Fraction(-201, 2)), id="fraction"),
+        pytest.param(RemainderObservation(150.5, -100.5), id="float"),
+    ])
+    def test_ties_straddling_row_and_block_edges_keep_the_smallest(self, block, obs):
+        bound, m1, m2 = 2000, TABLE_SYSTEM.m1, TABLE_SYSTEM.m2
+        devs = [max(abs(obs.r1 - n % m1), abs(obs.r2 - n % m2)) for n in range(bound)]
+        least = min(devs)
+        tied = [n for n, dev in enumerate(devs) if dev == least]
+        cols = min(m1, bound, block)
+        size = cols * min(block // cols, -(-bound // cols))
+        assert len({n // cols for n in tied[:2]}) == 2  # the first two ties in two rows
+        assert len({n // size for n in tied}) > 1  # and the ties in more than one block
+        with mock.patch.object(oracle, "_SCAN_BLOCK", block):
+            got = exhaustive_fold_search(TABLE_SYSTEM, obs, bound)
+            assert_same_search(TABLE_SYSTEM, obs, bound)
+        assert got.value == tied[0]
+
+
 class TestFoldSearchIntRemainders:
     """Two int remainders are their own numerators over 1: the search builds
     no ``Fraction`` for them, and still equals the reference loop."""
@@ -461,6 +521,11 @@ class TestExactnessScan:
         assert s.m1 * s.m2 <= oracle._EXACTNESS_CELLS_MAX and scan.checked == cases
         assert peak <= 1_500_000
 
+    def test_mean_offset_is_the_rounded_mean_above_the_lower_reconstruction(self):
+        x1, x2 = np.meshgrid(np.arange(-40, 41), np.arange(-40, 41))
+        assert (_mean_offset(x1 - x2) == (x1 + x2 + 1) // 2 - np.minimum(x1, x2)).all()
+        assert all(_mean_offset(lag) == (abs(lag) + 1) // 2 for lag in range(-5, 6))
+
     @pytest.mark.parametrize("moduli", [(12, 18), (24, 38), (40, 136)])
     def test_solver_estimate_is_the_rounded_mean(self, moduli):
         """The scan computes each observation's estimate itself, as the rounded
@@ -493,30 +558,34 @@ def scan_systems(draw):
 
 
 @contextlib.contextmanager
-def _faults(folds=None, estimate=None):
+def _faults(folds=None, offset=None):
     """Faults injected into both exactness scans.  ``folds(ctx, diff, n1, n2)``
     replaces the folds picked for the observations with ``a - b = diff``, and
-    ``estimate(est, p, q)`` the rounded mean ``est`` of the reconstructions
-    ``p <= q`` (elementwise, on ints and on int64 arrays).  The package's scan
-    takes them through ``_exact_folds`` and ``_estimate_misses``, the
-    reference's through ``solve_with_context``."""
+    ``offset(off, lag)`` the offset ``off = (|lag| + 1) // 2`` of the rounded
+    mean above the lower reconstruction ``p`` of an observation whose
+    reconstructions differ by ``lag = x1 - x2`` (elementwise, on ints and on
+    int64 arrays).  The package's scan takes them through ``_exact_folds``
+    and, once per diagonal, ``_mean_offset``; the reference's through
+    ``solve_with_context``, per observation, as ``est = p + offset(off, lag)``."""
     folds = folds or (lambda ctx, diff, n1, n2: (n1, n2))
-    estimate = estimate or (lambda est, p, q: est)
+    offset = offset or (lambda off, lag: off)
 
     def pick(ctx, num, scale):
         return folds(ctx, num, *_exact_folds(ctx, num, scale))
 
-    def misses(est, p, q, low, size):
-        return _estimate_misses(estimate(est, p, q), p, q, low, size)
+    def mean_offset(lag):
+        return offset(_mean_offset(lag), lag)
 
     def solver(ctx, obs):
         s = ctx.system
         n1, n2 = pick(ctx, obs.r1 - obs.r2, s.m)
         x1, x2 = obs.r1 + n1 * s.m1, obs.r2 + n2 * s.m2
-        return SimpleNamespace(n1=n1, n2=n2, estimate=estimate((x1 + x2 + 1) // 2, min(x1, x2), max(x1, x2)))
+        lag = x1 - x2
+        estimate = min(x1, x2) + offset((abs(lag) + 1) // 2, lag)
+        return SimpleNamespace(n1=n1, n2=n2, estimate=estimate)
 
     with mock.patch.object(oracle, "_exact_folds", pick), \
-            mock.patch.object(oracle, "_estimate_misses", misses), \
+            mock.patch.object(oracle, "_mean_offset", mean_offset), \
             mock.patch.object(oracle_reference, "solve_with_context", solver):
         yield
 
@@ -585,15 +654,18 @@ class TestExactnessScanReference:
 
     @pytest.mark.parametrize("moduli,j", _FAULT_LEVELS)
     def test_estimate_outside_the_error(self, moduli, j):
+        """The estimate lies m2 above the rounded mean on the diagonals whose
+        lag ``x1 - x2`` is 2 modulo 3, past both reconstructions; the lags
+        of the levels' windows run from -3 to 2, -5 to 4 and -1 to 0."""
         s = TwoModSystem.from_moduli(*moduli)
-        scan, reference = _both_scans(s, j, estimate=lambda est, p, q: est + s.m2 * ((p + q) % 5 == 2))
+        scan, reference = _both_scans(s, j, offset=lambda off, lag: off + s.m2 * (lag % 3 == 2))
         assert scan == reference
         assert scan.estimate_failures > 0 and scan.fold_failures == 0
 
     @pytest.mark.parametrize("moduli,j", _FAULT_LEVELS)
     def test_estimate_below_both_reconstructions(self, moduli, j):
         s = TwoModSystem.from_moduli(*moduli)
-        scan, reference = _both_scans(s, j, estimate=lambda est, p, q: p - 1)
+        scan, reference = _both_scans(s, j, offset=lambda off, lag: 0 * off - 1)  # est = p - 1
         assert scan == reference
         assert 0 < scan.estimate_failures < scan.checked and scan.fold_failures == 0
 
@@ -613,16 +685,16 @@ class TestExactnessScanReference:
     def test_block_edges(self, block, moduli, j):
         """Value blocks and observation chunks far smaller than a level split
         the histogram and the observations at every kind of edge; faults on
-        many differences and estimates make every count depend on which
+        many differences and diagonals make every count depend on which
         observation each chunk entry holds."""
         s = TwoModSystem.from_moduli(*moduli)
         targets = {diff: "folds" for diff in _differences(s)[::11]}
 
-        def estimate(est, p, q):
-            return est + s.m2 * ((p + 3 * q) % 7 == 3) + ((2 * p + q) % 13 == 5)
+        def offset(off, lag):  # m2 above the mean on some diagonals, p - 1 on others
+            return off + s.m2 * (lag % 3 == 1) - (off + 1) * (lag % 3 == 2)
 
         with mock.patch.object(oracle, "_VALUE_BLOCK", block), mock.patch.object(oracle, "_OBS_CHUNK", block):
-            scan, reference = _both_scans(s, j, folds=_wrong_folds(targets), estimate=estimate)
+            scan, reference = _both_scans(s, j, folds=_wrong_folds(targets), offset=offset)
         assert scan == reference
         assert scan.fold_failures > 0 and scan.estimate_failures > 0
 
@@ -761,6 +833,35 @@ class TestOracleLimits:
                                                  "are past the scan's limit of 215$"):
                 level_exactness_scan(s, 1)
 
+    def test_exactness_scan_runs_at_its_cell_limit_and_refuses_one_past_it(self):
+        # (1023, 1025) has 1,048,575 cells, one under 2^20, and answers in about
+        # 0.3 s; (1024, 1025) has 1,049,600
+        code, out, err = run_cli_bounded(["verify", "--m1", "1023", "--m2", "1025", "--exhaustive"],
+                                         seconds=10)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2:] == [
+            "PASS: exhaustive level 1: 714779137 cases, 0 fold failures, 0 estimate failures",
+            "PASS: exhaustive level 2: 715826177 cases, 0 fold failures, 0 estimate failures",
+        ]
+        refusal = ("error: level_exactness_scan: 1049600 table cells (m1 * m2) are past the scan's "
+                   "limit of 1048576\n")
+        assert run_cli_bounded(["verify", "--m1", "1024", "--m2", "1025", "--exhaustive"],
+                               seconds=0.5) == (2, "", refusal)
+
+    @pytest.mark.parametrize("argv, refusal", [
+        # the first drawn system's depth checks take over a second; the second
+        # system, 5,229,117 rungs, is refused at its first call before them
+        pytest.param(["verify", "--random-systems", "3", "--gamma-max", "3000000", "--seed", "1"],
+                     "ladder_depths_definitional: up to 5229117 rungs to insert is past the limit "
+                     "of 4194304", id="second-drawn-system"),
+        # the scan's first call comes before the depth checks past level 1
+        pytest.param(["verify", "--m1", "100003", "--m2", "200003", "--exhaustive"],
+                     "level_exactness_scan: 20000900009 table cells (m1 * m2) are past the scan's "
+                     "limit of 1048576", id="scan-after-depth-checks"),
+    ])
+    def test_verify_refuses_before_the_other_checks_work(self, argv, refusal):
+        assert run_cli_bounded(argv, seconds=0.5) == (2, "", f"error: {refusal}\n")
+
     def test_exactness_scan_counts_cases_without_a_limit(self):
         # the scan's cost is its solves and one pass over the values, which
         # the cell limit bounds; its case count only reports the work done
@@ -784,14 +885,15 @@ class TestOracleLimits:
         pytest.param(["verify", "--m1", "1099511627777", "--m2", "1099511627779"],
                      "ladder_depths_definitional: up to 2199023255554 rungs to insert is past the "
                      "limit of 4194304", id="verify-2^40"),
-        # the depth checks on (100003, 200003) pass; the scan refuses
+        # the depth checks' first level on (100003, 200003) passes; the scan refuses
         pytest.param(["verify", "--m1", "100003", "--m2", "200003", "--exhaustive"],
                      "level_exactness_scan: 20000900009 table cells (m1 * m2) are past the scan's "
                      "limit of 1048576", id="verify-exhaustive-1e5"),
         pytest.param(["verify", "--m1", "200000", "--m2", "300000", "--exhaustive"],
                      "level_exactness_scan: 60000000000 table cells (m1 * m2) are past the scan's "
                      "limit of 1048576", id="verify-exhaustive-m-1e5"),
-        # the checks on (1000, 1001) pass; the first random system is past the rung limit
+        # the first level of the checks on (1000, 1001) passes; the first drawn
+        # system is past the rung limit
         pytest.param(["verify", "--m1", "1000", "--m2", "1001", "--falsify", "--random-systems", "2",
                       "--gamma-max", "4000000", "--seed", "1"],
                      "ladder_depths_definitional: up to 4864042 rungs to insert is past the limit "
