@@ -1,9 +1,9 @@
 """Error-free reconstruction from remainders, for general (non-coprime) moduli.
 
-This is the robust CRT with exact remainders: the scaled differences
-``(r_k - r_1) / gcd`` are then integers, and the Garner steps of
-``multi_mod._garner_n1`` solve them for the first fold with gcds only, at
-any size.
+This is the robust CRT with exact remainders: the Garner steps of
+``multi_mod._garner_n1`` over the moduli themselves solve ``n_1 * m_1 = r_k -
+r_1 (mod m_k)`` for the first fold with gcds only, at any size, and a gcd
+that does not divide its difference shows the remainders disagree.
 """
 
 from __future__ import annotations
@@ -57,10 +57,11 @@ def crt_reconstruct(remainders, system: CrtSystem) -> int:
     for r, m in zip(rs, ms):
         if type(r) is not int or not 0 <= r < m:
             raise ValueError(f"crt_reconstruct: remainder {r!r} is not an int in [0, {m})")
-    r1, g = rs[0], system.gcd
-    n1 = None
-    if len({r % g for r in rs}) == 1:  # every (r_k - r_1) divisible by the gcd
-        n1 = _garner_n1([(r - r1) // g for r in rs[1:]], system.cofactors)
+    r1 = rs[0]
+    xis = []
+    for r in rs[1:]:
+        xis.append(r - r1)
+    n1 = _garner_n1(xis, ms)  # n_1 * m_1 = r_k - r_1 (mod m_k), each gcd checked on the way
     if n1 is None:
         # Pairwise-consistent remainders have a solution (generalized CRT), so some pair disagrees.
         for (ri, mi), (rj, mj) in combinations(zip(rs, ms), 2):

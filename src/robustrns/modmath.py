@@ -8,10 +8,11 @@ from dataclasses import fields
 from fractions import Fraction
 from operator import itemgetter
 
-# Per-system caches (ladder contexts, chains, CRT steps) are bounded so a
+# Per-system caches (ladder contexts, chains, CRT steps and plans) are bounded so a
 # long-lived process does not grow without limit over many systems.
 _CACHE_SIZE = 256
-# common_denominator's all-int and all-float tests, and a ratio's denominator
+# all-int and all-float tests by type (common_denominator, and the cache keys of
+# general_robust_crt's moduli), and a ratio's denominator
 _INT, _FLOAT, _DEN = frozenset([int]), frozenset([float]), itemgetter(1)
 
 
@@ -63,7 +64,10 @@ def common_denominator(values, caller: str) -> tuple[tuple[int, ...], int]:
     holds.  A NaN or an infinity raises ``ValueError``, and so does anything
     else, with a message that names ``caller``.  All ints are their own
     numerators over 1; all floats have powers of two for denominators, so
-    their common denominator is the largest of them.
+    their common denominator is the largest of them.  Everything here is
+    per-call work on the observation; a solver keeps what depends only on its
+    system in its own caches, and ``two_mod._exact_parts`` writes the
+    all-float branch out for its three values.
     """
     if _INT.issuperset(map(type, values)):
         return tuple(values), 1

@@ -2,11 +2,15 @@
 
 A group of moduli ``m_k = m * gamma_k`` with pairwise-coprime cofactors is
 solved in closed form through the rounded pairwise remainder differences, by
-one stage function, ``_garner_folds``.  Two such groups combine into a
-cascade: each group's estimate becomes an erroneous remainder of the value
-modulo the group lcm, and the two-modulus level solver finishes the job.
-Every solve scales all its remainders to integers over one common
-denominator once, and each of its stages reads its numerators over it.
+one stage function, ``_stage``.  Two such groups combine into a cascade:
+each group's estimate becomes an erroneous remainder of the value modulo the
+group lcm, and the two-modulus level solver finishes the job.
+
+What depends only on the moduli is built once per system, in caches keyed on
+int tuples (``_general_steps``, ``_general_plan``, ``_cascade_plan``).  A call
+scales its remainders to integers over one common denominator once and loops
+with plain ``for`` loops: on Python 3.11 a comprehension builds and calls a
+function, while from 3.12 on comprehensions are inlined (PEP 709).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from functools import lru_cache
 from itertools import combinations
 from operator import mul
 
-from .modmath import (_CACHE_SIZE, _checked_moduli, _solver_record, common_denominator,
+from .modmath import (_CACHE_SIZE, _INT, _checked_moduli, _solver_record, common_denominator,
                       mod_inverse, round_div)
 from .two_mod import TwoModSystem, _exact_folds, level_context, sigma_chain
 
@@ -89,21 +93,6 @@ def _garner_n1(xis, gammas) -> int | None:
     return n1
 
 
-def _garner_folds(m: int, gammas: tuple, nums, den: int) -> tuple[int, ...] | None:
-    """The folds over the moduli ``m * gammas`` of the remainders ``nums /
-    den``: ``xi_k = [(r_k - r_1) / m]`` estimates ``n_1 * g_1 - n_k * g_k``,
-    exactly under the window condition, ``_garner_n1`` solves the congruences
-    for ``n_1`` and the rest follow from it; None where ``_garner_n1`` is None."""
-    shift, step = m * den - 2 * nums[0], 2 * m * den
-    xis = [(2 * a + shift) // step for a in nums[1:]]
-    n1 = _garner_n1(xis, gammas)
-    if n1 is None:
-        return None
-    g1 = gammas[0]
-    # exact divisions: n1 * g1 == xi (mod g_k) by construction
-    return (n1, *[(n1 * g1 - xi) // gk for xi, gk in zip(xis, gammas[1:])])
-
-
 def _average(folds, moduli, rs, nums, den):
     """``(estimate, mean)`` of the reconstructions ``n_k * m_k + r_k``, with
     ``rs[k] == nums[k] / den``.  The mean is the exact mean rounded to a float
@@ -111,8 +100,33 @@ def _average(folds, moduli, rs, nums, den):
     otherwise."""
     total = sum(nums) + sum(map(mul, folds, moduli)) * den
     den *= len(nums)
-    as_float = any([isinstance(r, float) for r in rs])
-    return round_div(total, den), total / den if as_float else (total, den)
+    estimate = round_div(total, den)
+    for r in rs:
+        if isinstance(r, float):
+            return estimate, total / den
+    return estimate, (total, den)
+
+
+def _stage(m: int, gammas: tuple, moduli, rs, nums, den: int):
+    """One group stage over the moduli ``m * gammas``: ``(folds, consistent,
+    estimate, mean)`` of the remainders ``rs[k] == nums[k] / den``.
+    ``xi_k = [(r_k - r_1) / m]`` estimates ``n_1 * g_1 - n_k * g_k``, exactly
+    under the window condition, ``_garner_n1`` solves the congruences for
+    ``n_1`` and the rest follow from it; where it finds none, the folds are
+    all zero and ``consistent`` is False.  The rest is ``_average``'s."""
+    shift, step = m * den - 2 * nums[0], 2 * m * den
+    xis = []
+    for a in nums[1:]:
+        xis.append((2 * a + shift) // step)
+    n1 = _garner_n1(xis, gammas)
+    if n1 is None:
+        folds = (0,) * len(nums)
+    else:
+        folds, g1 = [n1], gammas[0]
+        for xi, gk in zip(xis, gammas[1:]):
+            folds.append((n1 * g1 - xi) // gk)  # exact: n1 * g1 == xi (mod g_k) by construction
+        folds = tuple(folds)
+    return (folds, n1 is not None, *_average(folds, moduli, rs, nums, den))
 
 
 def single_stage_robust_crt(group: ModuliGroup, remainders) -> tuple[tuple[int, ...], int, Fraction | float]:
@@ -126,8 +140,7 @@ def single_stage_robust_crt(group: ModuliGroup, remainders) -> tuple[tuple[int, 
     if len(rs) != len(group.moduli):
         raise ValueError("single_stage_robust_crt: remainder/modulus count mismatch")
     nums, den = common_denominator(rs, "single_stage_robust_crt")
-    folds = _garner_folds(group.gcd, group.cofactors, nums, den) or (0,) * len(rs)
-    estimate, mean = _average(folds, group.moduli, rs, nums, den)
+    folds, _, estimate, mean = _stage(group.gcd, group.cofactors, group.moduli, rs, nums, den)
     return folds, estimate, Fraction(*mean) if type(mean) is tuple else mean
 
 
@@ -140,6 +153,14 @@ class GeneralCrtSolution:
     estimate: int
     mean: Fraction | float
     consistent: bool
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _general_plan(moduli: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """``general_robust_crt``'s moduli checked, with their gcd and cofactors.
+    The caller type-checks the key: ``(True, 3) == (1, 3)`` must not hit."""
+    m = math.gcd(*_checked_moduli("general_robust_crt", moduli))
+    return m, tuple(mi // m for mi in moduli)
 
 
 def general_robust_crt(moduli, remainders) -> GeneralCrtSolution:
@@ -155,12 +176,11 @@ def general_robust_crt(moduli, remainders) -> GeneralCrtSolution:
     rs = tuple(remainders)
     if len(ms) < 2 or len(rs) != len(ms):
         raise ValueError("general_robust_crt: need matching moduli/remainders, at least two")
-    m = math.gcd(*_checked_moduli("general_robust_crt", ms))
+    if not _INT.issuperset(map(type, ms)):
+        _checked_moduli("general_robust_crt", ms)
+    m, gammas = _general_plan(ms)
     nums, den = common_denominator(rs, "general_robust_crt")
-    folds = _garner_folds(m, tuple([mi // m for mi in ms]), nums, den)
-    consistent = folds is not None
-    folds = folds or (0,) * len(ms)
-    estimate, mean = _average(folds, ms, rs, nums, den)
+    folds, consistent, estimate, mean = _stage(m, gammas, ms, rs, nums, den)
     record = object.__new__(GeneralCrtSolution)  # filled in place, as _solver_record says
     state = record.__dict__
     state.update(folds=folds, estimate=estimate, consistent=consistent)
@@ -220,18 +240,27 @@ class CascadeSolution:
     mean: Fraction | float
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _cascade_plan(moduli1: tuple[int, ...], moduli2: tuple[int, ...]):
+    """``(lifts1, lifts2, moduli1 + moduli2)``, ``lifts_i[k] = eta_i // m_ik``,
+    keyed on the moduli ``ModuliGroup.from_moduli`` checked: a spec's dataclass
+    hash runs in Python over every nested field and costs more than it saves."""
+    lifts = [tuple(math.lcm(*ms) // mk for mk in ms) for ms in (moduli1, moduli2)]
+    return (*lifts, moduli1 + moduli2)
+
+
 def cascade_reconstruct(spec: CascadeSpec, remainders1, remainders2) -> CascadeSolution:
     """Run both group stages, then the cross stage, and assemble total folds."""
     rs1, rs2 = tuple(remainders1), tuple(remainders2)
     group1, group2 = spec.group1, spec.group2
-    if len(rs1) != len(group1.moduli) or len(rs2) != len(group2.moduli):
+    n = len(rs1)
+    if n != len(group1.moduli) or len(rs2) != len(group2.moduli):
         raise ValueError("cascade_reconstruct: remainder/modulus count mismatch")
-    nums, den = common_denominator(rs1 + rs2, "cascade_reconstruct")
-    stages = []  # each group's folds and rounded estimate, from its slice of the numerators
-    for group, part in ((group1, nums[:len(rs1)]), (group2, nums[len(rs1):])):
-        h = _garner_folds(group.gcd, group.cofactors, part, den) or (0,) * len(part)
-        stages += h, round_div(sum(part) + sum(map(mul, h, group.moduli)) * den, den * len(part))
-    h1, est1, h2, est2 = stages
+    rs = rs1 + rs2
+    nums, den = common_denominator(rs, "cascade_reconstruct")
+    # each group's folds and rounded estimate from its numerators; its mean is not read
+    h1, _, est1, _ = _stage(group1.gcd, group1.cofactors, group1.moduli, (), nums[:n], den)
+    h2, _, est2, _ = _stage(group2.gcd, group2.cofactors, group2.moduli, (), nums[n:], den)
     # The group estimates are integer remainders modulo the group lcms, so the
     # cross stage is the integer branch of ``solve_with_context``.
     ctx = level_context(spec.cross, spec.level)
@@ -239,14 +268,17 @@ def cascade_reconstruct(spec: CascadeSpec, remainders1, remainders2) -> CascadeS
         l1, l2 = _exact_folds(ctx, est1 - est2, spec.cross.m)
     else:
         l2, l1 = _exact_folds(ctx, est2 - est1, spec.cross.m)
-    foldings1 = tuple([l1 * (group1.eta // mk) + hk for mk, hk in zip(group1.moduli, h1)])
-    foldings2 = tuple([l2 * (group2.eta // mk) + hk for mk, hk in zip(group2.moduli, h2)])
-    estimate, mean = _average(foldings1 + foldings2, group1.moduli + group2.moduli, rs1 + rs2,
-                              nums, den)
+    lifts1, lifts2, moduli = _cascade_plan(group1.moduli, group2.moduli)
+    foldings1, foldings2 = [], []
+    for lift, hk in zip(lifts1, h1):
+        foldings1.append(l1 * lift + hk)
+    for lift, hk in zip(lifts2, h2):
+        foldings2.append(l2 * lift + hk)
+    estimate, mean = _average(foldings1 + foldings2, moduli, rs, nums, den)
     record = object.__new__(CascadeSolution)  # filled in place, as _solver_record says
     state = record.__dict__
     state.update(h1=h1, h2=h2, l1=l1, l2=l2, group_estimates=(est1, est2),
-                 foldings1=foldings1, foldings2=foldings2, estimate=estimate)
+                 foldings1=tuple(foldings1), foldings2=tuple(foldings2), estimate=estimate)
     state["_mean_ratio" if type(mean) is tuple else "mean"] = mean
     return record
 

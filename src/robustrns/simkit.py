@@ -349,7 +349,7 @@ def _mod(a: np.ndarray, d: int, out=None) -> np.ndarray:
 
 def _garner_folds(rts: list[np.ndarray], m: float, gammas: tuple[int, ...], steps, ws, folds,
                   consistent=None) -> None:
-    """``multi_mod._garner_folds`` elementwise into ``folds`` (of dtype
+    """``multi_mod._stage``'s folds elementwise into ``folds`` (of dtype
     ``ws.ints``), over the moduli ``m * gammas`` with ``steps =
     _general_steps(gammas)``; ``consistent``, when given, is cleared where a
     divisibility test fails (never on coprime cofactors).  The rounded

@@ -426,8 +426,19 @@ def _exact_parts(system: TwoModSystem, obs: RemainderObservation, caller: str):
     ``m = mn / den`` and ``den > 0``, floats taken at their exact binary value,
     and whether the mean is reported as a float (a real system or a float
     remainder).  A remainder that is not a number is refused in ``caller``'s
-    name."""
+    name.  All of it is per-call work.  Two float remainders on a real system
+    take ``common_denominator``'s all-float branch, written out for three
+    values; any other mix, a NaN or an infinity included, goes through it."""
     r1, r2, m = obs.r1, obs.r2, system.m
+    if type(r1) is float and type(r2) is float and type(m) is float:
+        try:
+            (a1, d1), (a2, d2), (mn, dm) = (r1.as_integer_ratio(), r2.as_integer_ratio(),
+                                            m.as_integer_ratio())
+        except (ValueError, OverflowError):
+            pass  # common_denominator names the NaN or infinity
+        else:
+            den = max(d1, d2, dm)
+            return a1 * (den // d1), a2 * (den // d2), mn * (den // dm), den, True
     (a1, a2, mn), den = common_denominator((r1, r2, m), caller)
     return a1, a2, mn, den, isinstance(m, float) or isinstance(r1, float) or isinstance(r2, float)
 

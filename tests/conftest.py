@@ -1,7 +1,15 @@
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# ``HYPOTHESIS_PROFILE=ci`` runs every property test with ten times the
+# default examples (tests that ask for a multiple of the default keep it);
+# Tier-1 runs the default profile.
+settings.register_profile("ci", max_examples=10 * settings.get_profile("default").max_examples)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def random_coprime_pair(rng, lo=2, hi=200):

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from robustrns import cli
-from robustrns.cli import EXIT_OK, EXIT_ORACLE, EXIT_USAGE, _parse_span, _sweep_csv, fmt, main
+from robustrns import cli, oracle
+from robustrns.cli import (EXIT_OK, EXIT_ORACLE, EXIT_USAGE, EXIT_VERIFY, _parse_span, _sweep_csv, fmt,
+                           main)
 from robustrns.simkit import SweepRow, TrialConfig, run_tau_sweep
 from robustrns.two_mod import TwoModSystem, level_table
 from tests_util import run_cli_bounded
@@ -732,6 +733,42 @@ class TestVerify:
 
     def test_needs_a_scope(self, capsys):
         assert run_cli(capsys, "verify")[0] == EXIT_USAGE
+
+    # every check on (24, 38), cofactors (12, 19), levels 1-4, plus the drawn (50, 53) and (28, 31)
+    ALL_CHECKS = ["verify", "--m1", "24", "--m2", "38", "--exhaustive", "--falsify",
+                  "--random-systems", "2", "--gamma-max", "60", "--seed", "2"]
+
+    @pytest.mark.parametrize("attr, at, fault, failed", [
+        ("ladder_depths_definitional", (12, 19, 2), lambda d: (d[0] + 1, d[1]),
+         "FAIL: ladder depths at level 2: closed form (3, 1) vs definition (4, 1)"),
+        ("level_exactness_scan", (12, 19, 3), lambda scan: dataclasses.replace(scan, fold_failures=1),
+         "FAIL: exhaustive level 3: 14384 cases, 1 fold failures, 0 estimate failures"),
+        ("falsifier_report", (12, 19, 4),
+         lambda rep: dataclasses.replace(rep, computed=("recovered", rep.computed[1])),
+         "FAIL: tightness at level 4: value 456 misfolds as required"),
+        ("ladder_depths_definitional", (50, 53, 1), lambda d: (d[0], d[1] + 1),
+         "FAIL: ladder depths agree for cofactors (50, 53)"),
+    ], ids=["depths", "exhaustive", "falsify", "random-systems"])
+    def test_a_faulted_check_prints_one_fail_line_and_exits_1(self, capsys, monkeypatch, attr, at,
+                                                            fault, failed):
+        """An oracle whose real result is faulted at one system and level
+        turns exactly that check's line into a FAIL line; every other line
+        is as in the unfaulted run, and the exit code is ``EXIT_VERIFY``."""
+        code, clean, _ = run_cli(capsys, *self.ALL_CHECKS)
+        assert code == EXIT_OK and "FAIL" not in clean
+        real = getattr(oracle, attr)
+
+        def faulted(system, j):
+            result = real(system, j)
+            return fault(result) if (system.gamma1, system.gamma2, j) == at else result
+
+        monkeypatch.setattr(oracle, attr, faulted)
+        code, out, err = run_cli(capsys, *self.ALL_CHECKS)
+        assert (code, err) == (EXIT_VERIFY, "")
+        lines, want = out.splitlines(), clean.splitlines()
+        assert [line for line in lines if line.startswith("FAIL:")] == [failed]
+        i = lines.index(failed)
+        assert len(lines) == len(want) and lines[:i] + lines[i + 1:] == want[:i] + want[i + 1:]
 
 
 class TestPlane:

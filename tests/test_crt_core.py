@@ -82,6 +82,19 @@ def test_inconsistency_names_the_disagreeing_pair():
         crt_reconstruct([0, 2, 3], crt_system([6, 10, 15]))
 
 
+@pytest.mark.parametrize("moduli, remainders, message", [
+    ([12, 18], [1, 2], r"remainders 1 and 2 disagree modulo gcd\(12, 18\) = 6"),
+    ([4, 6, 10], [0, 0, 1], r"remainders 0 and 1 disagree modulo gcd\(4, 10\) = 2"),
+    ([8, 12, 20, 30], [0, 0, 0, 2], r"remainders 0 and 2 disagree modulo gcd\(12, 30\) = 6"),
+    ([8, 12, 20, 30], [0, 0, 0, 6], r"remainders 0 and 6 disagree modulo gcd\(20, 30\) = 10"),
+])
+def test_inconsistency_message_names_the_first_disagreeing_pair(moduli, remainders, message):
+    """Whichever Garner step finds the clash, the message names the first
+    disagreeing pair in the moduli's order, as the pairwise scan finds it."""
+    with pytest.raises(InconsistentRemainders, match=f"^{message}$"):
+        crt_reconstruct(remainders, crt_system(moduli))
+
+
 def test_system_rejects_invalid_moduli():
     for moduli in ([], [0, 5], [3, -5], [3, 5.0], [True, 5]):
         with pytest.raises(ValueError, match="crt_system"):
@@ -150,7 +163,7 @@ def crt_cases(draw):
     return moduli, tuple(draw(st.integers(min_value=0, max_value=m - 1)) for m in moduli), None
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=3 * settings.default.max_examples, deadline=None)
 @given(crt_cases())
 @example(([6, 10, 15], (0, 2, 3), None))
 def test_matches_reference_and_scan(case):

@@ -41,7 +41,7 @@ from robustrns.two_mod import (
     solve_with_context,
 )
 
-SETTINGS = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+SETTINGS = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
 def same(new, old):
@@ -201,7 +201,7 @@ def edge_observations(draw):
     return ctx, RemainderObservation(kind(r2 + diff), kind(r2))  # exact: small dyadic values
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=4 * settings.default.max_examples, deadline=None)
 @given(edge_observations())
 def test_comparison_edges_match_reference(case):
     ctx, obs = case

@@ -135,6 +135,24 @@ class TestGeneralRobustCrt:
         with pytest.raises(ValueError, match="general_robust_crt: invalid modulus"):
             general_robust_crt(moduli, remainders)
 
+    @pytest.mark.parametrize("moduli, twin", [([True, 3], (1, 3)), ([3, True], (3, 1)),
+                                              ((120, True, 300), (120, 1, 300))])
+    def test_a_bool_modulus_is_refused_after_its_int_twin_was_solved(self, moduli, twin):
+        """The per-system plan is cached on the moduli tuple, and ``True ==
+        1`` hashes alike, so the bool must be refused before the lookup."""
+        general_robust_crt(twin, [0] * len(twin))
+        with pytest.raises(ValueError, match="^general_robust_crt: invalid modulus True$"):
+            general_robust_crt(moduli, [0] * len(moduli))
+
+    @pytest.mark.parametrize("deltas", [(2, -1, 0, 3), (Fraction(5, 3), Fraction(-1, 2), 0, 2),
+                                        (1.25, -0.5, 0.0, 2.75), (0, 160, 0, 0)])
+    def test_list_tuple_and_iterator_moduli_agree(self, deltas):
+        rs = _group_remainders(12345, self.MODULI, list(deltas))
+        want = general_robust_crt(self.MODULI, rs)
+        for moduli in (list(self.MODULI), iter(self.MODULI), tuple(self.MODULI)):
+            got = general_robust_crt(moduli, rs)
+            assert got == want and repr(got) == repr(want) and type(got.mean) is type(want.mean)
+
 
 class TestCascade:
     def test_spec_construction(self):

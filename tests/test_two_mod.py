@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -390,6 +391,32 @@ class TestRealMode:
     def test_real_entry_requires_real_system(self):
         with pytest.raises(ValueError):
             solve_level_real(TwoModSystem.from_moduli(24, 38), RemainderObservation(0, 0), 1)
+
+    @pytest.mark.parametrize("r1, r2", [
+        (-0.0, 3.0), (3.0, -0.0), (-0.0, -0.0), (5e-324, 19.7), (19.7, 5e-324),
+        (1e308, 0.5), (0.5, 1e308), (5e-324, 1e308), (-1e308, 55.2),
+    ])
+    def test_float_remainders_match_the_same_values_as_fractions_and_float64(self, r1, r2):
+        """Two float remainders on a real system take their exact parts by
+        type; a ``Fraction`` or a ``numpy.float64`` (a float subclass) of the
+        same value goes the general way, and the outcomes must be the same:
+        records field by field, in type and in ``vars`` order, or the same
+        exception (``solve_basic`` overflows the float mean at 1e308)."""
+        def outcome(solve, obs):
+            try:
+                sol = solve(obs)
+            except (ValueError, OverflowError) as exc:
+                return type(exc), str(exc)
+            assert type(sol.mean) is float and type(sol.estimate) is float
+            return repr(sol), [(k, type(v)) for k, v in vars(sol).items()]
+
+        s = TwoModSystem.real(2.5, 18, 29)
+        solvers = [lambda obs: solve_basic(s, obs), lambda obs: solve_with_context(level_context(s, 2), obs)]
+        solvers += [lambda obs, j=j: solve_level_real(s, obs, j) for j in range(1, sigma_chain(s).levels + 1)]
+        for solve in solvers:
+            got = outcome(solve, RemainderObservation(r1, r2))
+            for kind in (Fraction, np.float64):
+                assert got == outcome(solve, RemainderObservation(kind(r1), kind(r2)))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("system", [TwoModSystem.real(2.5, 18, 29), TwoModSystem(13, 18, 29)],
