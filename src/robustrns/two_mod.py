@@ -443,16 +443,20 @@ def _exact_parts(system: TwoModSystem, obs: RemainderObservation, caller: str):
     return a1, a2, mn, den, isinstance(m, float) or isinstance(r1, float) or isinstance(r2, float)
 
 
-def _solution(system: TwoModSystem, n1: int, n2: int, exact) -> FoldingSolution:
+def _solution(system: TwoModSystem, n1: int, n2: int, exact, caller: str) -> FoldingSolution:
     """Folds plus the averaged reconstruction ``(n1 m1 + r1 + n2 m2 + r2) / 2``,
     exact from ``exact``, what ``_exact_parts`` returns.  A real system or a
-    float remainder gets the exact mean rounded to a float, which is also the
-    estimate in real mode; otherwise the mean stays the exact ratio."""
+    float remainder gets the exact mean rounded to a float (refused in
+    ``caller``'s name past the float range), which is also the estimate in
+    real mode; otherwise the mean stays the exact ratio."""
     a1, a2, mn, den, as_float = exact
     total = (n1 * system.gamma1 + n2 * system.gamma2) * mn + a1 + a2
     record = object.__new__(FoldingSolution)  # filled in place, as _solver_record says
     state = record.__dict__
-    mean = total / (2 * den) if as_float else (total, 2 * den)
+    try:
+        mean = total / (2 * den) if as_float else (total, 2 * den)
+    except OverflowError:
+        raise ValueError(f"{caller}: the mean is past the float range") from None
     state["n1"], state["n2"] = n1, n2
     state["estimate"] = mean if as_float and isinstance(system.m, float) else (total + den) // (2 * den)
     state["mean" if as_float else "_mean_ratio"] = mean
@@ -480,7 +484,7 @@ def solve_basic(system: TwoModSystem, obs: RemainderObservation) -> FoldingSolut
         if beta * scale <= 2 * wrap < (2 * top - beta) * scale:
             n2 = round_div(wrap, beta * scale)
     n1 = round_div(n2 * system.gamma2 * scale - num, g1 * scale)
-    return _solution(system, n1, n2, exact)
+    return _solution(system, n1, n2, exact, "solve_basic")
 
 
 def solve_level(system: TwoModSystem, obs: RemainderObservation, j: int) -> FoldingSolution:
@@ -510,7 +514,7 @@ def solve_with_context(ctx: LevelContext, obs: RemainderObservation,
         return record
     exact = _exact_parts(system, obs, _caller)
     n1, n2 = _exact_folds(ctx, exact[0] - exact[1], exact[2])
-    return _solution(system, n1, n2, exact)
+    return _solution(system, n1, n2, exact, _caller)
 
 
 def _exact_folds(ctx: LevelContext, num: int, scale: int) -> tuple[int, int]:

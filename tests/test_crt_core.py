@@ -143,6 +143,8 @@ def test_scan_refuses_past_its_lcm_limit():
     with pytest.raises(ValueError, match=r"crt_scan: lcm \d+ is past the scan's limit"):
         crt_scan([1, 2], [2**61 - 1, 3])
     assert crt_scan([0], [1 << 20]) == 0  # the limit itself is scanned
+    with pytest.raises(ValueError, match="^crt_scan: lcm 1048577 is past the scan's limit 1048576$"):
+        crt_scan([0], [(1 << 20) + 1])
 
 
 def _outcome(reconstruct, rs, system):

@@ -849,17 +849,24 @@ class TestOracleLimits:
                                seconds=0.5) == (2, "", refusal)
 
     @pytest.mark.parametrize("argv, refusal", [
-        # the first drawn system's depth checks take over a second; the second
-        # system, 5,229,117 rungs, is refused at its first call before them
+        # the first drawn system's depth checks would take over a second; the
+        # second system, 5,229,117 rungs, is refused before they start
         pytest.param(["verify", "--random-systems", "3", "--gamma-max", "3000000", "--seed", "1"],
                      "ladder_depths_definitional: up to 5229117 rungs to insert is past the limit "
                      "of 4194304", id="second-drawn-system"),
-        # the scan's first call comes before the depth checks past level 1
+        # the depth checks of (100003, 200003) are within their limit and the
+        # scan is not: the scan's refusal comes before any depth check runs
         pytest.param(["verify", "--m1", "100003", "--m2", "200003", "--exhaustive"],
                      "level_exactness_scan: 20000900009 table cells (m1 * m2) are past the scan's "
                      "limit of 1048576", id="scan-after-depth-checks"),
+        # 4,194,299 rungs, within the limit: the depth checks' first level
+        # alone takes over a second, so the scan must refuse before it
+        pytest.param(["verify", "--m1", "2097150", "--m2", "2097151", "--exhaustive"],
+                     "level_exactness_scan: 4398040219650 table cells (m1 * m2) are past the "
+                     "scan's limit of 1048576", id="scan-after-costly-depth-checks"),
     ])
     def test_verify_refuses_before_the_other_checks_work(self, argv, refusal):
+        # verify sizes every check of every system before the first runs
         assert run_cli_bounded(argv, seconds=0.5) == (2, "", f"error: {refusal}\n")
 
     def test_exactness_scan_counts_cases_without_a_limit(self):
@@ -885,14 +892,14 @@ class TestOracleLimits:
         pytest.param(["verify", "--m1", "1099511627777", "--m2", "1099511627779"],
                      "ladder_depths_definitional: up to 2199023255554 rungs to insert is past the "
                      "limit of 4194304", id="verify-2^40"),
-        # the depth checks' first level on (100003, 200003) passes; the scan refuses
+        # the depth checks on (100003, 200003) are within their limit; the scan is not
         pytest.param(["verify", "--m1", "100003", "--m2", "200003", "--exhaustive"],
                      "level_exactness_scan: 20000900009 table cells (m1 * m2) are past the scan's "
                      "limit of 1048576", id="verify-exhaustive-1e5"),
         pytest.param(["verify", "--m1", "200000", "--m2", "300000", "--exhaustive"],
                      "level_exactness_scan: 60000000000 table cells (m1 * m2) are past the scan's "
                      "limit of 1048576", id="verify-exhaustive-m-1e5"),
-        # the first level of the checks on (1000, 1001) passes; the first drawn
+        # the checks on (1000, 1001) are within their limits; the first drawn
         # system is past the rung limit
         pytest.param(["verify", "--m1", "1000", "--m2", "1001", "--falsify", "--random-systems", "2",
                       "--gamma-max", "4000000", "--seed", "1"],
@@ -903,3 +910,48 @@ class TestOracleLimits:
         # In a child under a 1 GB address-space limit and a 5 s wall clock:
         # these commands once hung, or died allocating 149 GiB with exit 1.
         assert run_cli_bounded(argv) == (2, "", f"error: {refusal}\n")
+
+
+class TestVerifyReport:
+    SMALL = TwoModSystem.from_moduli(24, 38)
+    BIG = TwoModSystem(1, 1 << 21, (1 << 21) + 5)  # 4,194,307 rungs, 3 past the limit
+
+    def test_random_systems_are_the_systems_verify_checks(self):
+        # tests/test_cli.py's TestVerify.ALL_CHECKS names these two draws
+        drawn = oracle.random_systems(2, 60, 2)
+        assert [(s.m, s.gamma1, s.gamma2) for s in drawn] == [(1, 50, 53), (1, 28, 31)]
+
+    def test_lines_come_in_the_printed_order(self):
+        lines = oracle.verify_report(self.SMALL, exhaustive=True, falsify=True, drawn=[self.SMALL])
+        assert all(ok for ok, _ in lines)
+        assert [text.split(" ", 2)[:2] for _, text in lines] == (
+            [["ladder", "depths"]] * 4 + [["exhaustive", "level"]] * 4
+            + [["tightness", "at"]] * 4 + [["ladder", "depths"]])
+        assert lines[-1][1] == "ladder depths agree for cofactors (12, 19)"
+
+    @pytest.mark.parametrize("system, exhaustive, drawn, refusal", [
+        # the last planned call refuses, after the small system's depths, scans and falsifiers
+        (SMALL, True, [SMALL, BIG], "ladder_depths_definitional: up to 4194307 rungs to insert is "
+                                    "past the limit of 4194304"),
+        # a scan's refusal comes before a later drawn system's
+        (TwoModSystem.from_moduli(1024, 1025), True, [BIG],
+         r"level_exactness_scan: 1049600 table cells \(m1 \* m2\) are past the scan's limit of "
+         "1048576"),
+        # a system's depth lines come before its scan lines
+        (BIG, True, [], "ladder_depths_definitional: up to 4194307 rungs"),
+    ], ids=["last-call", "scan-before-drawn", "depths-before-scan"])
+    def test_the_first_refusal_is_raised_before_any_oracle_call(self, monkeypatch, system,
+                                                                exhaustive, drawn, refusal):
+        calls = []
+        for name in ("ladder_depths_definitional", "level_exactness_scan", "falsifier_report",
+                     "range_falsifier"):
+            def spy(*args, real=getattr(oracle, name), name=name):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(oracle, name, spy)
+        with pytest.raises(ValueError, match=f"^{refusal}"):
+            oracle.verify_report(system, exhaustive=exhaustive, falsify=True, drawn=drawn)
+        assert calls == []
+        oracle.verify_report(self.SMALL, exhaustive=True, falsify=True, drawn=[self.SMALL])
+        assert set(calls) == {"ladder_depths_definitional", "level_exactness_scan",
+                              "falsifier_report", "range_falsifier"}

@@ -401,11 +401,11 @@ class TestRealMode:
         type; a ``Fraction`` or a ``numpy.float64`` (a float subclass) of the
         same value goes the general way, and the outcomes must be the same:
         records field by field, in type and in ``vars`` order, or the same
-        exception (``solve_basic`` overflows the float mean at 1e308)."""
+        ``ValueError`` (``solve_basic`` refuses a float mean past 1e308)."""
         def outcome(solve, obs):
             try:
                 sol = solve(obs)
-            except (ValueError, OverflowError) as exc:
+            except ValueError as exc:
                 return type(exc), str(exc)
             assert type(sol.mean) is float and type(sol.estimate) is float
             return repr(sol), [(k, type(v)) for k, v in vars(sol).items()]
@@ -417,6 +417,12 @@ class TestRealMode:
             got = outcome(solve, RemainderObservation(r1, r2))
             for kind in (Fraction, np.float64):
                 assert got == outcome(solve, RemainderObservation(kind(r1), kind(r2)))
+
+    @pytest.mark.parametrize("system", [TwoModSystem.real(2.5, 18, 29), TwoModSystem(13, 18, 29)],
+                             ids=["real", "integer"])
+    def test_a_float_mean_past_the_float_range_is_refused_by_name(self, system):
+        with pytest.raises(ValueError, match="^solve_basic: the mean is past the float range$"):
+            solve_basic(system, RemainderObservation(1e308, 0.5))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("system", [TwoModSystem.real(2.5, 18, 29), TwoModSystem(13, 18, 29)],
