@@ -10,10 +10,10 @@ rung, each rung tested against the cells of width sigma_j around it, an
 empty cell holding ``-mod``; and the adversarial instances follow the
 tightness constructions directly.
 
-The exactness scan is not independent of the solver: it picks the solver's
-folds through ``two_mod._exact_folds`` and checks them against true folds
-it counts on its own, and its estimate check tests its own rounded mean, so
-it cannot fail (see ``level_exactness_scan``).
+The exactness scan is not independent of the solver: it reads
+``solve_with_context`` once per observation difference and checks the folds
+and estimate it returns against true folds and values it counts on its own
+(see ``level_exactness_scan``).
 
 A limited oracle takes its refusal from a pure O(1) function beside its
 limit, ``_definitional_refusal`` or ``_scan_refusal``; ``verify_report``
@@ -33,7 +33,6 @@ from .modmath import _checked_moduli
 from .two_mod import (
     RemainderObservation,
     TwoModSystem,
-    _exact_folds,
     _sigma_values,
     ladder_depths,
     level_context,
@@ -227,7 +226,7 @@ def ladder_depths_definitional(system: TwoModSystem, j: int) -> tuple[int, int]:
     ``_DEFINITIONAL_RUNGS_MAX`` the system is refused."""
     sigmas, top = _sigma_values(system.gamma1, system.gamma2)  # levels 1..top + 1
     if not 1 <= j <= top + 1:
-        raise ValueError(f"ladder_depths_definitional: level {j} out of range")
+        raise ValueError(f"ladder_depths_definitional: level {j} out of range [1, {top + 1}]")
     if refusal := _definitional_refusal(system):
         raise ValueError(refusal)
     target = sigmas[j + 1]  # sigma_j
@@ -322,12 +321,12 @@ class ExactnessScan:
 
 # Table cells (m1 * m2 observations) the exactness scan covers at most; they
 # bound both what it spends per level, one pass over the values below the
-# range (at most the lcm, so at most the cells) and one fold pick per reached
-# diagonal (m1 + m2 - 1), and its memory, O(m1 + m2).  At the limit, cold
-# (Xeon, 2 cores, Python 3.11, numpy 2.4), ``verify --m1 1023 --m2 1025
-# --exhaustive`` (1,048,575 cells, two levels) answers in 0.33-0.36 s at
-# 30 MB max RSS, most of it the interpreter and numpy starting up.  Values
-# per histogram block; diagonals per chunk, and observations per expansion.
+# range (at most the lcm, so at most the cells) and one solver call per
+# reached diagonal (m1 + m2 - 1), and its memory, O(m1 + m2).  At the limit,
+# cold (Xeon, 2 cores, Python 3.11, numpy 2.4), ``verify --m1 1023 --m2 1025
+# --exhaustive`` (1,048,575 cells, two levels) answers in 0.26-0.29 s at
+# 36 MB max RSS, most of it the interpreter and numpy starting up.  Values
+# per histogram block, and diagonals per chunk.
 _EXACTNESS_CELLS_MAX = 1 << 20
 _VALUE_BLOCK = 1 << 12
 _OBS_CHUNK = 1 << 10
@@ -352,35 +351,29 @@ def level_exactness_scan(system: TwoModSystem, j: int) -> ExactnessScan:
     A case is a value ``v`` and an observation ``(a, b)`` in ``[0, m1) x [0, m2)``
     whose errors ``d1 = a - v % m1``, ``d2 = b - v % m2`` have ``d1 - d2`` in
     ``[-w/2, w/2)``, ``w = m * sigma_j``.  An observation is reached when it
-    is a case of some value.  ``solve_with_context`` picks an int
-    observation's folds with ``two_mod._exact_folds(ctx, a - b, m)``, so
-    they depend on ``a - b`` only: the scan picks them once per reached
-    difference through that same function, so it shares the solver's fold
-    pick and checks it only against the true folds.  Its estimate is the
-    solver's rounded mean ``(x1 + x2 + 1) // 2`` of the reconstructions
-    ``x1 = a + n1*m1``, ``x2 = b + n2*m2``; the scan never calls the solver
-    for it.  On a diagonal ``a - b`` the folds are fixed, so ``x1 - x2 =
-    lag`` is too, and the mean sits ``_mean_offset(lag) = (|lag| + 1) // 2``
-    above ``p = min(x1, x2)``: the scan checks that offset once per
-    diagonal, and builds a diagonal's observations and counts their misses
-    with ``_estimate_misses`` only when it falls outside ``[0, |lag|]``, at
-    most ``max(_OBS_CHUNK, m1)`` observations at a time.  A rounded mean of
-    two reconstructions lies between them, so no diagonal is expanded and
-    the estimate check cannot fail.  Only
-    ``test_solver_estimate_is_the_rounded_mean`` pins the solver's estimate
-    to it.  The cases are counted in closed form from three facts about true
-    folds:
+    is a case of some value.  The scan calls ``solve_with_context`` once per
+    reached diagonal ``a - b``, on its first observation ``a = max(a - b,
+    0)``, and takes that call's folds ``(n1, n2)`` and estimate for the whole
+    diagonal: the solver's folds depend on ``a - b`` only, and its estimate,
+    the rounded mean of ``x1 = a + n1*m1`` and ``x2 = b + n2*m2``, moves with
+    ``a`` as they do (``test_solver_estimate_is_the_rounded_mean`` pins both).
+    So along a diagonal ``x1 - x2 = lag`` is fixed and the estimate sits a
+    fixed ``off = est - p`` above ``p = min(x1, x2)``.  The cases and
+    misses are counted in closed form from three facts about true folds:
 
     * ``d1 - d2 = (a - b) - (v % m1 - v % m2)``, so the observation's cases
       are a prefix sum over a histogram of the values by ``v % m1 - v % m2``;
     * the values with folds ``(n1, n2)`` are ``[max(n1*m1, n2*m2, 0),
       min((n1+1)*m1, (n2+1)*m2, range))`` and share ``v % m1 - v % m2 =
       n2*m2 - n1*m1``: the observation is a case of all of them or of none;
-    * for those, the estimate misses as ``_estimate_misses`` counts, which
-      is never while it is the rounded mean of the two reconstructions.
+    * for those, the estimate misses ``v`` when it lies farther from ``v``
+      than both reconstructions: the ``v < p + off/2`` when ``off > |lag|``,
+      the ``v > p + (off + |lag|)/2`` when ``off < 0``, and none otherwise.
+      As ``p`` steps by one along the diagonal, its misses are a clipped
+      arithmetic run, summed by ``_clipped_run_sums``.
 
     The reached diagonals go in chunks of ``_OBS_CHUNK``.  Memory is
-    O(``_OBS_CHUNK + _VALUE_BLOCK + m1 + m2``), and time one fold pick and
+    O(``_OBS_CHUNK + _VALUE_BLOCK + m1 + m2``), and time one solver call and
     int64 work per reached difference and one pass over the values, however
     many cases they make.  The scan refuses a system past int64 (values,
     folds and estimates stay below ``2 * lcm``) or ``_EXACTNESS_CELLS_MAX``
@@ -404,49 +397,38 @@ def level_exactness_scan(system: TwoModSystem, j: int) -> ExactnessScan:
     per_obs = below[np.clip(k - lo_diff + 1, 0, width)] - below[np.clip(k - hi_diff, 0, width)]
     cases = int(per_obs @ (np.minimum(k, m1 - 1) - np.maximum(k - (m2 - 1), 0) + 1))
     reached = np.flatnonzero(per_obs)
-    group = max(1, _OBS_CHUNK // m1)  # diagonals expanded at once, at most m1 observations each
     fold_fail = est_fail = 0
     for start in range(0, len(reached), _OBS_CHUNK):
         diag = reached[start:start + _OBS_CHUNK]
         diff = diag - (m2 - 1)  # a - b
-        folds = (_exact_folds(ctx, c, system.m) for c in map(int, diff))
-        n1, n2 = np.fromiter(folds, dtype=(np.int64, 2), count=len(diff)).T
+        first = np.maximum(diff, 0)  # the diagonal's first observation: a = first, b = a - diff
+        sols = (solve_with_context(ctx, RemainderObservation(a, a - c))
+                for a, c in zip(first.tolist(), diff.tolist()))
+        n1, n2, est = np.fromiter(((sol.n1, sol.n2, sol.estimate) for sol in sols),
+                                  dtype=(np.int64, 3), count=len(diff)).T
         low = np.maximum(np.maximum(n1 * m1, n2 * m2), 0)
         size = np.maximum(np.minimum(np.minimum(n1 * m1 + m1, n2 * m2 + m2), limit) - low, 0)
-        lag = diff - (n2 * m2 - n1 * m1)  # d1 - d2 of the values with these folds
+        lag = diff - (n2 * m2 - n1 * m1)  # x1 - x2, and d1 - d2 of the values with these folds
         size[(lag < lo_diff) | (lag > hi_diff)] = 0
-        first = np.maximum(diff, 0)
         count = np.minimum(diff + m2, m1) - first  # observations a = first.., b = a - diff
         fold_fail += int(count @ (per_obs[diag] - size))
-        off = _mean_offset(lag)  # est - p on the whole diagonal, as x1 - x2 = lag
-        # est outside [p, q]: never while est is the rounded mean
-        out = np.flatnonzero((off < 0) | (off > abs(lag)))
-        for at in range(0, len(out), group):  # only those diagonals are expanded into observations
-            i = out[at:at + group]
-            r = np.repeat(np.arange(len(i)), count[i])  # each observation's diagonal, in i
-            a = np.arange(len(r)) + (first[i] + count[i] - np.cumsum(count[i]))[r]
-            d = i[r]
-            x1, x2 = a + n1[d] * m1, a - diff[d] + n2[d] * m2  # a + n1*m1 and b + n2*m2
-            p = np.minimum(x1, x2)
-            est_fail += _estimate_misses(p + off[d], p, np.maximum(x1, x2), low[d], size[d])
+        p = first + n1 * m1 - np.maximum(lag, 0)  # min(x1, x2) on the first observation
+        off = est - p  # on the whole diagonal, as est, x1 and x2 move with a
+        # observation first + t misses clip(over + t) values if off > |lag|, clip(under - 1 - t) if off < 0
+        over = p + (off + 1) // 2 - low
+        under = low + size - p - (off + abs(lag)) // 2
+        est_fail += int(_clipped_run_sums(over, over + count, size)[off > abs(lag)].sum()
+                        + _clipped_run_sums(under - count, under, size)[off < 0].sum())
     return ExactnessScan(j, cases, fold_fail, est_fail)
 
 
-def _mean_offset(lag):
-    """How far ``solve_with_context``'s rounded mean ``(x1 + x2 + 1) // 2``
-    lies above ``min(x1, x2)`` when ``x1 - x2 = lag``."""
-    return (abs(lag) + 1) // 2
-
-
-def _estimate_misses(est, p, q, low, size) -> int:
-    """Values the estimates miss: entry ``i`` stands for the values
-    ``low[i] .. low[i] + size[i] - 1``, each reconstructed as ``p[i] <= q[i]``,
-    and ``est[i]`` misses a value ``v`` when it lies farther from ``v`` than
-    both reconstructions do: ``est > q`` and ``2v < est + p``, or ``est < p``
-    and ``2v > est + q``."""
-    over = np.clip((est + p + 1) // 2 - low, 0, size)  # values with 2v < est + p
-    under = np.clip(low + size - (est + q) // 2 - 1, 0, size)  # values with 2v > est + q
-    return int(over[est > q].sum() + under[est < p].sum())
+def _clipped_run_sums(lo, hi, size):
+    """``sum(clip(k, 0, size) for k in range(lo, hi))``, elementwise, for
+    ``lo <= hi``."""
+    def below(x):  # the sum over k < x
+        y = np.clip(x, 0, size + 1)
+        return y * (y - 1) // 2 + np.maximum(x - size - 1, 0) * size
+    return below(hi) - below(lo)
 
 
 def falsifier_report(system: TwoModSystem, j: int) -> OracleReport:

@@ -477,7 +477,6 @@ class GroupKernel(GeneralKernel):
 
     def __init__(self, group):
         super().__init__(group.moduli)
-        self.group = group
 
     def solve(self, rts: list[np.ndarray], ws=None):
         ws = _Workspace(rts[0].shape) if ws is None else ws

@@ -5,6 +5,7 @@ import platform
 import shlex
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -698,6 +699,22 @@ class TestReadmeGolden:
         assert run_cli(capsys, *shlex.split(command)) == (EXIT_OK, GOLDEN_README[command], "")
 
 
+def _at(at, change):
+    """A fault that changes an oracle's result on the system of cofactors
+    ``at[:2]`` at level ``at[2]`` and passes every other result through."""
+    return lambda result, system, j: change(result) if (system.gamma1, system.gamma2, j) == at else result
+
+
+def _estimate_past_both_at_level_3(sol, ctx, obs):
+    """A fault of ``solve_with_context``: at level 3 its estimate lands m2
+    past both reconstructions ``x1 = r1 + n1*m1`` and ``x2 = r2 + n2*m2``."""
+    if ctx.j != 3:
+        return sol
+    s = ctx.system
+    x1, x2 = obs.r1 + sol.n1 * s.m1, obs.r2 + sol.n2 * s.m2
+    return SimpleNamespace(n1=sol.n1, n2=sol.n2, estimate=max(x1, x2) + s.m2)
+
+
 class TestVerify:
     def test_falsify_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--m1", "234", "--m2", "377", "--falsify")
@@ -738,31 +755,29 @@ class TestVerify:
     ALL_CHECKS = ["verify", "--m1", "24", "--m2", "38", "--exhaustive", "--falsify",
                   "--random-systems", "2", "--gamma-max", "60", "--seed", "2"]
 
-    @pytest.mark.parametrize("attr, at, fault, failed", [
-        ("ladder_depths_definitional", (12, 19, 2), lambda d: (d[0] + 1, d[1]),
+    @pytest.mark.parametrize("attr, fault, failed", [
+        ("ladder_depths_definitional", _at((12, 19, 2), lambda d: (d[0] + 1, d[1])),
          "FAIL: ladder depths at level 2: closed form (3, 1) vs definition (4, 1)"),
-        ("level_exactness_scan", (12, 19, 3), lambda scan: dataclasses.replace(scan, fold_failures=1),
+        ("level_exactness_scan", _at((12, 19, 3), lambda scan: dataclasses.replace(scan, fold_failures=1)),
          "FAIL: exhaustive level 3: 14384 cases, 1 fold failures, 0 estimate failures"),
-        ("falsifier_report", (12, 19, 4),
-         lambda rep: dataclasses.replace(rep, computed=("recovered", rep.computed[1])),
+        ("solve_with_context", _estimate_past_both_at_level_3,
+         "FAIL: exhaustive level 3: 14384 cases, 0 fold failures, 14216 estimate failures"),
+        ("falsifier_report", _at((12, 19, 4),
+                                 lambda rep: dataclasses.replace(rep, computed=("recovered", rep.computed[1]))),
          "FAIL: tightness at level 4: value 456 misfolds as required"),
-        ("ladder_depths_definitional", (50, 53, 1), lambda d: (d[0], d[1] + 1),
+        ("ladder_depths_definitional", _at((50, 53, 1), lambda d: (d[0], d[1] + 1)),
          "FAIL: ladder depths agree for cofactors (50, 53)"),
-    ], ids=["depths", "exhaustive", "falsify", "random-systems"])
-    def test_a_faulted_check_prints_one_fail_line_and_exits_1(self, capsys, monkeypatch, attr, at,
-                                                            fault, failed):
-        """An oracle whose real result is faulted at one system and level
-        turns exactly that check's line into a FAIL line; every other line
-        is as in the unfaulted run, and the exit code is ``EXIT_VERIFY``."""
+    ], ids=["depths", "exhaustive", "estimate", "falsify", "random-systems"])
+    def test_a_faulted_check_prints_one_fail_line_and_exits_1(self, capsys, monkeypatch, attr, fault,
+                                                            failed):
+        """A function of ``oracle`` whose real result is faulted at one system
+        and level turns exactly that check's line into a FAIL line; every
+        other line is as in the unfaulted run, and the exit code is
+        ``EXIT_VERIFY``."""
         code, clean, _ = run_cli(capsys, *self.ALL_CHECKS)
         assert code == EXIT_OK and "FAIL" not in clean
         real = getattr(oracle, attr)
-
-        def faulted(system, j):
-            result = real(system, j)
-            return fault(result) if (system.gamma1, system.gamma2, j) == at else result
-
-        monkeypatch.setattr(oracle, attr, faulted)
+        monkeypatch.setattr(oracle, attr, lambda *args: fault(real(*args), *args))
         code, out, err = run_cli(capsys, *self.ALL_CHECKS)
         assert (code, err) == (EXIT_VERIFY, "")
         lines, want = out.splitlines(), clean.splitlines()

@@ -17,8 +17,7 @@ from oracle_reference import exhaustive_fold_search as reference_fold_search
 from robustrns import oracle
 from robustrns.crt_core import InconsistentRemainders
 from robustrns.oracle import (
-    _estimate_misses,
-    _mean_offset,
+    _clipped_run_sums,
     crt_scan,
     exhaustive_fold_search,
     falsifier_report,
@@ -30,7 +29,6 @@ from robustrns.oracle import (
 from robustrns.two_mod import (
     RemainderObservation,
     TwoModSystem,
-    _exact_folds,
     ladder_depths,
     level_context,
     sigma_chain,
@@ -521,27 +519,24 @@ class TestExactnessScan:
         assert s.m1 * s.m2 <= oracle._EXACTNESS_CELLS_MAX and scan.checked == cases
         assert peak <= 1_500_000
 
-    def test_mean_offset_is_the_rounded_mean_above_the_lower_reconstruction(self):
-        x1, x2 = np.meshgrid(np.arange(-40, 41), np.arange(-40, 41))
-        assert (_mean_offset(x1 - x2) == (x1 + x2 + 1) // 2 - np.minimum(x1, x2)).all()
-        assert all(_mean_offset(lag) == (abs(lag) + 1) // 2 for lag in range(-5, 6))
-
     @pytest.mark.parametrize("moduli", [(12, 18), (24, 38), (40, 136)])
     def test_solver_estimate_is_the_rounded_mean(self, moduli):
-        """The scan computes each observation's estimate itself, as the rounded
-        mean ``((n1*g1 + n2*g2)*m + a + b + 1) // 2`` of the folds that
-        ``_exact_folds(ctx, a - b, m)`` picks; ``solve_with_context`` must
-        return those folds and that estimate on every observation of every
-        level."""
+        """The scan reads the solver once per diagonal ``a - b``, on its first
+        observation ``a = max(a - b, 0)``, and takes that reading for the whole
+        diagonal.  On every observation of every level, ``solve_with_context``
+        must return the first observation's folds and the rounded mean
+        ``(x1 + x2 + 1) // 2`` of ``x1 = a + n1*m1`` and ``x2 = b + n2*m2``,
+        which moves with ``a`` as the two reconstructions do."""
         s = TwoModSystem.from_moduli(*moduli)
         for j in range(1, sigma_chain(s).levels + 1):
             ctx = level_context(s, j)
-            for a in range(s.m1):
-                for b in range(s.m2):
-                    n1, n2 = _exact_folds(ctx, a - b, s.m)
-                    sol = solve_with_context(ctx, RemainderObservation(a, b))
-                    rounded = ((n1 * s.gamma1 + n2 * s.gamma2) * s.m + a + b + 1) // 2
-                    assert (sol.n1, sol.n2, sol.estimate) == (n1, n2, rounded)
+            for diff in _differences(s):
+                first = solve_with_context(ctx, RemainderObservation(max(diff, 0), max(-diff, 0)))
+                for a in range(max(diff, 0), min(diff + s.m2, s.m1)):
+                    sol = solve_with_context(ctx, RemainderObservation(a, a - diff))
+                    x1, x2 = a + sol.n1 * s.m1, a - diff + sol.n2 * s.m2
+                    assert (sol.n1, sol.n2) == (first.n1, first.n2)
+                    assert sol.estimate == (x1 + x2 + 1) // 2 == first.estimate + a - max(diff, 0)
 
 
 # Coprime cofactor pairs of the equivalence property.  Both moduli stay at most
@@ -559,33 +554,25 @@ def scan_systems(draw):
 
 @contextlib.contextmanager
 def _faults(folds=None, offset=None):
-    """Faults injected into both exactness scans.  ``folds(ctx, diff, n1, n2)``
-    replaces the folds picked for the observations with ``a - b = diff``, and
-    ``offset(off, lag)`` the offset ``off = (|lag| + 1) // 2`` of the rounded
-    mean above the lower reconstruction ``p`` of an observation whose
-    reconstructions differ by ``lag = x1 - x2`` (elementwise, on ints and on
-    int64 arrays).  The package's scan takes them through ``_exact_folds``
-    and, once per diagonal, ``_mean_offset``; the reference's through
-    ``solve_with_context``, per observation, as ``est = p + offset(off, lag)``."""
+    """A faulted ``solve_with_context`` put into both exactness scans.
+    ``folds(ctx, diff, n1, n2)`` replaces the folds the solver picks for the
+    observations with ``a - b = diff``, and ``offset(off, lag)`` the offset
+    ``off = (|lag| + 1) // 2`` of its rounded mean above the lower
+    reconstruction ``p`` of an observation whose reconstructions differ by
+    ``lag = x1 - x2``: the faulted estimate is ``p + offset(off, lag)``.  The
+    package's scan calls it once per diagonal, the reference once per case."""
     folds = folds or (lambda ctx, diff, n1, n2: (n1, n2))
     offset = offset or (lambda off, lag: off)
 
-    def pick(ctx, num, scale):
-        return folds(ctx, num, *_exact_folds(ctx, num, scale))
-
-    def mean_offset(lag):
-        return offset(_mean_offset(lag), lag)
-
     def solver(ctx, obs):
-        s = ctx.system
-        n1, n2 = pick(ctx, obs.r1 - obs.r2, s.m)
+        s, sol = ctx.system, solve_with_context(ctx, obs)
+        n1, n2 = folds(ctx, obs.r1 - obs.r2, sol.n1, sol.n2)
         x1, x2 = obs.r1 + n1 * s.m1, obs.r2 + n2 * s.m2
         lag = x1 - x2
         estimate = min(x1, x2) + offset((abs(lag) + 1) // 2, lag)
         return SimpleNamespace(n1=n1, n2=n2, estimate=estimate)
 
-    with mock.patch.object(oracle, "_exact_folds", pick), \
-            mock.patch.object(oracle, "_mean_offset", mean_offset), \
+    with mock.patch.object(oracle, "solve_with_context", solver), \
             mock.patch.object(oracle_reference, "solve_with_context", solver):
         yield
 
@@ -683,10 +670,10 @@ class TestExactnessScanReference:
 
     @pytest.mark.parametrize("block,moduli,j", [(1, (12, 18), 1), (7, (24, 38), 4), (100, (24, 38), 3)])
     def test_block_edges(self, block, moduli, j):
-        """Value blocks and observation chunks far smaller than a level split
-        the histogram and the observations at every kind of edge; faults on
+        """Value blocks and diagonal chunks far smaller than a level split
+        the histogram and the diagonals at every kind of edge; faults on
         many differences and diagonals make every count depend on which
-        observation each chunk entry holds."""
+        diagonal each chunk entry holds."""
         s = TwoModSystem.from_moduli(*moduli)
         targets = {diff: "folds" for diff in _differences(s)[::11]}
 
@@ -700,39 +687,32 @@ class TestExactnessScanReference:
 
     @pytest.mark.parametrize("moduli", [(24, 38), (12, 18), (40, 136)])
     def test_each_difference_picked_once(self, moduli):
+        """One solver call per reached difference ``a - b``, on the
+        diagonal's first observation ``a = max(a - b, 0)``."""
         s = TwoModSystem.from_moduli(*moduli)
         for j in range(1, sigma_chain(s).levels + 1):
             calls = Counter()
 
-            def counting(ctx, num, scale):
-                calls[num] += 1
-                return _exact_folds(ctx, num, scale)
+            def counting(ctx, obs):
+                calls[obs.r1 - obs.r2] += 1
+                assert obs.r1 == max(obs.r1 - obs.r2, 0)
+                return solve_with_context(ctx, obs)
 
-            with mock.patch.object(oracle, "_exact_folds", counting):
+            with mock.patch.object(oracle, "solve_with_context", counting):
                 scan = level_exactness_scan(s, j)
             assert max(calls.values()) == 1
             assert sum(calls.values()) <= min(s.m1 + s.m2 - 1, scan.checked)
             assert all(1 - s.m2 <= diff < s.m1 for diff in calls)
 
 
-class TestEstimateMisses:
-    def test_counts_the_values_the_estimate_misses(self):
-        """Every small estimate, reconstruction pair and run of values
-        against a count of the values ``v`` with ``|est - v|`` past both
-        ``|p - v|`` and ``|q - v|``."""
-        rows = [(est, p, q, low, size)
-                for p in range(-2, 4) for q in range(p, 6) for est in range(-5, 9)
-                for low in range(-3, 5) for size in range(4)]
-        est, p, q, low, size = (np.array(col, dtype=np.int64) for col in zip(*rows))
-        want = sum(abs(e - v) > max(abs(pp - v), abs(qq - v))
-                   for e, pp, qq, lo, n in rows for v in range(lo, lo + n))
-        assert want > 0
-        assert _estimate_misses(est, p, q, low, size) == want
-        for row in rows[::37]:
-            one = [np.array([x], dtype=np.int64) for x in row]
-            e, pp, qq, lo, n = row
-            assert _estimate_misses(*one) == sum(
-                abs(e - v) > max(abs(pp - v), abs(qq - v)) for v in range(lo, lo + n))
+def test_clipped_run_sums_match_a_loop():
+    """Every small run ``lo..hi - 1`` and clip size against the plain sum,
+    elementwise and one run at a time."""
+    rows = [(lo, hi, size) for lo in range(-6, 9) for hi in range(lo, 12) for size in range(5)]
+    lo, hi, size = (np.array(col, dtype=np.int64) for col in zip(*rows))
+    want = [sum(min(max(k, 0), n) for k in range(a, b)) for a, b, n in rows]
+    assert _clipped_run_sums(lo, hi, size).tolist() == want
+    assert all(_clipped_run_sums(*row) == w for row, w in zip(rows, want))
 
 
 _REAL = TwoModSystem.real(2.5, 18, 29)
@@ -747,11 +727,14 @@ _REAL = TwoModSystem.real(2.5, 18, 29)
     (lambda: range_falsifier_basic(TwoModSystem(1, 2, 3)),
      "range_falsifier_basic: range already spans the lcm"),
     (lambda: ladder_depths_definitional(TwoModSystem(13, 18, 29), 0),
-     "ladder_depths_definitional: level 0 out of range"),
+     r"ladder_depths_definitional: level 0 out of range \[1, 5\]"),
     (lambda: ladder_depths_definitional(TwoModSystem(13, 18, 29), 6),  # 5 levels
-     "ladder_depths_definitional: level 6 out of range"),
+     r"ladder_depths_definitional: level 6 out of range \[1, 5\]"),
+    (lambda: ladder_depths_definitional(TwoModSystem(1, 2, 3), 2),  # 1 level
+     r"ladder_depths_definitional: level 2 out of range \[1, 1\]"),
 ], ids=["fold-search-real", "falsifier-real", "falsifier-basic-real", "exactness-scan-real",
-        "falsifier-basic-one-level", "definitional-level-0", "definitional-past-the-top"])
+        "falsifier-basic-one-level", "definitional-level-0", "definitional-past-the-top",
+        "definitional-past-a-single-level"])
 def test_oracles_refuse_what_they_cannot_answer(call, refusal):
     with pytest.raises(ValueError, match=f"^{refusal}$"):
         call()
